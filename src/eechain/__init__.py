@@ -5,7 +5,6 @@ a brute-force many-body oracle for small chains, thermal-expansion fits,
 and cMERA / geodesic closed forms.
 """
 
-from ._backend import backend_name
 from .cmera import (
     bogoliubov_angle,
     ee_cmera,
@@ -34,6 +33,7 @@ from .errors import (
     InsufficientData,
     InsufficientSampling,
     InvalidKind,
+    InvalidParameter,
     IoError,
     NotHermitian,
     RegimeUnreachable,
@@ -46,9 +46,7 @@ from .lattice import (
     ModeGrid,
     build_correlation_matrix,
     build_mode_grid,
-    correlator_block,
     offdiagonal_sum_check,
-    thermal_occupation_factor,
     validate_beta,
 )
 from .oracle import (
@@ -74,6 +72,12 @@ from .thermal import (
 
 __version__ = "0.1.0"
 
+
+def backend_name():
+    """Name of the kernel backend: the numpy FFT path is the only one."""
+    return "numpy"
+
+
 __all__ = [
     "CorrelationMatrix",
     "DegenerateGroundState",
@@ -89,6 +93,7 @@ __all__ = [
     "InsufficientData",
     "InsufficientSampling",
     "InvalidKind",
+    "InvalidParameter",
     "IoError",
     "LatticeSpec",
     "ModeGrid",
@@ -103,7 +108,6 @@ __all__ = [
     "build_correlation_matrix",
     "build_mode_grid",
     "cft_reference",
-    "correlator_block",
     "default_high_temperature_betas",
     "default_low_temperature_betas",
     "ee_cmera",
@@ -129,6 +133,5 @@ __all__ = [
     "regime_scales",
     "single_particle_hamiltonian",
     "sweep_entropy",
-    "thermal_occupation_factor",
     "validate_beta",
 ]

@@ -9,29 +9,29 @@ Subcommands:
                   many-body computation on a small chain
 
 Options may also come from a config file (``--config``) holding
-``key = value`` lines with ``#`` comments; command-line flags win over
-file values.  Exit codes: 0 success, 1 computational failure
-(EechainError), 2 usage error.
+``key = value`` lines with ``#`` comments, one key per flag name; the
+file's values are parsed like flags given ahead of the command line, so
+command-line flags win.  Exit codes: 0 success, 1 computational failure
+(EechainError), 2 usage error or invalid model parameter.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import cmera as cmera_mod
 from .entropy import entanglement_entropy, entropy_of
-from .errors import EechainError, UsageError
+from .errors import EechainError, InvalidParameter, UsageError
 from .lattice import LatticeSpec, build_correlation_matrix
-from .oracle import MAX_SITES, many_body_state, mode_correlators, reduced_entropy
-from .output import emit_plot, emit_table
+from .oracle import many_body_state, mode_correlators, reduced_entropy
+from .output import emit_csv, emit_json, emit_plot, emit_table
 from .thermal import (
+    SweepRow,
     SweepTable,
     default_high_temperature_betas,
     default_low_temperature_betas,
@@ -43,83 +43,89 @@ from .thermal import (
 CORRELATOR_TOL = 1e-10
 ENTROPY_TOL = 1e-8
 
-_FLAG_KEYS = (
-    "n",
-    "na",
-    "z",
-    "mass",
-    "beta",
-    "temp",
-    "eps",
-    "theta",
-    "zs",
-    "betas",
-    "nas",
-    "regime",
-    "format",
-    "out",
-    "jobs",
-)
+
+def _converter(kind, parse):
+    """An argparse type= converter.  It checks syntax only: the ranges of
+    model parameters are checked where the model is built."""
+
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}") from None
+
+    return convert
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n: int | None = None
-    na: int | None = None
-    z: int | None = None
-    mass: float = 0.0
-    beta: float = math.inf
-    epsilon: float = 1.0
-    theta: float = 0.0
-    zs: tuple = ()
-    betas: tuple = ()
-    nas: tuple = ()
-    regime: str = "low"
-    fmt: str | None = None
-    out: str | None = None
-    jobs: int = 1
-    raw: dict = field(default_factory=dict, repr=False)
+_integer = _converter("an integer", int)
+_number = _converter("a number", float)
+
+
+def _inverse_temperature(text):
+    temp = _number(text)
+    if temp <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return 1.0 / temp
+
+
+def _list_of(convert):
+    def convert_list(text):
+        items = [s.strip() for s in text.split(",") if s.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError("needs a comma-separated list")
+        return tuple(convert(s) for s in items)
+
+    return convert_list
 
 
 def _build_parser():
+    """The parser and its config-file keys: every long flag but --config."""
     parser = argparse.ArgumentParser(
         prog="eechain",
         description="entanglement entropy of free Lifshitz fermion chains",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    names = ("ee", "sweep", "fit", "cmera", "oracle-check")
-    for name in names:
-        p = sub.add_parser(name)
-        p.add_argument("--n", default=None)
-        p.add_argument("--na", default=None)
-        p.add_argument("--z", default=None)
-        p.add_argument("--mass", default=None)
+    for name in ("ee", "sweep", "fit", "cmera", "oracle-check"):
+        p = sub.add_parser(name, exit_on_error=False)
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--beta", default=None)
-        group.add_argument("--temp", default=None)
-        p.add_argument("--eps", default=None)
-        p.add_argument("--theta", default=None)
-        p.add_argument("--zs", default=None)
-        p.add_argument("--betas", default=None)
-        p.add_argument("--nas", default=None)
-        p.add_argument("--regime", default=None, choices=("low", "high"))
-        p.add_argument("--format", default=None, choices=("csv", "json", "svg"))
-        p.add_argument("--out", default=None)
-        p.add_argument("--jobs", default=None)
-        p.add_argument("--config", default=None)
-    return parser
+        flags = (
+            p.add_argument("--n", type=_integer),
+            p.add_argument("--na", type=_integer),
+            p.add_argument("--z", type=_integer),
+            p.add_argument("--mass", type=_number, default=0.0),
+            # float("inf") is a new object, never the default itself, so
+            # "--beta inf" still conflicts with --temp
+            group.add_argument("--beta", type=_number, default=math.inf),
+            group.add_argument(
+                "--temp", type=_inverse_temperature, dest="beta", metavar="TEMP"
+            ),
+            p.add_argument(
+                "--eps", type=_number, dest="epsilon", default=1.0, metavar="EPS"
+            ),
+            p.add_argument("--theta", type=_number, default=0.0),
+            p.add_argument("--zs", type=_list_of(_integer), default=()),
+            p.add_argument("--betas", type=_list_of(_number), default=()),
+            p.add_argument("--nas", type=_list_of(_integer), default=()),
+            p.add_argument("--regime", choices=("low", "high"), default="low"),
+            p.add_argument("--format", choices=("csv", "json", "svg"), dest="fmt"),
+            p.add_argument("--out"),
+            p.add_argument("--jobs", type=_integer, default=1),
+        )
+        p.add_argument("--config")
+    return parser, frozenset(flag.option_strings[0][2:] for flag in flags)
 
 
-_PARSER = _build_parser()
+_PARSER, _CONFIG_KEYS = _build_parser()
 
 
 def _read_config_file(path):
+    """The file's ``key = value`` lines as ``--key=value`` flags."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    values = {}
+    flags = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -128,105 +134,36 @@ def _read_config_file(path):
             raise UsageError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _FLAG_KEYS:
+        if key not in _CONFIG_KEYS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value.strip()
-    return values
+        flags.append(f"--{key}={value.strip()}")
+    return flags
 
 
-def _as_int(name, value):
+def _parse(argv):
     try:
-        return int(str(value))
-    except ValueError:
-        raise UsageError(f"--{name} must be an integer, got {value!r}") from None
-
-
-def _as_float(name, value):
-    try:
-        return float(str(value))
-    except ValueError:
-        raise UsageError(f"--{name} must be a number, got {value!r}") from None
-
-
-def _as_beta(value):
-    if str(value).strip().lower() in ("inf", "infinity"):
-        return math.inf
-    beta = _as_float("beta", value)
-    if beta <= 0:
-        raise UsageError(f"--beta must be positive or 'inf', got {value!r}")
-    return beta
-
-
-def _as_list(name, value, coerce):
-    items = [s for s in str(value).split(",") if s.strip()]
-    if not items:
-        raise UsageError(f"--{name} needs a comma-separated list")
-    return tuple(coerce(name, s.strip()) for s in items)
+        return _PARSER.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        raise UsageError(f"{exc.argument_name} {exc.message}") from None
 
 
 def parse_config(argv):
-    """Merge argv and optional config file into a validated RunConfig."""
-    ns = _PARSER.parse_args(argv)
-    merged = {}
-    if ns.config is not None:
-        merged.update(_read_config_file(ns.config))
-    for key in _FLAG_KEYS:
-        flag = getattr(ns, key.replace("-", "_"))
-        if flag is not None:
-            merged[key] = flag
+    """Parse argv, and the --config file it names, into a namespace.
 
-    if "beta" in merged and "temp" in merged:
-        raise UsageError("--beta and --temp are mutually exclusive")
-
-    cfg = RunConfig(command=ns.command, raw=dict(merged))
-    if "n" in merged:
-        cfg.n = _as_int("n", merged["n"])
-    if "na" in merged:
-        cfg.na = _as_int("na", merged["na"])
-    if "z" in merged:
-        cfg.z = _as_int("z", merged["z"])
-    if "mass" in merged:
-        cfg.mass = _as_float("mass", merged["mass"])
-    if "beta" in merged:
-        cfg.beta = _as_beta(merged["beta"])
-    if "temp" in merged:
-        temp = _as_float("temp", merged["temp"])
-        if temp <= 0:
-            raise UsageError(f"--temp must be positive, got {merged['temp']!r}")
-        cfg.beta = 1.0 / temp
-    if "eps" in merged:
-        cfg.epsilon = _as_float("eps", merged["eps"])
-        if cfg.epsilon <= 0:
-            raise UsageError("--eps must be positive")
-    if "theta" in merged:
-        cfg.theta = _as_float("theta", merged["theta"])
-    if "zs" in merged:
-        cfg.zs = _as_list("zs", merged["zs"], _as_int)
-    if "betas" in merged:
-        cfg.betas = _as_list("betas", merged["betas"], lambda _n, s: _as_beta(s))
-    if "nas" in merged:
-        cfg.nas = _as_list("nas", merged["nas"], _as_int)
-    if "regime" in merged:
-        if merged["regime"] not in ("low", "high"):
-            raise UsageError(f"--regime must be low or high, got {merged['regime']!r}")
-        cfg.regime = merged["regime"]
-    if "format" in merged:
-        if merged["format"] not in ("csv", "json", "svg"):
-            raise UsageError(f"--format must be csv/json/svg, got {merged['format']!r}")
-        cfg.fmt = merged["format"]
-    if "out" in merged:
-        cfg.out = merged["out"]
-    if "jobs" in merged:
-        cfg.jobs = _as_int("jobs", merged["jobs"])
-        if cfg.jobs < 1:
-            raise UsageError("--jobs must be >= 1")
-    return cfg
+    The file's values go through the same parser as flags placed between
+    the command and the rest of argv, so they are converted and checked
+    alike, and the command line wins.
+    """
+    cfg = _parse(argv)
+    if cfg.config is None:
+        return cfg
+    argv = sys.argv[1:] if argv is None else list(argv)
+    return _parse([cfg.command, *_read_config_file(cfg.config), *argv[1:]])
 
 
 def _require(cfg, *names):
     for name in names:
-        attr = {"eps": "epsilon"}.get(name, name)
-        if getattr(cfg, attr) is None:
+        if getattr(cfg, name) is None:
             raise UsageError(f"{cfg.command} requires --{name}")
 
 
@@ -238,10 +175,10 @@ def _emit(cfg, data):
         sys.stdout.buffer.flush()
 
 
-def _spec_of(cfg, z=None):
+def _spec_of(cfg):
     return LatticeSpec(
         n_sites=cfg.n,
-        z_exponent=cfg.z if z is None else z,
+        z_exponent=cfg.z,
         mass=cfg.mass,
         spacing=cfg.epsilon,
         boundary_phase=cfg.theta,
@@ -256,21 +193,7 @@ def _run_ee(cfg):
         return 0
     if cfg.fmt == "svg":
         raise UsageError("ee has a single value; svg output needs sweep")
-    from .thermal import SweepRow
-
-    table = SweepTable(
-        rows=(
-            SweepRow(
-                z=cfg.z,
-                beta=cfg.beta,
-                n=cfg.n,
-                na=cfg.na,
-                epsilon=cfg.epsilon,
-                mass=cfg.mass,
-                entropy=point.entropy,
-            ),
-        )
-    )
+    table = SweepTable(rows=(SweepRow(entropy=point.entropy, **point.params),))
     _emit(cfg, emit_table(table, cfg.fmt))
     return 0
 
@@ -286,10 +209,8 @@ def _sweep_axes(cfg):
     return zs, betas, nas
 
 
-def _run_sweep(cfg):
-    _require(cfg, "n")
-    zs, betas, nas = _sweep_axes(cfg)
-    table = sweep_entropy(
+def _sweep(cfg, zs, betas, nas):
+    return sweep_entropy(
         zs,
         betas,
         nas,
@@ -299,6 +220,12 @@ def _run_sweep(cfg):
         boundary_phase=cfg.theta,
         jobs=cfg.jobs,
     )
+
+
+def _run_sweep(cfg):
+    _require(cfg, "n")
+    zs, betas, nas = _sweep_axes(cfg)
+    table = _sweep(cfg, zs, betas, nas)
     fmt = cfg.fmt or "csv"
     if fmt == "svg":
         _emit(cfg, _sweep_plot(table, zs, betas, nas))
@@ -347,23 +274,12 @@ def _run_fit(cfg):
         betas = default_low_temperature_betas(cfg.z, cfg.na, cfg.epsilon)
     else:
         betas = default_high_temperature_betas(cfg.z, cfg.na, cfg.epsilon)
-    table = sweep_entropy(
-        (cfg.z,),
-        tuple(betas),
-        (cfg.na,),
-        n_sites=cfg.n,
-        mass=cfg.mass,
-        spacing=cfg.epsilon,
-        boundary_phase=cfg.theta,
-        jobs=cfg.jobs,
-    )
+    table = _sweep(cfg, (cfg.z,), tuple(betas), (cfg.na,))
     if cfg.regime == "low":
         fit = fit_low_temperature(table, cfg.z)
     else:
         fit = fit_high_temperature(table, cfg.z)
     if cfg.fmt == "json":
-        import json
-
         payload = {
             "regime": cfg.regime,
             "z": cfg.z,
@@ -373,42 +289,35 @@ def _run_fit(cfg):
             "std_errors": [float(s) for s in fit.std_errors],
             "residual_rms": float(fit.residual_rms),
         }
-        _emit(cfg, (json.dumps(payload, indent=1) + "\n").encode())
+        _emit(cfg, emit_json(payload))
         return 0
     lines = [f"regime: {cfg.regime}   z: {cfg.z}   rows: {fit.n_rows}"]
     for name, coef, se in zip(fit.basis, fit.coefficients, fit.std_errors):
         lines.append(f"  coeff[{name}] = {coef:+.6g} +/- {se:.3g}")
     lines.append(f"  residual rms = {fit.residual_rms:.6g}")
-    out = "\n".join(lines) + "\n"
-    if cfg.out:
-        Path(cfg.out).write_text(out)
-    else:
-        print(out, end="")
+    _emit(cfg, ("\n".join(lines) + "\n").encode())
     return 0
 
 
 def _run_cmera(cfg):
     _require(cfg, "z")
+    if not cfg.epsilon > 0:  # cmera builds no LatticeSpec to check it
+        raise InvalidParameter(f"spacing must be > 0, got {cfg.epsilon!r}")
     cutoff = 1.0 / cfg.epsilon
     u = np.linspace(-5.0, 0.0, 501)
     k = cutoff * np.exp(u)
-    phi = np.array([cmera_mod.bogoliubov_angle(kv, cfg.z, cfg.mass) for kv in k])
+    phi = cmera_mod.bogoliubov_angle(k, cfg.z, cfg.mass)
     g = cmera_mod.g_closed_form(u, cfg.z, cfg.mass, cutoff)
     guu = cmera_mod.metric_guu(u, cfg.z, cfg.mass, cutoff)
     fmt = cfg.fmt or "csv"
     if fmt == "csv":
-        lines = ["u,phi,g,guu"]
-        for row in zip(u, phi, g, guu):
-            lines.append(",".join(f"{v:.12g}" for v in row))
-        _emit(cfg, ("\n".join(lines) + "\n").encode())
+        _emit(cfg, emit_csv("u,phi,g,guu", zip(u, phi, g, guu)))
     elif fmt == "json":
-        import json
-
         payload = [
             {"u": float(a), "phi": float(b), "g": float(c), "guu": float(d)}
             for a, b, c, d in zip(u, phi, g, guu)
         ]
-        _emit(cfg, (json.dumps(payload, indent=1) + "\n").encode())
+        _emit(cfg, emit_json(payload))
     else:
         data = emit_plot(
             [(u, phi, "phi"), (u, g, "g"), (u, guu, "g_uu")],
@@ -420,8 +329,6 @@ def _run_cmera(cfg):
 
 def _run_oracle_check(cfg):
     _require(cfg, "n", "na", "z")
-    if cfg.n > MAX_SITES:
-        raise UsageError(f"oracle-check supports at most {MAX_SITES} sites")
     spec = _spec_of(cfg)
     state = many_body_state(spec, cfg.beta)
     corr_exact = mode_correlators(state)
@@ -457,11 +364,10 @@ _DISPATCH = {
 
 
 def main(argv=None):
-    os.environ.get("LIFSHITZ_EE_SEED")  # reserved; every code path is deterministic
     try:
         cfg = parse_config(argv)
         return _DISPATCH[cfg.command](cfg)
-    except UsageError as exc:
+    except (UsageError, InvalidParameter) as exc:
         print(f"eechain: error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

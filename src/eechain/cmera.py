@@ -28,7 +28,7 @@ import math
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .errors import DegenerateInterval, InsufficientSampling
+from .errors import DegenerateInterval, InsufficientSampling, InvalidParameter
 
 SQRT3 = math.sqrt(3.0)
 MIN_POINTS_PER_DECADE = 100
@@ -38,7 +38,7 @@ def bogoliubov_angle(k, z, m):
     """Closed-form mixing angle at momentum k > 0."""
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0):
-        raise ValueError("momenta must be positive")
+        raise InvalidParameter("momenta must be positive")
     if m == 0:
         # k^z / sqrt(k^{2z}) = 1 identically; evaluating it as a quotient
         # loses ~sqrt(eps) through the arcsin branch point

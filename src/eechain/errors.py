@@ -5,6 +5,11 @@ class EechainError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidParameter(EechainError, ValueError):
+    """A model parameter is out of range: N, z, mass, spacing, twist, beta,
+    a subsystem or an oracle chain size.  The CLI exits with status 2."""
+
+
 class DuplicateSite(EechainError):
     """A subsystem site list contains a repeated index."""
 

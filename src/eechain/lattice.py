@@ -15,8 +15,7 @@ the site difference d = j - i:
 
 where p, q are half inverse-DFTs of the occupation weights F, G over the
 mode grid (see fourier_profile).  Only the N distinct profile entries are
-ever computed, so a full parameter point costs O(N log N) with the FFT
-backend or O(N^2) with the compiled one.
+ever computed, by one FFT each, so a full parameter point costs O(N log N).
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._backend import fourier_profile
-from .errors import DuplicateSite, SiteOutOfRange
+from .errors import DuplicateSite, InvalidParameter, SiteOutOfRange
 
 # Frequencies below this are treated as exact zero modes.  Only the
 # massless theory can get here (omega >= m otherwise); the closest
@@ -47,9 +45,9 @@ class LatticeSpec:
     z_exponent : int
         Dynamical exponent z >= 1; sets the dispersion omega ~ |k|^z.
     mass : float
-        Non-negative mass m.
+        Finite non-negative mass m.
     spacing : float
-        Lattice spacing eps > 0 (default 1, natural units).
+        Finite lattice spacing eps > 0 (default 1, natural units).
     boundary_phase : float
         Twist theta in [0, 1); 0 is plain periodic boundary conditions.
     """
@@ -62,17 +60,21 @@ class LatticeSpec:
 
     def __post_init__(self):
         if not isinstance(self.n_sites, (int, np.integer)) or self.n_sites < 2:
-            raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites!r}")
+            raise InvalidParameter(
+                f"n_sites must be an integer >= 2, got {self.n_sites!r}"
+            )
         if not isinstance(self.z_exponent, (int, np.integer)) or self.z_exponent < 1:
-            raise ValueError(
+            raise InvalidParameter(
                 f"z_exponent must be an integer >= 1, got {self.z_exponent!r}"
             )
-        if not self.mass >= 0:
-            raise ValueError(f"mass must be >= 0, got {self.mass!r}")
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be > 0, got {self.spacing!r}")
+        if not (math.isfinite(self.mass) and self.mass >= 0):
+            raise InvalidParameter(f"mass must be finite and >= 0, got {self.mass!r}")
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise InvalidParameter(
+                f"spacing must be finite and > 0, got {self.spacing!r}"
+            )
         if not 0 <= self.boundary_phase < 1:
-            raise ValueError(
+            raise InvalidParameter(
                 f"boundary_phase must lie in [0, 1), got {self.boundary_phase!r}"
             )
 
@@ -80,7 +82,7 @@ class LatticeSpec:
 def validate_beta(beta):
     """Check an inverse temperature: positive real or math.inf."""
     if not (beta > 0):
-        raise ValueError(f"beta must be positive (or inf), got {beta!r}")
+        raise InvalidParameter(f"beta must be positive (or inf), got {beta!r}")
     return float(beta)
 
 
@@ -117,20 +119,6 @@ def build_mode_grid(spec: LatticeSpec) -> ModeGrid:
     keff = np.sin(k * eps) / eps
     omega = np.sqrt(keff ** (2 * spec.z_exponent) + spec.mass**2)
     return ModeGrid(momenta=k, effective_momenta=keff, frequencies=omega)
-
-
-def thermal_occupation_factor(keff, omega, z, beta):
-    """Chirality-diagonal occupation weight F = ((-keff)^z / omega) * tanh(beta*omega/2).
-
-    Conventions: F = 0 at omega = 0 (the limit of the product), and at
-    beta = inf the tanh factor is 1, giving F = (-sign(keff))^z with
-    sign(0) = 0.
-    """
-    if omega == 0.0:
-        return 0.0
-    if math.isinf(beta):
-        return float((-np.sign(keff)) ** z)
-    return float(((-keff) ** z / omega) * math.tanh(beta * omega / 2.0))
 
 
 def _mode_weights(spec: LatticeSpec, beta):
@@ -173,6 +161,25 @@ def _mode_weights(spec: LatticeSpec, beta):
     return f, g
 
 
+def fourier_profile(weights):
+    """Half inverse-DFT of a length-N weight vector, by FFT.
+
+    Parameters
+    ----------
+    weights : (N,) array_like, real or complex
+        Mode weights w_kappa.
+
+    Returns
+    -------
+    (N,) complex ndarray with entry d equal to
+    (1/2N) * sum_kappa w[kappa] * exp(2i pi kappa d / N).
+    """
+    w = np.asarray(weights, dtype=np.complex128)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError("weights must be a nonempty 1-d array")
+    return np.fft.ifft(w) / 2.0
+
+
 def _profiles(spec: LatticeSpec, beta):
     """Half inverse-DFT profiles (p, q) of the two weight arrays."""
     f, g = _mode_weights(spec, beta)
@@ -198,22 +205,6 @@ def _twist_phase(spec: LatticeSpec, signed_d):
     return np.exp(2j * np.pi * spec.boundary_phase * np.asarray(signed_d) / spec.n_sites)
 
 
-def correlator_block(spec: LatticeSpec, beta, i, j):
-    """2x2 block of <psi_s,i^dag psi_s',j> for chiralities s, s' in {+, -}."""
-    n = spec.n_sites
-    if not (0 <= i < n and 0 <= j < n):
-        raise SiteOutOfRange(f"sites ({i}, {j}) not in [0, {n})")
-    p, q = _profiles(spec, beta)
-    d = j - i
-    phase = complex(_twist_phase(spec, d))
-    same = phase * p[d % n]
-    cross = -phase * q[d % n]
-    diag = 0.5 if i == j else 0.0
-    return np.array(
-        [[diag + same, cross], [cross, diag - same]], dtype=complex
-    )
-
-
 def build_correlation_matrix(spec: LatticeSpec, beta, subsystem) -> CorrelationMatrix:
     """Assemble the restricted correlation matrix for a list of sites.
 
@@ -224,7 +215,7 @@ def build_correlation_matrix(spec: LatticeSpec, beta, subsystem) -> CorrelationM
     """
     sites = np.asarray(list(subsystem), dtype=np.int64)
     if sites.size == 0:
-        raise ValueError("subsystem must be nonempty")
+        raise InvalidParameter("subsystem must be nonempty")
     if np.unique(sites).size != sites.size:
         raise DuplicateSite(f"subsystem contains repeated sites: {subsystem}")
     if sites.min() < 0 or sites.max() >= spec.n_sites:

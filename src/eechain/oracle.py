@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateGroundState
+from .errors import DegenerateGroundState, InvalidParameter
 from .lattice import LatticeSpec, build_mode_grid, validate_beta
 
 MAX_SITES = 6  # Fock dimension 4^6 = 4096; dense algebra stays tractable
@@ -108,12 +108,12 @@ def many_body_state(spec: LatticeSpec, beta, site_order=None) -> FockState:
     beta = validate_beta(beta)
     n = spec.n_sites
     if n > MAX_SITES:
-        raise ValueError(f"oracle limited to n_sites <= {MAX_SITES}, got {n}")
+        raise InvalidParameter(f"oracle supports at most {MAX_SITES} sites, got {n}")
     if site_order is None:
         site_order = tuple(range(n))
     site_order = tuple(site_order)
     if sorted(site_order) != list(range(n)):
-        raise ValueError(f"site_order must permute 0..{n-1}, got {site_order}")
+        raise InvalidParameter(f"site_order must permute 0..{n-1}, got {site_order}")
 
     h = single_particle_hamiltonian(spec)
     if math.isinf(beta):
@@ -177,7 +177,7 @@ def reduced_entropy(state: FockState, subsystem):
     n = state.spec.n_sites
     sites = [int(s) for s in subsystem]
     if len(set(sites)) != len(sites) or any(not 0 <= s < n for s in sites):
-        raise ValueError(f"subsystem must be distinct sites in [0, {n})")
+        raise InvalidParameter(f"subsystem must be distinct sites in [0, {n})")
 
     if tuple(state.site_order[: len(sites)]) != tuple(sites):
         rest = [s for s in range(n) if s not in sites]

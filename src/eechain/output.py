@@ -1,4 +1,5 @@
-"""Table serialization (CSV/JSON) and a dependency-free SVG plotter.
+"""CSV/JSON serialization of every CLI table and payload, and a
+dependency-free SVG plotter.
 
 Output is deterministic: fixed column order, fixed float formatting
 (12 significant digits, `inf` for infinite beta), LF line endings, and a
@@ -17,40 +18,35 @@ from .thermal import SweepRow, SweepTable
 
 CSV_HEADER = "z,beta,n,na,epsilon,mass,entropy"
 _COLUMNS = CSV_HEADER.split(",")
+_COLUMN_TYPES = dict(zip(_COLUMNS, (int, float, int, int, float, float, float)))
 
 
 def _fmt(value):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isinf(v):
-        return "inf"
-    return f"{v:.12g}"
+    return f"{float(value):.12g}"
+
+
+def emit_csv(header, rows):
+    """CSV bytes: the header line, then one line per row of values."""
+    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def emit_json(payload):
+    """JSON bytes of a list or dict, one-space indented."""
+    return (json.dumps(payload, indent=1) + "\n").encode()
 
 
 def emit_table(table: SweepTable, fmt="csv"):
     """Serialize a sweep table to CSV or JSON bytes."""
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in table.rows:
-            lines.append(
-                ",".join(
-                    (
-                        str(r.z),
-                        _fmt(r.beta),
-                        str(r.n),
-                        str(r.na),
-                        _fmt(r.epsilon),
-                        _fmt(r.mass),
-                        _fmt(r.entropy),
-                    )
-                )
-            )
-        return ("\n".join(lines) + "\n").encode()
+        return emit_csv(
+            CSV_HEADER, ([getattr(r, c) for c in _COLUMNS] for r in table.rows)
+        )
     if fmt == "json":
-        payload = []
-        for r in table.rows:
-            payload.append(
+        return emit_json(
+            [
                 {
                     "z": r.z,
                     "beta": "inf" if math.isinf(r.beta) else float(f"{r.beta:.12g}"),
@@ -60,9 +56,15 @@ def emit_table(table: SweepTable, fmt="csv"):
                     "mass": float(f"{r.mass:.12g}"),
                     "entropy": float(f"{r.entropy:.12g}"),
                 }
-            )
-        return (json.dumps(payload, indent=1) + "\n").encode()
+                for r in table.rows
+            ]
+        )
     raise IoError(f"unknown table format: {fmt!r}")
+
+
+def _row(values):
+    """A SweepRow from its seven column values, in CSV_HEADER order."""
+    return SweepRow(**{c: t(v) for (c, t), v in zip(_COLUMN_TYPES.items(), values)})
 
 
 def parse_table(data):
@@ -71,18 +73,7 @@ def parse_table(data):
     stripped = text.lstrip()
     try:
         if stripped.startswith("["):
-            rows = [
-                SweepRow(
-                    z=int(obj["z"]),
-                    beta=float(obj["beta"]),
-                    n=int(obj["n"]),
-                    na=int(obj["na"]),
-                    epsilon=float(obj["epsilon"]),
-                    mass=float(obj["mass"]),
-                    entropy=float(obj["entropy"]),
-                )
-                for obj in json.loads(stripped)
-            ]
+            rows = [_row([obj[c] for c in _COLUMNS]) for obj in json.loads(stripped)]
             return SweepTable(rows=tuple(rows)).sorted()
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != CSV_HEADER:
@@ -92,17 +83,7 @@ def parse_table(data):
             parts = ln.split(",")
             if len(parts) != len(_COLUMNS):
                 raise ValueError(f"bad CSV row: {ln!r}")
-            rows.append(
-                SweepRow(
-                    z=int(parts[0]),
-                    beta=float(parts[1]),
-                    n=int(parts[2]),
-                    na=int(parts[3]),
-                    epsilon=float(parts[4]),
-                    mass=float(parts[5]),
-                    entropy=float(parts[6]),
-                )
-            )
+            rows.append(_row(parts))
         return SweepTable(rows=tuple(rows)).sorted()
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise IoError(f"cannot parse table: {exc}") from exc

@@ -28,7 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import entropy_of
-from .errors import IllConditioned, InsufficientData, InvalidKind, RegimeUnreachable
+from .errors import (
+    IllConditioned,
+    InsufficientData,
+    InvalidKind,
+    InvalidParameter,
+    RegimeUnreachable,
+)
 from .lattice import LatticeSpec
 
 LOW_T_WINDOW = 0.3  # rows with x = l * beta^(-1/z) below this qualify
@@ -118,10 +124,7 @@ def _sweep_point(args):
         n_sites=n, z_exponent=z, mass=mass, spacing=eps, boundary_phase=phase
     )
     point = entropy_of(spec, beta, range(na))
-    return SweepRow(
-        z=z, beta=float(beta), n=n, na=na, epsilon=eps, mass=mass,
-        entropy=point.entropy,
-    )
+    return SweepRow(entropy=point.entropy, **point.params)
 
 
 def sweep_entropy(
@@ -133,6 +136,8 @@ def sweep_entropy(
     and returned sorted by (z, beta, N_A), so output is deterministic
     regardless of scheduling.
     """
+    if jobs is not None and jobs < 1:
+        raise InvalidParameter(f"jobs must be >= 1, got {jobs!r}")
     tasks = [
         (n_sites, int(z), mass, spacing, boundary_phase, beta, int(na))
         for z in zs

@@ -1,62 +1,16 @@
 import numpy as np
-import pytest
 
-from eechain import _backend, _kernels_py, backend_name
-
-try:
-    from eechain import _kernels
-except ImportError:
-    _kernels = None
+from eechain import backend_name
+from eechain.lattice import fourier_profile
 
 
 def test_backend_identifies_itself():
-    assert backend_name() in ("compiled", "numpy")
-    if _kernels is not None:
-        assert backend_name() == "compiled"
-
-
-def test_python_kernel_matches_direct_sum():
-    rng = np.random.default_rng(3)
-    w = rng.standard_normal(17)
-    n = w.size
-    kappa = np.arange(n)
-    direct = np.array(
-        [np.sum(w * np.exp(2j * np.pi * kappa * d / n)) / (2 * n) for d in range(n)]
-    )
-    np.testing.assert_allclose(_kernels_py.fourier_profile(w), direct, atol=1e-13)
-
-
-@pytest.mark.skipif(_kernels is None, reason="compiled extension not built")
-@pytest.mark.parametrize("n", [1, 2, 7, 64, 255, 1024])
-def test_backends_agree(n):
-    rng = np.random.default_rng(n)
-    w = rng.standard_normal(n)
-    a = _kernels_py.fourier_profile(w)
-    b = _kernels.fourier_profile(w)
-    np.testing.assert_allclose(a, b, atol=1e-12)
-
-
-@pytest.mark.skipif(_kernels is None, reason="compiled extension not built")
-def test_compiled_kernel_is_bit_reproducible():
-    rng = np.random.default_rng(9)
-    w = rng.standard_normal(333)
-    first = _kernels.fourier_profile(w)
-    second = _kernels.fourier_profile(w)
-    assert first.tobytes() == second.tobytes()
-
-
-def test_kernel_input_validation():
-    for fn in filter(None, (_kernels_py.fourier_profile,
-                            getattr(_kernels, "fourier_profile", None))):
-        with pytest.raises(ValueError):
-            fn(np.zeros(0))
-        with pytest.raises(ValueError):
-            fn(np.zeros((3, 3)))
+    assert backend_name() == "numpy"
 
 
 def test_dispatch_points_at_a_real_backend():
     w = np.ones(8)
-    out = _backend.fourier_profile(w)
+    out = fourier_profile(w)
     expect = np.zeros(8, complex)
     expect[0] = 0.5
     np.testing.assert_allclose(out, expect, atol=1e-15)

@@ -173,3 +173,60 @@ def test_oracle_check_rejects_large_chain(capsys):
     rc = main(["oracle-check", "--n", "12", "--na", "2", "--z", "1", "--mass", "1"])
     assert rc == 2
     assert "at most" in capsys.readouterr().err
+
+
+POINT = "ee --n 10 --na 2 --z 1"
+INVALID_PARAMETERS = {
+    "ee-n1": f"{POINT} --n 1",
+    "ee-z0": f"{POINT} --z 0",
+    "ee-theta2": f"{POINT} --theta 2",
+    "ee-na0": f"{POINT} --na 0",
+    "ee-mass-inf": f"{POINT} --mass inf",
+    "ee-eps0": f"{POINT} --eps 0",
+    "ee-mass-nan": f"{POINT} --mass nan",
+    "ee-eps-inf": f"{POINT} --eps inf",
+    "ee-beta-nan": f"{POINT} --beta nan",
+    "ee-temp0": f"{POINT} --temp 0",
+    "sweep-jobs0": "sweep --n 10 --z 1 --nas 2 --jobs 0",
+    "cmera-eps0": "cmera --z 1 --eps 0",
+    "cmera-eps-negative": "cmera --z 1 --eps -1",
+    "oracle-na-past-n": "oracle-check --n 3 --na 4 --z 1 --mass 1",
+}
+
+
+@pytest.mark.parametrize(
+    "argv", INVALID_PARAMETERS.values(), ids=INVALID_PARAMETERS.keys()
+)
+def test_invalid_model_parameter_exits_2(argv, capsys):
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("eechain: error: ")
+
+
+def test_config_file_values_are_checked(tmp_path, capsys):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text("n = 4\nna = 2\nz = 1\nformat = xml\n")
+    assert main(["ee", "--config", str(cfg_file)]) == 2
+    assert "xml" in capsys.readouterr().err
+
+
+def test_config_values_do_not_leak_into_the_next_call(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("mass = 0.5\nformat = csv\n")
+    argv = ["ee", "--n", "8", "--na", "2", "--z", "1", "--beta", "2"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main([*argv, "--config", str(cfg_file)]) == 0
+    assert capsys.readouterr().out != default
+    assert main(argv) == 0
+    assert capsys.readouterr().out == default
+
+
+def test_parser_is_built_once_at_import(tmp_path, monkeypatch, capsys):
+    def rebuild():
+        raise AssertionError("parser rebuilt per call")
+
+    monkeypatch.setattr("eechain.cli._build_parser", rebuild)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("z = 1\n")
+    assert main(["ee", "--n", "4", "--na", "2", "--config", str(cfg_file)]) == 0

@@ -9,11 +9,10 @@ from eechain import (
     SiteOutOfRange,
     build_correlation_matrix,
     build_mode_grid,
-    correlator_block,
     offdiagonal_sum_check,
-    thermal_occupation_factor,
     validate_beta,
 )
+from eechain.lattice import fourier_profile
 
 INF = math.inf
 
@@ -60,21 +59,10 @@ def test_mode_grid_twist_shifts_momenta():
     assert twisted.frequencies.min() > 0.1
 
 
-def test_occupation_factor_conventions():
-    # omega = 0 gives 0 regardless of the other arguments
-    assert thermal_occupation_factor(0.0, 0.0, 1, INF) == 0.0
-    assert thermal_occupation_factor(0.0, 0.0, 4, 2.5) == 0.0
-    # ground state reduces to a pure sign
-    assert thermal_occupation_factor(0.5, 0.5, 1, INF) == -1.0
-    assert thermal_occupation_factor(-0.5, 0.5, 1, INF) == 1.0
-    assert thermal_occupation_factor(0.5, 0.25, 2, INF) == 1.0
-    # finite beta: F = ((-keff)^z/omega) tanh(beta omega/2)
-    keff, m, beta = 0.7, 0.3, 2.0
-    omega = math.hypot(keff, m)
-    expect = (-keff / omega) * math.tanh(beta * omega / 2)
-    assert thermal_occupation_factor(keff, omega, 1, beta) == pytest.approx(
-        expect, rel=1e-15
-    )
+def _block(spec, beta, i, j):
+    """2x2 block of <psi_s,i^dag psi_s',j>, sliced from the whole chain's matrix."""
+    m = build_correlation_matrix(spec, beta, range(spec.n_sites)).entries
+    return m[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
 
 
 def test_ground_state_block_n4():
@@ -82,12 +70,30 @@ def test_ground_state_block_n4():
     # as the limit from below, so the weight vector is (+1, -1, -1, +1)
     # and <psi_+0^dag psi_+1> = (1/8) sum F_kappa i^kappa = (1 - 1j)/4.
     spec = LatticeSpec(n_sites=4, z_exponent=1)
-    block = correlator_block(spec, INF, 0, 1)
+    block = _block(spec, INF, 0, 1)
     assert block[0, 0] == pytest.approx((1 - 1j) / 4, abs=1e-15)
     assert block[1, 1] == pytest.approx(-(1 - 1j) / 4, abs=1e-15)
     assert block[0, 1] == 0.0 and block[1, 0] == 0.0
-    same_site = correlator_block(spec, INF, 2, 2)
+    same_site = _block(spec, INF, 2, 2)
     np.testing.assert_allclose(same_site, np.eye(2) * 0.5, atol=1e-15)
+
+
+def test_fourier_profile_matches_direct_sum():
+    rng = np.random.default_rng(3)
+    w = rng.standard_normal(17)
+    n = w.size
+    kappa = np.arange(n)
+    direct = np.array(
+        [np.sum(w * np.exp(2j * np.pi * kappa * d / n)) / (2 * n) for d in range(n)]
+    )
+    np.testing.assert_allclose(fourier_profile(w), direct, atol=1e-13)
+
+
+def test_fourier_profile_input_validation():
+    with pytest.raises(ValueError):
+        fourier_profile(np.zeros(0))
+    with pytest.raises(ValueError):
+        fourier_profile(np.zeros((3, 3)))
 
 
 def test_matrix_n4_halved():
@@ -155,8 +161,8 @@ def test_infinite_temperature_limit():
 def test_translation_invariance():
     spec = LatticeSpec(n_sites=14, z_exponent=2, mass=0.4)
     for shift in (1, 5, 9):
-        a = correlator_block(spec, 3.0, 2, 6)
-        b = correlator_block(spec, 3.0, (2 + shift) % 14, (6 + shift) % 14)
+        a = _block(spec, 3.0, 2, 6)
+        b = _block(spec, 3.0, (2 + shift) % 14, (6 + shift) % 14)
         np.testing.assert_allclose(a, b, atol=1e-15)
     # shifted subsystems have identical spectra
     e1 = np.linalg.eigvalsh(
