@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .errors import EigenvalueOutOfRange, NotHermitian
+from .errors import EigenvalueOutOfRange, InvalidParameter, NotHermitian
 from .lattice import CorrelationMatrix, LatticeSpec, build_correlation_matrix
 
 HERMITICITY_TOL = 1e-9
@@ -75,21 +75,48 @@ def entanglement_entropy(eigs):
     return float(-np.sum(xlogy(c, c) + xlogy(1.0 - c, 1.0 - c))) + 0.0
 
 
-def entropy_of(spec: LatticeSpec, beta, subsystem, keep_eigenvalues=False):
-    """Correlation-matrix entropy of a site subsystem: build, solve, sum."""
-    corr = build_correlation_matrix(spec, beta, subsystem)
-    eigs = hermitian_eigenvalues(corr)
-    value = entanglement_entropy(eigs)
-    params = {
+def _params(spec: LatticeSpec, beta, na):
+    return {
         "n": spec.n_sites,
-        "na": len(corr.subsystem),
+        "na": na,
         "z": spec.z_exponent,
         "mass": spec.mass,
         "beta": float(beta),
         "epsilon": spec.spacing,
     }
+
+
+def entropy_of(spec: LatticeSpec, beta, subsystem, keep_eigenvalues=False):
+    """Correlation-matrix entropy of a site subsystem: build, solve, sum."""
+    corr = build_correlation_matrix(spec, beta, subsystem)
+    eigs = hermitian_eigenvalues(corr)
     return EntropyPoint(
-        entropy=value,
-        params=params,
+        entropy=entanglement_entropy(eigs),
+        params=_params(spec, beta, len(corr.subsystem)),
         eigenvalues=eigs if keep_eigenvalues else None,
     )
+
+
+def _entropies_of_blocks(spec: LatticeSpec, beta, nas):
+    """Entropies of the contiguous blocks range(na), one point per na in nas.
+
+    The matrix for range(max(nas)) is assembled once; each block's matrix
+    is its leading 2na x 2na principal submatrix, copied to a contiguous
+    array, so every value equals entropy_of(spec, beta, range(na)) bit
+    for bit at the same BLAS thread count.  Repeated na values are solved
+    once; no nas, no points.
+    """
+    if not nas:
+        return []
+    if min(nas) < 1:
+        raise InvalidParameter(f"subsystem sizes must be >= 1, got {list(nas)}")
+    entries = build_correlation_matrix(spec, beta, range(max(nas))).entries
+    values = {
+        na: entanglement_entropy(
+            hermitian_eigenvalues(np.ascontiguousarray(entries[: 2 * na, : 2 * na]))
+        )
+        for na in sorted(set(nas))
+    }
+    return [
+        EntropyPoint(entropy=values[na], params=_params(spec, beta, na)) for na in nas
+    ]

@@ -47,7 +47,8 @@ class LatticeSpec:
     mass : float
         Finite non-negative mass m.
     spacing : float
-        Finite lattice spacing eps > 0 (default 1, natural units).
+        Finite lattice spacing eps > 0 (default 1, natural units).  The
+        largest possible omega**2, m**2 + eps**(-2z), must be a finite float.
     boundary_phase : float
         Twist theta in [0, 1); 0 is plain periodic boundary conditions.
     """
@@ -73,10 +74,26 @@ class LatticeSpec:
             raise InvalidParameter(
                 f"spacing must be finite and > 0, got {self.spacing!r}"
             )
+        # omega**2 = keff**(2z) + m**2 with |keff| <= 1/eps on every grid
+        omega_bound = _power(self.mass, 2) + _power(self.spacing, -2 * self.z_exponent)
+        if not math.isfinite(omega_bound):
+            raise InvalidParameter(
+                "mass**2 + spacing**(-2*z_exponent) must be a finite float, got "
+                f"mass={self.mass!r}, spacing={self.spacing!r}, "
+                f"z_exponent={self.z_exponent}"
+            )
         if not 0 <= self.boundary_phase < 1:
             raise InvalidParameter(
                 f"boundary_phase must lie in [0, 1), got {self.boundary_phase!r}"
             )
+
+
+def _power(base, exponent):
+    """float(base)**exponent, or inf where that overflows a float."""
+    try:
+        return float(base) ** exponent
+    except OverflowError:
+        return math.inf
 
 
 def validate_beta(beta):

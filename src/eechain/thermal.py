@@ -21,13 +21,20 @@ Default beta grids (frozen after a window study; see the acceptance tests):
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import entropy_of
+# entropy_of stays bound here: perfbench's traced run wraps thermal.entropy_of
+from .entropy import _entropies_of_blocks, entropy_of  # noqa: F401
 from .errors import (
     IllConditioned,
     InsufficientData,
@@ -118,13 +125,50 @@ def cft_reference(kind, params):
     raise InvalidKind(f"unknown reference curve kind: {kind!r}")
 
 
-def _sweep_point(args):
-    n, z, mass, eps, phase, beta, na = args
-    spec = LatticeSpec(
-        n_sites=n, z_exponent=z, mass=mass, spacing=eps, boundary_phase=phase
-    )
-    point = entropy_of(spec, beta, range(na))
-    return SweepRow(entropy=point.entropy, **point.params)
+# Thread-count symbols of numpy's bundled OpenBLAS: ILP64 wheels prefix and
+# suffix them, older wheels do not.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for get_name, put_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, put_name):
+                get, put = getattr(lib, get_name), getattr(lib, put_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _set_one_blas_thread():
+    """Pool initializer: forked workers inherit one thread, spawned ones not."""
+    control = _openblas_threads()
+    if control is not None and control[0]() != 1:
+        control[1](1)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, where it can be set."""
+    control = _openblas_threads()
+    if control is None:
+        yield
+        return
+    get, put = control
+    saved = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(saved)
 
 
 def sweep_entropy(
@@ -132,23 +176,53 @@ def sweep_entropy(
 ) -> SweepTable:
     """Entropy over the product grid zs x betas x nas.
 
-    Rows are computed independently (optionally across `jobs` processes)
-    and returned sorted by (z, beta, N_A), so output is deterministic
-    regardless of scheduling.
+    Each distinct (z, beta) is one group: its profile is transformed and
+    its range(max(nas)) correlation matrix assembled once, and every N_A
+    is solved on a leading principal submatrix, so the rows equal the
+    per-point entropy_of values bit for bit at the same BLAS thread count.
+    One row is returned per grid point, repeated axis values included,
+    sorted by (z, beta, N_A).
+
+    The eigensolves run on one BLAS thread, serial or not: LAPACK's last
+    bits can depend on the thread count once a matrix is large enough to
+    be threaded, so this keeps the rows independent of the core count and
+    of jobs.  With jobs > 1 the groups are spread over at most that many
+    worker processes (the platform's default start method; each worker
+    sets one BLAS thread), and the rows are the serial rows byte for byte.
+    Where numpy's OpenBLAS cannot be found its thread count is left alone;
+    forked workers then inherit the caller's.
     """
     if jobs is not None and jobs < 1:
         raise InvalidParameter(f"jobs must be >= 1, got {jobs!r}")
-    tasks = [
-        (n_sites, int(z), mass, spacing, boundary_phase, beta, int(na))
+    groups = list(dict.fromkeys((int(z), beta) for z in zs for beta in betas))
+    specs = [
+        LatticeSpec(
+            n_sites=n_sites,
+            z_exponent=z,
+            mass=mass,
+            spacing=spacing,
+            boundary_phase=boundary_phase,
+        )
+        for z, _ in groups
+    ]
+    group_betas = [beta for _, beta in groups]
+    args = (specs, group_betas, itertools.repeat([int(na) for na in nas]))
+    workers = min(jobs or 1, len(groups))
+    with _one_blas_thread():
+        if workers > 1:
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_set_one_blas_thread
+            ) as pool:
+                points = list(pool.map(_entropies_of_blocks, *args))
+        else:
+            points = list(map(_entropies_of_blocks, *args))
+    by_group = dict(zip(groups, points))
+    rows = [
+        SweepRow(entropy=point.entropy, **point.params)
         for z in zs
         for beta in betas
-        for na in nas
+        for point in by_group[int(z), beta]
     ]
-    if jobs is not None and jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
-    else:
-        rows = [_sweep_point(t) for t in tasks]
     return SweepTable(rows=tuple(rows)).sorted()
 
 

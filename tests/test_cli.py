@@ -191,6 +191,8 @@ INVALID_PARAMETERS = {
     "cmera-eps0": "cmera --z 1 --eps 0",
     "cmera-eps-negative": "cmera --z 1 --eps -1",
     "oracle-na-past-n": "oracle-check --n 3 --na 4 --z 1 --mass 1",
+    "ee-mass-overflows": "ee --n 4 --na 2 --z 1 --mass 1e308",
+    "oracle-eps-overflows": "oracle-check --n 4 --na 2 --z 3 --eps 1e-300 --theta 0.5",
 }
 
 

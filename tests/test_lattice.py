@@ -5,6 +5,7 @@ import pytest
 
 from eechain import (
     DuplicateSite,
+    InvalidParameter,
     LatticeSpec,
     SiteOutOfRange,
     build_correlation_matrix,
@@ -31,6 +32,20 @@ def test_spec_validation():
     # non-integer exponents are rejected, not truncated
     with pytest.raises(ValueError):
         LatticeSpec(n_sites=10, z_exponent=2.5)
+
+
+def test_spec_rejects_overflowing_frequencies():
+    # omega**2 <= m**2 + eps**(-2z) must stay a finite float
+    for kwargs in (
+        {"mass": 1e308},
+        {"mass": np.float64(1e200)},
+        {"spacing": 1e-300, "z_exponent": 3},
+        {"spacing": 0.5, "z_exponent": 600},
+        {"mass": 1.2e154, "spacing": 1e-77, "z_exponent": 2},
+    ):
+        with pytest.raises(InvalidParameter):
+            LatticeSpec(n_sites=4, **kwargs)
+    LatticeSpec(n_sites=4, mass=1e150, spacing=1e-30, z_exponent=3)
 
 
 def test_validate_beta():

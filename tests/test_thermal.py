@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eechain import (
     IllConditioned,
     InsufficientData,
     InvalidKind,
+    InvalidParameter,
     LatticeSpec,
     RegimeUnreachable,
+    SiteOutOfRange,
     SweepRow,
     SweepTable,
     cft_reference,
@@ -82,6 +86,106 @@ def test_sweep_parallel_is_bit_identical():
     assert emit_table(serial) == emit_table(parallel)
     rerun = sweep_entropy((1, 3), (2.0, 8.0), (4, 7), jobs=1, **kwargs)
     assert emit_table(serial) == emit_table(rerun)
+
+
+def test_sweep_parallel_is_bit_identical_at_threaded_sizes():
+    # 350- and 400-row matrices are large enough for a threaded BLAS to
+    # change LAPACK's last bits, so the rows match only when the serial
+    # and the parallel eigensolves run at the same thread count
+    grid = ((1,), (100.0, 10.0), (175, 200))
+    serial = sweep_entropy(*grid, n_sites=2000, jobs=1)
+    parallel = sweep_entropy(*grid, n_sites=2000, jobs=2)
+    assert emit_table(serial) == emit_table(parallel)
+
+
+def test_sweep_restores_blas_thread_count():
+    from eechain import thermal
+
+    control = thermal._openblas_threads()
+    if control is not None:
+        get, put = control
+        saved = get()
+        put(2)
+        try:
+            sweep_entropy((1,), (2.0,), (3,), n_sites=10, jobs=1)
+            assert get() == 2
+        finally:
+            put(saved)
+
+
+@st.composite
+def _sweep_grids(draw):
+    n = draw(st.integers(2, 24))
+    return {
+        "zs": draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)),
+        "betas": draw(
+            st.lists(st.sampled_from([INF, 0.3, 2.0, 7.5]), min_size=1, max_size=3)
+        ),
+        "nas": draw(st.lists(st.integers(1, n), min_size=1, max_size=4)),
+        "n_sites": n,
+        "mass": draw(st.sampled_from([0.0, 0.4])),
+        "spacing": draw(st.sampled_from([1.0, 0.5])),
+        "boundary_phase": draw(st.sampled_from([0.0, 0.25, 0.7])),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sweep_grids())
+def test_sweep_rows_equal_entropy_of(grid):
+    # the grouped sweep slices one matrix per (z, beta); each row must still
+    # be the per-point value exactly, whatever order and repeats the axes have
+    table = sweep_entropy(**grid)
+    assert len(table) == len(grid["zs"]) * len(grid["betas"]) * len(grid["nas"])
+    for row in table.rows:
+        spec = LatticeSpec(
+            n_sites=grid["n_sites"],
+            z_exponent=row.z,
+            mass=grid["mass"],
+            spacing=grid["spacing"],
+            boundary_phase=grid["boundary_phase"],
+        )
+        assert row.entropy == entropy_of(spec, row.beta, range(row.na)).entropy
+
+
+def test_sweep_rejects_bad_subsystem_sizes():
+    with pytest.raises(InvalidParameter):
+        sweep_entropy((1,), (INF,), (3, 0), n_sites=10)
+    with pytest.raises(InvalidParameter):
+        sweep_entropy((1,), (INF,), (-2,), n_sites=10)
+    with pytest.raises(SiteOutOfRange):
+        sweep_entropy((1,), (INF,), (3, 11), n_sites=10)
+
+
+@pytest.mark.parametrize("mass, profiles_per_group", [(0.0, 1), (0.3, 2)])
+def test_sweep_builds_one_profile_and_matrix_per_group(
+    monkeypatch, mass, profiles_per_group
+):
+    import eechain.entropy
+    import eechain.lattice
+
+    calls = {"profile": 0, "matrix": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        eechain.lattice,
+        "fourier_profile",
+        counting("profile", eechain.lattice.fourier_profile),
+    )
+    monkeypatch.setattr(
+        eechain.entropy,
+        "build_correlation_matrix",
+        counting("matrix", eechain.entropy.build_correlation_matrix),
+    )
+    zs, betas = (1, 2, 1), (2.0, 5.0, 2.0)  # 2 x 2 distinct (z, beta)
+    table = sweep_entropy(zs, betas, (6, 2, 4, 2), n_sites=30, mass=mass)
+    assert len(table) == 3 * 3 * 4
+    assert calls == {"profile": 4 * profiles_per_group, "matrix": 4}
 
 
 # ----------------------------------------------------------------- grids
