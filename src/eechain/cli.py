@@ -33,6 +33,7 @@ from .output import emit_csv, emit_json, emit_plot, emit_table
 from .thermal import (
     SweepRow,
     SweepTable,
+    _one_blas_thread,
     default_high_temperature_betas,
     default_low_temperature_betas,
     fit_high_temperature,
@@ -330,15 +331,18 @@ def _run_cmera(cfg):
 def _run_oracle_check(cfg):
     _require(cfg, "n", "na", "z")
     spec = _spec_of(cfg)
-    state = many_body_state(spec, cfg.beta)
-    corr_exact = mode_correlators(state)
-    corr_fast = build_correlation_matrix(spec, cfg.beta, range(cfg.n)).entries
-    corr_diff = float(np.abs(corr_exact - corr_fast).max())
+    # one BLAS thread, as in sweeps: the printed round-off then does not
+    # depend on the core count
+    with _one_blas_thread():
+        state = many_body_state(spec, cfg.beta)
+        corr_exact = mode_correlators(state)
+        corr_fast = build_correlation_matrix(spec, cfg.beta, range(cfg.n)).entries
+        corr_diff = float(np.abs(corr_exact - corr_fast).max())
 
-    s_exact = reduced_entropy(state, range(cfg.na))
-    s_fast = entanglement_entropy(
-        build_correlation_matrix(spec, cfg.beta, range(cfg.na))
-    )
+        s_exact = reduced_entropy(state, range(cfg.na))
+        s_fast = entanglement_entropy(
+            build_correlation_matrix(spec, cfg.beta, range(cfg.na))
+        )
     s_diff = abs(s_exact - s_fast)
 
     corr_ok = corr_diff <= CORRELATOR_TOL

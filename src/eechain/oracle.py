@@ -1,9 +1,13 @@
 """Brute-force many-body cross-check at tiny system sizes.
 
-Builds the full 4^N-dimensional Fock space of the 2N fermionic modes
-(site-major, chirality-minor Jordan-Wigner ordering), the exact ground or
-Gibbs state of the quadratic Hamiltonian, and entropies of reduced density
-matrices — entirely independent of the correlation-matrix pipeline, which
+Builds the 4^N-dimensional Fock space of the 2N fermionic modes
+(site-major, chirality-minor Jordan-Wigner ordering) and the quadratic
+Hamiltonian on it as one sparse matrix.  That Hamiltonian has no pairing
+terms, so it conserves particle number and is block-diagonal by occupation
+count; each particle-number sector (at most C(2N, N) states) is
+diagonalized densely, and the exact ground or Gibbs state is assembled
+from the sectors.  Entropies of reduced density matrices follow by partial
+trace.  All of it is independent of the correlation-matrix pipeline, which
 it exists to validate.
 
 Partial traces are taken in the occupation basis after relabeling sites so
@@ -14,6 +18,8 @@ is the fermionic one, signs included.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,12 +29,13 @@ import scipy.sparse as sp
 from .errors import DegenerateGroundState, InvalidParameter
 from .lattice import LatticeSpec, build_mode_grid, validate_beta
 
-MAX_SITES = 6  # Fock dimension 4^6 = 4096; dense algebra stays tractable
+# Fock dimension 4^6 = 4096, largest sector C(12, 6) = 924.  The Gibbs rho
+# stays a dense 4^N matrix: at 7 sites it would be 16384^2 complex = 4.3 GB.
+MAX_SITES = 6
 DEGENERACY_TOL = 1e-12
 
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+_SIGMA_Z_DIAG = np.array([1.0, -1.0])
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])  # <empty|c|occupied> = 1
-_EYE2 = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -79,13 +86,56 @@ def single_particle_hamiltonian(spec: LatticeSpec):
 def _jordan_wigner_ops(n_modes):
     """Sparse annihilators c_mu = Z^(mu) (x) lower (x) I^(rest)."""
     ops = []
+    string = np.ones(1)  # diagonal of Z^(mu)
     for mu in range(n_modes):
-        factors = [_SIGMA_Z] * mu + [_LOWER] + [_EYE2] * (n_modes - mu - 1)
-        op = sp.csr_matrix(factors[0])
-        for f in factors[1:]:
-            op = sp.kron(op, sp.csr_matrix(f), format="csr")
-        ops.append(op)
+        op = sp.kron(sp.diags(string), _LOWER)
+        ops.append(sp.kron(op, sp.identity(2 ** (n_modes - mu - 1)), format="csr"))
+        string = np.kron(string, _SIGMA_Z_DIAG)
     return ops
+
+
+def _read_only(arrays):
+    """The arrays as a tuple, locked: cached results are shared by every caller."""
+    arrays = tuple(arrays)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+# The caches below are keyed by the mode count 2N <= 2 * MAX_SITES.
+@functools.cache
+def _hopping_pieces(n_modes):
+    """Nonzeros of every c_mu^dag c_nu as flat (pair, row, col, sign) arrays.
+
+    pair = mu * n_modes + nu; each sign is +/-1 (the Jordan-Wigner string).
+    """
+    ops = _jordan_wigner_ops(n_modes)
+    parts = []
+    for mu, nu in itertools.product(range(n_modes), repeat=2):
+        piece = (ops[mu].T @ ops[nu]).tocoo()
+        pair = np.full(piece.nnz, mu * n_modes + nu)
+        parts.append((pair, piece.row, piece.col, piece.data))
+    return _read_only(np.concatenate(column) for column in zip(*parts))
+
+
+@functools.cache
+def _particle_sectors(n_modes):
+    """Fock indices grouped by occupation count, the popcount of the index."""
+    index = np.arange(2**n_modes)
+    count = ((index[:, None] >> np.arange(n_modes)) & 1).sum(axis=1)
+    return _read_only(np.flatnonzero(count == k) for k in range(n_modes + 1))
+
+
+def _fock_hamiltonian(h):
+    """Sparse sum_{mu,nu} h[mu,nu] c_mu^dag c_nu, in one COO -> CSR assembly."""
+    n_modes = h.shape[0]
+    pair, row, col, sign = _hopping_pieces(n_modes)
+    data = h.ravel()[pair] * sign
+    keep = data != 0
+    dim = 2**n_modes
+    return sp.coo_matrix(
+        (data[keep], (row[keep], col[keep])), shape=(dim, dim)
+    ).tocsr()
 
 
 def _mode_permutation(site_order, n):
@@ -125,24 +175,23 @@ def many_body_state(spec: LatticeSpec, beta, site_order=None) -> FockState:
             )
 
     perm = _mode_permutation(site_order, n)
-    h_perm = h[np.ix_(perm, perm)]
-    ops = _jordan_wigner_ops(2 * n)
-    dim = 4**n
-    h_many = sp.csr_matrix((dim, dim), dtype=complex)
-    for mu in range(2 * n):
-        c_mu_dag = ops[mu].conj().T
-        for nu in range(2 * n):
-            if h_perm[mu, nu] != 0.0:
-                h_many = h_many + h_perm[mu, nu] * (c_mu_dag @ ops[nu])
-
-    energies, states = np.linalg.eigh(h_many.toarray())
+    h_many = _fock_hamiltonian(h[np.ix_(perm, perm)])
+    # H conserves particle number, so it is block-diagonal by occupation count
+    sectors = _particle_sectors(2 * n)
+    blocks = [h_many[index][:, index].toarray() for index in sectors]
     if math.isinf(beta):
-        return FockState(
-            spec=spec, beta=beta, site_order=site_order, vector=states[:, 0]
-        )
-    weights = np.exp(-beta * (energies - energies[0]))
-    weights /= weights.sum()
-    rho = (states * weights) @ states.conj().T
+        lowest = [np.linalg.eigvalsh(block)[0] for block in blocks]
+        k = int(np.argmin(lowest))
+        vector = np.zeros(4**n, dtype=complex)
+        vector[sectors[k]] = np.linalg.eigh(blocks[k])[1][:, 0]
+        return FockState(spec=spec, beta=beta, site_order=site_order, vector=vector)
+    spectra = [np.linalg.eigh(block) for block in blocks]
+    ground = min(energies[0] for energies, _ in spectra)
+    weights = [np.exp(-beta * (energies - ground)) for energies, _ in spectra]
+    partition = sum(w.sum() for w in weights)
+    rho = np.zeros((4**n, 4**n), dtype=complex)
+    for index, (_, states), w in zip(sectors, spectra, weights):
+        rho[np.ix_(index, index)] = (states * (w / partition)) @ states.conj().T
     return FockState(spec=spec, beta=beta, site_order=site_order, rho=rho)
 
 
@@ -154,17 +203,16 @@ def mode_correlators(state: FockState):
     """
     n = state.spec.n_sites
     n_modes = 2 * n
-    ops = _jordan_wigner_ops(n_modes)
-    corr_perm = np.zeros((n_modes, n_modes), dtype=complex)
+    pair, row, col, sign = _hopping_pieces(n_modes)
+    # Tr(c_mu^dag c_nu rho) = sum of sign * rho[col, row] over the pair's nonzeros
     if state.vector is not None:
-        lowered = np.column_stack([ops[mu] @ state.vector for mu in range(n_modes)])
-        corr_perm = lowered.conj().T @ lowered
+        terms = sign * (state.vector[col] * state.vector[row].conj())
     else:
-        acted = [ops[nu] @ state.rho for nu in range(n_modes)]
-        dense_ops = [ops[mu].toarray() for mu in range(n_modes)]
-        for mu in range(n_modes):
-            for nu in range(n_modes):
-                corr_perm[mu, nu] = np.vdot(dense_ops[mu], acted[nu])
+        terms = sign * state.rho[col, row]
+    corr_perm = (
+        np.bincount(pair, terms.real, n_modes**2)
+        + 1j * np.bincount(pair, terms.imag, n_modes**2)
+    ).reshape(n_modes, n_modes)
     # undo the site_order permutation so indices are (2*site + chirality)
     perm = _mode_permutation(state.site_order, n)
     corr = np.zeros_like(corr_perm)

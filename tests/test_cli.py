@@ -1,8 +1,17 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import eechain
 from eechain import parse_table
 from eechain.cli import main, parse_config
 
@@ -232,3 +241,79 @@ def test_parser_is_built_once_at_import(tmp_path, monkeypatch, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("z = 1\n")
     assert main(["ee", "--n", "4", "--na", "2", "--config", str(cfg_file)]) == 0
+
+
+def test_oracle_check_bytes_do_not_depend_on_blas_threads():
+    argv = "oracle-check --n 5 --na 2 --z 3 --mass 0.7 --beta 1.5 --theta 0.3"
+    src = str(Path(eechain.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        path = filter(None, (src, env.get("PYTHONPATH")))
+        env["PYTHONPATH"] = os.pathsep.join(path)
+        done = subprocess.run(
+            [sys.executable, "-m", "eechain.cli", *argv.split()],
+            env=env,
+            capture_output=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+
+
+_JUNK = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0", "-1", "1e-300", "1e308", "2.5", "x", ""]),
+)
+
+
+def _numbers(lo, hi, *specials):
+    return st.sampled_from(specials) | st.floats(lo, hi).map(repr)
+
+
+def _lists(item):
+    return st.lists(item, min_size=1, max_size=3).map(",".join)
+
+
+@st.composite
+def _argvs(draw):
+    """argv for one of the five commands at N <= 64 (N <= 5 for
+    oracle-check).  Each flag is absent one time in four; half the argvs
+    keep every value in range, the other half may take any value."""
+    command = draw(st.sampled_from(["ee", "sweep", "fit", "cmera", "oracle-check"]))
+    n = draw(st.integers(2, 5 if command == "oracle-check" else 64))
+    in_range = {
+        "--n": st.just(str(n)),
+        "--na": st.integers(1, n).map(str),
+        "--z": st.integers(1, 9).map(str),
+        "--mass": _numbers(0, 3, "0", "0.5"),
+        "--beta": _numbers(0.1, 100, "inf"),
+        "--temp": _numbers(0.01, 10, "1"),
+        "--eps": _numbers(0.25, 2, "1"),
+        "--theta": _numbers(0, 0.99, "0"),
+        "--zs": _lists(st.integers(1, 9).map(str)),
+        "--betas": _lists(_numbers(0.1, 100, "inf")),
+        "--nas": _lists(st.integers(1, n).map(str)),
+        "--regime": st.sampled_from(["low", "high"]),
+        "--format": st.sampled_from(["csv", "json", "svg"]),
+    }
+    clean = draw(st.booleans())
+    if clean:  # --beta and --temp exclude each other
+        del in_range[draw(st.sampled_from(["--beta", "--temp"]))]
+    argv = [command]
+    for flag, valid in in_range.items():
+        if draw(st.integers(0, 3)):
+            argv += [flag, draw(valid if clean else valid | _JUNK)]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(_argvs())
+def test_any_argv_exits_cleanly(argv):
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -30,10 +30,12 @@ ARGV = {  # name: the command; a final --out gets a file path
     "cmera-csv": "cmera --z 1 --mass 1",
     "cmera-json": "cmera --z 2 --mass 0.5 --eps 0.5 --format json --out",
     "cmera-svg": "cmera --z 3 --format svg",
-    # At N >= 4 the oracle's dense eigh is large enough for OpenBLAS to
-    # thread it, and the printed 1e-16 differences then depend on the BLAS
-    # thread count; at N = 3 they do not.
+    # oracle-check prints 1e-16 round-off residues; it computes on one BLAS
+    # thread, so they do not depend on the core count at any N
     "oracle-check": "oracle-check --n 3 --na 2 --z 2 --mass 0.5 --beta 2",
+    "oracle-check-gibbs-n5": (
+        "oracle-check --n 5 --na 2 --z 3 --mass 0.7 --beta 1.5 --theta 0.3"
+    ),
 }
 
 SHA256 = {
@@ -48,7 +50,10 @@ SHA256 = {
     "cmera-csv": "0a3d799ed2fdf6b5b6eaf6265c043975bd50857b77f81adb4e446f79aadd7e8b",
     "cmera-json": "61ad73d24f2c6dd0bad7828df080a69732207ec9534af8a29a39138c07293093",
     "cmera-svg": "0f877269846b1e4951cabb118b50ebd61360ccae915380ee0642649839e11740",
-    "oracle-check": "772e534bce10c15fb0199018ec9c6d64fd3b6cf368a96c8539d73a64dcad42ef",
+    "oracle-check": "d614dc1d55b77525697ca23c62ac217313de6d2b97c433fad1689039d280f102",
+    "oracle-check-gibbs-n5": (
+        "1a3a9d3164e123f8f15771f0c7e9ed21b05c0569d824d4cf6c6c94dc7aecae17"
+    ),
 }
 
 

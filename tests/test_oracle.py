@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eechain import (
     DegenerateGroundState,
@@ -14,7 +16,7 @@ from eechain import (
     reduced_entropy,
     single_particle_hamiltonian,
 )
-from eechain.oracle import MAX_SITES
+from eechain.oracle import MAX_SITES, _fock_hamiltonian, _particle_sectors
 
 INF = math.inf
 
@@ -107,3 +109,89 @@ def test_maximal_chain_runs():
     s = reduced_entropy(state, range(3))
     s_corr = entanglement_entropy(build_correlation_matrix(spec, INF, range(3)))
     assert s == pytest.approx(s_corr, abs=1e-8)
+
+
+def test_large_gibbs_state_matches_lattice():
+    spec = LatticeSpec(n_sites=6, z_exponent=3, mass=0.4, boundary_phase=0.2)
+    corr = mode_correlators(many_body_state(spec, 1.5))
+    fast = build_correlation_matrix(spec, 1.5, range(6)).entries
+    assert np.abs(corr - fast).max() < 1e-10
+
+
+def _occupation_counts(n_modes):
+    return np.array([bin(i).count("1") for i in range(2**n_modes)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    z=st.integers(1, 5),
+    mass=st.one_of(st.just(0.0), st.floats(0.05, 2.0)),
+    theta=st.one_of(st.just(0.0), st.floats(0.01, 0.99)),
+)
+def test_fock_hamiltonian_conserves_particle_number(n, z, mass, theta):
+    # the sector split rests on this: no entry joins different counts
+    spec = LatticeSpec(n_sites=n, z_exponent=z, mass=mass, boundary_phase=theta)
+    h_many = _fock_hamiltonian(single_particle_hamiltonian(spec)).tocoo()
+    counts = _occupation_counts(2 * n)
+    assert np.array_equal(counts[h_many.row], counts[h_many.col])
+    assert h_many.nnz > 0
+
+
+def _dense_fock_hamiltonian(h):
+    """Reference: sum_{mu,nu} h[mu,nu] c_mu^dag c_nu from dense Kronecker
+    products of the Jordan-Wigner factors."""
+    n_modes = h.shape[0]
+    sigma_z = np.diag([1.0, -1.0])
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+    ops = []
+    for mu in range(n_modes):
+        op = np.ones((1, 1))
+        for f in [sigma_z] * mu + [lower] + [np.eye(2)] * (n_modes - mu - 1):
+            op = np.kron(op, f)
+        ops.append(op)
+    return sum(
+        h[mu, nu] * ops[mu].T @ ops[nu]
+        for mu in range(n_modes)
+        for nu in range(n_modes)
+    )
+
+
+@pytest.mark.parametrize(
+    "n, z, mass, theta",
+    [
+        (2, 1, 0.5, 0.0),
+        (3, 2, 0.0, 0.3),
+        (3, 3, 0.7, 0.0),
+        (4, 1, 0.5, 0.25),
+        (4, 5, 1.2, 0.0),
+    ],
+)
+def test_sectors_reproduce_dense_fock_diagonalization(n, z, mass, theta):
+    spec = LatticeSpec(n_sites=n, z_exponent=z, mass=mass, boundary_phase=theta)
+    h = single_particle_hamiltonian(spec)
+    dense = _dense_fock_hamiltonian(h)
+    h_many = _fock_hamiltonian(h)
+    assert np.abs(h_many.toarray() - dense).max() < 1e-14
+    sector_spectrum = np.sort(
+        np.concatenate(
+            [
+                np.linalg.eigvalsh(h_many[index][:, index].toarray())
+                for index in _particle_sectors(2 * n)
+            ]
+        )
+    )
+    energies, states = np.linalg.eigh(dense)
+    np.testing.assert_allclose(sector_spectrum, energies, rtol=0, atol=1e-12)
+    # the Gibbs state assembled sector by sector is exp(-beta H) / Z
+    beta = 1.3
+    weights = np.exp(-beta * (energies - energies[0]))
+    rho = (states * (weights / weights.sum())) @ states.conj().T
+    assert np.abs(many_body_state(spec, beta).rho - rho).max() < 1e-12
+    if mass > 0:  # a gapped chain has one ground state, found in one sector
+        vector = many_body_state(spec, INF).vector
+        assert np.vdot(vector, dense @ vector).real == pytest.approx(
+            energies[0], abs=1e-12
+        )
+        assert abs(np.vdot(states[:, 0], vector)) == pytest.approx(1.0, abs=1e-10)
+
