@@ -13,9 +13,15 @@ the site difference d = j - i:
     <psi_s,i^dag psi_s,j>  = delta_ij/2 + s * e^{2i pi theta d/N} * p[d]
     <psi_s,i^dag psi_-s,j> =            - e^{2i pi theta d/N} * q[d]
 
-where p, q are half inverse-DFTs of the occupation weights F, G over the
-mode grid (see fourier_profile).  Only the N distinct profile entries are
-ever computed, by one FFT each, so a full parameter point costs O(N log N).
+where p, q are half inverse-DFTs of the real occupation weights F, G over
+the mode grid (see fourier_profile).  Only the N distinct profile entries
+are ever computed, by one real-input FFT each (half the spectrum, the rest
+by conjugate symmetry), so a full parameter point costs O(N log N).
+
+A mode is an exact node (k*eps = 0 mod pi, so keff = 0) exactly when
+2*(theta + kappa)/N is an integer, which needs theta in {0, 1/2}.  Nodes
+and the sign of -keff are read off the index lattice, never off the size
+of omega, so no tolerance decides which modes are zero modes.
 """
 
 from __future__ import annotations
@@ -26,13 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DuplicateSite, InvalidParameter, SiteOutOfRange
-
-# Frequencies below this are treated as exact zero modes.  Only the
-# massless theory can get here (omega >= m otherwise); the closest
-# competing scale is the smallest nonzero |sin| on the grid, which for
-# N <= 1e6 is far above 1e-12.
-NODE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -105,11 +104,16 @@ def validate_beta(beta):
 
 @dataclass(frozen=True)
 class ModeGrid:
-    """Momenta, lattice-regularized momenta, and frequencies, length N each."""
+    """Momenta, lattice-regularized momenta, and frequencies, length N each.
+
+    massless_frequencies holds |keff|^z, the frequencies at m = 0, with
+    exact zeros at the nodes.
+    """
 
     momenta: np.ndarray
     effective_momenta: np.ndarray
     frequencies: np.ndarray
+    massless_frequencies: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -128,73 +132,139 @@ class CorrelationMatrix:
         return self.entries.shape[0]
 
 
+def _node_indices(n, theta):
+    """Modes kappa with 2*(theta + kappa)/N an integer: k*eps = 0 (mod pi)."""
+    twice_theta = 2.0 * theta
+    if not twice_theta.is_integer():
+        return []
+    # 2*(theta + kappa) lies in [0, 2N), so it must equal 0 or N
+    shift = int(twice_theta)
+    return [(t - shift) // 2 for t in (0, n) if t >= shift and (t - shift) % 2 == 0]
+
+
+def _below_node_range(n, theta):
+    """(lo, hi): the modes kappa in [lo, hi) have 0 < 2*(theta + kappa)/N <= 1.
+
+    There sin(k*eps) > 0, or k*eps = pi approached from below; every other
+    mode has sin(k*eps) < 0, or k*eps = 0 approached from below.
+    """
+    # 2*kappa <= N - 2*theta, and 2*theta is exact in floating point
+    return (1 if theta == 0.0 else 0), (n - math.ceil(2.0 * theta)) // 2 + 1
+
+
+def _abs_power(x, z):
+    """|x|**z for an integer z >= 1, by repeated squaring."""
+    base = np.abs(x)
+    power = None
+    while True:
+        if z & 1:
+            if power is None:
+                # base is squared in place below unless this is the top bit
+                power = base if z == 1 else base.copy()
+            else:
+                power *= base
+        z >>= 1
+        if not z:
+            return power
+        base *= base
+
+
 def build_mode_grid(spec: LatticeSpec) -> ModeGrid:
-    """Momentum grid k = 2*pi*(theta+kappa)/(N*eps) and derived arrays."""
+    """Momentum grid k = 2*pi*(theta+kappa)/(N*eps) and derived arrays.
+
+    keff keeps the rounded sine (about 1e-16 at k*eps = pi), but |keff|^z
+    is exactly 0 at the nodes.  omega = hypot(|keff|^z, m), which does not
+    underflow to 0 where m*m would; at m = 0 it is the |keff|^z array itself.
+    """
     n, eps = spec.n_sites, spec.spacing
     kappa = np.arange(n)
     k = 2.0 * np.pi * (spec.boundary_phase + kappa) / (n * eps)
     keff = np.sin(k * eps) / eps
-    omega = np.sqrt(keff ** (2 * spec.z_exponent) + spec.mass**2)
-    return ModeGrid(momenta=k, effective_momenta=keff, frequencies=omega)
+    power = _abs_power(keff, spec.z_exponent)
+    power[_node_indices(n, spec.boundary_phase)] = 0.0
+    return ModeGrid(
+        momenta=k,
+        effective_momenta=keff,
+        frequencies=np.hypot(power, spec.mass) if spec.mass > 0 else power,
+        massless_frequencies=power,
+    )
 
 
 def _mode_weights(spec: LatticeSpec, beta):
-    """Occupation weight arrays (F, G) over the full mode grid.
+    """Real occupation weight arrays (F, G) over the full mode grid.
 
-    F weights the chirality-diagonal correlator and G = (m/omega)*tanh(...)
-    the cross-chirality one.  Zero modes (omega = 0, massless only) get
-    F = G = 0 at finite beta — the continuous limit of both products.
+    F = (-keff)^z/omega * tanh(beta*omega/2) weights the chirality-diagonal
+    correlator and G = (m/omega) * tanh(beta*omega/2) the cross-chirality
+    one; tanh(...) = 1 at beta = inf.  Both come from one vectorized pass:
+    (-keff)^z = sign(-keff)^z * |keff|^z with the sign read off the mode
+    index (see _below_node_range), and |keff|^z taken from the grid.
 
-    In the ground state (beta = inf) a zero mode is filled by the limit of
-    (-keff)^z/omega as the node is approached from below, which is +1 at
-    k*eps = 0 (mod 2pi) and (-1)^z at k*eps = pi.  This one-sided filling
-    keeps the even-z ground state an exact product state and the global
-    state pure, which plain sign(0) = 0 half-filling does not.
+    At an exact node |keff|^z = 0.  With m > 0 that gives F = 0 and
+    G = tanh(beta*m/2).  With m = 0, (-keff)^z/omega is the sign alone, so
+    F = sign^z * tanh(0) = 0 at finite beta, the continuous limit.  In the
+    ground state a node is filled by the limit of the sign as the node is
+    approached from below, which is +1 at k*eps = 0 (mod 2pi) and (-1)^z
+    at k*eps = pi.  This one-sided filling keeps the even-z ground state
+    an exact product state and the global state pure, which plain
+    sign(0) = 0 half-filling does not.  It also gives every odd z the same
+    ground-state weights.
     """
     beta = validate_beta(beta)
     grid = build_mode_grid(spec)
-    keff, omega = grid.effective_momenta, grid.frequencies
-    z, m = spec.z_exponent, spec.mass
+    power, omega = grid.massless_frequencies, grid.frequencies
+    del grid  # frees the momenta before the weights are allocated
+    m = spec.mass
 
-    node = omega < NODE_TOL
-    regular = ~node
-    f = np.zeros(spec.n_sites)
-    g = np.zeros(spec.n_sites)
-    if math.isinf(beta) and m == 0.0:
-        # omega = |keff^z| exactly, so F reduces to a sign; evaluating it
-        # as such avoids the ~1e-16 noise of the generic quotient
-        f[regular] = np.sign(-keff[regular]) ** z
+    tanh_factor = None
+    if not math.isinf(beta):
+        # in place: for a massless point at a smooth N this step sets the
+        # peak memory of the whole point
+        tanh_factor = beta * omega
+        tanh_factor /= 2.0
+        np.tanh(tanh_factor, out=tanh_factor)
+    if m == 0.0:
+        # omega = |keff|^z, so F is the sign times tanh(...) exactly
+        f = np.ones(spec.n_sites) if tanh_factor is None else tanh_factor
+        g = np.zeros(spec.n_sites)
     else:
-        tanh_factor = (
-            1.0 if math.isinf(beta) else np.tanh(beta * omega[regular] / 2.0)
-        )
-        f[regular] = ((-keff[regular]) ** z / omega[regular]) * tanh_factor
-        g[regular] = (m / omega[regular]) * tanh_factor
-
-    if np.any(node) and math.isinf(beta):
-        at_band_edge = np.cos(grid.momenta * spec.spacing) < 0.0  # k*eps = pi
-        f[node & at_band_edge] = (-1.0) ** z
-        f[node & ~at_band_edge] = 1.0
+        f = power / omega
+        g = m / omega
+        if tanh_factor is not None:
+            f *= tanh_factor
+            g *= tanh_factor
+    if spec.z_exponent % 2:
+        lo, hi = _below_node_range(spec.n_sites, spec.boundary_phase)
+        np.negative(f[lo:hi], out=f[lo:hi])
     return f, g
 
 
 def fourier_profile(weights):
-    """Half inverse-DFT of a length-N weight vector, by FFT.
+    """Half inverse-DFT of a real length-N weight vector, by FFT.
 
     Parameters
     ----------
-    weights : (N,) array_like, real or complex
+    weights : (N,) array_like, real
         Mode weights w_kappa.
 
     Returns
     -------
     (N,) complex ndarray with entry d equal to
     (1/2N) * sum_kappa w[kappa] * exp(2i pi kappa d / N).
+
+    Real weights make the profile conjugate-symmetric, p[N-d] = conj(p[d]),
+    so one real-input transform gives entries 0..N//2 and the upper half
+    is filled by symmetry.
     """
-    w = np.asarray(weights, dtype=np.complex128)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a nonempty 1-d array")
-    return np.fft.ifft(w) / 2.0
+    w = np.asarray(weights)
+    if w.ndim != 1 or w.size == 0 or np.iscomplexobj(w):
+        raise ValueError("weights must be a nonempty real 1-d array")
+    n = w.size
+    half = np.fft.ihfft(w)
+    half /= 2.0
+    profile = np.empty(n, dtype=np.complex128)
+    profile[: half.size] = half
+    np.conjugate(half[n - half.size : 0 : -1], out=profile[half.size :])
+    return profile
 
 
 def _profiles(spec: LatticeSpec, beta):
@@ -207,6 +277,7 @@ def _profiles(spec: LatticeSpec, beta):
         p[0] = 0.5 * f[0]
     else:
         p = fourier_profile(f)
+    del f  # lowers the peak memory of the second transform by 8N bytes
     q = fourier_profile(g) if spec.mass > 0 else np.zeros(spec.n_sites, complex)
     return p, q
 
@@ -271,8 +342,7 @@ def offdiagonal_sum_check(n, length, dx):
     if not 0 < dx < length:
         raise ValueError(f"need 0 < dx < L, got dx={dx}, L={length}")
     kappa = np.arange(n)
-    sines = np.sin(2.0 * np.pi * kappa / n)
-    signs = np.sign(sines)
-    signs[np.abs(sines) < NODE_TOL] = 0.0
+    signs = np.sign(np.sin(2.0 * np.pi * kappa / n))
+    signs[_node_indices(n, 0.0)] = 0.0
     phases = np.exp(2j * np.pi * (dx / length) * kappa)
     return complex(np.sum(phases * signs) / (2.0 * length))

@@ -13,7 +13,10 @@ it exists to validate.
 Partial traces are taken in the occupation basis after relabeling sites so
 the subsystem is a prefix of the Jordan-Wigner string; kept-mode operators
 then act trivially on the traced factor and the spin-basis partial trace
-is the fermionic one, signs included.
+is the fermionic one, signs included.  Relabeling permutes the bits of
+each Fock index and multiplies by the sign of the permutation restricted
+to the occupied modes, since a basis state is the product of its creation
+operators in string order.
 """
 
 from __future__ import annotations
@@ -147,13 +150,52 @@ def _mode_permutation(site_order, n):
     return modes
 
 
+def _fock_relabeling(old_order, new_order):
+    """(index, sign) with new amplitude i = sign[i] * old amplitude index[i].
+
+    Both orders are site orders of the Jordan-Wigner string.  A basis state
+    is prod c_mu^dag |0> in string order, so moving to another order
+    permutes its occupation bits and reorders its creation operators: the
+    sign is (-1)^(number of occupied mode pairs whose order flips).
+    """
+    n = len(old_order)
+    n_modes = 2 * n
+    old_position = {mode: j for j, mode in enumerate(_mode_permutation(old_order, n))}
+    # source[j]: old string position of the mode at new position j
+    source = np.array([old_position[mu] for mu in _mode_permutation(new_order, n)])
+    shifts = n_modes - 1 - np.arange(n_modes)  # position j is bit shifts[j]
+    bits = (np.arange(2**n_modes)[:, None] >> shifts) & 1
+    index = (bits << shifts[source]).sum(axis=1)
+    flips = np.zeros(2**n_modes, dtype=np.int64)
+    for j, k in itertools.combinations(range(n_modes), 2):
+        if source[j] > source[k]:
+            flips += bits[:, j] & bits[:, k]
+    return index, 1.0 - 2.0 * (flips & 1)
+
+
+def _relabeled(state: FockState, site_order) -> FockState:
+    """The same physical state, in the occupation basis of another site order."""
+    index, sign = _fock_relabeling(state.site_order, site_order)
+    if state.vector is not None:
+        return FockState(
+            spec=state.spec,
+            beta=state.beta,
+            site_order=site_order,
+            vector=sign * state.vector[index],
+        )
+    rho = state.rho[np.ix_(index, index)]
+    rho *= sign[:, None]
+    rho *= sign
+    return FockState(spec=state.spec, beta=state.beta, site_order=site_order, rho=rho)
+
+
 def many_body_state(spec: LatticeSpec, beta, site_order=None) -> FockState:
     """Exact ground state (beta = inf) or Gibbs density matrix.
 
     site_order permutes the Jordan-Wigner string (default: natural order);
     the physical state is the same, only the occupation-basis labeling
-    changes, which is what reduced_entropy uses to bring a subsystem to
-    the front before tracing.
+    changes.  reduced_entropy brings a subsystem to the front of an
+    existing state by relabeling it instead (see _relabeled).
     """
     beta = validate_beta(beta)
     n = spec.n_sites
@@ -229,9 +271,7 @@ def reduced_entropy(state: FockState, subsystem):
 
     if tuple(state.site_order[: len(sites)]) != tuple(sites):
         rest = [s for s in range(n) if s not in sites]
-        state = many_body_state(
-            state.spec, state.beta, site_order=tuple(sites) + tuple(rest)
-        )
+        state = _relabeled(state, tuple(sites) + tuple(rest))
 
     dim_a = 4 ** len(sites)
     dim_b = state.dimension // dim_a

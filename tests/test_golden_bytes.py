@@ -46,13 +46,13 @@ SHA256 = {
     "sweep-json": "b4d96cefb9e0f14c292155cf4406a41ebc7ce4f77099521e23401442a73aea96",
     "sweep-svg": "b9bcc0fa8aa44ca2e84f51e2d2ed411f3be3d79322a984318eb18fe874b32f6e",
     "fit-text": "64484d4a33330bf6a87871bec5ea644ed933d4a5f5b2dc6f1985d8a52221d5ec",
-    "fit-json": "7b074b2cb45b3b0441fc04aa1c389ab5b4dd41334262ad5389aaa2169b7b645d",
+    "fit-json": "8f9db256e1b743cc4cd1f890d54081e372dcadbe4c28f403e9622977a8d1c53e",
     "cmera-csv": "0a3d799ed2fdf6b5b6eaf6265c043975bd50857b77f81adb4e446f79aadd7e8b",
     "cmera-json": "61ad73d24f2c6dd0bad7828df080a69732207ec9534af8a29a39138c07293093",
     "cmera-svg": "0f877269846b1e4951cabb118b50ebd61360ccae915380ee0642649839e11740",
     "oracle-check": "d614dc1d55b77525697ca23c62ac217313de6d2b97c433fad1689039d280f102",
     "oracle-check-gibbs-n5": (
-        "1a3a9d3164e123f8f15771f0c7e9ed21b05c0569d824d4cf6c6c94dc7aecae17"
+        "caead82cf5043a45e924cb49c0224bf145b18a9204b9afc400362aba6d9bb3b5"
     ),
 }
 

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eechain import (
     DuplicateSite,
@@ -13,7 +16,7 @@ from eechain import (
     offdiagonal_sum_check,
     validate_beta,
 )
-from eechain.lattice import fourier_profile
+from eechain.lattice import _mode_weights, _profiles, fourier_profile
 
 INF = math.inf
 
@@ -156,6 +159,55 @@ def test_parity_class_invariance():
             LatticeSpec(n_sites=30, z_exponent=z + 2), INF, range(9)
         ).entries
         assert np.abs(a - b).max() <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "n_sites, z",
+    [(2000, 3), (2000, 5), (2000, 7), (2000, 9), (100_000, 3), (100_000, 5)],
+)
+def test_odd_z_ground_state_correlators_equal_z1(n_sites, z):
+    # f = sign(-keff)^z for every odd z, also where |keff|^z is far below
+    # 1e-12 (z = 9 at N = 2000), so every correlator equals the z = 1 one
+    p1, _ = _profiles(LatticeSpec(n_sites=n_sites, z_exponent=1), INF)
+    pz, _ = _profiles(LatticeSpec(n_sites=n_sites, z_exponent=z), INF)
+    assert np.abs(pz - p1).max() <= 1e-14
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 600),
+    z=st.integers(1, 12),
+    mass=st.sampled_from([0.0, 1e-200]) | st.floats(1e-3, 10.0),
+    theta=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True),
+    beta=st.just(INF) | st.floats(1e-3, 1e6),
+)
+def test_mode_weights_match_direct_formula(n, z, mass, theta, beta):
+    spec = LatticeSpec(n_sites=n, z_exponent=z, mass=mass, boundary_phase=theta)
+    f, g = _mode_weights(spec, beta)
+    assert np.isfinite(f).all() and np.isfinite(g).all()
+    assert np.abs(f).max() <= 1.0 and 0.0 <= g.min() and g.max() <= 1.0
+
+    # sign(-keff) from the exact k*eps/pi = 2*(theta + kappa)/N, since the
+    # rounded sine can have the wrong sign within 1e-15 of a node; at a node
+    # it is the limit from below
+    twice_k = [2 * (Fraction(theta) + kappa) for kappa in range(n)]
+    node = np.array([c % n == 0 for c in twice_k])
+    sign = np.array([-1.0 if 0 < c <= n else 1.0 for c in twice_k])
+    power = np.abs(build_mode_grid(spec).effective_momenta) ** z
+    omega = np.hypot(power, mass)
+    tanh = 1.0 if beta == INF else np.tanh(beta * omega / 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f_direct = sign**z * power / omega * tanh
+        g_direct = mass / omega * tanh
+    # the formula is 0/0 where |keff|^z underflows, so compare where it is normal
+    regular = ~node & (power >= np.finfo(float).tiny)
+    np.testing.assert_allclose(f[regular], f_direct[regular], rtol=1e-13, atol=0)
+    np.testing.assert_allclose(g[regular], g_direct[regular], rtol=1e-13, atol=0)
+    # exact nodes: a massless ground state fills them from below, else F = 0
+    if mass == 0.0 and beta == INF:
+        assert np.array_equal(f[node], sign[node] ** z)
+    else:
+        assert not f[node].any()
 
 
 def test_massless_cross_chirality_exactly_zero():

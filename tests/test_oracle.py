@@ -16,7 +16,12 @@ from eechain import (
     reduced_entropy,
     single_particle_hamiltonian,
 )
-from eechain.oracle import MAX_SITES, _fock_hamiltonian, _particle_sectors
+from eechain.oracle import (
+    MAX_SITES,
+    _fock_hamiltonian,
+    _particle_sectors,
+    _relabeled,
+)
 
 INF = math.inf
 
@@ -195,3 +200,25 @@ def test_sectors_reproduce_dense_fock_diagonalization(n, z, mass, theta):
         )
         assert abs(np.vdot(states[:, 0], vector)) == pytest.approx(1.0, abs=1e-10)
 
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    z=st.integers(1, 3),
+    beta=st.sampled_from([INF, 1.5]),
+    theta=st.sampled_from([0.0, 0.35]),
+    data=st.data(),
+)
+def test_relabeled_state_equals_rebuilt_state(n, z, beta, theta, data):
+    # reduced_entropy relabels the state it is given; rebuilding the state
+    # in the new site order must give the same entropy and correlators
+    spec = LatticeSpec(n_sites=n, z_exponent=z, mass=0.6, boundary_phase=theta)
+    state = many_body_state(spec, beta)
+    order = tuple(data.draw(st.permutations(range(n))))
+    sites = order[: data.draw(st.integers(1, n))]
+    rebuilt = many_body_state(spec, beta, site_order=order)
+    assert reduced_entropy(state, sites) == pytest.approx(
+        reduced_entropy(rebuilt, sites), abs=1e-12
+    )
+    relabeled = _relabeled(state, order)
+    assert np.abs(mode_correlators(relabeled) - mode_correlators(state)).max() < 1e-12
