@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cmera as cmera_mod
+from .blas import one_blas_thread
 from .entropy import entanglement_entropy, entropy_of
 from .errors import EechainError, InvalidParameter, UsageError
 from .lattice import LatticeSpec, build_correlation_matrix
@@ -33,7 +34,6 @@ from .output import emit_csv, emit_json, emit_plot, emit_table
 from .thermal import (
     SweepRow,
     SweepTable,
-    _one_blas_thread,
     default_high_temperature_betas,
     default_low_temperature_betas,
     fit_high_temperature,
@@ -247,13 +247,23 @@ def _sweep_plot(table, zs, betas, nas):
                 series.append(([p[0] for p in pts], [p[1] for p in pts], lbl))
         meta = {"xlabel": "N_A", "ylabel": "S", "xscale": "log", "title": "S vs N_A"}
     elif len(betas) > 1:
-        series = []
+        # the x axis is log10(beta): the ground state is drawn as a line
+        if sum(map(math.isfinite, betas)) < 2:
+            raise UsageError("an svg sweep over beta needs two finite betas")
+        series, hlines = [], {}
         for z in zs:
             for na in nas:
-                pts = [(r.beta, r.entropy) for r in rows if r.z == z and r.na == na]
-                pts.sort()
-                series.append(([p[0] for p in pts], [p[1] for p in pts], f"z={z}"))
-        meta = {"xlabel": "beta", "ylabel": "S", "xscale": "log", "title": "S vs beta"}
+                pts = sorted((r.beta, r.entropy) for r in rows if r.z == z and r.na == na)
+                finite = [p for p in pts if math.isfinite(p[0])]
+                series.append(([p[0] for p in finite], [p[1] for p in finite], f"z={z}"))
+                hlines.update({(s, f"z={z} b=inf"): None for b, s in pts if math.isinf(b)})
+        meta = {
+            "xlabel": "beta",
+            "ylabel": "S",
+            "xscale": "log",
+            "title": "S vs beta",
+            "hlines": list(hlines),
+        }
     else:
         pts = sorted((r.z, r.entropy) for r in rows)
         smax = 2 * nas[0] * math.log(2)
@@ -331,9 +341,9 @@ def _run_cmera(cfg):
 def _run_oracle_check(cfg):
     _require(cfg, "n", "na", "z")
     spec = _spec_of(cfg)
-    # one BLAS thread, as in sweeps: the printed round-off then does not
-    # depend on the core count
-    with _one_blas_thread():
+    # the oracle's eigensolves on one BLAS thread too: the printed round-off
+    # then does not depend on the core count
+    with one_blas_thread():
         state = many_body_state(spec, cfg.beta)
         corr_exact = mode_correlators(state)
         corr_fast = build_correlation_matrix(spec, cfg.beta, range(cfg.n)).entries

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
+from .blas import one_blas_thread
 from .errors import EigenvalueOutOfRange, InvalidParameter, NotHermitian
 from .lattice import CorrelationMatrix, LatticeSpec, build_correlation_matrix
 
@@ -39,13 +40,15 @@ def hermitian_eigenvalues(matrix):
 
     Accepts a CorrelationMatrix or a plain square ndarray.  Raises
     NotHermitian when the maximum asymmetry |M - M^dag| exceeds 1e-9.
-    Uses the native complex Hermitian solver (LAPACK heevd).
+    Uses the native complex Hermitian solver (LAPACK heevd) on one BLAS
+    thread, so the eigenvalues do not depend on the core count.
     """
     m = matrix.entries if isinstance(matrix, CorrelationMatrix) else np.asarray(matrix)
     asym = np.max(np.abs(m - m.conj().T))
     if asym > HERMITICITY_TOL:
         raise NotHermitian(f"max asymmetry {asym:.3e} exceeds {HERMITICITY_TOL}")
-    return np.linalg.eigvalsh(m)
+    with one_blas_thread():
+        return np.linalg.eigvalsh(m)
 
 
 def entanglement_entropy(eigs):
@@ -103,8 +106,7 @@ def _entropies_of_blocks(spec: LatticeSpec, beta, nas):
     The matrix for range(max(nas)) is assembled once; each block's matrix
     is its leading 2na x 2na principal submatrix, copied to a contiguous
     array, so every value equals entropy_of(spec, beta, range(na)) bit
-    for bit at the same BLAS thread count.  Repeated na values are solved
-    once; no nas, no points.
+    for bit.  Repeated na values are solved once; no nas, no points.
     """
     if not nas:
         return []

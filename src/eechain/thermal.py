@@ -21,13 +21,8 @@ Default beta grids (frozen after a window study; see the acceptance tests):
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import glob
 import itertools
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -125,72 +120,23 @@ def cft_reference(kind, params):
     raise InvalidKind(f"unknown reference curve kind: {kind!r}")
 
 
-# Thread-count symbols of numpy's bundled OpenBLAS: ILP64 wheels prefix and
-# suffix them, older wheels do not.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-        lib = ctypes.CDLL(path)
-        for get_name, put_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, put_name):
-                get, put = getattr(lib, get_name), getattr(lib, put_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-def _set_one_blas_thread():
-    """Pool initializer: forked workers inherit one thread, spawned ones not."""
-    control = _openblas_threads()
-    if control is not None and control[0]() != 1:
-        control[1](1)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, where it can be set."""
-    control = _openblas_threads()
-    if control is None:
-        yield
-        return
-    get, put = control
-    saved = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(saved)
-
-
 def sweep_entropy(
     zs, betas, nas, n_sites, mass=0.0, spacing=1.0, boundary_phase=0.0, jobs=None
 ) -> SweepTable:
     """Entropy over the product grid zs x betas x nas.
 
-    Each distinct (z, beta) is one group: its profile is transformed and
-    its range(max(nas)) correlation matrix assembled once, and every N_A
-    is solved on a leading principal submatrix, so the rows equal the
-    per-point entropy_of values bit for bit at the same BLAS thread count.
+    Each distinct (z, beta) is one group: its profile is computed and its
+    range(max(nas)) correlation matrix assembled once, and every N_A is
+    solved on a leading principal submatrix, so the rows equal the
+    per-point entropy_of values bit for bit.
     One row is returned per grid point, repeated axis values included,
     sorted by (z, beta, N_A).
 
-    The eigensolves run on one BLAS thread, serial or not: LAPACK's last
-    bits can depend on the thread count once a matrix is large enough to
-    be threaded, so this keeps the rows independent of the core count and
-    of jobs.  With jobs > 1 the groups are spread over at most that many
-    worker processes (the platform's default start method; each worker
-    sets one BLAS thread), and the rows are the serial rows byte for byte.
-    Where numpy's OpenBLAS cannot be found its thread count is left alone;
-    forked workers then inherit the caller's.
+    Every eigensolve and partial-DFT GEMM runs on one BLAS thread (see
+    eechain.blas), so the rows do not depend on the core count or on jobs.
+    With jobs > 1 the groups are spread over at most that many worker
+    processes (the platform's default start method), and the rows are the
+    serial rows byte for byte.
     """
     if jobs is not None and jobs < 1:
         raise InvalidParameter(f"jobs must be >= 1, got {jobs!r}")
@@ -208,14 +154,11 @@ def sweep_entropy(
     group_betas = [beta for _, beta in groups]
     args = (specs, group_betas, itertools.repeat([int(na) for na in nas]))
     workers = min(jobs or 1, len(groups))
-    with _one_blas_thread():
-        if workers > 1:
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_set_one_blas_thread
-            ) as pool:
-                points = list(pool.map(_entropies_of_blocks, *args))
-        else:
-            points = list(map(_entropies_of_blocks, *args))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            points = list(pool.map(_entropies_of_blocks, *args))
+    else:
+        points = list(map(_entropies_of_blocks, *args))
     by_group = dict(zip(groups, points))
     rows = [
         SweepRow(entropy=point.entropy, **point.params)

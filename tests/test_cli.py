@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eechain
@@ -243,23 +243,60 @@ def test_parser_is_built_once_at_import(tmp_path, monkeypatch, capsys):
     assert main(["ee", "--n", "4", "--na", "2", "--config", str(cfg_file)]) == 0
 
 
+def _cli_at_blas_threads(argv, threads):
+    """stdout of ``python -m eechain.cli argv`` with OPENBLAS_NUM_THREADS set."""
+    src = str(Path(eechain.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    path = filter(None, (src, env.get("PYTHONPATH")))
+    env["PYTHONPATH"] = os.pathsep.join(path)
+    done = subprocess.run(
+        [sys.executable, "-m", "eechain.cli", *argv.split()],
+        env=env,
+        capture_output=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_oracle_check_bytes_do_not_depend_on_blas_threads():
     argv = "oracle-check --n 5 --na 2 --z 3 --mass 0.7 --beta 1.5 --theta 0.3"
-    src = str(Path(eechain.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        path = filter(None, (src, env.get("PYTHONPATH")))
-        env["PYTHONPATH"] = os.pathsep.join(path)
-        done = subprocess.run(
-            [sys.executable, "-m", "eechain.cli", *argv.split()],
-            env=env,
-            capture_output=True,
-            timeout=300,
-        )
-        assert done.returncode == 0, done.stderr
-        outputs.append(done.stdout)
-    assert outputs[0] == outputs[1]
+    assert _cli_at_blas_threads(argv, "1") == _cli_at_blas_threads(argv, "2")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a 600-row eigensolve, threaded when BLAS may use two threads
+        "ee --n 2000 --na 300 --z 1 --beta 100",
+        # the partial-DFT path: its GEMMs and the eigensolve
+        "ee --n 100003 --na 64 --z 1 --mass 0.3 --beta 50",
+    ],
+)
+def test_ee_bytes_do_not_depend_on_blas_threads(argv):
+    assert _cli_at_blas_threads(argv, "1") == _cli_at_blas_threads(argv, "2")
+
+
+def test_huge_beta_saturates_without_overflow(capsys):
+    # beta*omega overflows a float here, but tanh(beta*omega/2) is 1: the
+    # point is the ground state, with no overflow warning on the way
+    argv = ["ee", "--n", "64", "--na", "4", "--z", "1", "--mass", "10", "--beta"]
+    assert main(argv + ["1e308"]) == 0
+    huge = capsys.readouterr().out
+    assert main(argv + ["inf"]) == 0
+    assert huge == capsys.readouterr().out
+
+
+def test_sweep_svg_over_infinite_beta(tmp_path, capsys):
+    # the beta axis is logarithmic: the ground state becomes a labelled line
+    out = tmp_path / "plot.svg"
+    argv = ["sweep", "--n", "20", "--zs", "1,2", "--nas", "4", "--format", "svg"]
+    assert main(argv + ["--betas", "1,10,inf", "--out", str(out)]) == 0
+    svg = out.read_text()
+    assert "z=1 b=inf" in svg and "z=2 b=inf" in svg
+    for betas in ("10,inf", "inf,inf"):
+        assert main(argv + ["--betas", betas]) == 2
+        assert "two finite betas" in capsys.readouterr().err
 
 
 _JUNK = st.one_of(
@@ -310,6 +347,8 @@ def _argvs(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(_argvs())
+@example(["sweep", "--n", "20", "--zs", "1", "--betas", "10,inf", "--nas", "4", "--format", "svg"])
+@example(["sweep", "--n", "2", "--z", "1", "--na", "1", "--betas", "inf,inf", "--format", "svg"])
 def test_any_argv_exits_cleanly(argv):
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     err = io.StringIO()

@@ -99,9 +99,9 @@ def test_sweep_parallel_is_bit_identical_at_threaded_sizes():
 
 
 def test_sweep_restores_blas_thread_count():
-    from eechain import thermal
+    from eechain.blas import openblas_threads
 
-    control = thermal._openblas_threads()
+    control = openblas_threads()
     if control is not None:
         get, put = control
         saved = get()
