@@ -3,10 +3,19 @@
 A threaded BLAS splits a large GEMM or eigensolve across threads, and the
 last bits of the result can then depend on the thread count: on two cores
 ``eechain ee --n 2000 --na 300 --z 1 --beta 100`` printed 9.58136684996 on
-two OpenBLAS threads and 9.58136684995 on one.  The eigensolve
-(entropy.hermitian_eigenvalues), the partial-DFT GEMM (lattice) and the
-oracle check run inside one_blas_thread, so identical inputs give
-identical bytes on any core count.
+two OpenBLAS threads and 9.58136684995 on one.  These run inside
+one_blas_thread, so identical inputs give identical bytes on any core
+count:
+
+* entropy.hermitian_eigenvalues: numpy's complex singular-value solve of
+  P + iC for a CorrelationMatrix, numpy's Hermitian eigensolve for a
+  plain array;
+* lattice._partial_dft: the phase-table GEMMs;
+* the oracle check in the CLI.
+
+Only numpy's OpenBLAS is pinned.  scipy ships its own OpenBLAS, whose
+thread count this module does not set, so no output-bearing solve may go
+through scipy.linalg.
 """
 
 from __future__ import annotations

@@ -7,6 +7,18 @@ For a Gaussian fermionic state the von Neumann entropy of a subsystem is
 over the eigenvalues c_n of the two-point function restricted to the
 subsystem.  Natural logarithm throughout (nats), so the saturation bound
 for N_A sites with two chiralities is 2*N_A*ln 2.
+
+The lattice's 2N_A x 2N_A matrix is M = 1/2 + H with
+H = P (x) sigma_z + C (x) sigma_x, where P and C are Hermitian N_A x N_A
+blocks (see lattice.CorrelationMatrix).  Y = 1 (x) sigma_y anticommutes
+with H, so the spectrum of H is symmetric about 0, and
+
+    H^2 = (P^2 + C^2) (x) 1 + i[P, C] (x) sigma_y,
+
+whose sigma_y = -1 and +1 sectors are (P + iC)(P + iC)^dag and
+(P + iC)^dag (P + iC).  Both have the squared singular values s_j^2 of
+P + iC as eigenvalues, so the spectrum of M is exactly {1/2 +- s_j}: one
+N_A x N_A singular-value solve instead of a 2N_A x 2N_A eigensolve.
 """
 
 from __future__ import annotations
@@ -35,18 +47,31 @@ class EntropyPoint:
     eigenvalues: np.ndarray | None = None
 
 
+def _check_hermitian(*blocks):
+    asym = max(np.max(np.abs(b - b.conj().T)) for b in blocks)
+    if asym > HERMITICITY_TOL:
+        raise NotHermitian(f"max asymmetry {asym:.3e} exceeds {HERMITICITY_TOL}")
+
+
 def hermitian_eigenvalues(matrix):
     """Ascending real eigenvalues of a Hermitian matrix.
 
     Accepts a CorrelationMatrix or a plain square ndarray.  Raises
-    NotHermitian when the maximum asymmetry |M - M^dag| exceeds 1e-9.
-    Uses the native complex Hermitian solver (LAPACK heevd) on one BLAS
+    NotHermitian when the maximum asymmetry |M - M^dag| exceeds 1e-9; for
+    a CorrelationMatrix that is the asymmetry of its blocks P and C.  A
+    CorrelationMatrix's 2N_A eigenvalues are 1/2 +- s_j, with s_j the
+    singular values of P + iC (see the module docstring); a plain ndarray
+    goes to the dense Hermitian eigensolver.  Either solve runs on one BLAS
     thread, so the eigenvalues do not depend on the core count.
     """
-    m = matrix.entries if isinstance(matrix, CorrelationMatrix) else np.asarray(matrix)
-    asym = np.max(np.abs(m - m.conj().T))
-    if asym > HERMITICITY_TOL:
-        raise NotHermitian(f"max asymmetry {asym:.3e} exceeds {HERMITICITY_TOL}")
+    if isinstance(matrix, CorrelationMatrix):
+        _check_hermitian(matrix.same, matrix.cross)
+        with one_blas_thread():
+            s = np.linalg.svd(matrix.same + 1j * matrix.cross, compute_uv=False)
+        # s is descending
+        return np.concatenate((0.5 - s, 0.5 + s[::-1]))
+    m = np.asarray(matrix)
+    _check_hermitian(m)
     with one_blas_thread():
         return np.linalg.eigvalsh(m)
 
@@ -103,19 +128,26 @@ def entropy_of(spec: LatticeSpec, beta, subsystem, keep_eigenvalues=False):
 def _entropies_of_blocks(spec: LatticeSpec, beta, nas):
     """Entropies of the contiguous blocks range(na), one point per na in nas.
 
-    The matrix for range(max(nas)) is assembled once; each block's matrix
-    is its leading 2na x 2na principal submatrix, copied to a contiguous
-    array, so every value equals entropy_of(spec, beta, range(na)) bit
-    for bit.  Repeated na values are solved once; no nas, no points.
+    The blocks for range(max(nas)) are built once; each smaller block's P
+    and C are their leading na x na submatrices.  hermitian_eigenvalues
+    forms P + iC from them as a fresh contiguous array, so every value
+    equals entropy_of(spec, beta, range(na)) bit for bit.  Repeated na
+    values are solved once; no nas, no points.
     """
     if not nas:
         return []
     if min(nas) < 1:
         raise InvalidParameter(f"subsystem sizes must be >= 1, got {list(nas)}")
-    entries = build_correlation_matrix(spec, beta, range(max(nas))).entries
+    corr = build_correlation_matrix(spec, beta, range(max(nas)))
     values = {
         na: entanglement_entropy(
-            hermitian_eigenvalues(np.ascontiguousarray(entries[: 2 * na, : 2 * na]))
+            hermitian_eigenvalues(
+                CorrelationMatrix(
+                    same=corr.same[:na, :na],
+                    cross=corr.cross[:na, :na],
+                    subsystem=corr.subsystem[:na],
+                )
+            )
         )
         for na in sorted(set(nas))
     }

@@ -135,18 +135,34 @@ class ModeGrid:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """2N_A x 2N_A two-point function restricted to a subsystem.
+    """Two-point function restricted to a subsystem of N_A sites.
 
-    Row/column index 2*a + s pairs subsystem slot a with chirality
-    s (0 = '+', 1 = '-').
+    The 2N_A x 2N_A matrix is M = 1/2 + P (x) sigma_z + C (x) sigma_x, with
+    the site slot as the first factor and the chirality (0 = '+', 1 = '-')
+    as the second.  Only the Hermitian N_A x N_A blocks are stored: `same`
+    is P, `cross` is C, each with the twist phase applied.  `entries` is M
+    itself, row/column index 2*a + s, interleaved from the blocks on first
+    access; the eigensolve never reads it.
     """
 
-    entries: np.ndarray
+    same: np.ndarray
+    cross: np.ndarray
     subsystem: tuple = field(default=())
 
     @property
     def dim(self):
-        return self.entries.shape[0]
+        return 2 * self.same.shape[0]
+
+    @functools.cached_property
+    def entries(self):
+        na = self.same.shape[0]
+        m = np.zeros((2 * na, 2 * na), dtype=complex)
+        eye = np.eye(na) * 0.5
+        m[0::2, 0::2] = eye + self.same
+        m[1::2, 1::2] = eye - self.same
+        m[0::2, 1::2] = self.cross
+        m[1::2, 0::2] = self.cross
+        return m
 
 
 def _node_indices(n, theta):
@@ -438,12 +454,11 @@ def _twist_phase(spec: LatticeSpec, signed_d):
 
 
 def build_correlation_matrix(spec: LatticeSpec, beta, subsystem) -> CorrelationMatrix:
-    """Assemble the restricted correlation matrix for a list of sites.
+    """The restricted correlation matrix for a list of sites, as its blocks.
 
     The subsystem may be any ordered list of distinct sites (contiguity is
-    not required).  Index layout is (site slot, chirality)-interleaved:
-    entry [2a+s, 2b+s'] is the (s, s') element of the block for site pair
-    (subsystem[a], subsystem[b]).
+    not required).  Block entry [a, b] belongs to the site pair
+    (subsystem[a], subsystem[b]); see CorrelationMatrix for the layout.
     """
     sites = np.asarray(list(subsystem), dtype=np.int64)
     if sites.size == 0:
@@ -466,17 +481,11 @@ def build_correlation_matrix(spec: LatticeSpec, beta, subsystem) -> CorrelationM
     np.conjugate(same, out=same, where=below)
     np.conjugate(cross, out=cross, where=below)
     phase = _twist_phase(spec, d_signed)
-    same = phase * same
-    cross = -phase * cross
-
-    na = sites.size
-    m = np.zeros((2 * na, 2 * na), dtype=complex)
-    eye = np.eye(na) * 0.5
-    m[0::2, 0::2] = eye + same
-    m[1::2, 1::2] = eye - same
-    m[0::2, 1::2] = cross
-    m[1::2, 0::2] = cross
-    return CorrelationMatrix(entries=m, subsystem=tuple(int(s) for s in sites))
+    return CorrelationMatrix(
+        same=phase * same,
+        cross=-phase * cross,
+        subsystem=tuple(int(s) for s in sites),
+    )
 
 
 def offdiagonal_sum_check(n, length, dx):

@@ -126,9 +126,9 @@ def sweep_entropy(
     """Entropy over the product grid zs x betas x nas.
 
     Each distinct (z, beta) is one group: its profile is computed and its
-    range(max(nas)) correlation matrix assembled once, and every N_A is
-    solved on a leading principal submatrix, so the rows equal the
-    per-point entropy_of values bit for bit.
+    range(max(nas)) correlation blocks built once, and every N_A is solved
+    on their leading N_A x N_A blocks, so the rows equal the per-point
+    entropy_of values bit for bit.
     One row is returned per grid point, repeated axis values included,
     sorted by (z, beta, N_A).
 

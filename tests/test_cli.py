@@ -271,6 +271,10 @@ def test_oracle_check_bytes_do_not_depend_on_blas_threads():
         "ee --n 2000 --na 300 --z 1 --beta 100",
         # the partial-DFT path: its GEMMs and the eigensolve
         "ee --n 100003 --na 64 --z 1 --mass 0.3 --beta 50",
+        # a 300 x 300 complex singular-value solve: massive, twisted
+        "ee --n 2000 --na 300 --z 3 --mass 0.3 --beta 50 --theta 0.25",
+        # one block pair, its leading blocks solved for every N_A
+        "sweep --n 2000 --zs 1,2 --betas 20,inf --nas 100,200,300 --mass 0.4",
     ],
 )
 def test_ee_bytes_do_not_depend_on_blas_threads(argv):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from eechain import (
+    CorrelationMatrix,
     EigenvalueOutOfRange,
     LatticeSpec,
     NotHermitian,
@@ -50,7 +51,8 @@ def test_matrix_inputs_accepted():
     via_array = entanglement_entropy(corr.entries)
     via_eigs = entanglement_entropy(hermitian_eigenvalues(corr))
     assert via_matrix == via_eigs
-    assert via_array == via_eigs
+    # a plain array goes to the dense eigensolver, not the block solve
+    assert via_array == pytest.approx(via_eigs, abs=1e-14)
 
 
 def test_hermiticity_gate():
@@ -60,6 +62,13 @@ def test_hermiticity_gate():
     # asymmetry below the tolerance passes
     m = np.array([[0.5, 0.1], [0.1 + 1e-10, 0.5]])
     hermitian_eigenvalues(m)
+    # the block solve checks both blocks
+    spec = LatticeSpec(n_sites=16, z_exponent=3, mass=0.4, boundary_phase=0.25)
+    corr = build_correlation_matrix(spec, 2.0, range(4))
+    cross = corr.cross.copy()
+    cross[0, 1] += 1e-8
+    with pytest.raises(NotHermitian):
+        hermitian_eigenvalues(CorrelationMatrix(same=corr.same, cross=cross))
 
 
 def test_entropy_of_point():
@@ -111,3 +120,46 @@ def test_lattice_entropy_nonnegative(case):
     spec = LatticeSpec(n_sites=12, z_exponent=1 + z_off, mass=mass)
     s = entropy_of(spec, beta, range(na)).entropy
     assert -1e-12 <= s <= 2 * na * math.log(2) + 1e-12
+
+
+def _assert_block_solve_matches_dense(corr, entropy_tol):
+    eigs = hermitian_eigenvalues(corr)
+    dense = np.linalg.eigvalsh(corr.entries)
+    assert eigs.shape == dense.shape
+    assert np.all(np.diff(eigs) >= 0)
+    assert np.abs(eigs - dense).max() <= 1e-13
+    assert entanglement_entropy(eigs) == pytest.approx(
+        entanglement_entropy(dense), abs=entropy_tol
+    )
+
+
+@st.composite
+def _correlation_matrices(draw):
+    n = draw(st.integers(2, 400))
+    spec = LatticeSpec(
+        n_sites=n,
+        z_exponent=draw(st.integers(1, 6)),
+        mass=draw(st.just(0.0) | st.floats(0.01, 3.0)),
+        boundary_phase=draw(
+            st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True)
+        ),
+    )
+    beta = draw(st.just(INF) | st.floats(0.05, 1000.0))
+    na = draw(st.integers(1, min(n, 64)))
+    if draw(st.booleans()):
+        sites = range(na)
+    else:
+        sites = draw(st.permutations(range(n)))[:na]
+    return build_correlation_matrix(spec, beta, sites)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_correlation_matrices())
+def test_block_solve_matches_dense_eigensolve(corr):
+    _assert_block_solve_matches_dense(corr, entropy_tol=1e-12)
+
+
+def test_block_solve_matches_dense_eigensolve_at_450_sites():
+    spec = LatticeSpec(n_sites=2000, z_exponent=3, mass=0.3, boundary_phase=0.25)
+    corr = build_correlation_matrix(spec, 50.0, range(450))
+    _assert_block_solve_matches_dense(corr, entropy_tol=1e-10)

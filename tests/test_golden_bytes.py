@@ -46,7 +46,7 @@ SHA256 = {
     "sweep-json": "b4d96cefb9e0f14c292155cf4406a41ebc7ce4f77099521e23401442a73aea96",
     "sweep-svg": "b9bcc0fa8aa44ca2e84f51e2d2ed411f3be3d79322a984318eb18fe874b32f6e",
     "fit-text": "64484d4a33330bf6a87871bec5ea644ed933d4a5f5b2dc6f1985d8a52221d5ec",
-    "fit-json": "8f9db256e1b743cc4cd1f890d54081e372dcadbe4c28f403e9622977a8d1c53e",
+    "fit-json": "3fe367be620cd91d7b35f4a95f2c148503eabd1a900fbe3c2e1556f5c020e5bb",
     "cmera-csv": "0a3d799ed2fdf6b5b6eaf6265c043975bd50857b77f81adb4e446f79aadd7e8b",
     "cmera-json": "61ad73d24f2c6dd0bad7828df080a69732207ec9534af8a29a39138c07293093",
     "cmera-svg": "0f877269846b1e4951cabb118b50ebd61360ccae915380ee0642649839e11740",

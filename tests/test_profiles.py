@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 import eechain.lattice
-from eechain import LatticeSpec, build_correlation_matrix, entropy_of, sweep_entropy
+from eechain import (
+    LatticeSpec,
+    build_correlation_matrix,
+    cft_reference,
+    entropy_of,
+    sweep_entropy,
+)
 from eechain.blas import openblas_threads
 from eechain.lattice import _mode_weights, _profiles, _uses_partial_dft, fourier_profile
 
@@ -133,3 +139,20 @@ def test_small_chain_keeps_the_fft(monkeypatch):
     calls.clear()
     build_correlation_matrix(LatticeSpec(n_sites=100_003, mass=0.3), 50.0, range(64))
     assert calls == []
+
+
+@pytest.mark.parametrize("n_sites", [100_000, 1_000_000])
+@pytest.mark.parametrize("z", [2, 4])
+def test_even_z_ground_state_entropy_is_exactly_zero(n_sites, z):
+    spec = LatticeSpec(n_sites=n_sites, z_exponent=z)
+    assert entropy_of(spec, INF, range(64)).entropy == 0.0
+
+
+def test_finite_size_central_charge_at_large_n():
+    # S = (c/3) ln((N/pi) sin(pi N_A/N)) + const (Calabrese & Cardy,
+    # hep-th/0405152) with c = 2, fitted where N_A << N
+    n, nas = 100_000, (50, 71, 100, 141, 200, 283, 400)
+    table = sweep_entropy((1,), (INF,), nas, n_sites=n)
+    law = [cft_reference("finite_size", {"n": n, "na": na, "c": 1.0}) for na in nas]
+    c = np.polyfit(law, [row.entropy for row in table.rows], 1)[0]
+    assert c == pytest.approx(2.0, abs=0.05)
