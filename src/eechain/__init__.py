@@ -59,7 +59,6 @@ from .oracle import (
 from .output import emit_plot, emit_table, parse_table
 from .thermal import (
     FitResult,
-    SweepRow,
     SweepTable,
     cft_reference,
     default_high_temperature_betas,
@@ -100,7 +99,6 @@ __all__ = [
     "NotHermitian",
     "RegimeUnreachable",
     "SiteOutOfRange",
-    "SweepRow",
     "SweepTable",
     "UsageError",
     "backend_name",

@@ -18,6 +18,7 @@ command-line flags win.  Exit codes: 0 success, 1 computational failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -28,11 +29,10 @@ from . import cmera as cmera_mod
 from .blas import one_blas_thread
 from .entropy import entanglement_entropy, entropy_of
 from .errors import EechainError, InvalidParameter, UsageError
-from .lattice import LatticeSpec, build_correlation_matrix
+from .lattice import LatticeSpec, build_correlation_matrix, validate_model
 from .oracle import many_body_state, mode_correlators, reduced_entropy
 from .output import emit_csv, emit_json, emit_plot, emit_table
 from .thermal import (
-    SweepRow,
     SweepTable,
     default_high_temperature_betas,
     default_low_temperature_betas,
@@ -194,8 +194,7 @@ def _run_ee(cfg):
         return 0
     if cfg.fmt == "svg":
         raise UsageError("ee has a single value; svg output needs sweep")
-    table = SweepTable(rows=(SweepRow(entropy=point.entropy, **point.params),))
-    _emit(cfg, emit_table(table, cfg.fmt))
+    _emit(cfg, emit_table(SweepTable(rows=(point,)), cfg.fmt))
     return 0
 
 
@@ -291,15 +290,7 @@ def _run_fit(cfg):
     else:
         fit = fit_high_temperature(table, cfg.z)
     if cfg.fmt == "json":
-        payload = {
-            "regime": cfg.regime,
-            "z": cfg.z,
-            "n_rows": fit.n_rows,
-            "basis": list(fit.basis),
-            "coefficients": [float(c) for c in fit.coefficients],
-            "std_errors": [float(s) for s in fit.std_errors],
-            "residual_rms": float(fit.residual_rms),
-        }
+        payload = {"regime": cfg.regime, "z": cfg.z, **dataclasses.asdict(fit)}
         _emit(cfg, emit_json(payload))
         return 0
     lines = [f"regime: {cfg.regime}   z: {cfg.z}   rows: {fit.n_rows}"]
@@ -312,8 +303,7 @@ def _run_fit(cfg):
 
 def _run_cmera(cfg):
     _require(cfg, "z")
-    if not cfg.epsilon > 0:  # cmera builds no LatticeSpec to check it
-        raise InvalidParameter(f"spacing must be > 0, got {cfg.epsilon!r}")
+    validate_model(cfg.z, cfg.mass, cfg.epsilon)
     cutoff = 1.0 / cfg.epsilon
     u = np.linspace(-5.0, 0.0, 501)
     k = cutoff * np.exp(u)

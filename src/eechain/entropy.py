@@ -19,6 +19,10 @@ whose sigma_y = -1 and +1 sectors are (P + iC)(P + iC)^dag and
 (P + iC)^dag (P + iC).  Both have the squared singular values s_j^2 of
 P + iC as eigenvalues, so the spectrum of M is exactly {1/2 +- s_j}: one
 N_A x N_A singular-value solve instead of a 2N_A x 2N_A eigensolve.
+
+Every evaluated entropy is an EntropyPoint: the entropy with the model
+point that produced it.  Its fields are the columns of the CSV/JSON
+tables, in their order (see eechain.output).
 """
 
 from __future__ import annotations
@@ -40,11 +44,29 @@ PURE_SNAP = 1e-15
 
 @dataclass(frozen=True)
 class EntropyPoint:
-    """One evaluated entropy with the parameters that produced it."""
+    """One evaluated entropy with the model point that produced it.
 
+    The fields are the table columns, in CSV order; the output module
+    derives the header, the JSON keys and the parse types from them.
+    """
+
+    z: int
+    beta: float
+    n: int
+    na: int
+    epsilon: float
+    mass: float
     entropy: float
-    params: dict
-    eigenvalues: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, spec: LatticeSpec, beta, na, entropy):
+        """The point of an N_A = na subsystem of spec at beta."""
+        return cls(
+            spec.z_exponent, float(beta), spec.n_sites, na, spec.spacing, spec.mass, entropy
+        )
+
+    def sort_key(self):
+        return (self.z, self.beta, self.na, self.n, self.mass, self.epsilon)
 
 
 def _check_hermitian(*blocks):
@@ -103,26 +125,11 @@ def entanglement_entropy(eigs):
     return float(-np.sum(xlogy(c, c) + xlogy(1.0 - c, 1.0 - c))) + 0.0
 
 
-def _params(spec: LatticeSpec, beta, na):
-    return {
-        "n": spec.n_sites,
-        "na": na,
-        "z": spec.z_exponent,
-        "mass": spec.mass,
-        "beta": float(beta),
-        "epsilon": spec.spacing,
-    }
-
-
-def entropy_of(spec: LatticeSpec, beta, subsystem, keep_eigenvalues=False):
+def entropy_of(spec: LatticeSpec, beta, subsystem) -> EntropyPoint:
     """Correlation-matrix entropy of a site subsystem: build, solve, sum."""
     corr = build_correlation_matrix(spec, beta, subsystem)
-    eigs = hermitian_eigenvalues(corr)
-    return EntropyPoint(
-        entropy=entanglement_entropy(eigs),
-        params=_params(spec, beta, len(corr.subsystem)),
-        eigenvalues=eigs if keep_eigenvalues else None,
-    )
+    entropy = entanglement_entropy(hermitian_eigenvalues(corr))
+    return EntropyPoint.of(spec, beta, len(corr.subsystem), entropy)
 
 
 def _entropies_of_blocks(spec: LatticeSpec, beta, nas):
@@ -151,6 +158,4 @@ def _entropies_of_blocks(spec: LatticeSpec, beta, nas):
         )
         for na in sorted(set(nas))
     }
-    return [
-        EntropyPoint(entropy=values[na], params=_params(spec, beta, na)) for na in nas
-    ]
+    return [EntropyPoint.of(spec, beta, na, values[na]) for na in nas]

@@ -10,11 +10,11 @@ class InvalidParameter(EechainError, ValueError):
     a subsystem or an oracle chain size.  The CLI exits with status 2."""
 
 
-class DuplicateSite(EechainError):
+class DuplicateSite(InvalidParameter):
     """A subsystem site list contains a repeated index."""
 
 
-class SiteOutOfRange(EechainError):
+class SiteOutOfRange(InvalidParameter):
     """A subsystem site index falls outside [0, N)."""
 
 

@@ -80,28 +80,28 @@ class LatticeSpec:
             raise InvalidParameter(
                 f"n_sites must be an integer >= 2, got {self.n_sites!r}"
             )
-        if not isinstance(self.z_exponent, (int, np.integer)) or self.z_exponent < 1:
-            raise InvalidParameter(
-                f"z_exponent must be an integer >= 1, got {self.z_exponent!r}"
-            )
-        if not (math.isfinite(self.mass) and self.mass >= 0):
-            raise InvalidParameter(f"mass must be finite and >= 0, got {self.mass!r}")
-        if not (math.isfinite(self.spacing) and self.spacing > 0):
-            raise InvalidParameter(
-                f"spacing must be finite and > 0, got {self.spacing!r}"
-            )
-        # omega**2 = keff**(2z) + m**2 with |keff| <= 1/eps on every grid
-        omega_bound = _power(self.mass, 2) + _power(self.spacing, -2 * self.z_exponent)
-        if not math.isfinite(omega_bound):
-            raise InvalidParameter(
-                "mass**2 + spacing**(-2*z_exponent) must be a finite float, got "
-                f"mass={self.mass!r}, spacing={self.spacing!r}, "
-                f"z_exponent={self.z_exponent}"
-            )
+        validate_model(self.z_exponent, self.mass, self.spacing)
         if not 0 <= self.boundary_phase < 1:
             raise InvalidParameter(
                 f"boundary_phase must lie in [0, 1), got {self.boundary_phase!r}"
             )
+
+
+def validate_model(z_exponent, mass, spacing):
+    """Check the dispersion parameters z, m and eps of a LatticeSpec (whose
+    docstring gives the ranges); the cMERA profiles share them."""
+    if not isinstance(z_exponent, (int, np.integer)) or z_exponent < 1:
+        raise InvalidParameter(f"z_exponent must be an integer >= 1, got {z_exponent!r}")
+    if not (math.isfinite(mass) and mass >= 0):
+        raise InvalidParameter(f"mass must be finite and >= 0, got {mass!r}")
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise InvalidParameter(f"spacing must be finite and > 0, got {spacing!r}")
+    # omega**2 = keff**(2z) + m**2 with |keff| <= 1/eps on every grid
+    if not math.isfinite(_power(mass, 2) + _power(spacing, -2 * z_exponent)):
+        raise InvalidParameter(
+            "mass**2 + spacing**(-2*z_exponent) must be a finite float, got "
+            f"mass={mass!r}, spacing={spacing!r}, z_exponent={z_exponent}"
+        )
 
 
 def _power(base, exponent):
@@ -224,7 +224,8 @@ def build_mode_grid(spec: LatticeSpec) -> ModeGrid:
 
 
 def _mode_weights(spec: LatticeSpec, beta):
-    """Real occupation weight arrays (F, G) over the full mode grid.
+    """Real occupation weight arrays (F, G) over the full mode grid, at a
+    beta the caller has validated.
 
     F = (-keff)^z/omega * tanh(beta*omega/2) weights the chirality-diagonal
     correlator and G = (m/omega) * tanh(beta*omega/2) the cross-chirality
@@ -242,7 +243,6 @@ def _mode_weights(spec: LatticeSpec, beta):
     sign(0) = 0 half-filling does not.  It also gives every odd z the same
     ground-state weights.
     """
-    beta = validate_beta(beta)
     grid = build_mode_grid(spec)
     power, omega = grid.massless_frequencies, grid.frequencies
     del grid  # frees the momenta before the weights are allocated

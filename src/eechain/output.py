@@ -1,6 +1,8 @@
 """CSV/JSON serialization of every CLI table and payload, and a
 dependency-free SVG plotter.
 
+A sweep table's columns are EntropyPoint's fields: the CSV header, the
+JSON keys and the types parse_table converts to all come from them.
 Output is deterministic: fixed column order, fixed float formatting
 (12 significant digits, `inf` for infinite beta), LF line endings, and a
 fixed color cycle in plots — identical inputs give identical bytes.
@@ -10,15 +12,17 @@ from __future__ import annotations
 
 import json
 import math
+import typing
 
 import numpy as np
 
+from .entropy import EntropyPoint
 from .errors import EmptySeries, IoError
-from .thermal import SweepRow, SweepTable
+from .thermal import SweepTable
 
-CSV_HEADER = "z,beta,n,na,epsilon,mass,entropy"
-_COLUMNS = CSV_HEADER.split(",")
-_COLUMN_TYPES = dict(zip(_COLUMNS, (int, float, int, int, float, float, float)))
+_COLUMN_TYPES = typing.get_type_hints(EntropyPoint)
+_COLUMNS = list(_COLUMN_TYPES)
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 def _fmt(value):
@@ -38,6 +42,14 @@ def emit_json(payload):
     return (json.dumps(payload, indent=1) + "\n").encode()
 
 
+def _json_value(value, column_type):
+    """An int column as a Python int (a LatticeSpec may hold numpy
+    integers); a float rounded to 12 digits, inf as "inf"."""
+    if column_type is int:
+        return int(value)
+    return "inf" if value == math.inf else float(f"{value:.12g}")
+
+
 def emit_table(table: SweepTable, fmt="csv"):
     """Serialize a sweep table to CSV or JSON bytes."""
     if fmt == "csv":
@@ -47,15 +59,7 @@ def emit_table(table: SweepTable, fmt="csv"):
     if fmt == "json":
         return emit_json(
             [
-                {
-                    "z": r.z,
-                    "beta": "inf" if math.isinf(r.beta) else float(f"{r.beta:.12g}"),
-                    "n": r.n,
-                    "na": r.na,
-                    "epsilon": float(f"{r.epsilon:.12g}"),
-                    "mass": float(f"{r.mass:.12g}"),
-                    "entropy": float(f"{r.entropy:.12g}"),
-                }
+                {c: _json_value(getattr(r, c), t) for c, t in _COLUMN_TYPES.items()}
                 for r in table.rows
             ]
         )
@@ -63,8 +67,8 @@ def emit_table(table: SweepTable, fmt="csv"):
 
 
 def _row(values):
-    """A SweepRow from its seven column values, in CSV_HEADER order."""
-    return SweepRow(**{c: t(v) for (c, t), v in zip(_COLUMN_TYPES.items(), values)})
+    """An EntropyPoint from its column values, in CSV_HEADER order."""
+    return EntropyPoint(*(t(v) for t, v in zip(_COLUMN_TYPES.values(), values)))
 
 
 def parse_table(data):
@@ -112,13 +116,15 @@ def _scaler(lo, hi, out_lo, out_hi, log):
 
 
 def _ticks(lo, hi, log):
+    """Tick values in data units for an axis spanning [lo, hi] in scaler
+    units (log10 of the data on a log axis): the decades when a log axis
+    holds two or more, else five evenly spaced marks."""
     if log:
-        lo_d, hi_d = math.ceil(lo), math.floor(hi)
-        decades = [10.0**d for d in range(lo_d, hi_d + 1)]
+        decades = [10.0**d for d in range(math.ceil(lo), math.floor(hi) + 1)]
         if len(decades) >= 2:
             return decades
-    span = hi - lo
-    return [lo + span * i / 4.0 for i in range(5)]
+    marks = [lo + (hi - lo) * i / 4.0 for i in range(5)]
+    return [10.0**t for t in marks] if log else marks
 
 
 def emit_plot(series, axes=None):
@@ -126,7 +132,7 @@ def emit_plot(series, axes=None):
 
     series: list of (x_values, y_values, label); each needs >= 2 points.
     axes:   optional dict with keys xlabel, ylabel, title,
-            xscale/yscale ('linear' | 'log'), hlines (list of (y, label)
+            xscale ('linear' | 'log'), hlines (list of (y, label)
             drawn as dashed reference lines).
     """
     axes = dict(axes or {})
@@ -142,14 +148,13 @@ def emit_plot(series, axes=None):
         cleaned.append((x, y, str(label)))
 
     xlog = axes.get("xscale", "linear") == "log"
-    ylog = axes.get("yscale", "linear") == "log"
     hlines = list(axes.get("hlines", ()))
     all_x = np.concatenate([s[0] for s in cleaned])
     all_y = np.concatenate(
         [s[1] for s in cleaned] + ([np.array([h for h, _ in hlines])] if hlines else [])
     )
     x_px, xlo, xhi = _scaler(all_x.min(), all_x.max(), _ML, _W - _MR, xlog)
-    y_px, ylo, yhi = _scaler(all_y.min(), all_y.max(), _H - _MB, _MT, ylog)
+    y_px, ylo, yhi = _scaler(all_y.min(), all_y.max(), _H - _MB, _MT, log=False)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_W} {_H}" '
@@ -164,7 +169,7 @@ def emit_plot(series, axes=None):
         )
 
     for tv in _ticks(xlo, xhi, xlog):
-        px = x_px(tv if not xlog else tv)
+        px = x_px(tv)
         parts.append(
             f'<line x1="{px:.2f}" y1="{_H - _MB}" x2="{px:.2f}" '
             f'y2="{_H - _MB + 5}" stroke="black"/>'
@@ -173,8 +178,8 @@ def emit_plot(series, axes=None):
             f'<text x="{px:.2f}" y="{_H - _MB + 18}" text-anchor="middle">'
             f"{tv:.4g}</text>"
         )
-    for tv in _ticks(ylo, yhi, ylog):
-        py = y_px(tv if not ylog else tv)
+    for tv in _ticks(ylo, yhi, log=False):
+        py = y_px(tv)
         parts.append(
             f'<line x1="{_ML - 5}" y1="{py:.2f}" x2="{_ML}" y2="{py:.2f}" '
             f'stroke="black"/>'

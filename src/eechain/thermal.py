@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # entropy_of stays bound here: perfbench's traced run wraps thermal.entropy_of
-from .entropy import _entropies_of_blocks, entropy_of  # noqa: F401
+from .entropy import EntropyPoint, _entropies_of_blocks, entropy_of  # noqa: F401
 from .errors import (
     IllConditioned,
     InsufficientData,
@@ -47,28 +47,16 @@ CONDITION_BOUND = 1e12
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    z: int
-    beta: float
-    n: int
-    na: int
-    epsilon: float
-    mass: float
-    entropy: float
-
-    def sort_key(self):
-        return (self.z, self.beta, self.na, self.n, self.mass, self.epsilon)
-
-
-@dataclass(frozen=True)
 class SweepTable:
+    """Sweep rows: a tuple of EntropyPoints."""
+
     rows: tuple
 
     def __len__(self):
         return len(self.rows)
 
     def sorted(self):
-        return SweepTable(rows=tuple(sorted(self.rows, key=SweepRow.sort_key)))
+        return SweepTable(rows=tuple(sorted(self.rows, key=EntropyPoint.sort_key)))
 
 
 @dataclass(frozen=True)
@@ -79,11 +67,11 @@ class FitResult:
     term (the extrapolated S at the regime's anchor).
     """
 
+    n_rows: int
+    basis: tuple
     coefficients: tuple
     std_errors: tuple
     residual_rms: float
-    basis: tuple
-    n_rows: int
 
 
 def regime_scales(spec: LatticeSpec, na):
@@ -160,12 +148,7 @@ def sweep_entropy(
     else:
         points = list(map(_entropies_of_blocks, *args))
     by_group = dict(zip(groups, points))
-    rows = [
-        SweepRow(entropy=point.entropy, **point.params)
-        for z in zs
-        for beta in betas
-        for point in by_group[int(z), beta]
-    ]
+    rows = [point for z in zs for beta in betas for point in by_group[int(z), beta]]
     return SweepTable(rows=tuple(rows)).sorted()
 
 
@@ -207,7 +190,7 @@ def _solve_least_squares(design, values, basis, n_rows):
     )
 
 
-def _scaling_variable(row: SweepRow):
+def _scaling_variable(row: EntropyPoint):
     if math.isinf(row.beta):
         return 0.0
     return row.na * row.epsilon * row.beta ** (-1.0 / row.z)

@@ -202,6 +202,13 @@ INVALID_PARAMETERS = {
     "oracle-na-past-n": "oracle-check --n 3 --na 4 --z 1 --mass 1",
     "ee-mass-overflows": "ee --n 4 --na 2 --z 1 --mass 1e308",
     "oracle-eps-overflows": "oracle-check --n 4 --na 2 --z 3 --eps 1e-300 --theta 0.5",
+    "ee-na-past-n": "ee --n 10 --na 20 --z 1",
+    "sweep-na-past-n": "sweep --n 10 --nas 20 --z 1",
+    "fit-na-past-n": "fit --n 10 --na 20 --z 1",
+    "cmera-mass-nan": "cmera --z 1 --mass nan",
+    "cmera-mass-negative": "cmera --z 1 --mass -1",
+    "cmera-z0": "cmera --z 0",
+    "cmera-z-negative": "cmera --z -2",
 }
 
 
@@ -353,6 +360,7 @@ def _argvs(draw):
 @given(_argvs())
 @example(["sweep", "--n", "20", "--zs", "1", "--betas", "10,inf", "--nas", "4", "--format", "svg"])
 @example(["sweep", "--n", "2", "--z", "1", "--na", "1", "--betas", "inf,inf", "--format", "svg"])
+@example(["sweep", "--n", "40", "--z", "1", "--betas", "0.5,2", "--na", "4", "--format", "svg"])
 def test_any_argv_exits_cleanly(argv):
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     err = io.StringIO()

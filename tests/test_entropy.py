@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from eechain import (
     CorrelationMatrix,
     EigenvalueOutOfRange,
+    EntropyPoint,
     LatticeSpec,
     NotHermitian,
     build_correlation_matrix,
@@ -73,20 +74,15 @@ def test_hermiticity_gate():
 
 def test_entropy_of_point():
     spec = LatticeSpec(n_sites=4, z_exponent=1)
-    pt = entropy_of(spec, INF, range(2), keep_eigenvalues=True)
-    assert pt.entropy == pytest.approx(
-        4 * binary_entropy((2 - math.sqrt(2)) / 4), rel=1e-12
+    pt = entropy_of(spec, INF, range(2))
+    eigs = hermitian_eigenvalues(build_correlation_matrix(spec, INF, range(2)))
+    c = (2 - math.sqrt(2)) / 4
+    np.testing.assert_allclose(eigs, [c, c, 1 - c, 1 - c], atol=1e-15)
+    assert pt.entropy == entanglement_entropy(eigs)
+    assert pt.entropy == pytest.approx(4 * binary_entropy(c), rel=1e-12)
+    assert pt == EntropyPoint(
+        z=1, beta=INF, n=4, na=2, epsilon=1.0, mass=0.0, entropy=pt.entropy
     )
-    assert pt.params == {
-        "n": 4,
-        "na": 2,
-        "z": 1,
-        "mass": 0.0,
-        "beta": INF,
-        "epsilon": 1.0,
-    }
-    assert pt.eigenvalues.shape == (4,)
-    assert entropy_of(spec, INF, range(2)).eigenvalues is None
 
 
 @settings(max_examples=60, deadline=None)

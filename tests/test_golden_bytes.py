@@ -44,7 +44,7 @@ SHA256 = {
     "ee-json": "2f34614541f89df623602c4862648519fe65ede1bab5f203afb8f4a97d2370bc",
     "sweep-csv": "709892b633f56fb67f92219a9c786816ba538c31e16ecc7a9c4a06094e49783e",
     "sweep-json": "b4d96cefb9e0f14c292155cf4406a41ebc7ce4f77099521e23401442a73aea96",
-    "sweep-svg": "b9bcc0fa8aa44ca2e84f51e2d2ed411f3be3d79322a984318eb18fe874b32f6e",
+    "sweep-svg": "96df2719847d32950a91547abc9c88735c791322a1de1ef2355562517fc34955",
     "fit-text": "64484d4a33330bf6a87871bec5ea644ed933d4a5f5b2dc6f1985d8a52221d5ec",
     "fit-json": "3fe367be620cd91d7b35f4a95f2c148503eabd1a900fbe3c2e1556f5c020e5bb",
     "cmera-csv": "0a3d799ed2fdf6b5b6eaf6265c043975bd50857b77f81adb4e446f79aadd7e8b",

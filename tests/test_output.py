@@ -1,11 +1,24 @@
+import dataclasses
+import json
 import math
+import re
+import typing
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eechain import EmptySeries, IoError, SweepRow, SweepTable, emit_plot, emit_table, parse_table
+from eechain import (
+    EmptySeries,
+    EntropyPoint,
+    IoError,
+    SweepTable,
+    emit_plot,
+    emit_table,
+    parse_table,
+)
+from eechain import output
 
 INF = math.inf
 
@@ -13,10 +26,10 @@ INF = math.inf
 def _table():
     return SweepTable(
         rows=(
-            SweepRow(z=1, beta=INF, n=100, na=10, epsilon=1.0, mass=0.0,
-                     entropy=2.00152345679),
-            SweepRow(z=2, beta=0.5, n=100, na=10, epsilon=1.0, mass=0.25,
-                     entropy=13.5),
+            EntropyPoint(z=1, beta=INF, n=100, na=10, epsilon=1.0, mass=0.0,
+                         entropy=2.00152345679),
+            EntropyPoint(z=2, beta=0.5, n=100, na=10, epsilon=1.0, mass=0.25,
+                         entropy=13.5),
         )
     ).sorted()
 
@@ -42,6 +55,26 @@ def test_csv_roundtrip_is_byte_stable():
     table = _table()
     once = emit_table(table, "csv")
     assert emit_table(parse_table(once), "csv") == once
+
+
+def test_table_columns_follow_entropy_point_fields():
+    names = [f.name for f in dataclasses.fields(EntropyPoint)]
+    table = _table()
+    header = emit_table(table, "csv").decode().splitlines()[0]
+    assert header.split(",") == names
+    assert all(list(obj) == names for obj in json.loads(emit_table(table, "json")))
+    for fmt in ("csv", "json"):
+        back = parse_table(emit_table(table, fmt))
+        assert back.rows == table.rows
+        types = [type(getattr(row, name)) for row in back.rows for name in names]
+        assert types == list(typing.get_type_hints(EntropyPoint).values()) * len(table)
+
+
+def test_json_takes_numpy_integer_columns():
+    row = dataclasses.replace(_table().rows[0], z=np.int64(1), n=np.int64(100))
+    assert emit_table(SweepTable(rows=(row,)), "json") == emit_table(
+        SweepTable(rows=_table().rows[:1]), "json"
+    )
 
 
 def test_parse_rejects_garbage():
@@ -78,7 +111,7 @@ def test_unknown_format():
 )
 def test_roundtrip_fixpoint_property(raw):
     rows = tuple(
-        SweepRow(z=a, beta=b, n=c, na=d, epsilon=e, mass=f, entropy=g)
+        EntropyPoint(z=a, beta=b, n=c, na=d, epsilon=e, mass=f, entropy=g)
         for a, b, c, d, e, f, g in raw
     )
     table = SweepTable(rows=rows).sorted()
@@ -126,3 +159,24 @@ def test_plot_log_axis_needs_positive_values():
     x = np.linspace(-1, 1, 5)
     with pytest.raises(ValueError):
         emit_plot([(x, x, "s")], {"xscale": "log"})
+
+
+def _tick_positions(svg):
+    """Pixel positions of the x and y axis tick marks in an emit_plot SVG."""
+    bottom = output._H - output._MB
+    xs = re.findall(rf'<line x1="(\S+)" y1="{bottom}" x2="\S+" y2="{bottom + 5}"', svg)
+    ys = re.findall(rf'<line x1="{output._ML - 5}" y1="(\S+)" x2="{output._ML}"', svg)
+    return [float(v) for v in xs], [float(v) for v in ys]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(1.01, 1e6), st.booleans())
+@example(2.0, 8.0, True)  # the N_A axis of sweep --nas 2,4,8,16
+@example(0.5, 4.0, True)  # a beta axis inside one decade
+def test_plot_ticks_lie_inside_the_frame(lo, ratio, xlog):
+    x = np.geomspace(lo, lo * ratio, 5)
+    axes = {"xscale": "log" if xlog else "linear"}
+    xs, ys = _tick_positions(emit_plot([(x, np.sqrt(x), "s")], axes).decode())
+    assert len(xs) >= 2 and len(ys) == 5
+    assert all(output._ML <= v <= output._W - output._MR for v in xs)
+    assert all(output._MT <= v <= output._H - output._MB for v in ys)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eechain import (
+    EntropyPoint,
     IllConditioned,
     InsufficientData,
     InvalidKind,
@@ -13,7 +14,6 @@ from eechain import (
     LatticeSpec,
     RegimeUnreachable,
     SiteOutOfRange,
-    SweepRow,
     SweepTable,
     cft_reference,
     default_high_temperature_betas,
@@ -211,7 +211,9 @@ def _low_rows(z, coeffs, xs, na=50):
         beta = (na / x) ** z
         s = coeffs[0] + coeffs[1] * x + coeffs[2] * x * x
         rows.append(
-            SweepRow(z=z, beta=beta, n=2000, na=na, epsilon=1.0, mass=0.0, entropy=s)
+            EntropyPoint(
+                z=z, beta=beta, n=2000, na=na, epsilon=1.0, mass=0.0, entropy=s
+            )
         )
     return SweepTable(rows=tuple(rows))
 
@@ -256,7 +258,9 @@ def test_high_fit_recovers_synthetic():
         x = na * beta ** (-1 / z)
         s = a + b * x + c * math.log(1.0 / beta)
         rows.append(
-            SweepRow(z=z, beta=beta, n=2000, na=na, epsilon=1.0, mass=0.0, entropy=s)
+            EntropyPoint(
+                z=z, beta=beta, n=2000, na=na, epsilon=1.0, mass=0.0, entropy=s
+            )
         )
     fit = fit_high_temperature(SweepTable(rows=tuple(rows)), z)
     assert fit.basis == ("1", "x", "ln(eps^z/beta)")
@@ -272,7 +276,7 @@ def test_high_fit_gates():
     z, na = 2, 5
     smax = 2 * na * math.log(2)
     rows = [
-        SweepRow(
+        EntropyPoint(
             z=z, beta=b, n=100, na=na, epsilon=1.0, mass=0.0, entropy=0.99 * smax
         )
         for b in np.geomspace(0.001, 0.1, 10)
@@ -281,7 +285,9 @@ def test_high_fit_gates():
         fit_high_temperature(SweepTable(rows=tuple(rows)), z)
     # a handful of valid rows is sparse data, not unreachability
     rows = [
-        SweepRow(z=z, beta=b, n=100, na=na, epsilon=1.0, mass=0.0, entropy=1.0 + b)
+        EntropyPoint(
+            z=z, beta=b, n=100, na=na, epsilon=1.0, mass=0.0, entropy=1.0 + b
+        )
         for b in np.geomspace(0.01, 0.5, 4)
     ]
     with pytest.raises(InsufficientData):
