@@ -8,11 +8,13 @@ Subcommands:
     oracle-check  compare lattice correlators/entropy to the brute-force
                   many-body computation on a small chain
 
-Options may also come from a config file (``--config``) holding
-``key = value`` lines with ``#`` comments, one key per flag name; the
-file's values are parsed like flags given ahead of the command line, so
-command-line flags win.  Exit codes: 0 success, 1 computational failure
-(EechainError), 2 usage error or invalid model parameter.
+Each subcommand accepts only the flags it reads (see _COMMAND_FLAGS), and
+none by abbreviation.  Options may also come from a config file
+(``--config``) holding ``key = value`` lines with ``#`` comments, one key
+per flag name of the command; the file's values are parsed like flags
+given ahead of the command line, so command-line flags win.  Exit codes:
+0 success, 1 computational failure (EechainError), 2 usage error or
+invalid model parameter.
 """
 
 from __future__ import annotations
@@ -79,49 +81,60 @@ def _list_of(convert):
     return convert_list
 
 
+_FLAGS = {  # name: add_argument keywords
+    "n": dict(type=_integer),
+    "na": dict(type=_integer),
+    "z": dict(type=_integer),
+    "mass": dict(type=_number, default=0.0),
+    # float("inf") is a new object, never the default itself, so
+    # "--beta inf" still conflicts with --temp
+    "beta": dict(type=_number, default=math.inf),
+    "temp": dict(type=_inverse_temperature, dest="beta", metavar="TEMP"),
+    "eps": dict(type=_number, dest="epsilon", default=1.0, metavar="EPS"),
+    "theta": dict(type=_number, default=0.0),
+    "zs": dict(type=_list_of(_integer), default=()),
+    "betas": dict(type=_list_of(_number), default=()),
+    "nas": dict(type=_list_of(_integer), default=()),
+    "regime": dict(choices=("low", "high"), default="low"),
+    "format": dict(choices=("csv", "json", "svg"), dest="fmt"),
+    "out": dict(),
+    "jobs": dict(type=_integer, default=1),
+}
+_EE_FLAGS = ("n", "na", "z", "mass", "beta", "temp", "eps", "theta", "format", "out")
+# the flags each command reads, and its config-file keys; all take --config
+_COMMAND_FLAGS = {
+    "ee": _EE_FLAGS,
+    "sweep": (*_EE_FLAGS, "zs", "betas", "nas", "jobs"),
+    "fit": ("n", "na", "z", "mass", "eps", "theta", "betas", "regime", "format",
+            "out", "jobs"),
+    "cmera": ("z", "mass", "eps", "format", "out"),
+    "oracle-check": ("n", "na", "z", "mass", "beta", "temp", "eps", "theta"),
+}
+
+
 def _build_parser():
-    """The parser and its config-file keys: every long flag but --config."""
+    """The parser: each command with the flags it reads, and --config."""
     parser = argparse.ArgumentParser(
         prog="eechain",
         description="entanglement entropy of free Lifshitz fermion chains",
         exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("ee", "sweep", "fit", "cmera", "oracle-check"):
-        p = sub.add_parser(name, exit_on_error=False)
+    for command, names in _COMMAND_FLAGS.items():
+        p = sub.add_parser(command, exit_on_error=False, allow_abbrev=False)
         group = p.add_mutually_exclusive_group()
-        flags = (
-            p.add_argument("--n", type=_integer),
-            p.add_argument("--na", type=_integer),
-            p.add_argument("--z", type=_integer),
-            p.add_argument("--mass", type=_number, default=0.0),
-            # float("inf") is a new object, never the default itself, so
-            # "--beta inf" still conflicts with --temp
-            group.add_argument("--beta", type=_number, default=math.inf),
-            group.add_argument(
-                "--temp", type=_inverse_temperature, dest="beta", metavar="TEMP"
-            ),
-            p.add_argument(
-                "--eps", type=_number, dest="epsilon", default=1.0, metavar="EPS"
-            ),
-            p.add_argument("--theta", type=_number, default=0.0),
-            p.add_argument("--zs", type=_list_of(_integer), default=()),
-            p.add_argument("--betas", type=_list_of(_number), default=()),
-            p.add_argument("--nas", type=_list_of(_integer), default=()),
-            p.add_argument("--regime", choices=("low", "high"), default="low"),
-            p.add_argument("--format", choices=("csv", "json", "svg"), dest="fmt"),
-            p.add_argument("--out"),
-            p.add_argument("--jobs", type=_integer, default=1),
-        )
+        for name in names:
+            target = group if name in ("beta", "temp") else p
+            target.add_argument(f"--{name}", **_FLAGS[name])
         p.add_argument("--config")
-    return parser, frozenset(flag.option_strings[0][2:] for flag in flags)
+    return parser
 
 
-_PARSER, _CONFIG_KEYS = _build_parser()
+_PARSER = _build_parser()
 
 
-def _read_config_file(path):
-    """The file's ``key = value`` lines as ``--key=value`` flags."""
+def _read_config_file(path, command):
+    """The file's ``key = value`` lines as ``--key=value`` flags of command."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -135,8 +148,8 @@ def _read_config_file(path):
             raise UsageError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in _COMMAND_FLAGS[command]:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r} for {command}")
         flags.append(f"--{key}={value.strip()}")
     return flags
 
@@ -159,7 +172,8 @@ def parse_config(argv):
     if cfg.config is None:
         return cfg
     argv = sys.argv[1:] if argv is None else list(argv)
-    return _parse([cfg.command, *_read_config_file(cfg.config), *argv[1:]])
+    flags = _read_config_file(cfg.config, cfg.command)
+    return _parse([cfg.command, *flags, *argv[1:]])
 
 
 def _require(cfg, *names):
@@ -235,7 +249,9 @@ def _run_sweep(cfg):
 
 
 def _sweep_plot(table, zs, betas, nas):
-    rows = table.rows
+    # repeated axis values repeat rows: the plot follows the distinct ones
+    rows = tuple(dict.fromkeys(table.rows))
+    zs, betas, nas = (tuple(dict.fromkeys(axis)) for axis in (zs, betas, nas))
     if len(nas) > 1:
         series = []
         for z in zs:

@@ -5,10 +5,10 @@ Builds the 4^N-dimensional Fock space of the 2N fermionic modes
 Hamiltonian on it as one sparse matrix.  That Hamiltonian has no pairing
 terms, so it conserves particle number and is block-diagonal by occupation
 count; each particle-number sector (at most C(2N, N) states) is
-diagonalized densely, and the exact ground or Gibbs state is assembled
-from the sectors.  Entropies of reduced density matrices follow by partial
-trace.  All of it is independent of the correlation-matrix pipeline, which
-it exists to validate.
+diagonalized densely, and the exact ground or Gibbs state is one sparse
+density matrix made of sector blocks.  Entropies of reduced density
+matrices follow by partial trace.  All of it is independent of the
+correlation-matrix pipeline, which it exists to validate.
 
 Partial traces are taken in the occupation basis after relabeling sites so
 the subsystem is a prefix of the Jordan-Wigner string; kept-mode operators
@@ -32,8 +32,9 @@ import scipy.sparse as sp
 from .errors import DegenerateGroundState, InvalidParameter
 from .lattice import LatticeSpec, build_mode_grid, validate_beta
 
-# Fock dimension 4^6 = 4096, largest sector C(12, 6) = 924.  The Gibbs rho
-# stays a dense 4^N matrix: at 7 sites it would be 16384^2 complex = 4.3 GB.
+# Fock dimension 4^6 = 4096, largest sector C(12, 6) = 924.  At 7 sites the
+# sparse Gibbs rho would hold C(28, 14) = 40.1M entries, 642 MB of complex
+# values, against 4.3 GB for a dense 4^7 x 4^7 rho.
 MAX_SITES = 6
 DEGENERACY_TOL = 1e-12
 
@@ -43,17 +44,17 @@ _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])  # <empty|c|occupied> = 1
 
 @dataclass(frozen=True)
 class FockState:
-    """Exact many-body state plus the context needed to rebuild it.
+    """Exact many-body density matrix plus the context needed to rebuild it.
 
-    Either `vector` (pure, beta = inf) or `rho` (Gibbs) is set.  site_order
-    records the Jordan-Wigner site ordering the state was built in.
+    rho is a sparse CSR matrix holding exactly its particle-number sector
+    blocks: one for a ground state, all of them for a Gibbs state.
+    site_order records the Jordan-Wigner site ordering it was built in.
     """
 
     spec: LatticeSpec
     beta: float
     site_order: tuple
-    vector: np.ndarray | None = None
-    rho: np.ndarray | None = None
+    rho: sp.csr_matrix
 
     @property
     def dimension(self):
@@ -176,16 +177,8 @@ def _fock_relabeling(old_order, new_order):
 def _relabeled(state: FockState, site_order) -> FockState:
     """The same physical state, in the occupation basis of another site order."""
     index, sign = _fock_relabeling(state.site_order, site_order)
-    if state.vector is not None:
-        return FockState(
-            spec=state.spec,
-            beta=state.beta,
-            site_order=site_order,
-            vector=sign * state.vector[index],
-        )
-    rho = state.rho[np.ix_(index, index)]
-    rho *= sign[:, None]
-    rho *= sign
+    signs = sp.diags(sign)
+    rho = signs @ state.rho[index][:, index] @ signs
     return FockState(spec=state.spec, beta=state.beta, site_order=site_order, rho=rho)
 
 
@@ -224,16 +217,22 @@ def many_body_state(spec: LatticeSpec, beta, site_order=None) -> FockState:
     if math.isinf(beta):
         lowest = [np.linalg.eigvalsh(block)[0] for block in blocks]
         k = int(np.argmin(lowest))
-        vector = np.zeros(4**n, dtype=complex)
-        vector[sectors[k]] = np.linalg.eigh(blocks[k])[1][:, 0]
-        return FockState(spec=spec, beta=beta, site_order=site_order, vector=vector)
-    spectra = [np.linalg.eigh(block) for block in blocks]
-    ground = min(energies[0] for energies, _ in spectra)
-    weights = [np.exp(-beta * (energies - ground)) for energies, _ in spectra]
-    partition = sum(w.sum() for w in weights)
-    rho = np.zeros((4**n, 4**n), dtype=complex)
-    for index, (_, states), w in zip(sectors, spectra, weights):
-        rho[np.ix_(index, index)] = (states * (w / partition)) @ states.conj().T
+        psi = np.linalg.eigh(blocks[k])[1][:, 0]
+        sectors, blocks = [sectors[k]], [np.outer(psi, psi.conj())]
+    else:
+        spectra = [np.linalg.eigh(block) for block in blocks]
+        ground = min(energies[0] for energies, _ in spectra)
+        weights = [np.exp(-beta * (energies - ground)) for energies, _ in spectra]
+        partition = sum(w.sum() for w in weights)
+        blocks = [
+            (states * (w / partition)) @ states.conj().T
+            for (_, states), w in zip(spectra, weights)
+        ]
+    # one COO -> CSR assembly of the (sector index, block) pairs
+    row = np.concatenate([np.repeat(index, index.size) for index in sectors])
+    col = np.concatenate([np.tile(index, index.size) for index in sectors])
+    data = np.concatenate([block.ravel() for block in blocks])
+    rho = sp.coo_matrix((data, (row, col)), shape=(4**n, 4**n)).tocsr()
     return FockState(spec=spec, beta=beta, site_order=site_order, rho=rho)
 
 
@@ -247,10 +246,7 @@ def mode_correlators(state: FockState):
     n_modes = 2 * n
     pair, row, col, sign = _hopping_pieces(n_modes)
     # Tr(c_mu^dag c_nu rho) = sum of sign * rho[col, row] over the pair's nonzeros
-    if state.vector is not None:
-        terms = sign * (state.vector[col] * state.vector[row].conj())
-    else:
-        terms = sign * state.rho[col, row]
+    terms = sign * np.asarray(state.rho[col, row]).ravel()
     corr_perm = (
         np.bincount(pair, terms.real, n_modes**2)
         + 1j * np.bincount(pair, terms.imag, n_modes**2)
@@ -275,14 +271,15 @@ def reduced_entropy(state: FockState, subsystem):
 
     dim_a = 4 ** len(sites)
     dim_b = state.dimension // dim_a
-    if state.vector is not None:
-        block = state.vector.reshape(dim_a, dim_b)
-        rho_a = block @ block.conj().T
-    else:
-        rho_a = np.einsum(
-            "abcb->ac", state.rho.reshape(dim_a, dim_b, dim_a, dim_b)
-        )
-    lam = np.linalg.eigvalsh(rho_a)
+    # Tr_B keeps the entries whose B states agree.  CSR yields them row by
+    # row, so each rho_A entry is summed in ascending B state.
+    rho = state.rho.tocoo()
+    a_row, b_row = np.divmod(rho.row, dim_b)
+    a_col, b_col = np.divmod(rho.col, dim_b)
+    keep = b_row == b_col
+    rho_a = np.zeros(dim_a**2, dtype=complex)
+    np.add.at(rho_a, a_row[keep] * dim_a + a_col[keep], rho.data[keep])
+    lam = np.linalg.eigvalsh(rho_a.reshape(dim_a, dim_a))
     lam = np.clip(lam, 0.0, None)
     lam = lam[lam > 1e-14]
     return float(-np.sum(lam * np.log(lam)))

@@ -86,6 +86,11 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     cfg_file.write_text("frobnicate = 1\n")
     assert main(["ee", "--config", str(cfg_file)]) == 2
     assert "unknown key" in capsys.readouterr().err
+    # keys are per command: ee reads no --nas
+    cfg_file.write_text("n = 10\nna = 2\nz = 1\nnas = 4\n")
+    assert main(["ee", "--config", str(cfg_file)]) == 2
+    assert "unknown key 'nas' for ee" in capsys.readouterr().err
+    assert main(["sweep", "--config", str(cfg_file)]) == 0
 
 
 def test_config_file_missing(capsys):
@@ -182,6 +187,51 @@ def test_oracle_check_rejects_large_chain(capsys):
     rc = main(["oracle-check", "--n", "12", "--na", "2", "--z", "1", "--mass", "1"])
     assert rc == 2
     assert "at most" in capsys.readouterr().err
+
+
+MODEL = ("--n", "--na", "--z", "--mass", "--beta", "--temp", "--eps", "--theta")
+COMMAND_FLAGS = {  # the flags each command reads, besides --config
+    "ee": (*MODEL, "--format", "--out"),
+    "sweep": (*MODEL, "--format", "--out", "--zs", "--betas", "--nas", "--jobs"),
+    "fit": ("--n", "--na", "--z", "--mass", "--eps", "--theta", "--betas",
+            "--regime", "--format", "--out", "--jobs"),
+    "cmera": ("--z", "--mass", "--eps", "--format", "--out"),
+    "oracle-check": MODEL,
+}
+FLAG_VALUES = {
+    "--n": "4", "--na": "2", "--z": "1", "--mass": "0.5", "--beta": "2",
+    "--temp": "1", "--eps": "1", "--theta": "0", "--zs": "1,2", "--betas": "1,2",
+    "--nas": "1,2", "--regime": "low", "--format": "csv", "--out": "x.csv",
+    "--jobs": "1",
+}
+
+
+def test_each_command_accepts_only_the_flags_it_reads(capsys):
+    # 53 (command, flag) pairs, --config on each command included
+    assert sum(len(flags) + 1 for flags in COMMAND_FLAGS.values()) == 53
+    for command, flags in COMMAND_FLAGS.items():
+        for flag, value in FLAG_VALUES.items():
+            if flag in flags:
+                parse_config([command, flag, value])
+                continue
+            with pytest.raises(SystemExit):
+                parse_config([command, flag, value])
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+UNREAD_FLAGS = {
+    "cmera-beta": "cmera --z 1 --beta 2",
+    "ee-nas": "ee --n 10 --na 2 --z 1 --nas 4",
+    "oracle-check-format": "oracle-check --n 4 --na 2 --z 1 --mass 0.5 --format json",
+    # no abbreviations: fit's --betas does not take --beta
+    "fit-beta": "fit --n 400 --na 10 --z 1 --beta 2",
+}
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS.values(), ids=UNREAD_FLAGS.keys())
+def test_flag_the_command_does_not_read_exits_2(argv, capsys):
+    assert main(argv.split()) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 POINT = "ee --n 10 --na 2 --z 1"
@@ -305,9 +355,22 @@ def test_sweep_svg_over_infinite_beta(tmp_path, capsys):
     assert main(argv + ["--betas", "1,10,inf", "--out", str(out)]) == 0
     svg = out.read_text()
     assert "z=1 b=inf" in svg and "z=2 b=inf" in svg
-    for betas in ("10,inf", "inf,inf"):
-        assert main(argv + ["--betas", betas]) == 2
-        assert "two finite betas" in capsys.readouterr().err
+    assert main(argv + ["--betas", "10,inf"]) == 2
+    assert "two finite betas" in capsys.readouterr().err
+    # a repeated ground state is one beta value: the plot is over z
+    assert main(argv + ["--betas", "inf,inf"]) == 0
+    assert "S vs z" in capsys.readouterr().out
+
+
+def test_sweep_svg_picks_its_plot_from_distinct_values(capsys):
+    # a repeated N_A is one N_A value: the plot is over beta
+    argv = "sweep --n 40 --z 1 --nas 4,4 --betas 1,10 --format svg"
+    assert main(argv.split()) == 0
+    assert "S vs beta" in capsys.readouterr().out
+    # a repeated beta is one finite beta
+    argv = "sweep --n 40 --z 1 --nas 4 --betas 10,10,inf --format svg"
+    assert main(argv.split()) == 2
+    assert "two finite betas" in capsys.readouterr().err
 
 
 _JUNK = st.one_of(
@@ -327,8 +390,9 @@ def _lists(item):
 @st.composite
 def _argvs(draw):
     """argv for one of the five commands at N <= 64 (N <= 5 for
-    oracle-check).  Each flag is absent one time in four; half the argvs
-    keep every value in range, the other half may take any value."""
+    oracle-check), drawn from the flags that command reads.  Each flag is
+    absent one time in four; half the argvs keep every value in range, the
+    other half may take any value."""
     command = draw(st.sampled_from(["ee", "sweep", "fit", "cmera", "oracle-check"]))
     n = draw(st.integers(2, 5 if command == "oracle-check" else 64))
     in_range = {
@@ -351,7 +415,7 @@ def _argvs(draw):
         del in_range[draw(st.sampled_from(["--beta", "--temp"]))]
     argv = [command]
     for flag, valid in in_range.items():
-        if draw(st.integers(0, 3)):
+        if flag in COMMAND_FLAGS[command] and draw(st.integers(0, 3)):
             argv += [flag, draw(valid if clean else valid | _JUNK)]
     return argv
 

@@ -1,7 +1,10 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +19,7 @@ from eechain import (
     reduced_entropy,
     single_particle_hamiltonian,
 )
+from eechain import oracle
 from eechain.oracle import (
     MAX_SITES,
     _fock_hamiltonian,
@@ -61,7 +65,10 @@ def test_degenerate_ground_state_gate():
 def test_pure_state_entropy_symmetry():
     spec = LatticeSpec(n_sites=4, z_exponent=1, mass=0.7)
     state = many_body_state(spec, INF)
-    assert state.vector is not None and state.rho is None
+    rho = state.rho.toarray()
+    assert np.abs(rho - rho.conj().T).max() < 1e-12
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.matrix_rank(rho, tol=1e-10) == 1
     s_a = reduced_entropy(state, [0])
     s_b = reduced_entropy(state, [1, 2, 3])
     assert s_a == pytest.approx(s_b, abs=1e-12)
@@ -79,8 +86,7 @@ def test_relabeling_invariance():
 def test_thermal_state_structure():
     spec = LatticeSpec(n_sites=3, z_exponent=1, mass=0.5)
     state = many_body_state(spec, 1.0)
-    assert state.rho is not None and state.vector is None
-    rho = state.rho
+    rho = state.rho.toarray()
     assert np.abs(rho - rho.conj().T).max() < 1e-12
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     corr = mode_correlators(state)
@@ -116,15 +122,56 @@ def test_maximal_chain_runs():
     assert s == pytest.approx(s_corr, abs=1e-8)
 
 
-def test_large_gibbs_state_matches_lattice():
-    spec = LatticeSpec(n_sites=6, z_exponent=3, mass=0.4, boundary_phase=0.2)
-    corr = mode_correlators(many_body_state(spec, 1.5))
-    fast = build_correlation_matrix(spec, 1.5, range(6)).entries
+LARGE = LatticeSpec(n_sites=6, z_exponent=3, mass=0.4, boundary_phase=0.2)
+
+
+@pytest.fixture(scope="module")
+def large_gibbs_state():
+    return many_body_state(LARGE, 1.5)
+
+
+def test_large_gibbs_state_matches_lattice(large_gibbs_state):
+    corr = mode_correlators(large_gibbs_state)
+    fast = build_correlation_matrix(LARGE, 1.5, range(6)).entries
     assert np.abs(corr - fast).max() < 1e-10
 
 
 def _occupation_counts(n_modes):
     return np.array([bin(i).count("1") for i in range(2**n_modes)])
+
+
+def test_state_holds_only_the_sector_blocks(large_gibbs_state):
+    # a Gibbs state fills every sector block, sum_k C(12, k)^2 entries at
+    # N = 6; a gapped ground state fills exactly one block
+    gibbs = large_gibbs_state.rho
+    assert sp.issparse(gibbs)
+    assert gibbs.nnz == sum(math.comb(12, k) ** 2 for k in range(13)) == 2_704_156
+    assert _relabeled(large_gibbs_state, (1, 3, 5, 0, 2, 4)).rho.nnz == gibbs.nnz
+    ground = many_body_state(LatticeSpec(n_sites=4, z_exponent=3, mass=0.4), INF)
+    assert sp.issparse(ground.rho)
+    entries = ground.rho.tocoo()
+    counts = _occupation_counts(8)
+    k = counts[entries.row[0]]
+    assert np.all(counts[entries.row] == k) and np.all(counts[entries.col] == k)
+    assert ground.rho.nnz == math.comb(8, k) ** 2
+    assert _relabeled(ground, (1, 3, 0, 2)).rho.nnz == ground.rho.nnz
+
+
+def test_oracle_reads_only_the_model_from_lattice():
+    # the oracle validates the lattice pipeline, so it may share the model
+    # (spec, mode grid, beta check) but none of its correlator code
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any("lattice" in alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[-1] == "lattice":
+                names.update(alias.name for alias in node.names)
+            else:
+                assert not any(alias.name == "lattice" for alias in node.names)
+    assert names == {"LatticeSpec", "build_mode_grid", "validate_beta"}
 
 
 @settings(max_examples=40, deadline=None)
@@ -192,13 +239,12 @@ def test_sectors_reproduce_dense_fock_diagonalization(n, z, mass, theta):
     beta = 1.3
     weights = np.exp(-beta * (energies - energies[0]))
     rho = (states * (weights / weights.sum())) @ states.conj().T
-    assert np.abs(many_body_state(spec, beta).rho - rho).max() < 1e-12
+    assert np.abs(many_body_state(spec, beta).rho.toarray() - rho).max() < 1e-12
     if mass > 0:  # a gapped chain has one ground state, found in one sector
-        vector = many_body_state(spec, INF).vector
-        assert np.vdot(vector, dense @ vector).real == pytest.approx(
-            energies[0], abs=1e-12
-        )
-        assert abs(np.vdot(states[:, 0], vector)) == pytest.approx(1.0, abs=1e-10)
+        rho = many_body_state(spec, INF).rho.toarray()
+        assert np.trace(dense @ rho).real == pytest.approx(energies[0], abs=1e-12)
+        psi = states[:, 0]
+        assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-10
 
 
 @settings(max_examples=30, deadline=None)
