@@ -8,8 +8,7 @@ one_blas_thread, so identical inputs give identical bytes on any core
 count:
 
 * entropy.hermitian_eigenvalues: numpy's complex singular-value solve of
-  P + iC for a CorrelationMatrix, numpy's Hermitian eigensolve for a
-  plain array;
+  P + iC;
 * lattice._partial_dft: the phase-table GEMMs;
 * the oracle check in the CLI.
 

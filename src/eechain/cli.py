@@ -9,12 +9,14 @@ Subcommands:
                   many-body computation on a small chain
 
 Each subcommand accepts only the flags it reads (see _COMMAND_FLAGS), and
-none by abbreviation.  Options may also come from a config file
+none by abbreviation.  Flags that set the same axis exclude each other
+(see _EXCLUSIVE_FLAGS): --z or --zs, --na or --nas, and one of --beta,
+--temp and --betas.  Options may also come from a config file
 (``--config``) holding ``key = value`` lines with ``#`` comments, one key
 per flag name of the command; the file's values are parsed like flags
-given ahead of the command line, so command-line flags win.  Exit codes:
-0 success, 1 computational failure (EechainError), 2 usage error or
-invalid model parameter.
+given ahead of the command line, so a command-line flag wins over the
+same key.  Exit codes: 0 success, 1 computational failure
+(EechainError), 2 usage error or invalid model parameter.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import cmera as cmera_mod
 from .blas import one_blas_thread
-from .entropy import entanglement_entropy, entropy_of
+from .entropy import entanglement_entropy, entropy_of, hermitian_eigenvalues
 from .errors import EechainError, InvalidParameter, UsageError
 from .lattice import LatticeSpec, build_correlation_matrix, validate_model
 from .oracle import many_body_state, mode_correlators, reduced_entropy
@@ -101,6 +103,8 @@ _FLAGS = {  # name: add_argument keywords
     "jobs": dict(type=_integer, default=1),
 }
 _EE_FLAGS = ("n", "na", "z", "mass", "beta", "temp", "eps", "theta", "format", "out")
+# flags that set the same axis: a command takes at most one of each
+_EXCLUSIVE_FLAGS = (("z", "zs"), ("na", "nas"), ("beta", "temp", "betas"))
 # the flags each command reads, and its config-file keys; all take --config
 _COMMAND_FLAGS = {
     "ee": _EE_FLAGS,
@@ -122,10 +126,14 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for command, names in _COMMAND_FLAGS.items():
         p = sub.add_parser(command, exit_on_error=False, allow_abbrev=False)
-        group = p.add_mutually_exclusive_group()
+        target = {}
+        for flags in _EXCLUSIVE_FLAGS:
+            read = [name for name in flags if name in names]
+            # an empty group breaks argparse's usage line, and with it --help
+            if read:
+                target.update(dict.fromkeys(read, p.add_mutually_exclusive_group()))
         for name in names:
-            target = group if name in ("beta", "temp") else p
-            target.add_argument(f"--{name}", **_FLAGS[name])
+            target.get(name, p).add_argument(f"--{name}", **_FLAGS[name])
         p.add_argument("--config")
     return parser
 
@@ -280,6 +288,8 @@ def _sweep_plot(table, zs, betas, nas):
             "hlines": list(hlines),
         }
     else:
+        if len(zs) < 2:
+            raise UsageError("an svg sweep needs an axis with two distinct values")
         pts = sorted((r.z, r.entropy) for r in rows)
         smax = 2 * nas[0] * math.log(2)
         series = [([p[0] for p in pts], [p[1] for p in pts], "S(z)")]
@@ -357,7 +367,7 @@ def _run_oracle_check(cfg):
 
         s_exact = reduced_entropy(state, range(cfg.na))
         s_fast = entanglement_entropy(
-            build_correlation_matrix(spec, cfg.beta, range(cfg.na))
+            hermitian_eigenvalues(build_correlation_matrix(spec, cfg.beta, range(cfg.na)))
         )
     s_diff = abs(s_exact - s_fast)
 

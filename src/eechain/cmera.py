@@ -142,7 +142,7 @@ def geodesic_length_massive(z, m, cutoff, length, eps, n_points=4001):
         raise DegenerateInterval(f"interval l={length} must exceed cutoff eps={eps}")
     alpha = 2.0 * eps / (math.pi * length)
     if alpha >= 0.5:
-        raise ValueError("interval too short for the semicircle ansatz")
+        raise DegenerateInterval("interval too short for the semicircle ansatz")
     t = np.linspace(alpha, 0.5, n_points)
     r = (length / 2.0) * np.sin(np.pi * t)
     u = np.log(eps / r)

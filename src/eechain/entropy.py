@@ -75,44 +75,28 @@ def _check_hermitian(*blocks):
         raise NotHermitian(f"max asymmetry {asym:.3e} exceeds {HERMITICITY_TOL}")
 
 
-def hermitian_eigenvalues(matrix):
-    """Ascending real eigenvalues of a Hermitian matrix.
+def hermitian_eigenvalues(corr: CorrelationMatrix):
+    """Ascending real eigenvalues of a correlation matrix, from its blocks.
 
-    Accepts a CorrelationMatrix or a plain square ndarray.  Raises
-    NotHermitian when the maximum asymmetry |M - M^dag| exceeds 1e-9; for
-    a CorrelationMatrix that is the asymmetry of its blocks P and C.  A
-    CorrelationMatrix's 2N_A eigenvalues are 1/2 +- s_j, with s_j the
-    singular values of P + iC (see the module docstring); a plain ndarray
-    goes to the dense Hermitian eigensolver.  Either solve runs on one BLAS
-    thread, so the eigenvalues do not depend on the core count.
+    Raises NotHermitian when the maximum asymmetry |B - B^dag| of block P
+    or C exceeds 1e-9.  The 2N_A eigenvalues are 1/2 +- s_j, with s_j the
+    singular values of P + iC (see the module docstring).  The solve runs
+    on one BLAS thread, so the eigenvalues do not depend on the core count.
     """
-    if isinstance(matrix, CorrelationMatrix):
-        _check_hermitian(matrix.same, matrix.cross)
-        with one_blas_thread():
-            s = np.linalg.svd(matrix.same + 1j * matrix.cross, compute_uv=False)
-        # s is descending
-        return np.concatenate((0.5 - s, 0.5 + s[::-1]))
-    m = np.asarray(matrix)
-    _check_hermitian(m)
+    _check_hermitian(corr.same, corr.cross)
     with one_blas_thread():
-        return np.linalg.eigvalsh(m)
+        s = np.linalg.svd(corr.same + 1j * corr.cross, compute_uv=False)
+    # s is descending
+    return np.concatenate((0.5 - s, 0.5 + s[::-1]))
 
 
 def entanglement_entropy(eigs):
-    """Entropy functional of correlation eigenvalues, in nats.
+    """Entropy functional of a 1-D array of correlation eigenvalues, in nats.
 
-    Accepts a 1-D array of eigenvalues, a CorrelationMatrix, or a square
-    matrix (the latter two are diagonalized first).  Values outside
-    [0, 1] by at most 1e-9 are clamped; anything further out raises
-    EigenvalueOutOfRange.  Eigenvalues within 1e-15 of 0 or 1 contribute
-    exactly zero (pure modes), avoiding ln(0) noise.
+    Values outside [0, 1] by at most 1e-9 are clamped; anything further out
+    raises EigenvalueOutOfRange.  Eigenvalues within 1e-15 of 0 or 1
+    contribute exactly zero (pure modes), avoiding ln(0) noise.
     """
-    if isinstance(eigs, CorrelationMatrix):
-        eigs = hermitian_eigenvalues(eigs)
-    else:
-        arr = np.asarray(eigs)
-        if arr.ndim == 2:
-            eigs = hermitian_eigenvalues(arr)
     c = np.asarray(eigs, dtype=float)
     if c.size and (c.min() < -CLAMP_TOL or c.max() > 1.0 + CLAMP_TOL):
         bad = c[(c < -CLAMP_TOL) | (c > 1.0 + CLAMP_TOL)]
@@ -129,7 +113,7 @@ def entropy_of(spec: LatticeSpec, beta, subsystem) -> EntropyPoint:
     """Correlation-matrix entropy of a site subsystem: build, solve, sum."""
     corr = build_correlation_matrix(spec, beta, subsystem)
     entropy = entanglement_entropy(hermitian_eigenvalues(corr))
-    return EntropyPoint.of(spec, beta, len(corr.subsystem), entropy)
+    return EntropyPoint.of(spec, beta, corr.dim // 2, entropy)
 
 
 def _entropies_of_blocks(spec: LatticeSpec, beta, nas):
@@ -149,11 +133,7 @@ def _entropies_of_blocks(spec: LatticeSpec, beta, nas):
     values = {
         na: entanglement_entropy(
             hermitian_eigenvalues(
-                CorrelationMatrix(
-                    same=corr.same[:na, :na],
-                    cross=corr.cross[:na, :na],
-                    subsystem=corr.subsystem[:na],
-                )
+                CorrelationMatrix(same=corr.same[:na, :na], cross=corr.cross[:na, :na])
             )
         )
         for na in sorted(set(nas))

@@ -54,7 +54,8 @@ class InsufficientSampling(EechainError):
 
 
 class DegenerateInterval(EechainError):
-    """Interval length does not exceed the short-distance cutoff."""
+    """Interval length does not exceed the short-distance cutoff, or is
+    too short for the semicircle geodesic ansatz."""
 
 
 class EmptySeries(EechainError):

@@ -43,7 +43,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,7 +115,7 @@ def _power(base, exponent):
 
 def validate_beta(beta):
     """Check an inverse temperature: positive real or math.inf."""
-    if not (beta > 0):
+    if not (isinstance(beta, numbers.Real) and beta > 0):
         raise InvalidParameter(f"beta must be positive (or inf), got {beta!r}")
     return float(beta)
 
@@ -140,14 +141,14 @@ class CorrelationMatrix:
     The 2N_A x 2N_A matrix is M = 1/2 + P (x) sigma_z + C (x) sigma_x, with
     the site slot as the first factor and the chirality (0 = '+', 1 = '-')
     as the second.  Only the Hermitian N_A x N_A blocks are stored: `same`
-    is P, `cross` is C, each with the twist phase applied.  `entries` is M
-    itself, row/column index 2*a + s, interleaved from the blocks on first
-    access; the eigensolve never reads it.
+    is P, `cross` is C, each with the twist phase applied; block entry
+    [a, b] belongs to the a-th and b-th sites of the subsystem.  `dim` is
+    2N_A.  `entries` is M itself, row/column index 2*a + s, interleaved
+    from the blocks on first access; the eigensolve never reads it.
     """
 
     same: np.ndarray
     cross: np.ndarray
-    subsystem: tuple = field(default=())
 
     @property
     def dim(self):
@@ -456,19 +457,23 @@ def _twist_phase(spec: LatticeSpec, signed_d):
 def build_correlation_matrix(spec: LatticeSpec, beta, subsystem) -> CorrelationMatrix:
     """The restricted correlation matrix for a list of sites, as its blocks.
 
-    The subsystem may be any ordered list of distinct sites (contiguity is
-    not required).  Block entry [a, b] belongs to the site pair
+    The subsystem is a nonempty sequence of distinct integer sites (ints
+    or numpy integers) in [0, N), in any order; contiguity is not
+    required.  Anything else raises InvalidParameter, DuplicateSite or
+    SiteOutOfRange.  Block entry [a, b] belongs to the site pair
     (subsystem[a], subsystem[b]); see CorrelationMatrix for the layout.
     """
-    sites = np.asarray(list(subsystem), dtype=np.int64)
-    if sites.size == 0:
-        raise InvalidParameter("subsystem must be nonempty")
-    if np.unique(sites).size != sites.size:
-        raise DuplicateSite(f"subsystem contains repeated sites: {subsystem}")
-    if sites.min() < 0 or sites.max() >= spec.n_sites:
-        raise SiteOutOfRange(
-            f"subsystem sites must lie in [0, {spec.n_sites}), got {subsystem}"
+    sites = list(subsystem)
+    if not sites or not all(isinstance(s, (int, np.integer)) for s in sites):
+        raise InvalidParameter(
+            f"subsystem must be a nonempty sequence of integer sites, got {sites!r}"
         )
+    n = spec.n_sites
+    if min(sites) < 0 or max(sites) >= n:
+        raise SiteOutOfRange(f"subsystem sites must lie in [0, {n}), got {sites}")
+    if len(set(sites)) != len(sites):
+        raise DuplicateSite(f"subsystem contains repeated sites: {sites}")
+    sites = np.asarray(sites, dtype=np.int64)
 
     d_signed = sites[None, :] - sites[:, None]  # d[a, b] = j - i
     d_abs = np.abs(d_signed)
@@ -481,11 +486,7 @@ def build_correlation_matrix(spec: LatticeSpec, beta, subsystem) -> CorrelationM
     np.conjugate(same, out=same, where=below)
     np.conjugate(cross, out=cross, where=below)
     phase = _twist_phase(spec, d_signed)
-    return CorrelationMatrix(
-        same=phase * same,
-        cross=-phase * cross,
-        subsystem=tuple(int(s) for s in sites),
-    )
+    return CorrelationMatrix(same=phase * same, cross=-phase * cross)
 
 
 def offdiagonal_sum_check(n, length, dx):
@@ -501,7 +502,7 @@ def offdiagonal_sum_check(n, length, dx):
     convergence studies should hold dx/L fixed while growing N.
     """
     if not 0 < dx < length:
-        raise ValueError(f"need 0 < dx < L, got dx={dx}, L={length}")
+        raise InvalidParameter(f"need 0 < dx < L, got dx={dx}, L={length}")
     kappa = np.arange(n)
     signs = np.sign(np.sin(2.0 * np.pi * kappa / n))
     signs[_node_indices(n, 0.0)] = 0.0

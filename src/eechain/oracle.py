@@ -29,7 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateGroundState, InvalidParameter
+from .errors import (
+    DegenerateGroundState,
+    DuplicateSite,
+    InvalidParameter,
+    SiteOutOfRange,
+)
 from .lattice import LatticeSpec, build_mode_grid, validate_beta
 
 # Fock dimension 4^6 = 4096, largest sector C(12, 6) = 924.  At 7 sites the
@@ -259,11 +264,22 @@ def mode_correlators(state: FockState):
 
 
 def reduced_entropy(state: FockState, subsystem):
-    """Von Neumann entropy of a site subsystem of the exact state."""
+    """Von Neumann entropy of a site subsystem of the exact state.
+
+    The subsystem follows the rule of lattice.build_correlation_matrix: a
+    nonempty sequence of distinct integer sites in [0, N).
+    """
     n = state.spec.n_sites
-    sites = [int(s) for s in subsystem]
-    if len(set(sites)) != len(sites) or any(not 0 <= s < n for s in sites):
-        raise InvalidParameter(f"subsystem must be distinct sites in [0, {n})")
+    sites = list(subsystem)
+    if not sites or not all(isinstance(s, (int, np.integer)) for s in sites):
+        raise InvalidParameter(
+            f"subsystem must be a nonempty sequence of integer sites, got {sites!r}"
+        )
+    if min(sites) < 0 or max(sites) >= n:
+        raise SiteOutOfRange(f"subsystem sites must lie in [0, {n}), got {sites}")
+    if len(set(sites)) != len(sites):
+        raise DuplicateSite(f"subsystem contains repeated sites: {sites}")
+    sites = [int(s) for s in sites]
 
     if tuple(state.site_order[: len(sites)]) != tuple(sites):
         rest = [s for s in range(n) if s not in sites]

@@ -76,6 +76,8 @@ class FitResult:
 
 def regime_scales(spec: LatticeSpec, na):
     """(crossover temperature, saturation entropy) for a subsystem size."""
+    if not (isinstance(na, (int, np.integer)) and na >= 1):
+        raise InvalidParameter(f"subsystem size must be an integer >= 1, got {na!r}")
     t_c = (spec.spacing * na) ** (-spec.z_exponent)
     s_max = 2.0 * na * math.log(2.0)
     return t_c, s_max

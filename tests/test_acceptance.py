@@ -121,9 +121,7 @@ def test_criterion_06_oracle_equivalence():
                     worst_corr = max(worst_corr, np.abs(corr - fast).max())
                     for na in (1, 2):
                         s_o = reduced_entropy(state, range(na))
-                        s_c = entanglement_entropy(
-                            build_correlation_matrix(spec, beta, range(na))
-                        )
+                        s_c = entropy_of(spec, beta, range(na)).entropy
                         worst_s = max(worst_s, abs(s_o - s_c))
     elapsed = time.time() - t0
     ok = worst_corr < 1e-10 and worst_s < 1e-8 and elapsed < 30.0

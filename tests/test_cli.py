@@ -54,6 +54,27 @@ def test_beta_temp_mutually_exclusive(capsys):
     assert rc == 2
 
 
+# flags of one axis exclude each other, rather than one silently winning
+AXIS_CONFLICTS = {
+    "z-zs": "sweep --n 10 --z 1 --zs 2 --nas 3",
+    "na-nas": "sweep --n 10 --z 1 --na 5 --nas 3",
+    "beta-betas": "sweep --n 10 --z 1 --beta 1 --betas 2 --nas 3",
+    "temp-betas": "sweep --n 10 --z 1 --temp 1 --betas 2 --nas 3",
+}
+
+
+@pytest.mark.parametrize("argv", AXIS_CONFLICTS.values(), ids=AXIS_CONFLICTS.keys())
+def test_flags_of_one_axis_exclude_each_other(argv, capsys):
+    assert main(argv.split()) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_help_of_each_command(capsys):
+    for command in ("ee", "sweep", "fit", "cmera", "oracle-check"):
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: eechain {command}")
+
+
 def test_missing_required_flag(capsys):
     assert main(["ee", "--na", "2", "--z", "1"]) == 2
     assert "requires --n" in capsys.readouterr().err
@@ -87,7 +108,7 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert main(["ee", "--config", str(cfg_file)]) == 2
     assert "unknown key" in capsys.readouterr().err
     # keys are per command: ee reads no --nas
-    cfg_file.write_text("n = 10\nna = 2\nz = 1\nnas = 4\n")
+    cfg_file.write_text("n = 10\nz = 1\nnas = 4\n")
     assert main(["ee", "--config", str(cfg_file)]) == 2
     assert "unknown key 'nas' for ee" in capsys.readouterr().err
     assert main(["sweep", "--config", str(cfg_file)]) == 0
@@ -362,6 +383,11 @@ def test_sweep_svg_over_infinite_beta(tmp_path, capsys):
     assert "S vs z" in capsys.readouterr().out
 
 
+def test_svg_sweep_without_an_axis_is_usage_error(capsys):
+    assert main("sweep --n 10 --zs 1 --nas 3 --format svg".split()) == 2
+    assert "two distinct values" in capsys.readouterr().err
+
+
 def test_sweep_svg_picks_its_plot_from_distinct_values(capsys):
     # a repeated N_A is one N_A value: the plot is over beta
     argv = "sweep --n 40 --z 1 --nas 4,4 --betas 1,10 --format svg"
@@ -391,8 +417,8 @@ def _lists(item):
 def _argvs(draw):
     """argv for one of the five commands at N <= 64 (N <= 5 for
     oracle-check), drawn from the flags that command reads.  Each flag is
-    absent one time in four; half the argvs keep every value in range, the
-    other half may take any value."""
+    absent one time in four; half the argvs keep every value in range and
+    take one flag of each axis at most, the other half may take any value."""
     command = draw(st.sampled_from(["ee", "sweep", "fit", "cmera", "oracle-check"]))
     n = draw(st.integers(2, 5 if command == "oracle-check" else 64))
     in_range = {
@@ -411,8 +437,12 @@ def _argvs(draw):
         "--format": st.sampled_from(["csv", "json", "svg"]),
     }
     clean = draw(st.booleans())
-    if clean:  # --beta and --temp exclude each other
-        del in_range[draw(st.sampled_from(["--beta", "--temp"]))]
+    if clean:  # flags of one axis exclude each other: keep one of each group
+        for group in (("--z", "--zs"), ("--na", "--nas"), ("--beta", "--temp", "--betas")):
+            keep = draw(st.sampled_from(group))
+            for flag in group:
+                if flag != keep:
+                    del in_range[flag]
     argv = [command]
     for flag, valid in in_range.items():
         if flag in COMMAND_FLAGS[command] and draw(st.integers(0, 3)):

@@ -149,7 +149,7 @@ def test_geodesic_massive_limits():
     assert heavy < light
     with pytest.raises(DegenerateInterval):
         geodesic_length_massive(1, 0.5, 1.0, 0.9, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateInterval):
         # interval too short for the semicircle parameterization
         geodesic_length_massive(1, 0.5, 1.0, 1.05, 1.0)
 

@@ -59,6 +59,12 @@ def test_validate_beta():
             validate_beta(bad)
 
 
+def test_validate_beta_rejects_non_numbers():
+    for bad in ("x", None, 1j):
+        with pytest.raises(InvalidParameter):
+            validate_beta(bad)
+
+
 def test_mode_grid_n4():
     grid = build_mode_grid(LatticeSpec(n_sites=4, z_exponent=1))
     np.testing.assert_allclose(grid.momenta, [0, np.pi / 2, np.pi, 3 * np.pi / 2])
@@ -119,7 +125,6 @@ def test_matrix_n4_halved():
     corr = build_correlation_matrix(spec, INF, [0, 1])
     m = corr.entries
     assert corr.dim == 4
-    assert corr.subsystem == (0, 1)
     np.testing.assert_allclose(np.diag(m), 0.5, atol=1e-15)
     assert m[0, 2] == pytest.approx((1 - 1j) / 4, abs=1e-15)
     assert m[2, 0] == pytest.approx((1 + 1j) / 4, abs=1e-15)
@@ -270,6 +275,11 @@ def test_sum_check_preconditions():
         offdiagonal_sum_check(100, 100.0, 0.0)
     with pytest.raises(ValueError):
         offdiagonal_sum_check(100, 100.0, 100.0)
+
+
+def test_sum_check_bad_offset_is_invalid_parameter():
+    with pytest.raises(InvalidParameter):
+        offdiagonal_sum_check(10, 10.0, 0.0)
 
 
 def test_sum_check_even_integer_resonance():

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from eechain import (
     DegenerateGroundState,
+    DuplicateSite,
+    InvalidParameter,
     LatticeSpec,
+    SiteOutOfRange,
     build_correlation_matrix,
     build_mode_grid,
-    entanglement_entropy,
+    entropy_of,
     many_body_state,
     mode_correlators,
     reduced_entropy,
@@ -79,7 +82,7 @@ def test_relabeling_invariance():
     state = many_body_state(spec, 2.0)
     # a non-prefix subsystem must agree with the correlation-matrix result
     s_oracle = reduced_entropy(state, [1, 3])
-    s_corr = entanglement_entropy(build_correlation_matrix(spec, 2.0, [1, 3]))
+    s_corr = entropy_of(spec, 2.0, [1, 3]).entropy
     assert s_oracle == pytest.approx(s_corr, abs=1e-10)
 
 
@@ -109,7 +112,7 @@ def test_entropy_matches_lattice_with_twist():
     spec = LatticeSpec(n_sites=4, z_exponent=1, mass=0.8, boundary_phase=0.3)
     state = many_body_state(spec, 2.5)
     s_oracle = reduced_entropy(state, [0, 1])
-    s_corr = entanglement_entropy(build_correlation_matrix(spec, 2.5, [0, 1]))
+    s_corr = entropy_of(spec, 2.5, [0, 1]).entropy
     assert s_oracle == pytest.approx(s_corr, abs=1e-8)
 
 
@@ -118,7 +121,7 @@ def test_maximal_chain_runs():
     state = many_body_state(spec, INF)
     assert state.dimension == 2**12
     s = reduced_entropy(state, range(3))
-    s_corr = entanglement_entropy(build_correlation_matrix(spec, INF, range(3)))
+    s_corr = entropy_of(spec, INF, range(3)).entropy
     assert s == pytest.approx(s_corr, abs=1e-8)
 
 
@@ -155,6 +158,26 @@ def test_state_holds_only_the_sector_blocks(large_gibbs_state):
     assert np.all(counts[entries.row] == k) and np.all(counts[entries.col] == k)
     assert ground.rho.nnz == math.comb(8, k) ** 2
     assert _relabeled(ground, (1, 3, 0, 2)).rho.nnz == ground.rho.nnz
+
+
+SUBSYSTEM_ERRORS = {  # at N = 4
+    "empty": ([], InvalidParameter),
+    "half-site": ([0.5], InvalidParameter),
+    "fractional-sites": ([0.9, 1.9], InvalidParameter),
+    "repeated": ([1, 1], DuplicateSite),
+    "past-n": ([4], SiteOutOfRange),
+}
+
+
+@pytest.mark.parametrize(
+    "subsystem, error", SUBSYSTEM_ERRORS.values(), ids=SUBSYSTEM_ERRORS.keys()
+)
+def test_both_paths_reject_the_same_subsystems(subsystem, error):
+    spec = LatticeSpec(n_sites=4, mass=0.5)
+    with pytest.raises(error):
+        build_correlation_matrix(spec, 2.0, subsystem)
+    with pytest.raises(error):
+        reduced_entropy(many_body_state(spec, 2.0), subsystem)
 
 
 def test_oracle_reads_only_the_model_from_lattice():

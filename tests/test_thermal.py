@@ -35,6 +35,11 @@ def test_regime_scales():
     assert s_max == pytest.approx(20 * math.log(2))
 
 
+def test_regime_scales_rejects_empty_subsystem():
+    with pytest.raises(InvalidParameter):
+        regime_scales(LatticeSpec(n_sites=100), 0)
+
+
 # ------------------------------------------------------------- references
 
 
