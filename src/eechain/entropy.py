@@ -127,8 +127,8 @@ def _entropies_of_blocks(spec: LatticeSpec, beta, nas):
     """
     if not nas:
         return []
-    if min(nas) < 1:
-        raise InvalidParameter(f"subsystem sizes must be >= 1, got {list(nas)}")
+    if not all(isinstance(na, (int, np.integer)) and na >= 1 for na in nas):
+        raise InvalidParameter(f"subsystem sizes must be integers >= 1, got {list(nas)}")
     corr = build_correlation_matrix(spec, beta, range(max(nas)))
     values = {
         na: entanglement_entropy(

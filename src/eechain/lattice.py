@@ -7,6 +7,10 @@ omega = sqrt(keff**(2z) + m**2).  Natural units throughout: hbar = k_B = 1,
 beta is the dimensionless inverse temperature, and beta = math.inf denotes
 the ground state.
 
+For even N, mode kappa + N/2 has k*eps shifted by pi, so its keff is minus
+that of mode kappa and its omega the same.  Only the K distinct modes are
+computed: K = N/2 for even N and K = N for odd N (see _distinct_modes).
+
 The two-point functions of the (+/-) chirality components are circulant in
 the site difference d = j - i:
 
@@ -23,10 +27,11 @@ Each profile takes one of three paths:
   delta p[d] = delta_{d0}/2.  Odd z gives Peschel's Fermi-sea correlator
   in closed form (see _fermi_sea_profile): O(1) per entry.
 * partial DFT, where N is large or has a large prime factor
-  (_uses_partial_dft): a sqrt(N)-split DFT in fixed blocks of
-  PROFILE_BLOCK site differences, O(N) per block (see _partial_dft).
+  (_uses_partial_dft): a sqrt(K)-split DFT over the K distinct modes in
+  fixed blocks of PROFILE_BLOCK site differences, O(K) per block (see
+  _partial_dft).
 * FFT, at every other N: fourier_profile, one real-input FFT per weight
-  array, O(N log N).
+  array unfolded to length N, O(N log N).
 
 The path depends on N and the model alone, and each entry's bits depend
 on N, the model and its own d alone: never on N_A or on which other
@@ -34,9 +39,11 @@ entries the subsystem needs.  So a block of a larger matrix equals the
 matrix of the smaller subsystem bit for bit.
 
 A mode is an exact node (k*eps = 0 mod pi, so keff = 0) exactly when
-2*(theta + kappa)/N is an integer, which needs theta in {0, 1/2}.  Nodes
-and the sign of -keff are read off the index lattice, never off the size
-of omega, so no tolerance decides which modes are zero modes.
+2*(theta + kappa)/N is an integer, which needs theta in {0, 1/2}.  The
+grid subtracts the nearest integer from that ratio exactly before it
+rounds anything, so nodes come out as exact zeros.  The sign of -keff is read off the index
+lattice, never off the size of omega, so no tolerance decides which modes
+are zero modes.
 """
 
 from __future__ import annotations
@@ -122,14 +129,13 @@ def validate_beta(beta):
 
 @dataclass(frozen=True)
 class ModeGrid:
-    """Momenta, lattice-regularized momenta, and frequencies, length N each.
+    """Frequencies over the K distinct modes kappa < K (see _distinct_modes).
 
     massless_frequencies holds |keff|^z, the frequencies at m = 0, with
-    exact zeros at the nodes.
+    exact zeros at the nodes; frequencies holds omega.  For even N, mode
+    kappa + N/2 has the frequencies of mode kappa.
     """
 
-    momenta: np.ndarray
-    effective_momenta: np.ndarray
     frequencies: np.ndarray
     massless_frequencies: np.ndarray
 
@@ -166,14 +172,13 @@ class CorrelationMatrix:
         return m
 
 
-def _node_indices(n, theta):
-    """Modes kappa with 2*(theta + kappa)/N an integer: k*eps = 0 (mod pi)."""
-    twice_theta = 2.0 * theta
-    if not twice_theta.is_integer():
-        return []
-    # 2*(theta + kappa) lies in [0, 2N), so it must equal 0 or N
-    shift = int(twice_theta)
-    return [(t - shift) // 2 for t in (0, n) if t >= shift and (t - shift) % 2 == 0]
+def _distinct_modes(n):
+    """K, the modes kappa < K the grid computes: N/2 for even N, else N.
+
+    For even N, mode kappa + N/2 has k*eps shifted by pi, so the same
+    |keff| as mode kappa and the opposite sign of keff.
+    """
+    return n // 2 if n % 2 == 0 else n
 
 
 def _below_node_range(n, theta):
@@ -187,8 +192,8 @@ def _below_node_range(n, theta):
 
 
 def _abs_power(x, z):
-    """|x|**z for an integer z >= 1, by repeated squaring."""
-    base = np.abs(x)
+    """|x|**z for an integer z >= 1, by repeated squaring; overwrites x."""
+    base = np.abs(x, out=x)
     power = None
     while True:
         if z & 1:
@@ -204,29 +209,45 @@ def _abs_power(x, z):
 
 
 def build_mode_grid(spec: LatticeSpec) -> ModeGrid:
-    """Momentum grid k = 2*pi*(theta+kappa)/(N*eps) and derived arrays.
+    """|keff|^z and omega over the K distinct modes (see ModeGrid).
 
-    keff keeps the rounded sine (about 1e-16 at k*eps = pi), but |keff|^z
-    is exactly 0 at the nodes.  omega = hypot(|keff|^z, m), which does not
-    underflow to 0 where m*m would; at m = 0 it is the |keff|^z array itself.
+    |keff| = |sin(pi*u/N)|/eps with u = 2*(theta + kappa).  The multiple of
+    N nearest u is subtracted from 2*kappa first, in floats that hold the
+    integers exactly, and only then are 2*theta added and the angle, now in
+    [-pi/2, pi/2], scaled by pi/N.  So the angle has a rounding error
+    relative to its own size, not to N's, and a node (u a multiple of N)
+    is an exact 0.
+
+    omega = sqrt(|keff|^(2z) + m^2) wherever m^2 is a normal float;
+    validate_model keeps the sum finite.  Below that np.hypot, which does
+    not underflow to 0 where m*m would.  At m = 0 omega is the |keff|^z
+    array itself.
     """
-    n, eps = spec.n_sites, spec.spacing
-    kappa = np.arange(n)
-    k = 2.0 * np.pi * (spec.boundary_phase + kappa) / (n * eps)
-    keff = np.sin(k * eps) / eps
+    n, eps, m, theta = spec.n_sites, spec.spacing, spec.mass, spec.boundary_phase
+    angle = np.arange(0.0, 2.0 * _distinct_modes(n), 2.0)
+    for j in (1, 2):
+        # u is nearer to j*N than to (j-1)*N from u >= (2j-1)N/2 on
+        angle[math.ceil((2 * j - 1) * n / 4 - theta) :] -= n
+    angle += 2.0 * theta
+    angle *= math.pi / n
+    keff = np.sin(angle, out=angle)
+    keff /= eps
     power = _abs_power(keff, spec.z_exponent)
-    power[_node_indices(n, spec.boundary_phase)] = 0.0
-    return ModeGrid(
-        momenta=k,
-        effective_momenta=keff,
-        frequencies=np.hypot(power, spec.mass) if spec.mass > 0 else power,
-        massless_frequencies=power,
-    )
+    if m == 0.0:
+        omega = power
+    elif m * m >= np.finfo(float).tiny:
+        omega = power * power
+        omega += m * m
+        np.sqrt(omega, out=omega)
+    else:
+        omega = np.hypot(power, m)
+    return ModeGrid(frequencies=omega, massless_frequencies=power)
 
 
 def _mode_weights(spec: LatticeSpec, beta):
-    """Real occupation weight arrays (F, G) over the full mode grid, at a
-    beta the caller has validated.
+    """Real occupation weight arrays (F, G) over the K distinct modes, at a
+    beta the caller has validated.  For even N, mode kappa + N/2 carries
+    (-1)^z F and G (see _unfolded).
 
     F = (-keff)^z/omega * tanh(beta*omega/2) weights the chirality-diagonal
     correlator and G = (m/omega) * tanh(beta*omega/2) the cross-chirality
@@ -246,7 +267,6 @@ def _mode_weights(spec: LatticeSpec, beta):
     """
     grid = build_mode_grid(spec)
     power, omega = grid.massless_frequencies, grid.frequencies
-    del grid  # frees the momenta before the weights are allocated
     m = spec.mass
 
     tanh_factor = None
@@ -263,18 +283,32 @@ def _mode_weights(spec: LatticeSpec, beta):
         np.tanh(tanh_factor, out=tanh_factor)
     if m == 0.0:
         # omega = |keff|^z, so F is the sign times tanh(...) exactly
-        f = np.ones(spec.n_sites) if tanh_factor is None else tanh_factor
-        g = np.zeros(spec.n_sites)
+        f = np.ones(power.size) if tanh_factor is None else tanh_factor
+        g = np.zeros(power.size)
     else:
-        f = power / omega
-        g = m / omega
+        # in place: the grid's arrays are this function's own
+        f = np.divide(power, omega, out=power)
+        g = np.divide(m, omega, out=omega)
         if tanh_factor is not None:
             f *= tanh_factor
             g *= tanh_factor
     if spec.z_exponent % 2:
+        # for even N, hi is N/2 or N/2 + 1, so the slice ends at K
         lo, hi = _below_node_range(spec.n_sites, spec.boundary_phase)
         np.negative(f[lo:hi], out=f[lo:hi])
     return f, g
+
+
+def _unfolded(n, weights, sign):
+    """Weights over all N modes from those over the K distinct modes.
+
+    For even N, mode kappa + N/2 carries sign * weights[kappa]: sign is
+    (-1)^z for F and +1 for G.  For odd N the weights are returned as they
+    are.
+    """
+    if weights.size == n:
+        return weights
+    return np.concatenate((weights, weights if sign > 0 else -weights))
 
 
 def fourier_profile(weights):
@@ -373,32 +407,39 @@ def _fermi_sea_profile(n, theta, distances):
 PROFILE_BLOCK = 16
 
 
-def _partial_dft(weight_arrays, distances):
-    """fourier_profile of each real weight array, at the given d only.
+def _partial_dft(n, weights, distances):
+    """fourier_profile of each unfolded weight array, at the given d only.
 
-    With B = isqrt(N) and kappa = a*B + c, entry d is
+    weights holds (w, s) pairs: w over the K distinct modes, and s the sign
+    mode kappa + N/2 carries for even N (see _unfolded).  Entry d is
 
-        (1/2N) sum_c e^{2i pi c d/N} sum_a w[aB + c] e^{2i pi aB d/N}.
+        (1/2N) sum_{kappa < K} w[kappa] e^{2i pi kappa d/N} * (1 + s(-1)^d)
+
+    for even N, the last factor exactly 0 or 2, and the plain K = N term sum
+    for odd N.  With B = isqrt(K) and kappa = a*B + c the sum is
+
+        sum_c e^{2i pi c d/N} sum_a w[aB + c] e^{2i pi aB d/N}.
 
     The site differences are taken in fixed blocks [j*W, (j+1)*W) with
     W = PROFILE_BLOCK, and only the blocks that hold a requested d are
     computed.  Per block, one real GEMM of the phase tables
-    [cos; sin](2 pi aB d/N), 2W x ceil(N/B), against the weights laid out as
+    [cos; sin](2 pi aB d/N), 2W x ceil(K/B), against the weights laid out as
     rows of B gives the inner sums, and a B-term phase sum per d finishes
     them; the weight arrays share the tables.  The shapes of every product
     are fixed by N and the GEMM runs on one BLAS thread, so an entry's bits
-    do not depend on which other entries were asked for.  O(N) per block.
+    do not depend on which other entries were asked for.  O(K) per block.
     """
-    n = weight_arrays[0].size
-    width = math.isqrt(n)
-    rows, rest = divmod(n, width)
+    modes = _distinct_modes(n)
+    width = math.isqrt(modes)
+    rows, rest = divmod(modes, width)
     # integer phases are reduced mod N before they are scaled: exact while
     # N*N fits an int64
     outer_phase = np.arange(rows + (rest > 0)) * width % n
     inner_phase = np.arange(width)
     to_angle = 2.0 * math.pi / n
+    parity = np.where(distances % 2, -1.0, 1.0)  # (-1)^d
     block_of = distances // PROFILE_BLOCK
-    profiles = [np.empty(distances.size, dtype=complex) for _ in weight_arrays]
+    profiles = [np.empty(distances.size, dtype=complex) for _ in weights]
     with one_blas_thread():
         for block in np.unique(block_of):
             d = np.arange(block * PROFILE_BLOCK, (block + 1) * PROFILE_BLOCK)[:, None]
@@ -408,14 +449,17 @@ def _partial_dft(weight_arrays, distances):
             cos_c, sin_c = np.cos(inner), np.sin(inner)
             wanted = block_of == block
             offsets = distances[wanted] - block * PROFILE_BLOCK
-            for w, profile in zip(weight_arrays, profiles):
+            for (w, sign), profile in zip(weights, profiles):
                 sums = table[:, :rows] @ w[: rows * width].reshape(rows, width)
                 if rest:
                     sums[:, :rest] += np.outer(table[:, rows], w[rows * width :])
                 re, im = sums[:PROFILE_BLOCK], sums[PROFILE_BLOCK:]
                 real = (re * cos_c - im * sin_c).sum(axis=1)
                 imag = (re * sin_c + im * cos_c).sum(axis=1)
-                profile[wanted] = (real[offsets] + 1j * imag[offsets]) / (2 * n)
+                value = (real[offsets] + 1j * imag[offsets]) / (2 * n)
+                if modes < n:
+                    value *= 1.0 + sign * parity[wanted]  # exactly 0 or 2
+                profile[wanted] = value
     return profiles
 
 
@@ -435,12 +479,14 @@ def _profiles(spec: LatticeSpec, beta, distances):
             return _fermi_sea_profile(n, spec.boundary_phase, distances), zeros
         return np.where(distances == 0, 0.5 + 0j, 0j), zeros
     f, g = _mode_weights(spec, beta)
+    sign = -1.0 if spec.z_exponent % 2 else 1.0  # (-1)^z
     if _uses_partial_dft(n):
-        profiles = _partial_dft([f, g] if massive else [f], distances)
+        weights = [(f, sign), (g, 1.0)] if massive else [(f, sign)]
+        profiles = _partial_dft(n, weights, distances)
         return profiles[0], profiles[1] if massive else zeros
-    p = fourier_profile(f)[distances]
-    del f  # lowers the peak memory of the second transform by 8N bytes
-    return p, fourier_profile(g)[distances] if massive else zeros
+    p = fourier_profile(_unfolded(n, f, sign))[distances]
+    del f  # lowers the peak memory of the second transform
+    return p, fourier_profile(_unfolded(n, g, 1.0))[distances] if massive else zeros
 
 
 def _twist_phase(spec: LatticeSpec, signed_d):
@@ -504,7 +550,8 @@ def offdiagonal_sum_check(n, length, dx):
     if not 0 < dx < length:
         raise InvalidParameter(f"need 0 < dx < L, got dx={dx}, L={length}")
     kappa = np.arange(n)
-    signs = np.sign(np.sin(2.0 * np.pi * kappa / n))
-    signs[_node_indices(n, 0.0)] = 0.0
+    # sign(sin(2 pi kappa/N)) from the exact integers: 0 at the nodes
+    signs = np.sign(n - 2 * kappa)
+    signs[0] = 0
     phases = np.exp(2j * np.pi * (dx / length) * kappa)
     return complex(np.sum(phases * signs) / (2.0 * length))

@@ -35,7 +35,7 @@ from .errors import (
     InvalidParameter,
     SiteOutOfRange,
 )
-from .lattice import LatticeSpec, build_mode_grid, validate_beta
+from .lattice import LatticeSpec, validate_beta
 
 # Fock dimension 4^6 = 4096, largest sector C(12, 6) = 924.  At 7 sites the
 # sparse Gibbs rho would hold C(28, 14) = 40.1M entries, 642 MB of complex
@@ -69,27 +69,23 @@ class FockState:
 def single_particle_hamiltonian(spec: LatticeSpec):
     """Position-space 2N x 2N Hermitian matrix, index (site, chirality).
 
-    Fourier transform of h(k) = -(-keff)^z sigma3 + m sigma1 over the mode
-    grid: h[(i,s),(j,s')] = (1/N) sum_kappa e^{i k_kappa (i-j) eps} h(k)_ss'.
+    With U the twisted shift, U[i, i+1] = 1 and U[N-1, 0] = e^{2i pi theta},
+    K = (U - U^dag)/(2i eps) is the lattice momentum, whose eigenvalues are
+    keff = sin(k eps)/eps on the mode grid, and
+
+        h = -(-K)^z (x) sigma3 + m 1 (x) sigma1.
+
+    Built in real space, so it shares nothing with the lattice mode grid.
     Spectrum is {+/- omega_kappa}.
     """
     n, z, m = spec.n_sites, spec.z_exponent, spec.mass
-    grid = build_mode_grid(spec)
-    sites = np.arange(n)
-    # phase[kappa, i, j] = e^{i k (i - j) eps}
-    diff = (sites[:, None] - sites[None, :]) * spec.spacing
-    h = np.zeros((2 * n, 2 * n), dtype=complex)
-    for kappa in range(n):
-        hk = np.array(
-            [
-                [-((-grid.effective_momenta[kappa]) ** z), m],
-                [m, (-grid.effective_momenta[kappa]) ** z],
-            ],
-            dtype=complex,
-        )
-        phase = np.exp(1j * grid.momenta[kappa] * diff)
-        h += np.kron(phase, hk)
-    return h / n
+    shift = np.eye(n, k=1, dtype=complex)
+    shift[n - 1, 0] = np.exp(2j * np.pi * spec.boundary_phase)
+    momentum = (shift - shift.conj().T) / (2j * spec.spacing)
+    dispersion = np.linalg.matrix_power(-momentum, z)
+    return -np.kron(dispersion, np.diag([1.0, -1.0])) + m * np.kron(
+        np.eye(n), np.array([[0.0, 1.0], [1.0, 0.0]])
+    )
 
 
 def _jordan_wigner_ops(n_modes):

@@ -120,7 +120,8 @@ def sweep_entropy(
     on their leading N_A x N_A blocks, so the rows equal the per-point
     entropy_of values bit for bit.
     One row is returned per grid point, repeated axis values included,
-    sorted by (z, beta, N_A).
+    sorted by (z, beta, N_A).  A z or N_A that is not an integer raises
+    InvalidParameter.
 
     Every eigensolve and partial-DFT GEMM runs on one BLAS thread (see
     eechain.blas), so the rows do not depend on the core count or on jobs.
@@ -130,7 +131,7 @@ def sweep_entropy(
     """
     if jobs is not None and jobs < 1:
         raise InvalidParameter(f"jobs must be >= 1, got {jobs!r}")
-    groups = list(dict.fromkeys((int(z), beta) for z in zs for beta in betas))
+    groups = list(dict.fromkeys((z, beta) for z in zs for beta in betas))
     specs = [
         LatticeSpec(
             n_sites=n_sites,
@@ -142,7 +143,7 @@ def sweep_entropy(
         for z, _ in groups
     ]
     group_betas = [beta for _, beta in groups]
-    args = (specs, group_betas, itertools.repeat([int(na) for na in nas]))
+    args = (specs, group_betas, itertools.repeat(list(nas)))
     workers = min(jobs or 1, len(groups))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -150,7 +151,7 @@ def sweep_entropy(
     else:
         points = list(map(_entropies_of_blocks, *args))
     by_group = dict(zip(groups, points))
-    rows = [point for z in zs for beta in betas for point in by_group[int(z), beta]]
+    rows = [point for z in zs for beta in betas for point in by_group[z, beta]]
     return SweepTable(rows=tuple(rows)).sorted()
 
 

@@ -46,11 +46,11 @@ SHA256 = {
     "sweep-json": "b4d96cefb9e0f14c292155cf4406a41ebc7ce4f77099521e23401442a73aea96",
     "sweep-svg": "96df2719847d32950a91547abc9c88735c791322a1de1ef2355562517fc34955",
     "fit-text": "64484d4a33330bf6a87871bec5ea644ed933d4a5f5b2dc6f1985d8a52221d5ec",
-    "fit-json": "3fe367be620cd91d7b35f4a95f2c148503eabd1a900fbe3c2e1556f5c020e5bb",
+    "fit-json": "e2922b2bd3c9755ec95c0dbc16658ca5c49a4612c36a098b8b51b0ec161f1fd2",
     "cmera-csv": "0a3d799ed2fdf6b5b6eaf6265c043975bd50857b77f81adb4e446f79aadd7e8b",
     "cmera-json": "61ad73d24f2c6dd0bad7828df080a69732207ec9534af8a29a39138c07293093",
     "cmera-svg": "0f877269846b1e4951cabb118b50ebd61360ccae915380ee0642649839e11740",
-    "oracle-check": "d614dc1d55b77525697ca23c62ac217313de6d2b97c433fad1689039d280f102",
+    "oracle-check": "7cff4d3e8aa3fd61ec6f33c48c4ed2695ecb0e238c50df5ac1c2b3d91e3390a1",
     "oracle-check-gibbs-n5": (
         "caead82cf5043a45e924cb49c0224bf145b18a9204b9afc400362aba6d9bb3b5"
     ),

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eechain import (
@@ -16,7 +16,7 @@ from eechain import (
     offdiagonal_sum_check,
     validate_beta,
 )
-from eechain.lattice import _mode_weights, fourier_profile
+from eechain.lattice import _mode_weights, _unfolded, fourier_profile
 
 INF = math.inf
 
@@ -66,19 +66,25 @@ def test_validate_beta_rejects_non_numbers():
 
 
 def test_mode_grid_n4():
+    # keff = (0, 1, 0, -1): for even N the grid holds the distinct half
     grid = build_mode_grid(LatticeSpec(n_sites=4, z_exponent=1))
-    np.testing.assert_allclose(grid.momenta, [0, np.pi / 2, np.pi, 3 * np.pi / 2])
-    np.testing.assert_allclose(grid.effective_momenta, [0, 1, 0, -1], atol=1e-15)
-    np.testing.assert_allclose(grid.frequencies, [0, 1, 0, 1], atol=1e-15)
+    np.testing.assert_array_equal(grid.massless_frequencies, [0, 1])
+    np.testing.assert_allclose(grid.frequencies, [0, 1], atol=1e-15)
+    # odd N has no such pairs: all N modes, keff = sin(2 pi kappa/5)
+    grid = build_mode_grid(LatticeSpec(n_sites=5, z_exponent=1))
+    np.testing.assert_allclose(
+        grid.frequencies, np.abs(np.sin(2 * np.pi * np.arange(5) / 5)), atol=1e-15
+    )
 
 
 def test_mode_grid_twist_shifts_momenta():
     n = 6
     plain = build_mode_grid(LatticeSpec(n_sites=n))
     twisted = build_mode_grid(LatticeSpec(n_sites=n, boundary_phase=0.5))
-    np.testing.assert_allclose(
-        twisted.momenta - plain.momenta, np.full(n, np.pi / n), atol=1e-15
-    )
+    k = 2 * np.pi * np.arange(n // 2) / n
+    np.testing.assert_allclose(plain.frequencies, np.abs(np.sin(k)), atol=1e-15)
+    # theta = 1/2 shifts every k*eps by pi/N
+    np.testing.assert_allclose(twisted.frequencies, np.abs(np.sin(k + np.pi / n)), atol=1e-15)
     # antiperiodic grid has no zero mode
     assert twisted.frequencies.min() > 0.1
 
@@ -174,8 +180,10 @@ def test_odd_z_ground_state_correlators_equal_z1(n_sites, z):
     # f = sign(-keff)^z for every odd z, also where |keff|^z is far below
     # 1e-12 (z = 9 at N = 2000), so every correlator equals the z = 1 one.
     # _profiles takes the closed form here, so the weights go through the FFT
-    p1 = fourier_profile(_mode_weights(LatticeSpec(n_sites=n_sites, z_exponent=1), INF)[0])
-    pz = fourier_profile(_mode_weights(LatticeSpec(n_sites=n_sites, z_exponent=z), INF)[0])
+    p1, pz = (
+        fourier_profile(_unfolded(n_sites, _mode_weights(spec, INF)[0], -1.0))
+        for spec in (LatticeSpec(n_sites=n_sites), LatticeSpec(n_sites=n_sites, z_exponent=z))
+    )
     assert np.abs(pz - p1).max() <= 1e-14
 
 
@@ -187,9 +195,13 @@ def test_odd_z_ground_state_correlators_equal_z1(n_sites, z):
     theta=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True),
     beta=st.just(INF) | st.floats(1e-3, 1e6),
 )
+# a sine of the unreduced angle is 2.5e-13 off in relative terms here
+@example(n=215, z=4, mass=0.0, theta=0.3183, beta=100.0)
 def test_mode_weights_match_direct_formula(n, z, mass, theta, beta):
     spec = LatticeSpec(n_sites=n, z_exponent=z, mass=mass, boundary_phase=theta)
     f, g = _mode_weights(spec, beta)
+    assert f.size == g.size == (n // 2 if n % 2 == 0 else n)
+    f, g = _unfolded(n, f, (-1.0) ** z), _unfolded(n, g, 1.0)
     assert np.isfinite(f).all() and np.isfinite(g).all()
     assert np.abs(f).max() <= 1.0 and 0.0 <= g.min() and g.max() <= 1.0
 
@@ -199,7 +211,10 @@ def test_mode_weights_match_direct_formula(n, z, mass, theta, beta):
     twice_k = [2 * (Fraction(theta) + kappa) for kappa in range(n)]
     node = np.array([c % n == 0 for c in twice_k])
     sign = np.array([-1.0 if 0 < c <= n else 1.0 for c in twice_k])
-    power = np.abs(build_mode_grid(spec).effective_momenta) ** z
+    # |keff| from the angle reduced by the nearest multiple of pi exactly,
+    # so the reference is accurate to rounding next to the nodes too
+    reduced = [c - round(c / n) * n for c in twice_k]
+    power = np.array([abs(math.sin(math.pi * float(r / n))) for r in reduced]) ** z
     omega = np.hypot(power, mass)
     tanh = 1.0 if beta == INF else np.tanh(beta * omega / 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):

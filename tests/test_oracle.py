@@ -34,14 +34,17 @@ INF = math.inf
 
 
 def test_single_particle_hamiltonian_spectrum():
-    # the 2N x 2N one-body matrix has eigenvalues {+/- omega_kappa}
-    spec = LatticeSpec(n_sites=3, z_exponent=1, mass=0.5)
-    h = single_particle_hamiltonian(spec)
-    assert h.shape == (6, 6)
-    assert np.abs(h - h.conj().T).max() < 1e-14
-    eigs = np.sort(np.linalg.eigvalsh(h))
-    omegas = np.sort(build_mode_grid(spec).frequencies)
-    np.testing.assert_allclose(eigs, np.sort(np.r_[omegas, -omegas]), atol=1e-13)
+    # the 2N x 2N one-body matrix has eigenvalues {+/- omega_kappa}; for
+    # even N the grid holds the distinct half, each omega twice over all N
+    for n, z, theta in [(3, 1, 0.0), (4, 1, 0.0), (6, 3, 0.3183), (5, 2, 0.5)]:
+        spec = LatticeSpec(n_sites=n, z_exponent=z, mass=0.5, boundary_phase=theta)
+        h = single_particle_hamiltonian(spec)
+        assert h.shape == (2 * n, 2 * n)
+        assert np.abs(h - h.conj().T).max() < 1e-14
+        eigs = np.sort(np.linalg.eigvalsh(h))
+        grid = build_mode_grid(spec).frequencies
+        omegas = np.tile(grid, n // grid.size)
+        np.testing.assert_allclose(eigs, np.sort(np.r_[omegas, -omegas]), atol=1e-13)
 
 
 def test_site_limit():
@@ -182,7 +185,7 @@ def test_both_paths_reject_the_same_subsystems(subsystem, error):
 
 def test_oracle_reads_only_the_model_from_lattice():
     # the oracle validates the lattice pipeline, so it may share the model
-    # (spec, mode grid, beta check) but none of its correlator code
+    # (spec, beta check) but none of its mode grid or correlator code
     tree = ast.parse(Path(oracle.__file__).read_text())
     names = set()
     for node in ast.walk(tree):
@@ -194,7 +197,7 @@ def test_oracle_reads_only_the_model_from_lattice():
                 names.update(alias.name for alias in node.names)
             else:
                 assert not any(alias.name == "lattice" for alias in node.names)
-    assert names == {"LatticeSpec", "build_mode_grid", "validate_beta"}
+    assert names == {"LatticeSpec", "validate_beta"}
 
 
 @settings(max_examples=40, deadline=None)
@@ -207,10 +210,13 @@ def test_oracle_reads_only_the_model_from_lattice():
 def test_fock_hamiltonian_conserves_particle_number(n, z, mass, theta):
     # the sector split rests on this: no entry joins different counts
     spec = LatticeSpec(n_sites=n, z_exponent=z, mass=mass, boundary_phase=theta)
-    h_many = _fock_hamiltonian(single_particle_hamiltonian(spec)).tocoo()
+    h = single_particle_hamiltonian(spec)
+    h_many = _fock_hamiltonian(h).tocoo()
     counts = _occupation_counts(2 * n)
     assert np.array_equal(counts[h_many.row], counts[h_many.col])
-    assert h_many.nnz > 0
+    # h is exactly 0 only where every mode is a node (N = 2, theta = 0,
+    # m = 0), and then so is H
+    assert (h_many.nnz > 0) == h.any()
 
 
 def _dense_fock_hamiltonian(h):

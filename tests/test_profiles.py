@@ -4,6 +4,7 @@ checked against numpy's FFT, and sweeps against single points."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,7 +17,13 @@ from eechain import (
     sweep_entropy,
 )
 from eechain.blas import openblas_threads
-from eechain.lattice import _mode_weights, _profiles, _uses_partial_dft, fourier_profile
+from eechain.lattice import (
+    _mode_weights,
+    _profiles,
+    _unfolded,
+    _uses_partial_dft,
+    fourier_profile,
+)
 
 INF = math.inf
 GENERIC_THETA = 0.3183
@@ -32,7 +39,7 @@ def _distances(n):
 def test_fermi_sea_closed_form_equals_fft(n_sites, theta):
     d = _distances(n_sites)
     f1, _ = _mode_weights(LatticeSpec(n_sites=n_sites, boundary_phase=theta), INF)
-    reference = fourier_profile(f1)[d]
+    reference = fourier_profile(_unfolded(n_sites, f1, -1.0))[d]
     for z in (1, 3, 5, 9):
         spec = LatticeSpec(n_sites=n_sites, z_exponent=z, boundary_phase=theta)
         # every odd z has the z = 1 weights, so one FFT serves all four
@@ -54,8 +61,45 @@ def test_partial_dft_equals_fft(n_sites, z, mass, beta, theta):
     d = _distances(n_sites)
     p, q = _profiles(spec, beta, d)
     f, g = _mode_weights(spec, beta)
+    f, g = _unfolded(n_sites, f, (-1.0) ** z), _unfolded(n_sites, g, 1.0)
     assert np.abs(p - fourier_profile(f)[d]).max() <= 1e-15
     assert np.abs(q - fourier_profile(g)[d]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n_sites", [1_000_000, 1_000_003])
+@pytest.mark.parametrize("theta", [0.0, GENERIC_THETA])
+@pytest.mark.parametrize("z, mass, beta", [(1, 0.5, 50.0), (2, 0.3, 10.0), (3, 0.5, INF)])
+def test_weights_next_to_the_nodes_match_mpmath(n_sites, theta, z, mass, beta):
+    # the modes next to k*eps = pi and 2*pi, where a sine of the unreduced
+    # angle loses up to six digits of keff; mpmath's sinpi is exact at nodes
+    f, g = _mode_weights(
+        LatticeSpec(n_sites=n_sites, z_exponent=z, mass=mass, boundary_phase=theta), beta
+    )
+    f, g = _unfolded(n_sites, f, (-1.0) ** z), _unfolded(n_sites, g, 1.0)
+    half = n_sites // 2
+    with mpmath.workdps(40):
+        for kappa in [*range(half - 3, half + 4), *range(n_sites - 3, n_sites)]:
+            keff = mpmath.sinpi(2 * (mpmath.mpf(theta) + kappa) / n_sites)
+            omega = mpmath.sqrt(keff ** (2 * z) + mpmath.mpf(mass) ** 2)
+            tanh = 1 if beta == INF else mpmath.tanh(beta * omega / 2)
+            for weight, exact in ((f, (-keff) ** z / omega * tanh), (g, mass / omega * tanh)):
+                exact = float(exact)
+                assert abs(weight[kappa] - exact) <= 4 * np.spacing(abs(exact))
+
+
+@pytest.mark.parametrize("n_sites", [131_072, 1_000_000])
+@pytest.mark.parametrize("z, mass, beta", [(1, 0.5, 50.0), (3, 0.3, INF), (5, 0.0, 20.0)])
+def test_even_n_partial_dft_zeros_are_exact(n_sites, z, mass, beta):
+    # for even N, mode kappa + N/2 carries -F (odd z) and +G, so p vanishes
+    # at even d and q at odd d: exactly, not to round-off
+    assert _uses_partial_dft(n_sites)
+    spec = LatticeSpec(n_sites=n_sites, z_exponent=z, mass=mass, boundary_phase=0.37)
+    corr = build_correlation_matrix(spec, beta, range(40))
+    odd = np.add.outer(np.arange(40), np.arange(40)) % 2 == 1
+    assert not corr.same[~odd].any()
+    assert corr.same[odd].all()
+    assert not corr.cross[odd].any()
+    assert corr.cross[~odd].all() == (mass > 0)
 
 
 @pytest.mark.parametrize("n_sites", [100_000, 100_003, 131_072])
@@ -106,6 +150,7 @@ def test_sparse_subsystem_equals_fft_path(mass, beta):
     sites = np.array([0, 5, n // 2])
     m = build_correlation_matrix(spec, beta, sites).entries
     f, g = _mode_weights(spec, beta)
+    f, g = _unfolded(n, f, -1.0), _unfolded(n, g, 1.0)
     d = sites[None, :] - sites[:, None]
     phase = np.exp(2j * np.pi * 0.37 * d / n)
     same = phase * fourier_profile(f)[d % n]

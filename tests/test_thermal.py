@@ -161,6 +161,18 @@ def test_sweep_rejects_bad_subsystem_sizes():
         sweep_entropy((1,), (INF,), (3, 11), n_sites=10)
 
 
+def test_sweep_rejects_non_integer_subsystem_size():
+    # 2.5 is an error, not N_A = 2
+    with pytest.raises(InvalidParameter):
+        sweep_entropy((1,), (INF,), (2.5,), n_sites=10)
+
+
+def test_sweep_rejects_non_integer_exponent():
+    # 1.7 is an error, not z = 1
+    with pytest.raises(InvalidParameter):
+        sweep_entropy((1.7,), (INF,), (2,), n_sites=10)
+
+
 @pytest.mark.parametrize("mass, profiles_per_group", [(0.0, 1), (0.3, 2)])
 def test_sweep_builds_one_profile_and_matrix_per_group(
     monkeypatch, mass, profiles_per_group
