@@ -8,15 +8,16 @@ Subcommands:
     oracle-check  compare lattice correlators/entropy to the brute-force
                   many-body computation on a small chain
 
-Each subcommand accepts only the flags it reads (see _COMMAND_FLAGS), and
-none by abbreviation.  Flags that set the same axis exclude each other
-(see _EXCLUSIVE_FLAGS): --z or --zs, --na or --nas, and one of --beta,
---temp and --betas.  Options may also come from a config file
-(``--config``) holding ``key = value`` lines with ``#`` comments, one key
-per flag name of the command; the file's values are parsed like flags
-given ahead of the command line, so a command-line flag wins over the
-same key.  Exit codes: 0 success, 1 computational failure
-(EechainError), 2 usage error or invalid model parameter.
+Each subcommand accepts only the flags it reads (see _COMMAND_FLAGS),
+none by abbreviation, and only the --format values it writes (_FORMATS).
+Flags that set the same axis exclude each other (see _EXCLUSIVE_FLAGS):
+--z or --zs, --na or --nas, and one of --beta, --temp and --betas.
+Options may also come from a config file (``--config``) holding
+``key = value`` lines with ``#`` comments, one key per flag name of the
+command; the file's values are parsed like flags given ahead of the
+command line, so a command-line flag wins over the same key.  Exit
+codes: 0 success, 1 computational failure (EechainError), 2 usage error
+or invalid model parameter.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ _FLAGS = {  # name: add_argument keywords
     "betas": dict(type=_list_of(_number), default=()),
     "nas": dict(type=_list_of(_integer), default=()),
     "regime": dict(choices=("low", "high"), default="low"),
-    "format": dict(choices=("csv", "json", "svg"), dest="fmt"),
+    "format": dict(dest="fmt"),  # choices: _FORMATS
     "out": dict(),
     "jobs": dict(type=_integer, default=1),
 }
@@ -114,6 +115,9 @@ _COMMAND_FLAGS = {
     "cmera": ("z", "mass", "eps", "format", "out"),
     "oracle-check": ("n", "na", "z", "mass", "beta", "temp", "eps", "theta"),
 }
+# the --format values each command writes
+_FORMATS = {"ee": ("csv", "json"), "sweep": ("csv", "json", "svg"), "fit": ("json",),
+            "cmera": ("csv", "json", "svg")}
 
 
 def _build_parser():
@@ -133,7 +137,10 @@ def _build_parser():
             if read:
                 target.update(dict.fromkeys(read, p.add_mutually_exclusive_group()))
         for name in names:
-            target.get(name, p).add_argument(f"--{name}", **_FLAGS[name])
+            options = _FLAGS[name]
+            if name == "format":
+                options = dict(options, choices=_FORMATS[command])
+            target.get(name, p).add_argument(f"--{name}", **options)
         p.add_argument("--config")
     return parser
 
@@ -199,13 +206,7 @@ def _emit(cfg, data):
 
 
 def _spec_of(cfg):
-    return LatticeSpec(
-        n_sites=cfg.n,
-        z_exponent=cfg.z,
-        mass=cfg.mass,
-        spacing=cfg.epsilon,
-        boundary_phase=cfg.theta,
-    )
+    return LatticeSpec(cfg.n, cfg.z, cfg.mass, cfg.epsilon, cfg.theta)
 
 
 def _run_ee(cfg):
@@ -214,8 +215,6 @@ def _run_ee(cfg):
     if cfg.fmt is None:
         print(f"{point.entropy:.12g}")
         return 0
-    if cfg.fmt == "svg":
-        raise UsageError("ee has a single value; svg output needs sweep")
     _emit(cfg, emit_table(SweepTable(rows=(point,)), cfg.fmt))
     return 0
 

@@ -33,8 +33,10 @@ import numpy as np
 from scipy.special import xlogy
 
 from .blas import one_blas_thread
-from .errors import EigenvalueOutOfRange, InvalidParameter, NotHermitian
-from .lattice import CorrelationMatrix, LatticeSpec, build_correlation_matrix
+from .errors import EigenvalueOutOfRange, NotHermitian
+from .lattice import (
+    CorrelationMatrix, LatticeSpec, build_correlation_matrix, validate_integer
+)
 
 HERMITICITY_TOL = 1e-9
 CLAMP_TOL = 1e-9
@@ -60,10 +62,10 @@ class EntropyPoint:
 
     @classmethod
     def of(cls, spec: LatticeSpec, beta, na, entropy):
-        """The point of an N_A = na subsystem of spec at beta."""
-        return cls(
-            spec.z_exponent, float(beta), spec.n_sites, na, spec.spacing, spec.mass, entropy
-        )
+        """The point of an N_A = na subsystem of spec at beta; the integer
+        columns are Python ints whatever integer type spec holds."""
+        z, n = int(spec.z_exponent), int(spec.n_sites)
+        return cls(z, float(beta), n, int(na), spec.spacing, spec.mass, entropy)
 
     def sort_key(self):
         return (self.z, self.beta, self.na, self.n, self.mass, self.epsilon)
@@ -127,8 +129,7 @@ def _entropies_of_blocks(spec: LatticeSpec, beta, nas):
     """
     if not nas:
         return []
-    if not all(isinstance(na, (int, np.integer)) and na >= 1 for na in nas):
-        raise InvalidParameter(f"subsystem sizes must be integers >= 1, got {list(nas)}")
+    nas = [validate_integer("subsystem size", na, 1) for na in nas]
     corr = build_correlation_matrix(spec, beta, range(max(nas)))
     values = {
         na: entanglement_entropy(

@@ -84,25 +84,40 @@ class LatticeSpec:
     boundary_phase: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.n_sites, (int, np.integer)) or self.n_sites < 2:
-            raise InvalidParameter(
-                f"n_sites must be an integer >= 2, got {self.n_sites!r}"
-            )
+        validate_integer("n_sites", self.n_sites, 2)
         validate_model(self.z_exponent, self.mass, self.spacing)
-        if not 0 <= self.boundary_phase < 1:
+        if not 0 <= validate_real("boundary_phase", self.boundary_phase) < 1:
             raise InvalidParameter(
                 f"boundary_phase must lie in [0, 1), got {self.boundary_phase!r}"
             )
 
 
+def _is_integer(value):
+    """The integer rule: an int or a numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def validate_integer(name, value, minimum):
+    """value as an int, if it is an integer (see _is_integer) >= minimum."""
+    if not (_is_integer(value) and value >= minimum):
+        raise InvalidParameter(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def validate_real(name, value):
+    """value as a float, if it is a real number (ints included, bools not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParameter(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def validate_model(z_exponent, mass, spacing):
     """Check the dispersion parameters z, m and eps of a LatticeSpec (whose
     docstring gives the ranges); the cMERA profiles share them."""
-    if not isinstance(z_exponent, (int, np.integer)) or z_exponent < 1:
-        raise InvalidParameter(f"z_exponent must be an integer >= 1, got {z_exponent!r}")
-    if not (math.isfinite(mass) and mass >= 0):
+    validate_integer("z_exponent", z_exponent, 1)
+    if not (math.isfinite(validate_real("mass", mass)) and mass >= 0):
         raise InvalidParameter(f"mass must be finite and >= 0, got {mass!r}")
-    if not (math.isfinite(spacing) and spacing > 0):
+    if not (math.isfinite(validate_real("spacing", spacing)) and spacing > 0):
         raise InvalidParameter(f"spacing must be finite and > 0, got {spacing!r}")
     # omega**2 = keff**(2z) + m**2 with |keff| <= 1/eps on every grid
     if not math.isfinite(_power(mass, 2) + _power(spacing, -2 * z_exponent)):
@@ -121,10 +136,34 @@ def _power(base, exponent):
 
 
 def validate_beta(beta):
-    """Check an inverse temperature: positive real or math.inf."""
-    if not (isinstance(beta, numbers.Real) and beta > 0):
+    """An inverse temperature as a float: a positive real or math.inf."""
+    beta = validate_real("beta", beta)
+    if not beta > 0:
         raise InvalidParameter(f"beta must be positive (or inf), got {beta!r}")
-    return float(beta)
+    return beta
+
+
+def validate_subsystem(subsystem, n):
+    """The sites of a subsystem of an N-site chain, as Python ints.
+
+    A subsystem is a nonempty sequence of distinct integer sites (see
+    _is_integer) in [0, N), in any order; contiguity is not required.
+    Anything else raises InvalidParameter, or its subclasses SiteOutOfRange
+    (negative sites included) and DuplicateSite.
+    """
+    try:
+        sites = list(subsystem)
+    except TypeError:  # not iterable
+        sites = None
+    if not sites or not all(map(_is_integer, sites)):
+        raise InvalidParameter(
+            f"subsystem must be a nonempty sequence of integer sites, got {subsystem!r}"
+        )
+    if min(sites) < 0 or max(sites) >= n:
+        raise SiteOutOfRange(f"subsystem sites must lie in [0, {n}), got {sites}")
+    if len(set(sites)) != len(sites):
+        raise DuplicateSite(f"subsystem contains repeated sites: {sites}")
+    return [int(s) for s in sites]
 
 
 @dataclass(frozen=True)
@@ -503,24 +542,11 @@ def _twist_phase(spec: LatticeSpec, signed_d):
 def build_correlation_matrix(spec: LatticeSpec, beta, subsystem) -> CorrelationMatrix:
     """The restricted correlation matrix for a list of sites, as its blocks.
 
-    The subsystem is a nonempty sequence of distinct integer sites (ints
-    or numpy integers) in [0, N), in any order; contiguity is not
-    required.  Anything else raises InvalidParameter, DuplicateSite or
-    SiteOutOfRange.  Block entry [a, b] belongs to the site pair
-    (subsystem[a], subsystem[b]); see CorrelationMatrix for the layout.
+    The subsystem follows validate_subsystem.  Block entry [a, b] belongs to
+    the site pair (subsystem[a], subsystem[b]); see CorrelationMatrix for
+    the layout.
     """
-    sites = list(subsystem)
-    if not sites or not all(isinstance(s, (int, np.integer)) for s in sites):
-        raise InvalidParameter(
-            f"subsystem must be a nonempty sequence of integer sites, got {sites!r}"
-        )
-    n = spec.n_sites
-    if min(sites) < 0 or max(sites) >= n:
-        raise SiteOutOfRange(f"subsystem sites must lie in [0, {n}), got {sites}")
-    if len(set(sites)) != len(sites):
-        raise DuplicateSite(f"subsystem contains repeated sites: {sites}")
-    sites = np.asarray(sites, dtype=np.int64)
-
+    sites = np.asarray(validate_subsystem(subsystem, spec.n_sites), dtype=np.int64)
     d_signed = sites[None, :] - sites[:, None]  # d[a, b] = j - i
     d_abs = np.abs(d_signed)
     needed = np.zeros(d_abs.max() + 1, dtype=bool)
@@ -547,6 +573,8 @@ def offdiagonal_sum_check(n, length, dx):
     identically when dx is an even integer multiple of L/N's unit, so
     convergence studies should hold dx/L fixed while growing N.
     """
+    n = validate_integer("n", n, 1)
+    dx, length = validate_real("dx", dx), validate_real("length", length)
     if not 0 < dx < length:
         raise InvalidParameter(f"need 0 < dx < L, got dx={dx}, L={length}")
     kappa = np.arange(n)

@@ -29,13 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    DegenerateGroundState,
-    DuplicateSite,
-    InvalidParameter,
-    SiteOutOfRange,
-)
-from .lattice import LatticeSpec, validate_beta
+from .errors import DegenerateGroundState, InvalidParameter
+from .lattice import LatticeSpec, validate_beta, validate_subsystem
 
 # Fock dimension 4^6 = 4096, largest sector C(12, 6) = 924.  At 7 sites the
 # sparse Gibbs rho would hold C(28, 14) = 40.1M entries, 642 MB of complex
@@ -195,10 +190,10 @@ def many_body_state(spec: LatticeSpec, beta, site_order=None) -> FockState:
     n = spec.n_sites
     if n > MAX_SITES:
         raise InvalidParameter(f"oracle supports at most {MAX_SITES} sites, got {n}")
-    if site_order is None:
-        site_order = tuple(range(n))
-    site_order = tuple(site_order)
-    if sorted(site_order) != list(range(n)):
+    # a permutation of 0..N-1 is N distinct sites in [0, N)
+    site_order = range(n) if site_order is None else site_order
+    site_order = tuple(validate_subsystem(site_order, n))
+    if len(site_order) != n:
         raise InvalidParameter(f"site_order must permute 0..{n-1}, got {site_order}")
 
     h = single_particle_hamiltonian(spec)
@@ -262,20 +257,11 @@ def mode_correlators(state: FockState):
 def reduced_entropy(state: FockState, subsystem):
     """Von Neumann entropy of a site subsystem of the exact state.
 
-    The subsystem follows the rule of lattice.build_correlation_matrix: a
-    nonempty sequence of distinct integer sites in [0, N).
+    The subsystem follows lattice.validate_subsystem, as in
+    lattice.build_correlation_matrix.
     """
     n = state.spec.n_sites
-    sites = list(subsystem)
-    if not sites or not all(isinstance(s, (int, np.integer)) for s in sites):
-        raise InvalidParameter(
-            f"subsystem must be a nonempty sequence of integer sites, got {sites!r}"
-        )
-    if min(sites) < 0 or max(sites) >= n:
-        raise SiteOutOfRange(f"subsystem sites must lie in [0, {n}), got {sites}")
-    if len(set(sites)) != len(sites):
-        raise DuplicateSite(f"subsystem contains repeated sites: {sites}")
-    sites = [int(s) for s in sites]
+    sites = validate_subsystem(subsystem, n)
 
     if tuple(state.site_order[: len(sites)]) != tuple(sites):
         rest = [s for s in range(n) if s not in sites]

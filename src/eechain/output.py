@@ -26,9 +26,8 @@ CSV_HEADER = ",".join(_COLUMNS)
 
 
 def _fmt(value):
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12g}"
+    # EntropyPoint.of keeps the integer columns Python ints
+    return str(value) if isinstance(value, int) else f"{float(value):.12g}"
 
 
 def emit_csv(header, rows):

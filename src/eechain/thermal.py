@@ -30,14 +30,8 @@ import numpy as np
 
 # entropy_of stays bound here: perfbench's traced run wraps thermal.entropy_of
 from .entropy import EntropyPoint, _entropies_of_blocks, entropy_of  # noqa: F401
-from .errors import (
-    IllConditioned,
-    InsufficientData,
-    InvalidKind,
-    InvalidParameter,
-    RegimeUnreachable,
-)
-from .lattice import LatticeSpec
+from .errors import IllConditioned, InsufficientData, InvalidKind, RegimeUnreachable
+from .lattice import LatticeSpec, validate_integer
 
 LOW_T_WINDOW = 0.3  # rows with x = l * beta^(-1/z) below this qualify
 HIGH_T_WINDOW = 3.0  # rows with x above this qualify
@@ -76,8 +70,7 @@ class FitResult:
 
 def regime_scales(spec: LatticeSpec, na):
     """(crossover temperature, saturation entropy) for a subsystem size."""
-    if not (isinstance(na, (int, np.integer)) and na >= 1):
-        raise InvalidParameter(f"subsystem size must be an integer >= 1, got {na!r}")
+    na = validate_integer("subsystem size", na, 1)
     t_c = (spec.spacing * na) ** (-spec.z_exponent)
     s_max = 2.0 * na * math.log(2.0)
     return t_c, s_max
@@ -120,8 +113,8 @@ def sweep_entropy(
     on their leading N_A x N_A blocks, so the rows equal the per-point
     entropy_of values bit for bit.
     One row is returned per grid point, repeated axis values included,
-    sorted by (z, beta, N_A).  A z or N_A that is not an integer raises
-    InvalidParameter.
+    sorted by (z, beta, N_A).  A z or N_A that is not an integer, or a jobs
+    that is neither None nor an integer >= 1, raises InvalidParameter.
 
     Every eigensolve and partial-DFT GEMM runs on one BLAS thread (see
     eechain.blas), so the rows do not depend on the core count or on jobs.
@@ -129,19 +122,10 @@ def sweep_entropy(
     processes (the platform's default start method), and the rows are the
     serial rows byte for byte.
     """
-    if jobs is not None and jobs < 1:
-        raise InvalidParameter(f"jobs must be >= 1, got {jobs!r}")
+    if jobs is not None:
+        validate_integer("jobs", jobs, 1)
     groups = list(dict.fromkeys((z, beta) for z in zs for beta in betas))
-    specs = [
-        LatticeSpec(
-            n_sites=n_sites,
-            z_exponent=z,
-            mass=mass,
-            spacing=spacing,
-            boundary_phase=boundary_phase,
-        )
-        for z, _ in groups
-    ]
+    specs = [LatticeSpec(n_sites, z, mass, spacing, boundary_phase) for z, _ in groups]
     group_betas = [beta for _, beta in groups]
     args = (specs, group_betas, itertools.repeat(list(nas)))
     workers = min(jobs or 1, len(groups))

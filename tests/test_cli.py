@@ -222,7 +222,7 @@ COMMAND_FLAGS = {  # the flags each command reads, besides --config
 FLAG_VALUES = {
     "--n": "4", "--na": "2", "--z": "1", "--mass": "0.5", "--beta": "2",
     "--temp": "1", "--eps": "1", "--theta": "0", "--zs": "1,2", "--betas": "1,2",
-    "--nas": "1,2", "--regime": "low", "--format": "csv", "--out": "x.csv",
+    "--nas": "1,2", "--regime": "low", "--format": "json", "--out": "x.csv",
     "--jobs": "1",
 }
 
@@ -253,6 +253,25 @@ UNREAD_FLAGS = {
 def test_flag_the_command_does_not_read_exits_2(argv, capsys):
     assert main(argv.split()) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+UNWRITTEN_FORMATS = {  # fit writes json or a text report; ee has no plot
+    "fit-csv": "fit --n 400 --na 10 --z 1 --format csv",
+    "fit-svg": "fit --n 400 --na 10 --z 1 --format svg",
+    "ee-svg": "ee --n 10 --na 2 --z 1 --format svg",
+}
+
+
+@pytest.mark.parametrize("argv", UNWRITTEN_FORMATS.values(), ids=UNWRITTEN_FORMATS.keys())
+def test_format_the_command_does_not_write_exits_2(argv, tmp_path, capsys):
+    *flags, fmt = argv.split()
+    assert main([*flags, fmt]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    # a config file's format is checked alike
+    cfg_file = tmp_path / "format.cfg"
+    cfg_file.write_text(f"format = {fmt}\n")
+    assert main([*flags[:-1], "--config", str(cfg_file)]) == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 POINT = "ee --n 10 --na 2 --z 1"

@@ -185,7 +185,8 @@ def test_both_paths_reject_the_same_subsystems(subsystem, error):
 
 def test_oracle_reads_only_the_model_from_lattice():
     # the oracle validates the lattice pipeline, so it may share the model
-    # (spec, beta check) but none of its mode grid or correlator code
+    # (spec, beta and subsystem checks) but none of its mode grid or
+    # correlator code
     tree = ast.parse(Path(oracle.__file__).read_text())
     names = set()
     for node in ast.walk(tree):
@@ -197,7 +198,7 @@ def test_oracle_reads_only_the_model_from_lattice():
                 names.update(alias.name for alias in node.names)
             else:
                 assert not any(alias.name == "lattice" for alias in node.names)
-    assert names == {"LatticeSpec", "validate_beta"}
+    assert names == {"LatticeSpec", "validate_beta", "validate_subsystem"}
 
 
 @settings(max_examples=40, deadline=None)

@@ -362,3 +362,48 @@ def test_high_fit_residuals_large_z(high_t_tables, z):
         if 50.0 * r.beta ** (-1.0 / z) > 3.0 and r.entropy < 0.9 * smax
     ]
     assert fit.residual_rms < 0.01 * np.mean(kept)
+
+
+# ---------------------------------------------------------------- washout
+
+WASHOUT_BETAS = (1e4, 1e3, 1e2, 10.0, 3.0, 1.0, 0.1)
+
+
+# At even N the parity of z enters the weights through the half-grid
+# unfolding, at odd N through _mode_weights' sign flip: the chain takes both.
+@pytest.fixture(scope="module", params=[2000, 2001])
+def entropy_by_z(request):
+    """S(z) for z = 1..10 at each beta of WASHOUT_BETAS, as an array over z:
+    the massless chain of N = 2000 or 2001 sites, N_A = 50."""
+    zs = tuple(range(1, 11))
+    table = sweep_entropy(zs, WASHOUT_BETAS, (50,), n_sites=request.param)
+    # rows are sorted by z first
+    return {b: np.array([r.entropy for r in table.rows if r.beta == b]) for b in WASHOUT_BETAS}
+
+
+def _second_differences(s):
+    """S(z+1) - 2 S(z) + S(z-1) for z = 2..9."""
+    return s[2:] - 2 * s[1:-1] + s[:-2]
+
+
+@pytest.mark.parametrize("beta", [1e4, 1e3, 1e2])
+def test_low_temperature_entropy_zigzags_in_z(entropy_by_z, beta):
+    # odd z carries the Fermi-sea entanglement and even z little of it, so
+    # S(z) bends up at even z and down at odd z
+    signs = "".join("+" if d > 0 else "-" for d in _second_differences(entropy_by_z[beta]))
+    assert signs == "+-+-+-+-"
+
+
+@pytest.mark.parametrize("beta", [3.0, 1.0, 0.1])
+def test_high_temperature_washes_out_the_zigzag(entropy_by_z, beta):
+    s = entropy_by_z[beta]
+    assert np.all(_second_differences(s) < 0)
+    steps = np.abs(np.diff(s))  # |S(z+1) - S(z)| for z = 1..9
+    assert np.all(np.diff(steps) < 0)
+
+
+def test_steps_do_not_yet_fall_with_z_at_beta_10(entropy_by_z):
+    # at beta = 10 the step from z = 8 to 9 (1.58) exceeds the one from
+    # z = 7 to 8 (1.51): the steps do not yet fall with z
+    steps = np.abs(np.diff(entropy_by_z[10.0]))
+    assert steps[7] > steps[6]

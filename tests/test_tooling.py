@@ -1,8 +1,12 @@
-"""The suite's pytest configuration, checked on a planted failing test."""
+"""The suite's pytest configuration, checked on a planted failing test, and
+the package's one home for its input rules."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
+
+import eechain
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -32,3 +36,49 @@ def test_failing_given_test_does_not_abort_the_run(tmp_path):
     assert result.returncode == 1, output
     assert "Falsifying example" in output
     assert "INTERNALERROR" not in output
+
+
+# the functions of eechain.lattice that hold the integer and real-number rules
+VALIDATORS = {"_is_integer", "validate_real"}
+NUMPY_NUMBER_TYPES = {("np", "integer"), ("np", "floating"), ("np", "number")}
+
+
+def _names_a_number_type(node):
+    """True if node mentions numbers.* or a numpy number type."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            if sub.value.id == "numbers" or (sub.value.id, sub.attr) in NUMPY_NUMBER_TYPES:
+                return True
+    return False
+
+
+def _number_type_checks(tree, allowed):
+    """Line numbers of the isinstance calls that name a number type, outside
+    the functions named in allowed."""
+    exempt = {
+        id(call)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name in allowed
+        for call in ast.walk(fn)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and id(node) not in exempt
+        and any(_names_a_number_type(arg) for arg in node.args[1:])
+    ]
+
+
+def test_input_rules_live_only_in_the_lattice_validators():
+    # every entry point checks an integer or a real number through
+    # eechain.lattice's validators, so each rule is written once
+    offending = {}
+    for path in sorted(Path(eechain.__file__).parent.glob("*.py")):
+        allowed = VALIDATORS if path.name == "lattice.py" else set()
+        lines = _number_type_checks(ast.parse(path.read_text()), allowed)
+        if lines:
+            offending[path.name] = lines
+    assert offending == {}
