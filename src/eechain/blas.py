@@ -10,7 +10,9 @@ count:
 * entropy.hermitian_eigenvalues: numpy's complex singular-value solve of
   P + iC;
 * lattice._partial_dft: the phase-table GEMMs;
-* the oracle check in the CLI.
+* oracle.many_body_state: the particle-number sector eigvalsh/eigh and the
+  Gibbs block products;
+* oracle.reduced_entropy: the eigvalsh of the reduced density matrix.
 
 Only numpy's OpenBLAS is pinned.  scipy ships its own OpenBLAS, whose
 thread count this module does not set, so no output-bearing solve may go

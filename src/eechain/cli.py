@@ -31,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from . import cmera as cmera_mod
-from .blas import one_blas_thread
 from .entropy import entanglement_entropy, entropy_of, hermitian_eigenvalues
 from .errors import EechainError, InvalidParameter, UsageError
 from .lattice import LatticeSpec, build_correlation_matrix, validate_model
@@ -213,9 +212,9 @@ def _run_ee(cfg):
     _require(cfg, "n", "na", "z")
     point = entropy_of(_spec_of(cfg), cfg.beta, range(cfg.na))
     if cfg.fmt is None:
-        print(f"{point.entropy:.12g}")
-        return 0
-    _emit(cfg, emit_table(SweepTable(rows=(point,)), cfg.fmt))
+        _emit(cfg, f"{point.entropy:.12g}\n".encode())
+    else:
+        _emit(cfg, emit_table(SweepTable(rows=(point,)), cfg.fmt))
     return 0
 
 
@@ -356,18 +355,15 @@ def _run_cmera(cfg):
 def _run_oracle_check(cfg):
     _require(cfg, "n", "na", "z")
     spec = _spec_of(cfg)
-    # the oracle's eigensolves on one BLAS thread too: the printed round-off
-    # then does not depend on the core count
-    with one_blas_thread():
-        state = many_body_state(spec, cfg.beta)
-        corr_exact = mode_correlators(state)
-        corr_fast = build_correlation_matrix(spec, cfg.beta, range(cfg.n)).entries
-        corr_diff = float(np.abs(corr_exact - corr_fast).max())
+    state = many_body_state(spec, cfg.beta)
+    corr_exact = mode_correlators(state)
+    corr_fast = build_correlation_matrix(spec, cfg.beta, range(cfg.n)).entries
+    corr_diff = float(np.abs(corr_exact - corr_fast).max())
 
-        s_exact = reduced_entropy(state, range(cfg.na))
-        s_fast = entanglement_entropy(
-            hermitian_eigenvalues(build_correlation_matrix(spec, cfg.beta, range(cfg.na)))
-        )
+    s_exact = reduced_entropy(state, range(cfg.na))
+    s_fast = entanglement_entropy(
+        hermitian_eigenvalues(build_correlation_matrix(spec, cfg.beta, range(cfg.na)))
+    )
     s_diff = abs(s_exact - s_fast)
 
     corr_ok = corr_diff <= CORRELATOR_TOL

@@ -19,6 +19,11 @@ k = cutoff e^u) has the closed form
     g(u) = -phi(k) + z m k^z / (2 (k^{2z} + m^2))
 
 which `g_from_phi_numeric` reproduces by finite differences.
+
+Inputs follow eechain.lattice's rules: z is an integer >= 1, m a finite
+real >= 0, and cutoff, length and eps finite reals > 0.  Momenta, scales
+and angles are arrays of real numbers; bogoliubov_angle's momenta are
+finite and > 0.  Anything else raises InvalidParameter.
 """
 
 from __future__ import annotations
@@ -29,29 +34,59 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from .errors import DegenerateInterval, InsufficientSampling, InvalidParameter
+from .lattice import validate_integer, validate_positive, validate_real
 
 SQRT3 = math.sqrt(3.0)
 MIN_POINTS_PER_DECADE = 100
+# below this m^2 the massive forms take np.hypot: k^(2z) + m^2 may underflow
+_TINY = np.finfo(float).tiny
+
+
+def _model(z, m):
+    """(z, m) as an int and a float, if z is an integer >= 1 and m finite >= 0."""
+    z, m = validate_integer("z", z, 1), validate_real("m", m)
+    if not (math.isfinite(m) and m >= 0):
+        raise InvalidParameter(f"m must be finite and >= 0, got {m!r}")
+    return z, m
+
+
+def _real_array(name, values):
+    """values as a float array, if they are real numbers (bools not)."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise InvalidParameter(f"{name} must be real numbers, got {values!r}")
+    return array.astype(float, copy=False)
+
+
+def _interval(length, eps):
+    """(length, eps) as floats, if both are finite reals > 0 and length > eps."""
+    length, eps = validate_positive("length", length), validate_positive("eps", eps)
+    if length <= eps:
+        raise DegenerateInterval(f"interval l={length} must exceed cutoff eps={eps}")
+    return length, eps
 
 
 def bogoliubov_angle(k, z, m):
-    """Closed-form mixing angle at momentum k > 0."""
-    k = np.asarray(k, dtype=float)
-    if np.any(k <= 0):
-        raise InvalidParameter("momenta must be positive")
+    """Closed-form mixing angle at finite momentum k > 0."""
+    z, m = _model(z, m)
+    k = _real_array("k", k)
+    if not np.all((k > 0) & (k < math.inf)):
+        raise InvalidParameter("momenta must be finite and positive")
     if m == 0:
         # k^z / sqrt(k^{2z}) = 1 identically; evaluating it as a quotient
         # loses ~sqrt(eps) through the arcsin branch point
         ratio = np.ones_like(k)
     else:
-        ratio = k**z / np.sqrt(k ** (2 * z) + m * m)
+        omega = np.sqrt(k ** (2 * z) + m * m) if m * m >= _TINY else np.hypot(k**z, m)
+        ratio = k**z / omega
     phi = 0.5 * np.arcsin(np.clip(ratio, -1.0, 1.0)) - (-1.0) ** z * np.pi / 4.0
     return float(phi) if phi.ndim == 0 else phi
 
 
 def minimizing_angle(k, z, m):
     """Per-momentum energy minimizer; valid for either sign of k."""
-    k = np.asarray(k, dtype=float)
+    z, m = _model(z, m)
+    k = _real_array("k", k)
     phi = 0.5 * (np.pi - np.arctan2(m, (-k) ** z))
     return float(phi) if phi.ndim == 0 else phi
 
@@ -62,13 +97,19 @@ def g_closed_form(u, z, m, cutoff=1.0):
     Massless: the constant (pi/4)((-1)^z - 1) — 0 for even z, -pi/2 odd.
     Massive: -phi(k) + z m k^z / (2 omega^2) evaluated at k = cutoff e^u.
     """
-    u = np.asarray(u, dtype=float)
+    z, m = _model(z, m)
+    cutoff = validate_positive("cutoff", cutoff)
+    u = _real_array("u", u)
     if m == 0:
         value = np.full_like(u, (np.pi / 4.0) * ((-1.0) ** z - 1.0))
         return float(value) if value.ndim == 0 else value
     k = cutoff * np.exp(u)
-    omega_sq = k ** (2 * z) + m * m
-    value = -bogoliubov_angle(k, z, m) + z * m * k**z / (2.0 * omega_sq)
+    if m * m >= _TINY:
+        term = z * m * k**z / (2.0 * (k ** (2 * z) + m * m))
+    else:
+        omega = np.hypot(k**z, m)
+        term = z * (m / omega) * (k**z / omega) / 2.0
+    value = -bogoliubov_angle(k, z, m) + term
     return float(value) if value.ndim == 0 else value
 
 
@@ -93,8 +134,7 @@ def g_from_phi_numeric(u_values, phi_values):
     The grid must be uniform and at least 100 points per decade of scale
     (du <= ln(10)/100), else InsufficientSampling.
     """
-    u = np.asarray(u_values, dtype=float)
-    phi = np.asarray(phi_values, dtype=float)
+    u, phi = _real_array("u_values", u_values), _real_array("phi_values", phi_values)
     if u.ndim != 1 or u.shape != phi.shape or u.size < 5:
         raise InsufficientSampling("profile must be 1-d with at least 5 samples")
     steps = np.diff(u)
@@ -111,8 +151,8 @@ def g_from_phi_numeric(u_values, phi_values):
 
 def energy_density(k_values, phi_values, z, m):
     """Trapezoid quadrature of (1/2pi) [(-k)^z cos 2phi - m sin 2phi] dk."""
-    k = np.asarray(k_values, dtype=float)
-    phi = np.asarray(phi_values, dtype=float)
+    z, m = _model(z, m)
+    k, phi = _real_array("k_values", k_values), _real_array("phi_values", phi_values)
     integrand = (-k) ** z * np.cos(2.0 * phi) - m * np.sin(2.0 * phi)
     return float(trapezoid(integrand, k) / (2.0 * np.pi))
 
@@ -125,8 +165,8 @@ def metric_guu(u, z, m, cutoff=1.0):
 
 def geodesic_length(g_const, length, eps):
     """Geodesic length (2|g|/sqrt(3)) ln(l/eps) in a constant-g metric."""
-    if length <= eps:
-        raise DegenerateInterval(f"interval l={length} must exceed cutoff eps={eps}")
+    g_const = validate_real("g_const", g_const)
+    length, eps = _interval(length, eps)
     return (2.0 * abs(g_const) / SQRT3) * math.log(length / eps)
 
 
@@ -138,8 +178,8 @@ def geodesic_length_massive(z, m, cutoff, length, eps, n_points=4001):
     This is an ansatz (the constant-g case is the controlled one); it
     reduces to geodesic_length as m -> 0 up to the small-alpha expansion.
     """
-    if length <= eps:
-        raise DegenerateInterval(f"interval l={length} must exceed cutoff eps={eps}")
+    length, eps = _interval(length, eps)
+    n_points = validate_integer("n_points", n_points, 2)
     alpha = 2.0 * eps / (math.pi * length)
     if alpha >= 0.5:
         raise DegenerateInterval("interval too short for the semicircle ansatz")
@@ -152,7 +192,12 @@ def geodesic_length_massive(z, m, cutoff, length, eps, n_points=4001):
 
 
 def ee_cmera(z, length, eps, c=2.0):
-    """Holographic entropy closed form: (c/3) ln(l/eps) for odd z, 0 even."""
+    """Holographic entropy closed form: (c/3) ln(l/eps) for odd z, 0 even.
+
+    The interval must exceed the cutoff, as in geodesic_length.
+    """
+    z, c = validate_integer("z", z, 1), validate_real("c", c)
+    length, eps = _interval(length, eps)
     if z % 2 == 0:
         return 0.0
     return (c / 3.0) * math.log(length / eps)

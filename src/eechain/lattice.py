@@ -20,8 +20,9 @@ the site difference d = j - i:
 where p, q are half inverse-DFTs of the real occupation weights F, G over
 the mode grid (see fourier_profile).  Real weights make them conjugate
 symmetric, p[-d] = conj(p[d]), so the block reads p and q only at the
-distinct |d| its site pairs span, and only those entries are computed.
-Each profile takes one of three paths:
+distinct |d| its site pairs span.  Only those are computed, the block
+entries from them once per signed d = +/-|d|, and each N_A x N_A block is
+one gather of those.  Each profile takes one of three paths:
 
 * massless ground state: no mode grid at all.  Even z gives the exact
   delta p[d] = delta_{d0}/2.  Odd z gives Peschel's Fermi-sea correlator
@@ -111,14 +112,20 @@ def validate_real(name, value):
     return float(value)
 
 
+def validate_positive(name, value):
+    """value as a float, if it is a finite real number > 0."""
+    if not (math.isfinite(validate_real(name, value)) and value > 0):
+        raise InvalidParameter(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)
+
+
 def validate_model(z_exponent, mass, spacing):
     """Check the dispersion parameters z, m and eps of a LatticeSpec (whose
     docstring gives the ranges); the cMERA profiles share them."""
     validate_integer("z_exponent", z_exponent, 1)
     if not (math.isfinite(validate_real("mass", mass)) and mass >= 0):
         raise InvalidParameter(f"mass must be finite and >= 0, got {mass!r}")
-    if not (math.isfinite(validate_real("spacing", spacing)) and spacing > 0):
-        raise InvalidParameter(f"spacing must be finite and > 0, got {spacing!r}")
+    validate_positive("spacing", spacing)
     # omega**2 = keff**(2z) + m**2 with |keff| <= 1/eps on every grid
     if not math.isfinite(_power(mass, 2) + _power(spacing, -2 * z_exponent)):
         raise InvalidParameter(
@@ -369,7 +376,7 @@ def fourier_profile(weights):
     """
     w = np.asarray(weights)
     if w.ndim != 1 or w.size == 0 or np.iscomplexobj(w):
-        raise ValueError("weights must be a nonempty real 1-d array")
+        raise InvalidParameter("weights must be a nonempty real 1-d array")
     n = w.size
     half = np.fft.ihfft(w)
     half /= 2.0
@@ -528,37 +535,28 @@ def _profiles(spec: LatticeSpec, beta, distances):
     return p, fourier_profile(_unfolded(n, g, 1.0))[distances] if massive else zeros
 
 
-def _twist_phase(spec: LatticeSpec, signed_d):
-    """e^{2i pi theta d / N} with the *signed* site difference d = j - i.
-
-    Not periodic in d unless theta = 0: shifting j by N multiplies the
-    correlator by e^{2i pi theta}.
-    """
-    if spec.boundary_phase == 0.0:
-        return np.ones_like(np.asarray(signed_d, dtype=float), dtype=complex)
-    return np.exp(2j * np.pi * spec.boundary_phase * np.asarray(signed_d) / spec.n_sites)
-
-
 def build_correlation_matrix(spec: LatticeSpec, beta, subsystem) -> CorrelationMatrix:
     """The restricted correlation matrix for a list of sites, as its blocks.
 
     The subsystem follows validate_subsystem.  Block entry [a, b] belongs to
     the site pair (subsystem[a], subsystem[b]); see CorrelationMatrix for
-    the layout.
+    the layout.  Each block is one gather from its entries at the signed d.
     """
     sites = np.asarray(validate_subsystem(subsystem, spec.n_sites), dtype=np.int64)
     d_signed = sites[None, :] - sites[:, None]  # d[a, b] = j - i
     d_abs = np.abs(d_signed)
     needed = np.zeros(d_abs.max() + 1, dtype=bool)
     needed[d_abs] = True
-    p, q = _profiles(spec, beta, np.flatnonzero(needed))
-    slot = (np.cumsum(needed) - 1)[d_abs]  # the index of |d| in the profiles
-    below = d_signed < 0  # p[-d] = conj(p[d]), and likewise q
-    same, cross = p[slot], q[slot]
-    np.conjugate(same, out=same, where=below)
-    np.conjugate(cross, out=cross, where=below)
-    phase = _twist_phase(spec, d_signed)
-    return CorrelationMatrix(same=phase * same, cross=-phase * cross)
+    distances = np.flatnonzero(needed)
+    p, q = _profiles(spec, beta, distances)
+    index = (np.cumsum(needed) - 1)[d_abs] + distances.size * (d_signed < 0)
+    # the -|d| twist comes from exp too: conj would turn 1+0j into 1-0j at
+    # theta = 0, and the eigensolve reads signed zeros
+    signed = np.concatenate((distances, -distances))
+    twist = np.exp(2j * np.pi * spec.boundary_phase * signed / spec.n_sites)
+    same = (twist * np.concatenate((p, p.conj())))[index]
+    cross = (-twist * np.concatenate((q, q.conj())))[index]
+    return CorrelationMatrix(same=same, cross=cross)
 
 
 def offdiagonal_sum_check(n, length, dx):

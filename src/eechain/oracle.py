@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .blas import one_blas_thread
 from .errors import DegenerateGroundState, InvalidParameter
 from .lattice import LatticeSpec, validate_beta, validate_subsystem
 
@@ -210,20 +211,23 @@ def many_body_state(spec: LatticeSpec, beta, site_order=None) -> FockState:
     # H conserves particle number, so it is block-diagonal by occupation count
     sectors = _particle_sectors(2 * n)
     blocks = [h_many[index][:, index].toarray() for index in sectors]
-    if math.isinf(beta):
-        lowest = [np.linalg.eigvalsh(block)[0] for block in blocks]
-        k = int(np.argmin(lowest))
-        psi = np.linalg.eigh(blocks[k])[1][:, 0]
-        sectors, blocks = [sectors[k]], [np.outer(psi, psi.conj())]
-    else:
-        spectra = [np.linalg.eigh(block) for block in blocks]
-        ground = min(energies[0] for energies, _ in spectra)
-        weights = [np.exp(-beta * (energies - ground)) for energies, _ in spectra]
-        partition = sum(w.sum() for w in weights)
-        blocks = [
-            (states * (w / partition)) @ states.conj().T
-            for (_, states), w in zip(spectra, weights)
-        ]
+    # the sector solves and products on one BLAS thread, so that rho's bits
+    # do not depend on the core count (see eechain.blas)
+    with one_blas_thread():
+        if math.isinf(beta):
+            lowest = [np.linalg.eigvalsh(block)[0] for block in blocks]
+            k = int(np.argmin(lowest))
+            psi = np.linalg.eigh(blocks[k])[1][:, 0]
+            sectors, blocks = [sectors[k]], [np.outer(psi, psi.conj())]
+        else:
+            spectra = [np.linalg.eigh(block) for block in blocks]
+            ground = min(energies[0] for energies, _ in spectra)
+            weights = [np.exp(-beta * (energies - ground)) for energies, _ in spectra]
+            partition = sum(w.sum() for w in weights)
+            blocks = [
+                (states * (w / partition)) @ states.conj().T
+                for (_, states), w in zip(spectra, weights)
+            ]
     # one COO -> CSR assembly of the (sector index, block) pairs
     row = np.concatenate([np.repeat(index, index.size) for index in sectors])
     col = np.concatenate([np.tile(index, index.size) for index in sectors])
@@ -277,7 +281,8 @@ def reduced_entropy(state: FockState, subsystem):
     keep = b_row == b_col
     rho_a = np.zeros(dim_a**2, dtype=complex)
     np.add.at(rho_a, a_row[keep] * dim_a + a_col[keep], rho.data[keep])
-    lam = np.linalg.eigvalsh(rho_a.reshape(dim_a, dim_a))
+    with one_blas_thread():
+        lam = np.linalg.eigvalsh(rho_a.reshape(dim_a, dim_a))
     lam = np.clip(lam, 0.0, None)
     lam = lam[lam > 1e-14]
     return float(-np.sum(lam * np.log(lam)))

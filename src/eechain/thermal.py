@@ -30,8 +30,14 @@ import numpy as np
 
 # entropy_of stays bound here: perfbench's traced run wraps thermal.entropy_of
 from .entropy import EntropyPoint, _entropies_of_blocks, entropy_of  # noqa: F401
-from .errors import IllConditioned, InsufficientData, InvalidKind, RegimeUnreachable
-from .lattice import LatticeSpec, validate_integer
+from .errors import (
+    IllConditioned,
+    InsufficientData,
+    InvalidKind,
+    InvalidParameter,
+    RegimeUnreachable,
+)
+from .lattice import LatticeSpec, validate_integer, validate_positive
 
 LOW_T_WINDOW = 0.3  # rows with x = l * beta^(-1/z) below this qualify
 HIGH_T_WINDOW = 3.0  # rows with x above this qualify
@@ -76,6 +82,31 @@ def regime_scales(spec: LatticeSpec, na):
     return t_c, s_max
 
 
+# S / (c/3) for each closed-form reference kind, as a function of its keys
+_CFT_CURVES = {
+    "finite_size": (
+        ("n", "na"),
+        lambda n, na: math.log((n / math.pi) * math.sin(math.pi * na / n)),
+    ),
+    "thermal": (
+        ("l", "beta", "eps"),
+        lambda l, beta, eps: math.log(
+            (beta / (math.pi * eps)) * math.sinh(math.pi * l / beta)
+        ),
+    ),
+    "low_T_expansion": (
+        ("l", "beta", "eps"),
+        lambda l, beta, eps: math.log(l / eps) + (math.pi**2 / 6.0) * (l / beta) ** 2,
+    ),
+    "high_T_expansion": (
+        ("l", "beta", "eps"),
+        lambda l, beta, eps: (
+            math.pi * l / beta - math.log(l / beta) + math.log(l / (2.0 * math.pi * eps))
+        ),
+    ),
+}
+
+
 def cft_reference(kind, params):
     """Closed-form entropy curves used as overlays and fit targets.
 
@@ -83,24 +114,25 @@ def cft_reference(kind, params):
            'thermal'       S = (c/3) ln((beta/(pi eps)) sinh(pi l / beta))
            'low_T_expansion'   (c/3) [ln(l/eps) + (pi^2/6)(l/beta)^2]
            'high_T_expansion'  (c/3) [pi l/beta - ln(l/beta) + ln(l/(2 pi eps))]
+
+    params maps the keys the kind reads (n and na, or l, beta and eps) and
+    c to finite reals > 0; c defaults to 2 and eps to 1.  A missing or bad
+    key, or a curve that overflows or takes the log of a value <= 0, raises
+    InvalidParameter.
     """
-    p = dict(params)
-    c = p.get("c", 2.0)
-    if kind == "finite_size":
-        n, na = p["n"], p["na"]
-        return (c / 3.0) * math.log((n / math.pi) * math.sin(math.pi * na / n))
-    if kind == "thermal":
-        l, beta, eps = p["l"], p["beta"], p.get("eps", 1.0)
-        return (c / 3.0) * math.log((beta / (math.pi * eps)) * math.sinh(math.pi * l / beta))
-    if kind == "low_T_expansion":
-        l, beta, eps = p["l"], p["beta"], p.get("eps", 1.0)
-        return (c / 3.0) * (math.log(l / eps) + (math.pi**2 / 6.0) * (l / beta) ** 2)
-    if kind == "high_T_expansion":
-        l, beta, eps = p["l"], p["beta"], p.get("eps", 1.0)
-        return (c / 3.0) * (
-            math.pi * l / beta - math.log(l / beta) + math.log(l / (2.0 * math.pi * eps))
-        )
-    raise InvalidKind(f"unknown reference curve kind: {kind!r}")
+    if kind not in _CFT_CURVES:
+        raise InvalidKind(f"unknown reference curve kind: {kind!r}")
+    keys, curve = _CFT_CURVES[kind]
+    p = {"c": 2.0, "eps": 1.0, **dict(params)}
+    missing = [key for key in keys if key not in p]
+    if missing:
+        raise InvalidParameter(f"{kind} reference needs params {missing}")
+    c = validate_positive("c", p["c"])
+    values = [validate_positive(key, p[key]) for key in keys]
+    try:
+        return (c / 3.0) * curve(*values)
+    except (ArithmeticError, ValueError):  # math's overflow and domain errors
+        raise InvalidParameter(f"{kind} reference is not defined at {params}") from None
 
 
 def sweep_entropy(

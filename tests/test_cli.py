@@ -340,42 +340,80 @@ def test_parser_is_built_once_at_import(tmp_path, monkeypatch, capsys):
     assert main(["ee", "--n", "4", "--na", "2", "--config", str(cfg_file)]) == 0
 
 
-def _cli_at_blas_threads(argv, threads):
-    """stdout of ``python -m eechain.cli argv`` with OPENBLAS_NUM_THREADS set."""
+ORACLE_ARGV = "oracle-check --n 5 --na 2 --z 3 --mass 0.7 --beta 1.5 --theta 0.3"
+EE_ARGVS = [
+    # a 600-row eigensolve, threaded when BLAS may use two threads
+    "ee --n 2000 --na 300 --z 1 --beta 100",
+    # the partial-DFT path: its GEMMs and the eigensolve
+    "ee --n 100003 --na 64 --z 1 --mass 0.3 --beta 50",
+    # a 300 x 300 complex singular-value solve: massive, twisted
+    "ee --n 2000 --na 300 --z 3 --mass 0.3 --beta 50 --theta 0.25",
+    # one block pair, its leading blocks solved for every N_A
+    "sweep --n 2000 --zs 1,2 --betas 20,inf --nas 100,200,300 --mass 0.4",
+]
+
+# Runs each argv given through cli.main in one interpreter and prints the
+# stdout bytes of each, as {argv: text} JSON.
+_CLI_DRIVER = """
+import contextlib, io, json, sys
+from eechain.cli import main
+outputs = {}
+for argv in sys.argv[1:]:
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\\n")
+    with contextlib.redirect_stdout(out):
+        code = main(argv.split())
+        out.flush()
+    if code != 0:
+        sys.exit(f"{argv}: exit {code}")
+    outputs[argv] = out.buffer.getvalue().decode()
+json.dump(outputs, sys.stdout)
+"""
+
+
+def _cli_at_blas_threads(argvs, threads):
+    """{argv: stdout} of the commands, run with OPENBLAS_NUM_THREADS set."""
     src = str(Path(eechain.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
     path = filter(None, (src, env.get("PYTHONPATH")))
     env["PYTHONPATH"] = os.pathsep.join(path)
     done = subprocess.run(
-        [sys.executable, "-m", "eechain.cli", *argv.split()],
+        [sys.executable, "-c", _CLI_DRIVER, *argvs],
         env=env,
         capture_output=True,
-        timeout=300,
+        text=True,
+        timeout=600,
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout
+    return json.loads(done.stdout)
 
 
-def test_oracle_check_bytes_do_not_depend_on_blas_threads():
-    argv = "oracle-check --n 5 --na 2 --z 3 --mass 0.7 --beta 1.5 --theta 0.3"
-    assert _cli_at_blas_threads(argv, "1") == _cli_at_blas_threads(argv, "2")
+@pytest.fixture(scope="module")
+def outputs_by_blas_threads():
+    """Each determinism argv's stdout on one and on two BLAS threads: one
+    interpreter per thread count, so the imports are paid twice in all."""
+    argvs = [ORACLE_ARGV, *EE_ARGVS]
+    return [_cli_at_blas_threads(argvs, threads) for threads in ("1", "2")]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # a 600-row eigensolve, threaded when BLAS may use two threads
-        "ee --n 2000 --na 300 --z 1 --beta 100",
-        # the partial-DFT path: its GEMMs and the eigensolve
-        "ee --n 100003 --na 64 --z 1 --mass 0.3 --beta 50",
-        # a 300 x 300 complex singular-value solve: massive, twisted
-        "ee --n 2000 --na 300 --z 3 --mass 0.3 --beta 50 --theta 0.25",
-        # one block pair, its leading blocks solved for every N_A
-        "sweep --n 2000 --zs 1,2 --betas 20,inf --nas 100,200,300 --mass 0.4",
-    ],
-)
-def test_ee_bytes_do_not_depend_on_blas_threads(argv):
-    assert _cli_at_blas_threads(argv, "1") == _cli_at_blas_threads(argv, "2")
+def test_oracle_check_bytes_do_not_depend_on_blas_threads(outputs_by_blas_threads):
+    one, two = outputs_by_blas_threads
+    assert one[ORACLE_ARGV] == two[ORACLE_ARGV]
+
+
+@pytest.mark.parametrize("argv", EE_ARGVS)
+def test_ee_bytes_do_not_depend_on_blas_threads(argv, outputs_by_blas_threads):
+    one, two = outputs_by_blas_threads
+    assert one[argv] == two[argv]
+
+
+def test_ee_out_holds_the_plain_value(tmp_path, capsysbinary):
+    argv = ["ee", "--n", "10", "--na", "2", "--z", "1"]
+    assert main(argv) == 0
+    plain = capsysbinary.readouterr().out
+    out = tmp_path / "value"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == plain == b"1.86352010999\n"
+    assert capsysbinary.readouterr().out == b""
 
 
 def test_huge_beta_saturates_without_overflow(capsys):

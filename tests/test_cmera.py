@@ -7,6 +7,7 @@ from scipy.integrate import trapezoid
 from eechain import (
     DegenerateInterval,
     InsufficientSampling,
+    InvalidParameter,
     bogoliubov_angle,
     ee_cmera,
     energy_density,
@@ -34,9 +35,9 @@ def test_angle_heavy_mass_limits():
 
 
 def test_angle_rejects_nonpositive_momenta():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter):
         bogoliubov_angle(0.0, 1, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter):
         bogoliubov_angle(-1.0, 1, 0.5)
 
 

@@ -16,7 +16,7 @@ from eechain import (
     offdiagonal_sum_check,
     validate_beta,
 )
-from eechain.lattice import _mode_weights, _unfolded, fourier_profile
+from eechain.lattice import _mode_weights, _profiles, _unfolded, fourier_profile
 
 INF = math.inf
 
@@ -120,9 +120,9 @@ def test_fourier_profile_matches_direct_sum():
 
 
 def test_fourier_profile_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter):
         fourier_profile(np.zeros(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter):
         fourier_profile(np.zeros((3, 3)))
 
 
@@ -283,6 +283,55 @@ def test_twisted_matrix_still_hermitian():
     assert np.abs(m - m.conj().T).max() <= 1e-12
     eigs = np.linalg.eigvalsh(m)
     assert eigs.min() >= -1e-9 and eigs.max() <= 1 + 1e-9
+
+
+def _sparse_blocks(z, mass, beta, theta):
+    """(spec, sites, blocks) for 6 random sites at N = 12, 301 (the FFT) and
+    100003 (the partial DFT)."""
+    rng = np.random.default_rng(2024)
+    for n in (12, 301, 100_003):
+        spec = LatticeSpec(n, z, mass, 1.0, theta)
+        sites = [int(s) for s in rng.choice(n, size=6, replace=False)]
+        yield spec, sites, build_correlation_matrix(spec, beta, sites)
+
+
+SPARSE_BLOCK_CASES = pytest.mark.parametrize(
+    "z, mass, beta, theta",
+    [
+        (z, mass, beta, theta)
+        # massive; massless on the Fermi-sea, delta and mode-grid paths
+        for z, mass, beta in [(3, 0.4, 7.0), (1, 0.0, INF), (2, 0.0, INF), (1, 0.0, 3.0)]
+        for theta in (0.0, 0.5, 0.3183)
+    ],
+)
+
+
+@SPARSE_BLOCK_CASES
+def test_block_entries_depend_only_on_their_site_pair(z, mass, beta, theta):
+    for spec, sites, corr in _sparse_blocks(z, mass, beta, theta):
+        for block in (corr.same, corr.cross):
+            # equal as numbers: conj gives a zero imaginary part the other sign
+            assert np.array_equal(block.T, block.conj())
+        for a, i in enumerate(sites):
+            for b, j in enumerate(sites):
+                pair = build_correlation_matrix(spec, beta, [i] if a == b else [i, j])
+                k = 0 if a == b else 1
+                assert corr.same[a, b].tobytes() == pair.same[0, k].tobytes()
+                assert corr.cross[a, b].tobytes() == pair.cross[0, k].tobytes()
+
+
+@SPARSE_BLOCK_CASES
+def test_blocks_equal_the_entrywise_formula(z, mass, beta, theta):
+    # bit for bit: P = e^{2i pi theta d/N} p[d] and C = -e^{2i pi theta d/N} q[d]
+    # with p[-d] = conj(p[d]), each entry conjugated first, then twisted
+    for spec, sites, corr in _sparse_blocks(z, mass, beta, theta):
+        d = np.subtract.outer(sites, sites).T  # d[a, b] = j - i
+        p, q = (x.reshape(d.shape) for x in _profiles(spec, beta, np.abs(d).ravel()))
+        below = d < 0
+        p[below], q[below] = p[below].conj(), q[below].conj()
+        twist = np.exp(2j * np.pi * theta * d / spec.n_sites)
+        assert corr.same.tobytes() == (twist * p).tobytes()
+        assert corr.cross.tobytes() == (-twist * q).tobytes()
 
 
 def test_sum_check_preconditions():

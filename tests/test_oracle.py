@@ -23,6 +23,7 @@ from eechain import (
     single_particle_hamiltonian,
 )
 from eechain import oracle
+from eechain.blas import openblas_threads
 from eechain.oracle import (
     MAX_SITES,
     _fock_hamiltonian,
@@ -126,6 +127,30 @@ def test_maximal_chain_runs():
     s = reduced_entropy(state, range(3))
     s_corr = entropy_of(spec, INF, range(3)).entropy
     assert s == pytest.approx(s_corr, abs=1e-8)
+
+
+def test_oracle_bits_do_not_depend_on_blas_threads():
+    # the sector solves and Gibbs products of a library call, not only those
+    # of the CLI's oracle-check, run on one BLAS thread
+    control = openblas_threads()
+    if control is None:
+        return
+    get, put = control
+    saved = get()
+    spec = LatticeSpec(n_sites=5, z_exponent=3, mass=0.7, boundary_phase=0.3)
+    results = {}
+    try:
+        for threads in (1, 2):
+            put(threads)
+            states = [many_body_state(spec, beta) for beta in (1.5, INF)]
+            results[threads] = [
+                (state.rho.data.tobytes(), reduced_entropy(state, [0, 2]))
+                for state in states
+            ]
+            assert get() == threads
+    finally:
+        put(saved)
+    assert results[1] == results[2]
 
 
 LARGE = LatticeSpec(n_sites=6, z_exponent=3, mass=0.4, boundary_phase=0.2)

@@ -19,9 +19,17 @@ from eechain import (
     EechainError,
     InvalidParameter,
     LatticeSpec,
+    bogoliubov_angle,
     build_correlation_matrix,
+    cft_reference,
+    ee_cmera,
+    energy_density,
     entropy_of,
+    g_closed_form,
+    g_from_phi_numeric,
+    geodesic_length,
     many_body_state,
+    minimizing_angle,
     offdiagonal_sum_check,
     reduced_entropy,
     regime_scales,
@@ -74,6 +82,43 @@ def _reduced_entropy(site0=0, site1=2):
     return reduced_entropy(_oracle_state(), [site0, site1])
 
 
+def _bogoliubov_angle(k=0.5, z=1, m=0.3):
+    return bogoliubov_angle(k, z, m)
+
+
+def _minimizing_angle(k=0.5, z=1, m=0.3):
+    return minimizing_angle(k, z, m)
+
+
+def _g_closed_form(z=1, m=0.3, cutoff=1.0):
+    # a junk scale could be a huge u, whose e^u overflows a float
+    return g_closed_form(0.0, z, m, cutoff)
+
+
+def _geodesic_length(g_const=1.0, length=2.0, eps=1.0):
+    return geodesic_length(g_const, length, eps)
+
+
+def _ee_cmera(z=1, length=2.0, eps=1.0):
+    return ee_cmera(z, length, eps)
+
+
+MISSING = object()  # a params key left out of cft_reference's dict
+
+
+def _cft_reference(kind, **params):
+    return cft_reference(kind, {k: v for k, v in params.items() if v is not MISSING})
+
+
+def _cft_finite_size(n=100, na=30, c=MISSING):
+    return _cft_reference("finite_size", n=n, na=na, c=c)
+
+
+def _cft_thermal(l=40.0, beta=20.0, eps=MISSING, c=MISSING):
+    for kind in ("thermal", "low_T_expansion", "high_T_expansion"):
+        _cft_reference(kind, l=l, beta=beta, eps=eps, c=c)
+
+
 ENTRY_POINTS = {
     "LatticeSpec": _lattice_spec,
     "entropy_of": _entropy_of,
@@ -83,10 +128,18 @@ ENTRY_POINTS = {
     "offdiagonal_sum_check": _offdiagonal_sum_check,
     "many_body_state": _many_body_state,
     "reduced_entropy": _reduced_entropy,
+    "bogoliubov_angle": _bogoliubov_angle,
+    "minimizing_angle": _minimizing_angle,
+    "g_closed_form": _g_closed_form,
+    "geodesic_length": _geodesic_length,
+    "ee_cmera": _ee_cmera,
+    "cft_finite_size": _cft_finite_size,
+    "cft_thermal": _cft_thermal,
 }
 
-# calls that raised a bare TypeError or IndexError, or were accepted, before
-# every entry point shared the input rules
+# calls that raised a bare TypeError, IndexError, ValueError,
+# ZeroDivisionError or KeyError, or were accepted, before every entry point
+# shared the input rules
 BAD_CALLS = [
     ("LatticeSpec", {"mass": "x"}),
     ("LatticeSpec", {"mass": None}),
@@ -103,6 +156,15 @@ BAD_CALLS = [
     ("sweep_entropy", {"jobs": "2"}),
     ("offdiagonal_sum_check", {"n": 0}),
     ("offdiagonal_sum_check", {"n": 2.5}),
+    ("bogoliubov_angle", {"k": "x", "z": 1, "m": 0}),
+    ("bogoliubov_angle", {"k": 1.0, "z": "x", "m": 0}),
+    ("g_closed_form", {"z": 1, "m": "x"}),
+    ("minimizing_angle", {"k": 1.0, "z": None, "m": 0.5}),
+    ("ee_cmera", {"z": "x", "length": 2.0, "eps": 1.0}),
+    ("geodesic_length", {"g_const": 1.0, "length": 2.0, "eps": 0.0}),
+    ("ee_cmera", {"z": 1, "length": 2.0, "eps": 0.0}),
+    ("cft_thermal", {"l": 1.0, "beta": 0.0}),
+    ("cft_finite_size", {"n": 10, "na": MISSING}),
 ]
 
 
@@ -118,6 +180,20 @@ def test_subsystem_that_is_not_a_sequence_raises_invalid_parameter(subsystem):
         build_correlation_matrix(SPEC, 2.0, subsystem)
     with pytest.raises(InvalidParameter):
         reduced_entropy(_oracle_state(), subsystem)
+
+
+@pytest.mark.parametrize("values", ["x", None, ["1", "2"], [1j], [True, False]])
+def test_non_numeric_arrays_raise_invalid_parameter(values):
+    calls = [
+        lambda: bogoliubov_angle(values, 1, 0.3),
+        lambda: minimizing_angle(values, 1, 0.3),
+        lambda: g_closed_form(values, 1, 0.3),
+        lambda: energy_density(values, values, 1, 0.3),
+        lambda: g_from_phi_numeric(values, values),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParameter):
+            call()
 
 
 _JUNK = st.one_of(
