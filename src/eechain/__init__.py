@@ -46,7 +46,6 @@ from .lattice import (
     ModeGrid,
     build_correlation_matrix,
     build_mode_grid,
-    offdiagonal_sum_check,
     validate_beta,
 )
 from .oracle import (
@@ -126,7 +125,6 @@ __all__ = [
     "metric_guu",
     "minimizing_angle",
     "mode_correlators",
-    "offdiagonal_sum_check",
     "parse_table",
     "reduced_entropy",
     "regime_scales",

@@ -6,7 +6,8 @@ Scale coordinate u <= 0 with momentum k = cutoff * e^u (k treated as a
 positive quantity).  Two angle profiles appear:
 
 * `bogoliubov_angle` — the closed-form profile
-  phi(k) = (1/2) arcsin(k^z / sqrt(k^{2z} + m^2)) - (-1)^z pi/4,
+  phi(k) = (1/2) arcsin(k^z / sqrt(k^{2z} + m^2)) - (-1)^z pi/4
+         = (1/2) atan2(k^z, m) - (-1)^z pi/4,
   which feeds the g(u) pipeline.  Massless limits: pi/2 (odd z), 0 (even).
 * `minimizing_angle` — the exact per-momentum minimizer of the energy
   integrand, phi = (pi - atan2(m, (-k)^z))/2, satisfying
@@ -34,20 +35,22 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from .errors import DegenerateInterval, InsufficientSampling, InvalidParameter
-from .lattice import validate_integer, validate_positive, validate_real
+from .lattice import (
+    validate_integer,
+    validate_nonnegative,
+    validate_positive,
+    validate_real,
+)
 
 SQRT3 = math.sqrt(3.0)
 MIN_POINTS_PER_DECADE = 100
-# below this m^2 the massive forms take np.hypot: k^(2z) + m^2 may underflow
+# below this m^2 g_closed_form takes np.hypot: k^(2z) + m^2 may underflow
 _TINY = np.finfo(float).tiny
 
 
 def _model(z, m):
     """(z, m) as an int and a float, if z is an integer >= 1 and m finite >= 0."""
-    z, m = validate_integer("z", z, 1), validate_real("m", m)
-    if not (math.isfinite(m) and m >= 0):
-        raise InvalidParameter(f"m must be finite and >= 0, got {m!r}")
-    return z, m
+    return validate_integer("z", z, 1), validate_nonnegative("m", m)
 
 
 def _real_array(name, values):
@@ -73,13 +76,12 @@ def bogoliubov_angle(k, z, m):
     if not np.all((k > 0) & (k < math.inf)):
         raise InvalidParameter("momenta must be finite and positive")
     if m == 0:
-        # k^z / sqrt(k^{2z}) = 1 identically; evaluating it as a quotient
-        # loses ~sqrt(eps) through the arcsin branch point
-        ratio = np.ones_like(k)
+        # exactly pi/2: k^z may underflow to 0, and arctan2(0, 0) = 0
+        half = np.full_like(k, np.pi / 2.0)
     else:
-        omega = np.sqrt(k ** (2 * z) + m * m) if m * m >= _TINY else np.hypot(k**z, m)
-        ratio = k**z / omega
-    phi = 0.5 * np.arcsin(np.clip(ratio, -1.0, 1.0)) - (-1.0) ** z * np.pi / 4.0
+        with np.errstate(over="ignore"):  # arctan2(inf, m) is the limit pi/2
+            half = np.arctan2(k**z, m)
+    phi = 0.5 * half - (-1.0) ** z * np.pi / 4.0
     return float(phi) if phi.ndim == 0 else phi
 
 
@@ -181,6 +183,11 @@ def geodesic_length_massive(z, m, cutoff, length, eps, n_points=4001):
     length, eps = _interval(length, eps)
     n_points = validate_integer("n_points", n_points, 2)
     alpha = 2.0 * eps / (math.pi * length)
+    if alpha == 0.0:
+        raise DegenerateInterval(
+            f"interval l={length} too long for cutoff eps={eps}: "
+            "2 eps/(pi l) underflows to 0"
+        )
     if alpha >= 0.5:
         raise DegenerateInterval("interval too short for the semicircle ansatz")
     t = np.linspace(alpha, 0.5, n_points)

@@ -55,7 +55,8 @@ class InsufficientSampling(EechainError):
 
 class DegenerateInterval(EechainError):
     """Interval length does not exceed the short-distance cutoff, or is
-    too short for the semicircle geodesic ansatz."""
+    too short for the semicircle geodesic ansatz, or so long that
+    2 eps/(pi l) underflows to 0."""
 
 
 class EmptySeries(EechainError):

@@ -119,12 +119,18 @@ def validate_positive(name, value):
     return float(value)
 
 
+def validate_nonnegative(name, value):
+    """value as a float, if it is a finite real number >= 0 (a mass)."""
+    if not (math.isfinite(validate_real(name, value)) and value >= 0):
+        raise InvalidParameter(f"{name} must be finite and >= 0, got {value!r}")
+    return float(value)
+
+
 def validate_model(z_exponent, mass, spacing):
     """Check the dispersion parameters z, m and eps of a LatticeSpec (whose
     docstring gives the ranges); the cMERA profiles share them."""
     validate_integer("z_exponent", z_exponent, 1)
-    if not (math.isfinite(validate_real("mass", mass)) and mass >= 0):
-        raise InvalidParameter(f"mass must be finite and >= 0, got {mass!r}")
+    validate_nonnegative("mass", mass)
     validate_positive("spacing", spacing)
     # omega**2 = keff**(2z) + m**2 with |keff| <= 1/eps on every grid
     if not math.isfinite(_power(mass, 2) + _power(spacing, -2 * z_exponent)):
@@ -558,26 +564,3 @@ def build_correlation_matrix(spec: LatticeSpec, beta, subsystem) -> CorrelationM
     cross = (-twist * np.concatenate((q, q.conj())))[index]
     return CorrelationMatrix(same=same, cross=cross)
 
-
-def offdiagonal_sum_check(n, length, dx):
-    """Finite-lattice probe of the continuum correlator 1/x tail.
-
-    Evaluates (1/2L) * sum_kappa e^{2i pi (dx/L) kappa} * sign(keff_kappa)
-    on an N-mode grid of physical size L.  As N grows at fixed dx/L the
-    magnitude approaches the continuum value 1/(4 pi dx); the overall sign
-    is convention-dependent so callers should compare magnitudes.
-
-    Note the sum has arithmetic resonances at rational dx/L: it vanishes
-    identically when dx is an even integer multiple of L/N's unit, so
-    convergence studies should hold dx/L fixed while growing N.
-    """
-    n = validate_integer("n", n, 1)
-    dx, length = validate_real("dx", dx), validate_real("length", length)
-    if not 0 < dx < length:
-        raise InvalidParameter(f"need 0 < dx < L, got dx={dx}, L={length}")
-    kappa = np.arange(n)
-    # sign(sin(2 pi kappa/N)) from the exact integers: 0 at the nodes
-    signs = np.sign(n - 2 * kappa)
-    signs[0] = 0
-    phases = np.exp(2j * np.pi * (dx / length) * kappa)
-    return complex(np.sum(phases * signs) / (2.0 * length))

@@ -2,7 +2,8 @@
 
 Each test prints a single `[criterion NN] PASS/FAIL` line (visible with
 pytest -s) and asserts the same condition, so the suite both documents
-and enforces the contract.
+and enforces the contract.  Criterion 10 also runs under a planted error,
+which it must catch.
 """
 
 import math
@@ -11,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from eechain import lattice
 from eechain import (
     LatticeSpec,
     RegimeUnreachable,
@@ -28,7 +30,6 @@ from eechain import (
     many_body_state,
     minimizing_angle,
     mode_correlators,
-    offdiagonal_sum_check,
     reduced_entropy,
 )
 
@@ -212,13 +213,46 @@ def test_criterion_09_cmera_closed_forms():
     )
 
 
+# Massless z = 1 chains at an FFT-path and a partial-DFT-path N, at two twists
+CONTINUUM_CHAINS = [
+    LatticeSpec(n, 1, boundary_phase=theta)
+    for n in (100000, 100003)
+    for theta in (0.0, 0.3183)
+]
+CONTINUUM_BETAS = (10, 20, 40, 80)
+
+
+def _continuum_convergence():
+    """(ok, detail): the lattice P[0, d] tends to the continuum Dirac
+    correlator 1/(beta sinh(pi d/beta)) at odd d ~ beta/2 with an error
+    falling like beta^-2, and the doubler cancels it at even d."""
+    slopes, worst_even = [], 0.0
+    for spec in CONTINUUM_CHAINS:
+        errors = []
+        for beta in CONTINUUM_BETAS:
+            d = 2 * (beta // 4) + 1
+            p = build_correlation_matrix(spec, beta, range(d + 1)).same[0]
+            exact = 1.0 / (beta * math.sinh(math.pi * d / beta))
+            errors.append(abs(abs(p[d]) - exact) / exact)
+            worst_even = max(worst_even, np.abs(p[2::2]).max())
+        slopes.append(np.polyfit(np.log(CONTINUUM_BETAS), np.log(errors), 1)[0])
+    ok = all(-2.2 <= s <= -1.8 for s in slopes) and worst_even <= 1e-15
+    detail = (
+        f"relative error slopes in beta = {', '.join(f'{s:.3f}' for s in slopes)}, "
+        f"max even-d |P[0, d]| = {worst_even:.1e}"
+    )
+    return ok, detail
+
+
 def test_criterion_10_continuum_convergence():
-    sizes = (100, 1000, 10000)
-    errs = []
-    for n in sizes:
-        dx = 0.02 * n
-        val = offdiagonal_sum_check(n, float(n), dx)
-        errs.append(abs(val - 1j / (4 * math.pi * dx)))
-    slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
-    ok = -1.2 <= slope <= -0.8
-    _report(10, ok, f"error decay exponent = {slope:.3f}")
+    _report(10, *_continuum_convergence())
+
+
+def test_criterion_10_fails_when_the_weights_take_twice_beta(monkeypatch):
+    # a planted error in the thermal weights must fail the criterion
+    weights = lattice._mode_weights
+    monkeypatch.setattr(
+        lattice, "_mode_weights", lambda spec, beta: weights(spec, 2 * beta)
+    )
+    ok, detail = _continuum_convergence()
+    assert not ok, detail

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
@@ -32,6 +33,29 @@ def test_angle_massless_limits():
 def test_angle_heavy_mass_limits():
     assert bogoliubov_angle(1.0, 1, 1e12) == pytest.approx(PI / 4, abs=1e-9)
     assert bogoliubov_angle(1.0, 2, 1e12) == pytest.approx(-PI / 4, abs=1e-9)
+
+
+@pytest.mark.parametrize("z, m", [(4, 1e-8), (3, 1e-6), (6, 1e-12), (1, 1e-3), (2, 0.5)])
+def test_angle_matches_mpmath(z, m):
+    # on the cmera command's scales; near the arcsin branch point k^z >> m a
+    # quotient k^z/omega rounded to 1 loses about sqrt(eps) of the angle
+    k = np.exp(np.linspace(-5.0, 0.0, 501))
+    phi = bogoliubov_angle(k, z, m)
+    with mpmath.workdps(40):
+        for kk, value in zip(k, phi):
+            power = mpmath.mpf(kk) ** z
+            ratio = power / mpmath.sqrt(power**2 + mpmath.mpf(m) ** 2)
+            exact = mpmath.asin(ratio) / 2 - (-1) ** z * mpmath.pi / 4
+            assert abs(value - float(exact)) <= 2 * np.spacing(PI / 2)
+
+
+def test_angle_at_extreme_momenta():
+    # k^z or k^(2z) overflows or underflows: the angle takes its limit
+    assert bogoliubov_angle(1e80, 2, 0.5) == 0.0
+    assert bogoliubov_angle(1e200, 2, 0.5) == 0.0
+    assert bogoliubov_angle(1e200, 3, 0.5) == PI / 2
+    assert bogoliubov_angle(1e-200, 2, 0.5) == -PI / 4
+    assert bogoliubov_angle(1e-200, 3, 0.0) == PI / 2
 
 
 def test_angle_rejects_nonpositive_momenta():
@@ -153,6 +177,12 @@ def test_geodesic_massive_limits():
     with pytest.raises(DegenerateInterval):
         # interval too short for the semicircle parameterization
         geodesic_length_massive(1, 0.5, 1.0, 1.05, 1.0)
+
+
+def test_geodesic_massive_rejects_an_underflowing_interval():
+    # 2 eps/(pi l) underflows to 0, so the semicircle would start at r = 0
+    with pytest.raises(DegenerateInterval, match="interval"):
+        geodesic_length_massive(1, 0.5, 1.0, 1e300, 1e-30)
 
 
 def test_ee_closed_form():

@@ -22,6 +22,9 @@ ARGV = {  # name: the command; a final --out gets a file path
     "ee-plain": f"ee {POINT}",
     "ee-csv": f"ee {POINT} --format csv",
     "ee-json": f"ee {POINT} --format json --out",
+    # the other two profile paths: partial DFT and the Fermi-sea closed form
+    "ee-partial-dft": "ee --n 131072 --na 40 --z 2 --mass 0.3 --beta 20 --theta 0.25",
+    "ee-fermi-sea": "ee --n 100003 --na 40 --z 3 --beta inf --theta 0.25",
     "sweep-csv": f"{SWEEP} --eps 0.5",
     "sweep-json": f"{SWEEP} --format json --out",
     "sweep-svg": "sweep --n 40 --z 1 --beta inf --nas 2,4,8,16 --format svg",
@@ -42,13 +45,15 @@ SHA256 = {
     "ee-plain": "2eb58b13b0fb856ce8faee53348f27ccf71a53fb21197876d174403027c0279f",
     "ee-csv": "77e3bd0fffe377ba7f132b31917ae944d75e6a82c0372f79d2ecf3b1afd43b62",
     "ee-json": "2f34614541f89df623602c4862648519fe65ede1bab5f203afb8f4a97d2370bc",
+    "ee-partial-dft": "537ba15dd90575f2e4a56dabbcbe466f4796c4a61bdacb912bd04be917795e95",
+    "ee-fermi-sea": "ae0017b6b32c7a151c31829d502c5321fc56e9975a0ae0b1c042dc47650f9886",
     "sweep-csv": "709892b633f56fb67f92219a9c786816ba538c31e16ecc7a9c4a06094e49783e",
     "sweep-json": "b4d96cefb9e0f14c292155cf4406a41ebc7ce4f77099521e23401442a73aea96",
     "sweep-svg": "96df2719847d32950a91547abc9c88735c791322a1de1ef2355562517fc34955",
     "fit-text": "64484d4a33330bf6a87871bec5ea644ed933d4a5f5b2dc6f1985d8a52221d5ec",
     "fit-json": "e2922b2bd3c9755ec95c0dbc16658ca5c49a4612c36a098b8b51b0ec161f1fd2",
     "cmera-csv": "0a3d799ed2fdf6b5b6eaf6265c043975bd50857b77f81adb4e446f79aadd7e8b",
-    "cmera-json": "61ad73d24f2c6dd0bad7828df080a69732207ec9534af8a29a39138c07293093",
+    "cmera-json": "bb750979d3e3a84de46c20a72563f4fc3898d90ec2ac42c58451313e8557acea",
     "cmera-svg": "0f877269846b1e4951cabb118b50ebd61360ccae915380ee0642649839e11740",
     "oracle-check": "7cff4d3e8aa3fd61ec6f33c48c4ed2695ecb0e238c50df5ac1c2b3d91e3390a1",
     "oracle-check-gibbs-n5": (

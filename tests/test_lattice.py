@@ -13,7 +13,6 @@ from eechain import (
     SiteOutOfRange,
     build_correlation_matrix,
     build_mode_grid,
-    offdiagonal_sum_check,
     validate_beta,
 )
 from eechain.lattice import _mode_weights, _profiles, _unfolded, fourier_profile
@@ -333,32 +332,3 @@ def test_blocks_equal_the_entrywise_formula(z, mass, beta, theta):
         assert corr.same.tobytes() == (twist * p).tobytes()
         assert corr.cross.tobytes() == (-twist * q).tobytes()
 
-
-def test_sum_check_preconditions():
-    with pytest.raises(ValueError):
-        offdiagonal_sum_check(100, 100.0, 0.0)
-    with pytest.raises(ValueError):
-        offdiagonal_sum_check(100, 100.0, 100.0)
-
-
-def test_sum_check_bad_offset_is_invalid_parameter():
-    with pytest.raises(InvalidParameter):
-        offdiagonal_sum_check(10, 10.0, 0.0)
-
-
-def test_sum_check_even_integer_resonance():
-    # kappa and kappa + N/2 carry opposite signs and identical phases when
-    # dx is an even integer, so the sum cancels identically
-    for n, dx in [(100, 2.0), (1000, 10.0), (64, 4.0)]:
-        assert abs(offdiagonal_sum_check(n, float(n), dx)) < 1e-15
-
-
-def test_sum_check_error_decays_like_1_over_n():
-    errs = []
-    sizes = (100, 1000, 10000)
-    for n in sizes:
-        dx = 0.02 * n
-        val = offdiagonal_sum_check(n, float(n), dx)
-        errs.append(abs(val - 1j / (4 * math.pi * dx)))
-    slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
-    assert -1.2 < slope < -0.8

@@ -28,9 +28,9 @@ from eechain import (
     g_closed_form,
     g_from_phi_numeric,
     geodesic_length,
+    geodesic_length_massive,
     many_body_state,
     minimizing_angle,
-    offdiagonal_sum_check,
     reduced_entropy,
     regime_scales,
     sweep_entropy,
@@ -70,10 +70,6 @@ def _regime_scales(na=2):
     return regime_scales(SPEC, na)
 
 
-def _offdiagonal_sum_check(n=16, length=10.0, dx=1.0):
-    return offdiagonal_sum_check(n, length, dx)
-
-
 def _many_body_state(beta=2.0):
     return many_body_state(ORACLE_SPEC, beta)
 
@@ -97,6 +93,10 @@ def _g_closed_form(z=1, m=0.3, cutoff=1.0):
 
 def _geodesic_length(g_const=1.0, length=2.0, eps=1.0):
     return geodesic_length(g_const, length, eps)
+
+
+def _geodesic_length_massive(z=1, m=0.3, cutoff=1.0, length=2.0, eps=1.0, n_points=101):
+    return geodesic_length_massive(z, m, cutoff, length, eps, n_points)
 
 
 def _ee_cmera(z=1, length=2.0, eps=1.0):
@@ -125,21 +125,22 @@ ENTRY_POINTS = {
     "build_correlation_matrix": _build_correlation_matrix,
     "sweep_entropy": _sweep_entropy,
     "regime_scales": _regime_scales,
-    "offdiagonal_sum_check": _offdiagonal_sum_check,
     "many_body_state": _many_body_state,
     "reduced_entropy": _reduced_entropy,
     "bogoliubov_angle": _bogoliubov_angle,
     "minimizing_angle": _minimizing_angle,
     "g_closed_form": _g_closed_form,
     "geodesic_length": _geodesic_length,
+    "geodesic_length_massive": _geodesic_length_massive,
     "ee_cmera": _ee_cmera,
     "cft_finite_size": _cft_finite_size,
     "cft_thermal": _cft_thermal,
 }
 
-# calls that raised a bare TypeError, IndexError, ValueError,
-# ZeroDivisionError or KeyError, or were accepted, before every entry point
-# shared the input rules
+# calls that must raise InvalidParameter; all but the two
+# geodesic_length_massive rows raised a bare TypeError, IndexError,
+# ValueError, ZeroDivisionError or KeyError, or were accepted, before every
+# entry point shared the input rules
 BAD_CALLS = [
     ("LatticeSpec", {"mass": "x"}),
     ("LatticeSpec", {"mass": None}),
@@ -154,8 +155,8 @@ BAD_CALLS = [
     ("regime_scales", {"na": True}),
     ("sweep_entropy", {"jobs": 2.5}),
     ("sweep_entropy", {"jobs": "2"}),
-    ("offdiagonal_sum_check", {"n": 0}),
-    ("offdiagonal_sum_check", {"n": 2.5}),
+    ("geodesic_length_massive", {"n_points": 2.5}),
+    ("geodesic_length_massive", {"m": -1.0}),
     ("bogoliubov_angle", {"k": "x", "z": 1, "m": 0}),
     ("bogoliubov_angle", {"k": 1.0, "z": "x", "m": 0}),
     ("g_closed_form", {"z": 1, "m": "x"}),
@@ -228,6 +229,8 @@ def _with_bad_calls_as_examples(test):
 @settings(max_examples=200, deadline=None)
 @given(_calls())
 @_with_bad_calls_as_examples
+# 2 eps/(pi l) underflows to 0: DegenerateInterval, not RuntimeWarnings
+@example(("geodesic_length_massive", {"length": 1e300, "eps": 1e-30}))
 def test_any_library_input_raises_typed_or_succeeds(call):
     name, kwargs = call
     try:
