@@ -15,11 +15,14 @@ positive quantity).  Two angle profiles appear:
   The two differ by a branch choice; stationarity checks use this one.
 
 The inversion g(u) = -phi + k dphi/dk = -phi + dphi/du (chain rule at
-k = cutoff e^u) has the closed form
+k = cutoff e^u) has the closed form, with alpha = atan2(k^z, m),
 
-    g(u) = -phi(k) + z m k^z / (2 (k^{2z} + m^2))
+    g(u) = -phi(k) + z m k^z / (2 (k^{2z} + m^2)) = -phi(k) + (z/4) sin 2 alpha
 
-which `g_from_phi_numeric` reproduces by finite differences.
+which `g_from_phi_numeric` reproduces by finite differences.  It is finite
+at every u: (-1)^z pi/4 as k^z -> 0, ((-1)^z - 1) pi/4 as k^z -> inf, and
+the latter everywhere when m = 0.  `geodesic_length_massive` integrates in
+s = ln tan(pi t/2) along the semicircle r = (l/2) sin(pi t) = (l/2) sech s.
 
 Inputs follow eechain.lattice's rules: z is an integer >= 1, m a finite
 real >= 0, and cutoff, length and eps finite reals > 0.  Momenta, scales
@@ -44,8 +47,6 @@ from .lattice import (
 
 SQRT3 = math.sqrt(3.0)
 MIN_POINTS_PER_DECADE = 100
-# below this m^2 g_closed_form takes np.hypot: k^(2z) + m^2 may underflow
-_TINY = np.finfo(float).tiny
 
 
 def _model(z, m):
@@ -69,19 +70,21 @@ def _interval(length, eps):
     return length, eps
 
 
+def _mixing_angle(k, z, m):
+    """atan2(k^z, m) for m > 0: pi/2 where k^z overflows, 0 where it underflows."""
+    with np.errstate(over="ignore"):
+        return np.arctan2(k**z, m)
+
+
 def bogoliubov_angle(k, z, m):
     """Closed-form mixing angle at finite momentum k > 0."""
     z, m = _model(z, m)
     k = _real_array("k", k)
     if not np.all((k > 0) & (k < math.inf)):
         raise InvalidParameter("momenta must be finite and positive")
-    if m == 0:
-        # exactly pi/2: k^z may underflow to 0, and arctan2(0, 0) = 0
-        half = np.full_like(k, np.pi / 2.0)
-    else:
-        with np.errstate(over="ignore"):  # arctan2(inf, m) is the limit pi/2
-            half = np.arctan2(k**z, m)
-    phi = 0.5 * half - (-1.0) ** z * np.pi / 4.0
+    # m = 0: exactly pi/2, where k^z may underflow to 0 and atan2(0, 0) = 0
+    alpha = np.full_like(k, np.pi / 2.0) if m == 0 else _mixing_angle(k, z, m)
+    phi = 0.5 * alpha - (-1.0) ** z * np.pi / 4.0
     return float(phi) if phi.ndim == 0 else phi
 
 
@@ -97,21 +100,17 @@ def g_closed_form(u, z, m, cutoff=1.0):
     """Entangler strength g(u) at scale u <= 0.
 
     Massless: the constant (pi/4)((-1)^z - 1) — 0 for even z, -pi/2 odd.
-    Massive: -phi(k) + z m k^z / (2 omega^2) evaluated at k = cutoff e^u.
+    Massive: -phi(k) + (z/4) sin 2 alpha at k = cutoff e^u.
     """
     z, m = _model(z, m)
     cutoff = validate_positive("cutoff", cutoff)
     u = _real_array("u", u)
     if m == 0:
         value = np.full_like(u, (np.pi / 4.0) * ((-1.0) ** z - 1.0))
-        return float(value) if value.ndim == 0 else value
-    k = cutoff * np.exp(u)
-    if m * m >= _TINY:
-        term = z * m * k**z / (2.0 * (k ** (2 * z) + m * m))
     else:
-        omega = np.hypot(k**z, m)
-        term = z * (m / omega) * (k**z / omega) / 2.0
-    value = -bogoliubov_angle(k, z, m) + term
+        with np.errstate(over="ignore"):  # k = inf gives alpha = pi/2
+            alpha = _mixing_angle(cutoff * np.exp(u), z, m)
+        value = (z / 4.0) * np.sin(2.0 * alpha) - 0.5 * alpha + (-1.0) ** z * np.pi / 4.0
     return float(value) if value.ndim == 0 else value
 
 
@@ -175,10 +174,12 @@ def geodesic_length(g_const, length, eps):
 def geodesic_length_massive(z, m, cutoff, length, eps, n_points=4001):
     """Semicircle-ansatz geodesic length in the u-dependent massive metric.
 
-    Quadrature of (2 pi / sqrt 3) * integral_alpha^(1/2) |g(u(t))| csc(pi t) dt
-    along r(t) = (l/2) sin(pi t), u(t) = ln(eps / r(t)), alpha = 2 eps/(pi l).
-    This is an ansatz (the constant-g case is the controlled one); it
-    reduces to geodesic_length as m -> 0 up to the small-alpha expansion.
+    (2 pi / sqrt 3) * integral_alpha^(1/2) |g(u(t))| csc(pi t) dt along
+    r(t) = (l/2) sin(pi t), u(t) = ln(eps / r(t)), alpha = 2 eps/(pi l), is
+    (2 / sqrt 3) * integral_(ln tan(eps/l))^0 |g| ds in s = ln tan(pi t/2),
+    taken by the trapezoid rule: exact for a constant g, and geodesic_length
+    up to the small-alpha expansion.  This is an ansatz (the constant-g case
+    is the controlled one).
     """
     length, eps = _interval(length, eps)
     n_points = validate_integer("n_points", n_points, 2)
@@ -190,12 +191,13 @@ def geodesic_length_massive(z, m, cutoff, length, eps, n_points=4001):
         )
     if alpha >= 0.5:
         raise DegenerateInterval("interval too short for the semicircle ansatz")
-    t = np.linspace(alpha, 0.5, n_points)
-    r = (length / 2.0) * np.sin(np.pi * t)
-    u = np.log(eps / r)
+    # ln(eps/l) as a difference of logs keeps its digits where eps/l is
+    # subnormal, and u = ln(2 eps/l) + ln cosh s without an overflowing cosh
+    x, log_x = eps / length, math.log(eps) - math.log(length)
+    s = np.linspace(log_x + math.log(math.tan(x) / x), 0.0, n_points)
+    u = log_x + np.abs(s) + np.log1p(np.exp(-2.0 * np.abs(s)))
     g = np.abs(g_closed_form(u, z, m, cutoff))
-    integrand = g / np.sin(np.pi * t)
-    return float((2.0 * np.pi / SQRT3) * trapezoid(integrand, t))
+    return float((2.0 / SQRT3) * trapezoid(g, s))
 
 
 def ee_cmera(z, length, eps, c=2.0):

@@ -323,14 +323,10 @@ def _mode_weights(spec: LatticeSpec, beta):
 
     tanh_factor = None
     if not math.isinf(beta):
-        bounded = omega
-        if math.isinf(beta * math.hypot(m, _power(spec.spacing, -spec.z_exponent))):
-            # beta*omega would overflow; tanh(x) is exactly 1 for x > 20,
-            # so capping omega at 64/beta changes no weight
-            bounded = np.minimum(omega, 64.0 / beta)
         # in place: for a massless point at a smooth N this step sets the
-        # peak memory of the whole point
-        tanh_factor = beta * bounded
+        # peak memory of the whole point.  tanh(inf) = 1 is the limit
+        with np.errstate(over="ignore"):
+            tanh_factor = beta * omega
         tanh_factor /= 2.0
         np.tanh(tanh_factor, out=tanh_factor)
     if m == 0.0:
@@ -406,13 +402,13 @@ def _uses_partial_dft(n):
     """True where the partial DFT, not the FFT, computes the profiles.
 
     A function of N alone, so a profile entry never changes path with the
-    subsystem.  Measured on one BLAS thread (2-core Xeon VM, numpy 2.4):
-    at a 5-smooth N = 2^17 one FFT takes 2.4 ms and the partial DFT 0.9 ms
-    for one block of PROFILE_BLOCK site differences, 3.2 ms for four (a
-    64-site subsystem); at N = 1e6 the FFT takes 24 ms and four blocks
-    13 ms.  Once N has a prime factor above about 300, numpy's FFT takes
-    its Bluestein path and costs 10-15 times as much: 25 ms at
-    N = 100003, against 2.7 ms for four blocks.
+    subsystem.  FFT / partial DFT for both profiles of z = 1, m = 0.3,
+    beta = 50 at 64 site differences, on one BLAS thread (2-core Xeon VM,
+    numpy 2.4): 0.33 / 0.68 ms at N = 16384, 1.15 / 0.85 ms at 32768,
+    4.47 / 1.69 ms at 1e5 and 53 / 9.8 ms at 1e6.  So the 5-smooth crossover
+    lies between 2e4 and 3.3e4; the rule keeps 2^17, as moving it changes
+    which bits those N get.  A prime factor above about 300 sends numpy's
+    FFT down its Bluestein path: 23.1 / 1.9 ms at the prime N = 65537.
     """
     return n >= 2**17 or (n >= 10**4 and _largest_prime_factor(n) > 300)
 

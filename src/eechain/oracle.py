@@ -214,14 +214,14 @@ def many_body_state(spec: LatticeSpec, beta, site_order=None) -> FockState:
     # the sector solves and products on one BLAS thread, so that rho's bits
     # do not depend on the core count (see eechain.blas)
     with one_blas_thread():
+        spectra = [np.linalg.eigh(block) for block in blocks]
+        lowest = [energies[0] for energies, _ in spectra]
         if math.isinf(beta):
-            lowest = [np.linalg.eigvalsh(block)[0] for block in blocks]
             k = int(np.argmin(lowest))
-            psi = np.linalg.eigh(blocks[k])[1][:, 0]
+            psi = spectra[k][1][:, 0]
             sectors, blocks = [sectors[k]], [np.outer(psi, psi.conj())]
         else:
-            spectra = [np.linalg.eigh(block) for block in blocks]
-            ground = min(energies[0] for energies, _ in spectra)
+            ground = min(lowest)
             weights = [np.exp(-beta * (energies - ground)) for energies, _ in spectra]
             partition = sum(w.sum() for w in weights)
             blocks = [

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -94,6 +95,37 @@ def test_g_massive_value_at_u0():
     assert val == pytest.approx(-3 * PI / 8 + 0.25, rel=1e-14)
 
 
+@pytest.mark.parametrize("z, m", [(1, 1.0), (2, 0.5), (3, 0.05), (4, 1e-8), (5, 2.0)])
+def test_g_matches_mpmath(z, m):
+    # on the cmera command's scales at cutoff 1
+    u = np.linspace(-5.0, 0.0, 501)
+    g = g_closed_form(u, z, m)
+    with mpmath.workdps(40):
+        for k, value in zip(np.exp(u), g):
+            power, mass = mpmath.mpf(k) ** z, mpmath.mpf(m)
+            phi = mpmath.atan2(power, mass) / 2 - (-1) ** z * mpmath.pi / 4
+            exact = -phi + z * mass * power / (2 * (power**2 + mass**2))
+            assert abs(value - exact) <= 4.5e-16
+
+
+@pytest.mark.parametrize(
+    "u, z, m, cutoff, limit",
+    [
+        # k^(2z) overflowed
+        (400.0, 1, 0.5, 1.0, -PI / 2),
+        (0.0, 1, 0.3, 1.5e300, -PI / 2),
+        (800.0, 3, 0.3, 1.0, -PI / 2),
+        # k = e^u underflows to 0, a momentum bogoliubov_angle rejects
+        (-800.0, 1, 0.3, 1.0, -PI / 4),
+    ],
+)
+def test_g_takes_its_limit_where_k_overflows_or_underflows(u, z, m, cutoff, limit):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = g_closed_form(u, z, m, cutoff)
+    assert abs(value - limit) <= np.spacing(abs(limit))
+
+
 def test_g_cutoff_rescaling():
     u = np.linspace(-4, -1, 11)
     shifted = g_closed_form(u + math.log(2.0), 1, 0.6, cutoff=1.0)
@@ -177,6 +209,30 @@ def test_geodesic_massive_limits():
     with pytest.raises(DegenerateInterval):
         # interval too short for the semicircle parameterization
         geodesic_length_massive(1, 0.5, 1.0, 1.05, 1.0)
+
+
+@pytest.mark.parametrize("z", [1, 3])
+@pytest.mark.parametrize("ratio", [1e2, 1e4, 1e6, 1e10])
+def test_geodesic_massless_is_the_constant_g_integral(z, ratio):
+    # the csc(pi t) end point is resolved however long the interval:
+    # (2|g|/sqrt 3) ln cot(eps/l) with |g| = pi/2
+    got = geodesic_length_massive(z, 0.0, 1.0, ratio, 1.0)
+    want = (PI / math.sqrt(3)) * -math.log(math.tan(1.0 / ratio))
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_geodesic_massive_at_a_subnormal_cutoff():
+    # every k = cutoff e^u underflows, or nearly: g is its k -> 0 limit
+    tiny = geodesic_length_massive(1, 0.5, 1e-320, 1e10, 1.0)
+    assert tiny == geodesic_length_massive(1, 0.5, 1e-300, 1e10, 1.0)
+
+
+def test_geodesic_massive_at_a_subnormal_alpha():
+    # 2 eps/(pi l) is subnormal, and cosh s would overflow at s0 = ln tan(eps/l)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = geodesic_length_massive(1, 0.5, 1.0, 1e300, 1e-20)
+    assert math.isfinite(value) and value > 0
 
 
 def test_geodesic_massive_rejects_an_underflowing_interval():

@@ -1,7 +1,8 @@
-"""The suite's pytest configuration, checked on a planted failing test, and
-the package's one home for its input rules."""
+"""The suite's pytest configuration, checked on a planted failing test, the
+package's one home for its input rules, and the names the benchmark uses."""
 
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -82,3 +83,18 @@ def test_input_rules_live_only_in_the_lattice_validators():
         if lines:
             offending[path.name] = lines
     assert offending == {}
+
+
+
+def test_benchmark_finds_every_name_it_uses():
+    # the traced benchmark run wraps functions by name on eechain's modules,
+    # and every run records eechain.backend_name(): a cleanup that drops
+    # one of them, or an import that looks unused, breaks the benchmark
+    import eechain.cli  # noqa: F401  (the tracer wraps cli's names)
+
+    path = PYPROJECT.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    spans.Tracer(eechain)  # getattr on each name the traced run wraps
+    assert isinstance(eechain.backend_name(), str)

@@ -86,9 +86,8 @@ def _minimizing_angle(k=0.5, z=1, m=0.3):
     return minimizing_angle(k, z, m)
 
 
-def _g_closed_form(z=1, m=0.3, cutoff=1.0):
-    # a junk scale could be a huge u, whose e^u overflows a float
-    return g_closed_form(0.0, z, m, cutoff)
+def _g_closed_form(u=0.0, z=1, m=0.3, cutoff=1.0):
+    return g_closed_form(u, z, m, cutoff)
 
 
 def _geodesic_length(g_const=1.0, length=2.0, eps=1.0):
@@ -231,6 +230,12 @@ def _with_bad_calls_as_examples(test):
 @_with_bad_calls_as_examples
 # 2 eps/(pi l) underflows to 0: DegenerateInterval, not RuntimeWarnings
 @example(("geodesic_length_massive", {"length": 1e300, "eps": 1e-30}))
+# k^(2z) or k = cutoff e^u overflows, or k underflows to 0: g's limits
+@example(("g_closed_form", {"u": 400.0, "m": 0.5}))
+@example(("g_closed_form", {"cutoff": 1.5e300}))
+@example(("g_closed_form", {"u": -800.0}))
+@example(("g_closed_form", {"u": 800.0, "z": 3}))
+@example(("geodesic_length_massive", {"m": 0.5, "cutoff": 1e-320, "length": 1e10}))
 def test_any_library_input_raises_typed_or_succeeds(call):
     name, kwargs = call
     try:
