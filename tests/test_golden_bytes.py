@@ -25,6 +25,13 @@ ARGV = {  # name: the command; a final --out gets a file path
     # the other two profile paths: partial DFT and the Fermi-sea closed form
     "ee-partial-dft": "ee --n 131072 --na 40 --z 2 --mass 0.3 --beta 20 --theta 0.25",
     "ee-fermi-sea": "ee --n 100003 --na 40 --z 3 --beta inf --theta 0.25",
+    # the partial DFT at theta in {0, 1/2}, at an even and an odd N
+    "ee-partial-dft-theta0": (
+        "ee --n 131072 --na 40 --z 3 --mass 0.3 --beta 20 --format json --out"
+    ),
+    "ee-partial-dft-theta-half": (
+        "ee --n 100003 --na 40 --z 2 --mass 0.3 --beta 20 --theta 0.5 --format json --out"
+    ),
     "sweep-csv": f"{SWEEP} --eps 0.5",
     "sweep-json": f"{SWEEP} --format json --out",
     "sweep-svg": "sweep --n 40 --z 1 --beta inf --nas 2,4,8,16 --format svg",
@@ -47,6 +54,12 @@ SHA256 = {
     "ee-json": "2f34614541f89df623602c4862648519fe65ede1bab5f203afb8f4a97d2370bc",
     "ee-partial-dft": "537ba15dd90575f2e4a56dabbcbe466f4796c4a61bdacb912bd04be917795e95",
     "ee-fermi-sea": "ae0017b6b32c7a151c31829d502c5321fc56e9975a0ae0b1c042dc47650f9886",
+    "ee-partial-dft-theta0": (
+        "f30afb1593bf5b10336eed0cc1d210a2440006e315ce6643ea999b205164d551"
+    ),
+    "ee-partial-dft-theta-half": (
+        "619ddd8e49e654f26931d8560fcf3368e5c8c4790ed2a71b9e1aa2d6c327291b"
+    ),
     "sweep-csv": "709892b633f56fb67f92219a9c786816ba538c31e16ecc7a9c4a06094e49783e",
     "sweep-json": "b4d96cefb9e0f14c292155cf4406a41ebc7ce4f77099521e23401442a73aea96",
     "sweep-svg": "96df2719847d32950a91547abc9c88735c791322a1de1ef2355562517fc34955",
