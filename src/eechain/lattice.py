@@ -9,7 +9,10 @@ the ground state.
 
 For even N, mode kappa + N/2 has k*eps shifted by pi, so its keff is minus
 that of mode kappa and its omega the same.  Only the K distinct modes are
-computed: K = N/2 for even N and K = N for odd N (see _distinct_modes).
+computed: K = N/2 for even N and K = N for odd N.  On the partial-DFT path
+at theta in {0, 1/2} the mode set is also closed under k -> -k, and only
+the reflection-distinct modes are computed: about N/4 for even N and N/2
+for odd N (see _distinct_modes).
 
 The two-point functions of the (+/-) chirality components are circulant in
 the site difference d = j - i:
@@ -30,14 +33,18 @@ one gather of those.  Each profile takes one of three paths:
 * partial DFT, where N is large or has a large prime factor
   (_uses_partial_dft): a sqrt(K)-split DFT over the K distinct modes in
   fixed blocks of PROFILE_BLOCK site differences, O(K) per block (see
-  _partial_dft).
+  _partial_dft).  At theta in {0, 1/2} F(-k) = (-1)^z F(k) and
+  G(-k) = G(k), so the twisted profiles e^{2i pi theta d/N} p[d] and
+  e^{2i pi theta d/N} q[d] are sine or cosine series over the
+  reflection-distinct modes: each entry is exactly real or exactly
+  imaginary.
 * FFT, at every other N: fourier_profile, one real-input FFT per weight
   array unfolded to length N, O(N log N).
 
-The path depends on N and the model alone, and each entry's bits depend
-on N, the model and its own d alone: never on N_A or on which other
-entries the subsystem needs.  So a block of a larger matrix equals the
-matrix of the smaller subsystem bit for bit.
+The path depends on N, theta and the model alone, and each entry's bits
+depend on N, theta, the model and its own d alone: never on N_A or on
+which other entries the subsystem needs.  So a block of a larger matrix
+equals the matrix of the smaller subsystem bit for bit.
 
 A mode is an exact node (k*eps = 0 mod pi, so keff = 0) exactly when
 2*(theta + kappa)/N is an integer, which needs theta in {0, 1/2}.  The
@@ -185,7 +192,10 @@ class ModeGrid:
 
     massless_frequencies holds |keff|^z, the frequencies at m = 0, with
     exact zeros at the nodes; frequencies holds omega.  For even N, mode
-    kappa + N/2 has the frequencies of mode kappa.
+    kappa + N/2 has the frequencies of mode kappa.  On the partial-DFT path
+    at theta in {0, 1/2} K is the reflection-distinct count, about N/4 for
+    even N and N/2 for odd N, and every other mode has the frequencies of
+    its mirror among them.
     """
 
     frequencies: np.ndarray
@@ -224,13 +234,44 @@ class CorrelationMatrix:
         return m
 
 
-def _distinct_modes(n):
-    """K, the modes kappa < K the grid computes: N/2 for even N, else N.
+def _folded_modes(n):
+    """N/2 for even N, else N.
 
     For even N, mode kappa + N/2 has k*eps shifted by pi, so the same
     |keff| as mode kappa and the opposite sign of keff.
     """
     return n // 2 if n % 2 == 0 else n
+
+
+def _mirrored(spec):
+    """True where the grid keeps the reflection-distinct modes only: on the
+    partial-DFT path at theta in {0, 1/2} (see _distinct_modes)."""
+    return spec.boundary_phase in (0.0, 0.5) and _uses_partial_dft(spec.n_sites)
+
+
+def _distinct_modes(spec):
+    """K, the number of modes kappa < K the grid computes.
+
+    Of the N modes, only the L = _folded_modes(N) first are distinct as
+    a rule: N/2 for even N, N for odd N.  At theta in {0, 1/2} the mode set
+    is also closed under k -> -k, which maps mode kappa < L to the mirror
+    kappa' = (L - 2 theta - kappa) mod L, or to the partner kappa' + N/2 of
+    that mirror for even N.  There, on the partial-DFT path, the grid keeps
+    the reflection-distinct modes kappa <= kappa' only:
+    K = floor((L - 2 theta)/2) + 1, which is N/4 + 1, (N + 2)/4 or N/4 for
+    even N and (N + 1)/2 for odd N.  A mode is its own mirror (self-paired)
+    at kappa = 0 for theta = 0, and at kappa = K - 1 where L - 2 theta is
+    even.
+
+    The massless ground state has this symmetry in |keff| but not in its
+    weights: the one-sided filling of a node gives F = +/-1 there, where
+    F(-k) = (-1)^z F(k) would need 0 for odd z.  It keeps its closed form
+    and builds no grid.
+    """
+    folded = _folded_modes(spec.n_sites)
+    if _mirrored(spec):
+        return (folded - round(2 * spec.boundary_phase)) // 2 + 1
+    return folded
 
 
 def _below_node_range(n, theta):
@@ -261,7 +302,8 @@ def _abs_power(x, z):
 
 
 def build_mode_grid(spec: LatticeSpec) -> ModeGrid:
-    """|keff|^z and omega over the K distinct modes (see ModeGrid).
+    """|keff|^z and omega over the K distinct modes (see ModeGrid and
+    _distinct_modes).
 
     |keff| = |sin(pi*u/N)|/eps with u = 2*(theta + kappa).  The multiple of
     N nearest u is subtracted from 2*kappa first, in floats that hold the
@@ -276,7 +318,7 @@ def build_mode_grid(spec: LatticeSpec) -> ModeGrid:
     array itself.
     """
     n, eps, m, theta = spec.n_sites, spec.spacing, spec.mass, spec.boundary_phase
-    angle = np.arange(0.0, 2.0 * _distinct_modes(n), 2.0)
+    angle = np.arange(0.0, 2.0 * _distinct_modes(spec), 2.0)
     for j in (1, 2):
         # u is nearer to j*N than to (j-1)*N from u >= (2j-1)N/2 on
         angle[math.ceil((2 * j - 1) * n / 4 - theta) :] -= n
@@ -297,9 +339,9 @@ def build_mode_grid(spec: LatticeSpec) -> ModeGrid:
 
 
 def _mode_weights(spec: LatticeSpec, beta):
-    """Real occupation weight arrays (F, G) over the K distinct modes, at a
-    beta the caller has validated.  For even N, mode kappa + N/2 carries
-    (-1)^z F and G (see _unfolded).
+    """Real occupation weight arrays (F, G) over the K distinct modes of
+    build_mode_grid, at a beta the caller has validated.  _unfolded gives
+    the weights of the other modes.
 
     F = (-keff)^z/omega * tanh(beta*omega/2) weights the chirality-diagonal
     correlator and G = (m/omega) * tanh(beta*omega/2) the cross-chirality
@@ -347,13 +389,23 @@ def _mode_weights(spec: LatticeSpec, beta):
     return f, g
 
 
-def _unfolded(n, weights, sign):
+def _unfolded(spec, weights, sign):
     """Weights over all N modes from those over the K distinct modes.
 
-    For even N, mode kappa + N/2 carries sign * weights[kappa]: sign is
-    (-1)^z for F and +1 for G.  For odd N the weights are returned as they
-    are.
+    sign is (-1)^z for F and +1 for G.  Reflection-distinct weights (see
+    _distinct_modes) first give the L folded modes: the mirror kappa' of
+    mode kappa carries sign * weights[kappa] for odd N, and weights[kappa]
+    for even N, where kappa' + N/2 is the true mirror.  Then for even N mode
+    kappa + N/2 carries sign * weights[kappa].  For odd N the L = N weights
+    are the result.
     """
+    n = spec.n_sites
+    folded = _folded_modes(n)
+    if weights.size < folded:
+        kappa = np.arange(folded)
+        mirror = (folded - round(2 * spec.boundary_phase) - kappa) % folded
+        flip = np.where(mirror < kappa, sign if n % 2 else 1.0, 1.0)
+        weights = flip * weights[np.minimum(kappa, mirror)]
     if weights.size == n:
         return weights
     return np.concatenate((weights, weights if sign > 0 else -weights))
@@ -455,67 +507,127 @@ def _fermi_sea_profile(n, theta, distances):
 PROFILE_BLOCK = 16
 
 
-def _partial_dft(n, weights, distances):
+def _partial_dft(spec: LatticeSpec, weights, distances):
     """fourier_profile of each unfolded weight array, at the given d only.
 
-    weights holds (w, s) pairs: w over the K distinct modes, and s the sign
-    mode kappa + N/2 carries for even N (see _unfolded).  Entry d is
+    weights holds (w, s) pairs: w over the K distinct modes of
+    build_mode_grid, and s the sign mode kappa + N/2 carries for even N
+    (see _unfolded): (-1)^z for F, +1 for G.  At a generic theta entry d is
 
         (1/2N) sum_{kappa < K} w[kappa] e^{2i pi kappa d/N} * (1 + s(-1)^d)
 
     for even N, the last factor exactly 0 or 2, and the plain K = N term sum
-    for odd N.  With B = isqrt(K) and kappa = a*B + c the sum is
+    for odd N.  At theta in {0, 1/2} (_mirrored) the mirror of a mode
+    carries s times its weight too, so the entries come out twisted, as
+    e^{2i pi theta d/N} times the above.  That is the cosine series (s = +1)
+    or i times the sine series (s = -1)
 
-        sum_c e^{2i pi c d/N} sum_a w[aB + c] e^{2i pi aB d/N}.
+        (1/L) sum_{kappa < K} w'[kappa] cos|sin(2 pi (kappa + theta) d/N)
+
+    over the reflection-distinct modes, with L = _folded_modes(N) and w' = w
+    but w/2 at a self-paired mode (halved in place here), and entry d is
+    exactly 0 where (-1)^d != s for even N.  Only the d of the other parity
+    are computed there.
+
+    With B = isqrt(K) and kappa = a*B + c the sum is
+
+        sum_c e^{2i pi (c + theta) d/N} sum_a w[aB + c] e^{2i pi aB d/N}.
 
     The site differences are taken in fixed blocks [j*W, (j+1)*W) with
     W = PROFILE_BLOCK, and only the blocks that hold a requested d are
     computed.  Per block, one real GEMM of the phase tables
     [cos; sin](2 pi aB d/N), 2W x ceil(K/B), against the weights laid out as
     rows of B gives the inner sums, and a B-term phase sum per d finishes
-    them; the weight arrays share the tables.  The shapes of every product
-    are fixed by N and the GEMM runs on one BLAS thread, so an entry's bits
-    do not depend on which other entries were asked for.  O(K) per block.
+    them; weight arrays that keep the same d share the tables.  The shapes
+    of every product are fixed by N and theta and the GEMM runs on one BLAS
+    thread, so an entry's bits do not depend on which other entries were
+    asked for.  O(K) per block.
     """
-    modes = _distinct_modes(n)
+    n = spec.n_sites
+    mirrored = _mirrored(spec)
+    twice_theta = round(2 * spec.boundary_phase) if mirrored else 0
+    modes = weights[0][0].size
+    if mirrored:
+        folded = _folded_modes(n)
+        self_paired = [0] if twice_theta == 0 else []
+        if (folded - twice_theta) % 2 == 0:
+            self_paired.append(modes - 1)
+        for w, _ in weights:
+            w[self_paired] /= 2.0
+    # one parity of d survives for even N; off the mirrored path all are
+    # computed and the others multiplied by 0
+    step = 2 if mirrored and n % 2 == 0 else 1
     width = math.isqrt(modes)
     rows, rest = divmod(modes, width)
-    # integer phases are reduced mod N before they are scaled: exact while
-    # N*N fits an int64
+    # integer phases are reduced mod N (mod 2N in units of pi/N) before they
+    # are scaled: exact while 2N*N fits an int64
     outer_phase = np.arange(rows + (rest > 0)) * width % n
-    inner_phase = np.arange(width)
-    to_angle = 2.0 * math.pi / n
+    inner_phase = 2 * np.arange(width) + twice_theta
     parity = np.where(distances % 2, -1.0, 1.0)  # (-1)^d
     block_of = distances // PROFILE_BLOCK
-    profiles = [np.empty(distances.size, dtype=complex) for _ in weights]
+    profiles = [np.zeros(distances.size, dtype=complex) for _ in weights]
     with one_blas_thread():
         for block in np.unique(block_of):
-            d = np.arange(block * PROFILE_BLOCK, (block + 1) * PROFILE_BLOCK)[:, None]
-            outer = outer_phase * d % n * to_angle
-            table = np.concatenate([np.cos(outer), np.sin(outer)])
-            inner = inner_phase * d % n * to_angle
-            cos_c, sin_c = np.cos(inner), np.sin(inner)
             wanted = block_of == block
             offsets = distances[wanted] - block * PROFILE_BLOCK
+            tables = {}  # by the first d offset computed
             for (w, sign), profile in zip(weights, profiles):
+                first = int(sign < 0) if step == 2 else 0
+                if first not in tables:
+                    d = np.arange(first, PROFILE_BLOCK, step)[:, None]
+                    d += block * PROFILE_BLOCK
+                    outer = outer_phase * d % n * (2.0 * math.pi / n)
+                    inner = inner_phase * d % (2 * n) * (math.pi / n)
+                    tables[first] = (
+                        np.concatenate([np.cos(outer), np.sin(outer)]),
+                        np.cos(inner),
+                        np.sin(inner),
+                    )
+                table, cos_c, sin_c = tables[first]
                 sums = table[:, :rows] @ w[: rows * width].reshape(rows, width)
                 if rest:
                     sums[:, :rest] += np.outer(table[:, rows], w[rows * width :])
-                re, im = sums[:PROFILE_BLOCK], sums[PROFILE_BLOCK:]
-                real = (re * cos_c - im * sin_c).sum(axis=1)
-                imag = (re * sin_c + im * cos_c).sum(axis=1)
-                value = (real[offsets] + 1j * imag[offsets]) / (2 * n)
-                if modes < n:
-                    value *= 1.0 + sign * parity[wanted]  # exactly 0 or 2
-                profile[wanted] = value
+                re, im = np.split(sums, 2)
+                if mirrored:
+                    if sign > 0:
+                        part, series = profile.real, re * cos_c - im * sin_c
+                    else:
+                        part, series = profile.imag, re * sin_c + im * cos_c
+                    kept = offsets % step == first
+                    part[np.flatnonzero(wanted)[kept]] = (
+                        series.sum(axis=1)[offsets[kept] // step] / folded
+                    )
+                else:
+                    real = (re * cos_c - im * sin_c).sum(axis=1)
+                    imag = (re * sin_c + im * cos_c).sum(axis=1)
+                    value = (real[offsets] + 1j * imag[offsets]) / (2 * n)
+                    if modes < n:
+                        value *= 1.0 + sign * parity[wanted]  # exactly 0 or 2
+                    profile[wanted] = value
     return profiles
 
 
-def _profiles(spec: LatticeSpec, beta, distances):
-    """Profiles (p, q) at the site differences 0 <= d < N given.
+def _twisted(spec, distances, p, q):
+    """P and C entries at +distances, then -distances, from p and q there.
 
-    Entry i of each array is the profile at distances[i]; the path is
-    picked from N and the model alone (see the module docstring).
+    The -|d| twist comes from exp too: conj would turn 1+0j into 1-0j at
+    theta = 0, and the eigensolve reads signed zeros.
+    """
+    signed = np.concatenate((distances, -distances))
+    twist = np.exp(2j * np.pi * spec.boundary_phase * signed / spec.n_sites)
+    return (
+        twist * np.concatenate((p, p.conj())),
+        -twist * np.concatenate((q, q.conj())),
+    )
+
+
+def _block_entries(spec: LatticeSpec, beta, distances):
+    """Block entries (P, C) at the site differences +distances, then -distances.
+
+    P = e^{2i pi theta d/N} p[d] and C = -e^{2i pi theta d/N} q[d], with
+    p[-d] = conj(p[d]) and q[-d] = conj(q[d]), for 0 <= d < N given.  The
+    path is picked from N, theta and the model alone (see the module
+    docstring).
     """
     beta = validate_beta(beta)
     n = spec.n_sites
@@ -524,17 +636,23 @@ def _profiles(spec: LatticeSpec, beta, distances):
     zeros = np.zeros(distances.size, dtype=complex)
     if not massive and math.isinf(beta):
         if spec.z_exponent % 2:
-            return _fermi_sea_profile(n, spec.boundary_phase, distances), zeros
-        return np.where(distances == 0, 0.5 + 0j, 0j), zeros
+            p = _fermi_sea_profile(n, spec.boundary_phase, distances)
+        else:
+            p = np.where(distances == 0, 0.5 + 0j, 0j)
+        return _twisted(spec, distances, p, zeros)
     f, g = _mode_weights(spec, beta)
     sign = -1.0 if spec.z_exponent % 2 else 1.0  # (-1)^z
     if _uses_partial_dft(n):
         weights = [(f, sign), (g, 1.0)] if massive else [(f, sign)]
-        profiles = _partial_dft(n, weights, distances)
-        return profiles[0], profiles[1] if massive else zeros
-    p = fourier_profile(_unfolded(n, f, sign))[distances]
+        profiles = _partial_dft(spec, weights, distances)
+        p, q = profiles[0], profiles[1] if massive else zeros
+        if _mirrored(spec):  # p and q come twisted
+            return np.concatenate((p, p.conj())), -np.concatenate((q, q.conj()))
+        return _twisted(spec, distances, p, q)
+    p = fourier_profile(_unfolded(spec, f, sign))[distances]
     del f  # lowers the peak memory of the second transform
-    return p, fourier_profile(_unfolded(n, g, 1.0))[distances] if massive else zeros
+    q = fourier_profile(_unfolded(spec, g, 1.0))[distances] if massive else zeros
+    return _twisted(spec, distances, p, q)
 
 
 def build_correlation_matrix(spec: LatticeSpec, beta, subsystem) -> CorrelationMatrix:
@@ -550,13 +668,6 @@ def build_correlation_matrix(spec: LatticeSpec, beta, subsystem) -> CorrelationM
     needed = np.zeros(d_abs.max() + 1, dtype=bool)
     needed[d_abs] = True
     distances = np.flatnonzero(needed)
-    p, q = _profiles(spec, beta, distances)
+    same, cross = _block_entries(spec, beta, distances)
     index = (np.cumsum(needed) - 1)[d_abs] + distances.size * (d_signed < 0)
-    # the -|d| twist comes from exp too: conj would turn 1+0j into 1-0j at
-    # theta = 0, and the eigensolve reads signed zeros
-    signed = np.concatenate((distances, -distances))
-    twist = np.exp(2j * np.pi * spec.boundary_phase * signed / spec.n_sites)
-    same = (twist * np.concatenate((p, p.conj())))[index]
-    cross = (-twist * np.concatenate((q, q.conj())))[index]
-    return CorrelationMatrix(same=same, cross=cross)
-
+    return CorrelationMatrix(same=same[index], cross=cross[index])

@@ -179,8 +179,27 @@ def _relabeled(state: FockState, site_order) -> FockState:
     return FockState(spec=state.spec, beta=state.beta, site_order=site_order, rho=rho)
 
 
+def _ground_sector(h):
+    """The particle number of the many-body ground state of h.
+
+    The ground state of a quadratic H fills exactly the single-particle
+    modes of negative energy, so its number is their count.  A zero energy
+    (to DEGENERACY_TOL) leaves the ground state degenerate and raises
+    DegenerateGroundState.
+    """
+    single_eigs = np.linalg.eigvalsh(h)
+    if np.min(np.abs(single_eigs)) < DEGENERACY_TOL:
+        raise DegenerateGroundState(
+            "zero single-particle eigenvalue at beta=inf; use finite beta or mass > 0"
+        )
+    return int(np.count_nonzero(single_eigs < 0))
+
+
 def many_body_state(spec: LatticeSpec, beta, site_order=None) -> FockState:
     """Exact ground state (beta = inf) or Gibbs density matrix.
+
+    A ground state builds and diagonalizes only its own particle-number
+    sector (see _ground_sector); a Gibbs state every sector.
 
     site_order permutes the Jordan-Wigner string (default: natural order);
     the physical state is the same, only the occupation-basis labeling
@@ -198,30 +217,22 @@ def many_body_state(spec: LatticeSpec, beta, site_order=None) -> FockState:
         raise InvalidParameter(f"site_order must permute 0..{n-1}, got {site_order}")
 
     h = single_particle_hamiltonian(spec)
-    if math.isinf(beta):
-        single_eigs = np.linalg.eigvalsh(h)
-        if np.min(np.abs(single_eigs)) < DEGENERACY_TOL:
-            raise DegenerateGroundState(
-                "zero single-particle eigenvalue at beta=inf; "
-                "use finite beta or mass > 0"
-            )
-
-    perm = _mode_permutation(site_order, n)
-    h_many = _fock_hamiltonian(h[np.ix_(perm, perm)])
     # H conserves particle number, so it is block-diagonal by occupation count
     sectors = _particle_sectors(2 * n)
+    if math.isinf(beta):
+        sectors = [sectors[_ground_sector(h)]]
+    perm = _mode_permutation(site_order, n)
+    h_many = _fock_hamiltonian(h[np.ix_(perm, perm)])
     blocks = [h_many[index][:, index].toarray() for index in sectors]
     # the sector solves and products on one BLAS thread, so that rho's bits
     # do not depend on the core count (see eechain.blas)
     with one_blas_thread():
         spectra = [np.linalg.eigh(block) for block in blocks]
-        lowest = [energies[0] for energies, _ in spectra]
         if math.isinf(beta):
-            k = int(np.argmin(lowest))
-            psi = spectra[k][1][:, 0]
-            sectors, blocks = [sectors[k]], [np.outer(psi, psi.conj())]
+            psi = spectra[0][1][:, 0]
+            blocks = [np.outer(psi, psi.conj())]
         else:
-            ground = min(lowest)
+            ground = min(energies[0] for energies, _ in spectra)
             weights = [np.exp(-beta * (energies - ground)) for energies, _ in spectra]
             partition = sum(w.sum() for w in weights)
             blocks = [

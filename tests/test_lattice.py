@@ -15,7 +15,7 @@ from eechain import (
     build_mode_grid,
     validate_beta,
 )
-from eechain.lattice import _mode_weights, _profiles, _unfolded, fourier_profile
+from eechain.lattice import _block_entries, _mode_weights, _unfolded, fourier_profile
 
 INF = math.inf
 
@@ -178,9 +178,9 @@ def test_parity_class_invariance():
 def test_odd_z_ground_state_correlators_equal_z1(n_sites, z):
     # f = sign(-keff)^z for every odd z, also where |keff|^z is far below
     # 1e-12 (z = 9 at N = 2000), so every correlator equals the z = 1 one.
-    # _profiles takes the closed form here, so the weights go through the FFT
+    # _block_entries takes the closed form here, so the weights go through the FFT
     p1, pz = (
-        fourier_profile(_unfolded(n_sites, _mode_weights(spec, INF)[0], -1.0))
+        fourier_profile(_unfolded(spec, _mode_weights(spec, INF)[0], -1.0))
         for spec in (LatticeSpec(n_sites=n_sites), LatticeSpec(n_sites=n_sites, z_exponent=z))
     )
     assert np.abs(pz - p1).max() <= 1e-14
@@ -200,7 +200,7 @@ def test_mode_weights_match_direct_formula(n, z, mass, theta, beta):
     spec = LatticeSpec(n_sites=n, z_exponent=z, mass=mass, boundary_phase=theta)
     f, g = _mode_weights(spec, beta)
     assert f.size == g.size == (n // 2 if n % 2 == 0 else n)
-    f, g = _unfolded(n, f, (-1.0) ** z), _unfolded(n, g, 1.0)
+    f, g = _unfolded(spec, f, (-1.0) ** z), _unfolded(spec, g, 1.0)
     assert np.isfinite(f).all() and np.isfinite(g).all()
     assert np.abs(f).max() <= 1.0 and 0.0 <= g.min() and g.max() <= 1.0
 
@@ -321,14 +321,12 @@ def test_block_entries_depend_only_on_their_site_pair(z, mass, beta, theta):
 
 @SPARSE_BLOCK_CASES
 def test_blocks_equal_the_entrywise_formula(z, mass, beta, theta):
-    # bit for bit: P = e^{2i pi theta d/N} p[d] and C = -e^{2i pi theta d/N} q[d]
-    # with p[-d] = conj(p[d]), each entry conjugated first, then twisted
+    # bit for bit: entry [a, b] is _block_entries' entry at d = j - i, taken
+    # from its -|d| half where d < 0
     for spec, sites, corr in _sparse_blocks(z, mass, beta, theta):
         d = np.subtract.outer(sites, sites).T  # d[a, b] = j - i
-        p, q = (x.reshape(d.shape) for x in _profiles(spec, beta, np.abs(d).ravel()))
-        below = d < 0
-        p[below], q[below] = p[below].conj(), q[below].conj()
-        twist = np.exp(2j * np.pi * theta * d / spec.n_sites)
-        assert corr.same.tobytes() == (twist * p).tobytes()
-        assert corr.cross.tobytes() == (-twist * q).tobytes()
+        same, cross = _block_entries(spec, beta, np.abs(d).ravel())
+        pick = np.arange(d.size).reshape(d.shape) + d.size * (d < 0)
+        assert corr.same.tobytes() == same[pick].tobytes()
+        assert corr.cross.tobytes() == cross[pick].tobytes()
 

@@ -27,6 +27,7 @@ from eechain.blas import openblas_threads
 from eechain.oracle import (
     MAX_SITES,
     _fock_hamiltonian,
+    _ground_sector,
     _particle_sectors,
     _relabeled,
 )
@@ -300,6 +301,26 @@ def test_sectors_reproduce_dense_fock_diagonalization(n, z, mass, theta):
         assert np.trace(dense @ rho).real == pytest.approx(energies[0], abs=1e-12)
         psi = states[:, 0]
         assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    z=st.integers(1, 3),
+    mass=st.floats(0.05, 2.0),
+    theta=st.sampled_from([0.0, 0.2, 0.5]),
+)
+def test_ground_sector_holds_the_lowest_energy(n, z, mass, theta):
+    # many_body_state solves only this sector for a ground state
+    h = single_particle_hamiltonian(
+        LatticeSpec(n_sites=n, z_exponent=z, mass=mass, boundary_phase=theta)
+    )
+    h_many = _fock_hamiltonian(h)
+    lowest = [
+        np.linalg.eigvalsh(h_many[index][:, index].toarray())[0]
+        for index in _particle_sectors(2 * n)
+    ]
+    assert _ground_sector(h) == np.argmin(lowest)
 
 
 @settings(max_examples=30, deadline=None)

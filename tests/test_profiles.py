@@ -18,8 +18,8 @@ from eechain import (
 )
 from eechain.blas import openblas_threads
 from eechain.lattice import (
+    _block_entries,
     _mode_weights,
-    _profiles,
     _unfolded,
     _uses_partial_dft,
     fourier_profile,
@@ -34,20 +34,33 @@ def _distances(n):
     return np.concatenate([np.arange(64), [n // 3, n // 2, n - 1]])
 
 
+def _twist(spec, d):
+    return np.exp(2j * np.pi * spec.boundary_phase * d / spec.n_sites)
+
+
+def _fft_entries(spec, beta, d):
+    """P and C at the site differences d >= 0, from FFTs of the unfolded weights."""
+    f, g = _mode_weights(spec, beta)
+    p = fourier_profile(_unfolded(spec, f, (-1.0) ** spec.z_exponent))[d]
+    q = fourier_profile(_unfolded(spec, g, 1.0))[d] if spec.mass > 0 else 0.0
+    return _twist(spec, d) * p, -_twist(spec, d) * q
+
+
 @pytest.mark.parametrize("n_sites", [100_000, 1_000_000, 1_000_003])
 @pytest.mark.parametrize("theta", [0.0, 0.5, GENERIC_THETA])
 def test_fermi_sea_closed_form_equals_fft(n_sites, theta):
     d = _distances(n_sites)
-    f1, _ = _mode_weights(LatticeSpec(n_sites=n_sites, boundary_phase=theta), INF)
-    reference = fourier_profile(_unfolded(n_sites, f1, -1.0))[d]
+    spec1 = LatticeSpec(n_sites=n_sites, boundary_phase=theta)
+    f1, _ = _mode_weights(spec1, INF)
+    reference = _twist(spec1, d) * fourier_profile(_unfolded(spec1, f1, -1.0))[d]
     for z in (1, 3, 5, 9):
         spec = LatticeSpec(n_sites=n_sites, z_exponent=z, boundary_phase=theta)
         # every odd z has the z = 1 weights, so one FFT serves all four
         f, _ = _mode_weights(spec, INF)
         assert np.array_equal(f, f1)
-        p, q = _profiles(spec, INF, d)
-        assert np.abs(p - reference).max() <= 1e-14
-        assert not q.any()
+        same, cross = _block_entries(spec, INF, d)
+        assert np.abs(same[: d.size] - reference).max() <= 1e-14
+        assert not cross.any()
 
 
 @pytest.mark.parametrize("n_sites", [100_003, 131_072, 1_000_000])
@@ -59,11 +72,67 @@ def test_partial_dft_equals_fft(n_sites, z, mass, beta, theta):
     assert _uses_partial_dft(n_sites)
     spec = LatticeSpec(n_sites=n_sites, z_exponent=z, mass=mass, boundary_phase=theta)
     d = _distances(n_sites)
-    p, q = _profiles(spec, beta, d)
-    f, g = _mode_weights(spec, beta)
-    f, g = _unfolded(n_sites, f, (-1.0) ** z), _unfolded(n_sites, g, 1.0)
-    assert np.abs(p - fourier_profile(f)[d]).max() <= 1e-15
-    assert np.abs(q - fourier_profile(g)[d]).max() <= 1e-15
+    same, cross = _block_entries(spec, beta, d)
+    p, q = _fft_entries(spec, beta, d)
+    assert np.abs(same[: d.size] - p).max() <= 1e-15
+    assert np.abs(cross[: d.size] - q).max() <= 1e-15
+
+
+# At theta in {0, 1/2} the grid keeps the reflection-distinct modes only and
+# the partial DFT sums sine and cosine series.  Every N mod 4 is covered
+# (131072, 1000001, 131074, 100003), with massive thermal, massless thermal
+# and massive ground points at z = 1..5; at the Bluestein sizes 1000001
+# and 1000003 each FFT takes about 0.4 s, so they get one point each.
+MIRRORED_CASES = [
+    (n, theta, z, mass, beta)
+    for n, theta, points in [
+        (131_072, 0.0, [(1, 0.3, 50.0), (2, 0.0, 20.0), (3, 0.5, INF)]),
+        (131_072, 0.5, [(4, 0.3, 50.0), (5, 0.3, 50.0), (3, 0.5, INF)]),
+        (131_074, 0.0, [(5, 0.5, INF), (3, 0.0, 20.0), (2, 0.3, 50.0)]),
+        (131_074, 0.5, [(1, 0.0, 20.0), (2, 0.3, 50.0), (4, 0.5, INF)]),
+        (100_003, 0.0, [(2, 0.5, INF), (1, 0.0, 20.0), (3, 0.3, 50.0)]),
+        (100_003, 0.5, [(3, 0.3, 50.0), (4, 0.0, 20.0), (1, 0.5, INF)]),
+        (1_000_000, 0.0, [(4, 0.5, INF)]),
+        (1_000_000, 0.5, [(5, 0.0, 20.0)]),
+        (1_000_001, 0.0, [(3, 0.0, 20.0)]),
+        (1_000_003, 0.5, [(1, 0.0, 20.0)]),
+    ]
+    for z, mass, beta in points
+]
+
+
+@pytest.mark.parametrize("n_sites, theta, z, mass, beta", MIRRORED_CASES)
+def test_mirrored_partial_dft_equals_fft(n_sites, theta, z, mass, beta):
+    assert _uses_partial_dft(n_sites)
+    spec = LatticeSpec(n_sites=n_sites, z_exponent=z, mass=mass, boundary_phase=theta)
+    d = _distances(n_sites)
+    same, cross = _block_entries(spec, beta, d)
+    p, q = _fft_entries(spec, beta, d)
+    assert np.abs(same[: d.size] - p).max() <= 1e-15
+    assert np.abs(cross[: d.size] - q).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n_sites", [131_072, 131_074, 100_003])
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+@pytest.mark.parametrize("z, mass, beta", [(1, 0.3, 50.0), (2, 0.3, 50.0), (3, 0.0, 20.0)])
+def test_mirrored_entries_are_exactly_real_or_imaginary(n_sites, theta, z, mass, beta):
+    # F(-k) = (-1)^z F(k) and G(-k) = G(k): the twisted p is imaginary for
+    # odd z and real for even z, the twisted q real; for even N, p vanishes
+    # at the d of the other parity than z, q at odd d; all exactly
+    spec = LatticeSpec(n_sites=n_sites, z_exponent=z, mass=mass, boundary_phase=theta)
+    corr = build_correlation_matrix(spec, beta, range(40))
+    same, cross = corr.same, corr.cross
+    assert not (same.imag if z % 2 == 0 else same.real).any()
+    assert not cross.imag.any()
+    d = np.subtract.outer(np.arange(40), np.arange(40))
+    # for odd z, p[0] is a sine series at d = 0: exactly 0 as well
+    live = d != 0 if z % 2 else np.full(d.shape, True)
+    if n_sites % 2 == 0:
+        live &= d % 2 == z % 2
+        assert not cross[d % 2 == 1].any()
+    assert not same[~live].any()
+    assert same[live].all()
+    assert cross[d % 2 == 0].all() == (mass > 0)
 
 
 @pytest.mark.parametrize("n_sites", [1_000_000, 1_000_003])
@@ -72,10 +141,9 @@ def test_partial_dft_equals_fft(n_sites, z, mass, beta, theta):
 def test_weights_next_to_the_nodes_match_mpmath(n_sites, theta, z, mass, beta):
     # the modes next to k*eps = pi and 2*pi, where a sine of the unreduced
     # angle loses up to six digits of keff; mpmath's sinpi is exact at nodes
-    f, g = _mode_weights(
-        LatticeSpec(n_sites=n_sites, z_exponent=z, mass=mass, boundary_phase=theta), beta
-    )
-    f, g = _unfolded(n_sites, f, (-1.0) ** z), _unfolded(n_sites, g, 1.0)
+    spec = LatticeSpec(n_sites=n_sites, z_exponent=z, mass=mass, boundary_phase=theta)
+    f, g = _mode_weights(spec, beta)
+    f, g = _unfolded(spec, f, (-1.0) ** z), _unfolded(spec, g, 1.0)
     half = n_sites // 2
     with mpmath.workdps(40):
         for kappa in [*range(half - 3, half + 4), *range(n_sites - 3, n_sites)]:
@@ -119,8 +187,9 @@ def test_profile_entries_do_not_depend_on_the_request(n_sites, mass, beta):
     spec = LatticeSpec(n_sites=n_sites, z_exponent=3, mass=mass, boundary_phase=0.37)
     few = np.array([5, n_sites // 2])
     many = np.concatenate([np.arange(64), [n_sites // 2]])
-    for alone, among in zip(_profiles(spec, beta, few), _profiles(spec, beta, many)):
-        assert np.array_equal(alone, among[[5, 64]])
+    # each array holds the entries at +d, then at -d
+    for alone, among in zip(_block_entries(spec, beta, few), _block_entries(spec, beta, many)):
+        assert np.array_equal(alone, among[[5, 64, 70, 129]])
 
 
 def test_partial_dft_bits_do_not_depend_on_blas_threads():
@@ -136,7 +205,7 @@ def test_partial_dft_bits_do_not_depend_on_blas_threads():
     try:
         for threads in (1, 2):
             put(threads)
-            profiles.append(np.concatenate(_profiles(spec, 50.0, np.arange(64))))
+            profiles.append(np.concatenate(_block_entries(spec, 50.0, np.arange(64))))
             assert get() == threads
     finally:
         put(saved)
@@ -150,7 +219,7 @@ def test_sparse_subsystem_equals_fft_path(mass, beta):
     sites = np.array([0, 5, n // 2])
     m = build_correlation_matrix(spec, beta, sites).entries
     f, g = _mode_weights(spec, beta)
-    f, g = _unfolded(n, f, -1.0), _unfolded(n, g, 1.0)
+    f, g = _unfolded(spec, f, -1.0), _unfolded(spec, g, 1.0)
     d = sites[None, :] - sites[:, None]
     phase = np.exp(2j * np.pi * 0.37 * d / n)
     same = phase * fourier_profile(f)[d % n]
