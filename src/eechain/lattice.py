@@ -37,7 +37,9 @@ one gather of those.  Each profile takes one of three paths:
   G(-k) = G(k), so the twisted profiles e^{2i pi theta d/N} p[d] and
   e^{2i pi theta d/N} q[d] are sine or cosine series over the
   reflection-distinct modes: each entry is exactly real or exactly
-  imaginary.
+  imaginary.  The massless ground state has no such weights (its
+  one-sided node filling breaks the symmetry), which is one more reason
+  it keeps its closed form.
 * FFT, at every other N: fourier_profile, one real-input FFT per weight
   array unfolded to length N, O(N log N).
 
@@ -559,8 +561,8 @@ def _partial_dft(spec: LatticeSpec, weights, distances):
     step = 2 if mirrored and n % 2 == 0 else 1
     width = math.isqrt(modes)
     rows, rest = divmod(modes, width)
-    # integer phases are reduced mod N (mod 2N in units of pi/N) before they
-    # are scaled: exact while 2N*N fits an int64
+    # integer phases are reduced mod N (the inner ones, in units of pi/N,
+    # mod 2N) before they are scaled: exact while N*N fits an int64
     outer_phase = np.arange(rows + (rest > 0)) * width % n
     inner_phase = 2 * np.arange(width) + twice_theta
     parity = np.where(distances % 2, -1.0, 1.0)  # (-1)^d

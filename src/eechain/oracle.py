@@ -5,8 +5,9 @@ Builds the 4^N-dimensional Fock space of the 2N fermionic modes
 Hamiltonian on it as one sparse matrix.  That Hamiltonian has no pairing
 terms, so it conserves particle number and is block-diagonal by occupation
 count; each particle-number sector (at most C(2N, N) states) is
-diagonalized densely, and the exact ground or Gibbs state is one sparse
-density matrix made of sector blocks.  Entropies of reduced density
+diagonalized densely, the ground state's sector alone for a ground state,
+and the exact ground or Gibbs state is one sparse density matrix made of
+sector blocks.  Entropies of reduced density
 matrices follow by partial trace.  All of it is independent of the
 correlation-matrix pipeline, which it exists to validate.
 

@@ -54,6 +54,10 @@ SHA256 = {
     "ee-json": "2f34614541f89df623602c4862648519fe65ede1bab5f203afb8f4a97d2370bc",
     "ee-partial-dft": "537ba15dd90575f2e4a56dabbcbe466f4796c4a61bdacb912bd04be917795e95",
     "ee-fermi-sea": "ae0017b6b32c7a151c31829d502c5321fc56e9975a0ae0b1c042dc47650f9886",
+    # pinned before the partial DFT summed reflection-distinct modes at theta
+    # in {0, 1/2}; that moved S by 1.0e-13 and 5.3e-15, below the 12
+    # digits printed (1.8259546709233305 -> 1.825954670923228 and
+    # 1.3271304868811282 -> 1.3271304868811336), so the bytes held
     "ee-partial-dft-theta0": (
         "f30afb1593bf5b10336eed0cc1d210a2440006e315ce6643ea999b205164d551"
     ),

@@ -38,12 +38,15 @@ def _twist(spec, d):
     return np.exp(2j * np.pi * spec.boundary_phase * d / spec.n_sites)
 
 
-def _fft_entries(spec, beta, d):
-    """P and C at the site differences d >= 0, from FFTs of the unfolded weights."""
+def _assert_entries_equal_fft(spec, beta):
+    """P and C at +d to 1e-15 of FFTs of the unfolded weights, twisted."""
+    d = _distances(spec.n_sites)
+    same, cross = _block_entries(spec, beta, d)
     f, g = _mode_weights(spec, beta)
     p = fourier_profile(_unfolded(spec, f, (-1.0) ** spec.z_exponent))[d]
     q = fourier_profile(_unfolded(spec, g, 1.0))[d] if spec.mass > 0 else 0.0
-    return _twist(spec, d) * p, -_twist(spec, d) * q
+    assert np.abs(same[: d.size] - _twist(spec, d) * p).max() <= 1e-15
+    assert np.abs(cross[: d.size] + _twist(spec, d) * q).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n_sites", [100_000, 1_000_000, 1_000_003])
@@ -71,11 +74,7 @@ def test_fermi_sea_closed_form_equals_fft(n_sites, theta):
 def test_partial_dft_equals_fft(n_sites, z, mass, beta, theta):
     assert _uses_partial_dft(n_sites)
     spec = LatticeSpec(n_sites=n_sites, z_exponent=z, mass=mass, boundary_phase=theta)
-    d = _distances(n_sites)
-    same, cross = _block_entries(spec, beta, d)
-    p, q = _fft_entries(spec, beta, d)
-    assert np.abs(same[: d.size] - p).max() <= 1e-15
-    assert np.abs(cross[: d.size] - q).max() <= 1e-15
+    _assert_entries_equal_fft(spec, beta)
 
 
 # At theta in {0, 1/2} the grid keeps the reflection-distinct modes only and
@@ -105,11 +104,7 @@ MIRRORED_CASES = [
 def test_mirrored_partial_dft_equals_fft(n_sites, theta, z, mass, beta):
     assert _uses_partial_dft(n_sites)
     spec = LatticeSpec(n_sites=n_sites, z_exponent=z, mass=mass, boundary_phase=theta)
-    d = _distances(n_sites)
-    same, cross = _block_entries(spec, beta, d)
-    p, q = _fft_entries(spec, beta, d)
-    assert np.abs(same[: d.size] - p).max() <= 1e-15
-    assert np.abs(cross[: d.size] - q).max() <= 1e-15
+    _assert_entries_equal_fft(spec, beta)
 
 
 @pytest.mark.parametrize("n_sites", [131_072, 131_074, 100_003])
