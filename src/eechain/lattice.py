@@ -62,6 +62,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -251,19 +252,28 @@ def _mirrored(spec):
     return spec.boundary_phase in (0.0, 0.5) and _uses_partial_dft(spec.n_sites)
 
 
+class DistinctModes(NamedTuple):
+    """The mode set a grid computes (see _distinct_modes)."""
+
+    folded: int  # L = _folded_modes(N)
+    twice_theta: int  # 2 theta where mirrored, else 0
+    count: int  # K, the modes kappa < K the grid computes
+    self_paired: list  # the modes among them that are their own mirror
+
+
 def _distinct_modes(spec):
-    """K, the number of modes kappa < K the grid computes.
+    """The K modes kappa < K the grid computes, and how they unfold.
 
     Of the N modes, only the L = _folded_modes(N) first are distinct as
     a rule: N/2 for even N, N for odd N.  At theta in {0, 1/2} the mode set
     is also closed under k -> -k, which maps mode kappa < L to the mirror
     kappa' = (L - 2 theta - kappa) mod L, or to the partner kappa' + N/2 of
-    that mirror for even N.  There, on the partial-DFT path, the grid keeps
-    the reflection-distinct modes kappa <= kappa' only:
+    that mirror for even N.  There, on the partial-DFT path (_mirrored), the
+    grid keeps the reflection-distinct modes kappa <= kappa' only:
     K = floor((L - 2 theta)/2) + 1, which is N/4 + 1, (N + 2)/4 or N/4 for
     even N and (N + 1)/2 for odd N.  A mode is its own mirror (self-paired)
     at kappa = 0 for theta = 0, and at kappa = K - 1 where L - 2 theta is
-    even.
+    even.  Elsewhere K = L and no mode is self-paired.
 
     The massless ground state has this symmetry in |keff| but not in its
     weights: the one-sided filling of a node gives F = +/-1 there, where
@@ -271,9 +281,14 @@ def _distinct_modes(spec):
     and builds no grid.
     """
     folded = _folded_modes(spec.n_sites)
-    if _mirrored(spec):
-        return (folded - round(2 * spec.boundary_phase)) // 2 + 1
-    return folded
+    if not _mirrored(spec):
+        return DistinctModes(folded, 0, folded, [])
+    twice_theta = round(2 * spec.boundary_phase)
+    count = (folded - twice_theta) // 2 + 1
+    self_paired = [0] if twice_theta == 0 else []
+    if (folded - twice_theta) % 2 == 0:
+        self_paired.append(count - 1)
+    return DistinctModes(folded, twice_theta, count, self_paired)
 
 
 def _below_node_range(n, theta):
@@ -320,7 +335,7 @@ def build_mode_grid(spec: LatticeSpec) -> ModeGrid:
     array itself.
     """
     n, eps, m, theta = spec.n_sites, spec.spacing, spec.mass, spec.boundary_phase
-    angle = np.arange(0.0, 2.0 * _distinct_modes(spec), 2.0)
+    angle = np.arange(0.0, 2.0 * _distinct_modes(spec).count, 2.0)
     for j in (1, 2):
         # u is nearer to j*N than to (j-1)*N from u >= (2j-1)N/2 on
         angle[math.ceil((2 * j - 1) * n / 4 - theta) :] -= n
@@ -402,10 +417,11 @@ def _unfolded(spec, weights, sign):
     are the result.
     """
     n = spec.n_sites
-    folded = _folded_modes(n)
-    if weights.size < folded:
+    modes = _distinct_modes(spec)
+    folded = modes.folded
+    if modes.count < folded:
         kappa = np.arange(folded)
-        mirror = (folded - round(2 * spec.boundary_phase) - kappa) % folded
+        mirror = (folded - modes.twice_theta - kappa) % folded
         flip = np.where(mirror < kappa, sign if n % 2 else 1.0, 1.0)
         weights = flip * weights[np.minimum(kappa, mirror)]
     if weights.size == n:
@@ -527,9 +543,9 @@ def _partial_dft(spec: LatticeSpec, weights, distances):
         (1/L) sum_{kappa < K} w'[kappa] cos|sin(2 pi (kappa + theta) d/N)
 
     over the reflection-distinct modes, with L = _folded_modes(N) and w' = w
-    but w/2 at a self-paired mode (halved in place here), and entry d is
-    exactly 0 where (-1)^d != s for even N.  Only the d of the other parity
-    are computed there.
+    but w/2 at a self-paired mode (halved on a copy), and entry d is exactly
+    0 where (-1)^d != s for even N.  Only the d of the other parity are
+    computed there.
 
     With B = isqrt(K) and kappa = a*B + c the sum is
 
@@ -546,14 +562,11 @@ def _partial_dft(spec: LatticeSpec, weights, distances):
     asked for.  O(K) per block.
     """
     n = spec.n_sites
+    folded, twice_theta, modes, self_paired = _distinct_modes(spec)
     mirrored = _mirrored(spec)
-    twice_theta = round(2 * spec.boundary_phase) if mirrored else 0
-    modes = weights[0][0].size
-    if mirrored:
-        folded = _folded_modes(n)
-        self_paired = [0] if twice_theta == 0 else []
-        if (folded - twice_theta) % 2 == 0:
-            self_paired.append(modes - 1)
+    if self_paired:
+        # on copies: the caller's arrays still unfold by _unfolded
+        weights = [(w.copy(), s) for w, s in weights]
         for w, _ in weights:
             w[self_paired] /= 2.0
     # one parity of d survives for even N; off the mirrored path all are
@@ -612,8 +625,13 @@ def _partial_dft(spec: LatticeSpec, weights, distances):
 def _twisted(spec, distances, p, q):
     """P and C entries at +distances, then -distances, from p and q there.
 
-    The -|d| twist comes from exp too: conj would turn 1+0j into 1-0j at
-    theta = 0, and the eigensolve reads signed zeros.
+    The -|d| twist comes from exp too, not from conj of the +|d| entry:
+    conj would turn 1+0j into 1-0j at theta = 0 and so change the bytes
+    these entries have always had.  The partial DFT at theta in {0, 1/2}
+    does not come here (see _block_entries): its entries come twisted and
+    exactly real or exactly imaginary, so conj is their exact conjugate and
+    differs from an exp twist in the sign of a zero part alone.  That path
+    was pinned with conj.
     """
     signed = np.concatenate((distances, -distances))
     twist = np.exp(2j * np.pi * spec.boundary_phase * signed / spec.n_sites)
@@ -648,7 +666,7 @@ def _block_entries(spec: LatticeSpec, beta, distances):
         weights = [(f, sign), (g, 1.0)] if massive else [(f, sign)]
         profiles = _partial_dft(spec, weights, distances)
         p, q = profiles[0], profiles[1] if massive else zeros
-        if _mirrored(spec):  # p and q come twisted
+        if _mirrored(spec):  # p and q come twisted; see _twisted for conj
             return np.concatenate((p, p.conj())), -np.concatenate((q, q.conj()))
         return _twisted(spec, distances, p, q)
     p = fourier_profile(_unfolded(spec, f, sign))[distances]

@@ -15,7 +15,14 @@ from eechain import (
     build_mode_grid,
     validate_beta,
 )
-from eechain.lattice import _block_entries, _mode_weights, _unfolded, fourier_profile
+from eechain.lattice import (
+    _fermi_sea_profile,
+    _mode_weights,
+    _partial_dft,
+    _unfolded,
+    _uses_partial_dft,
+    fourier_profile,
+)
 
 INF = math.inf
 
@@ -178,7 +185,7 @@ def test_parity_class_invariance():
 def test_odd_z_ground_state_correlators_equal_z1(n_sites, z):
     # f = sign(-keff)^z for every odd z, also where |keff|^z is far below
     # 1e-12 (z = 9 at N = 2000), so every correlator equals the z = 1 one.
-    # _block_entries takes the closed form here, so the weights go through the FFT
+    # the blocks take the closed form here, so the weights go through the FFT
     p1, pz = (
         fourier_profile(_unfolded(spec, _mode_weights(spec, INF)[0], -1.0))
         for spec in (LatticeSpec(n_sites=n_sites), LatticeSpec(n_sites=n_sites, z_exponent=z))
@@ -319,14 +326,42 @@ def test_block_entries_depend_only_on_their_site_pair(z, mass, beta, theta):
                 assert corr.cross[a, b].tobytes() == pair.cross[0, k].tobytes()
 
 
+def _own_profiles(spec, beta, distances):
+    """p and q at the d >= 0 given, from the profile function of each path:
+    the delta, the Fermi sea, the partial DFT or FFTs of the unfolded weights."""
+    n, z = spec.n_sites, spec.z_exponent
+    zeros = np.zeros(distances.size, dtype=complex)
+    if spec.mass == 0.0 and beta == INF:
+        if z % 2:
+            return _fermi_sea_profile(n, spec.boundary_phase, distances), zeros
+        return np.where(distances == 0, 0.5 + 0j, 0j), zeros
+    f, g = _mode_weights(spec, beta)
+    weights = [(f, (-1.0) ** z), (g, 1.0)]
+    if _uses_partial_dft(n):
+        p, q = _partial_dft(spec, weights, distances)
+    else:
+        p, q = (fourier_profile(_unfolded(spec, w, s))[distances] for w, s in weights)
+    return p, q if spec.mass > 0 else zeros
+
+
 @SPARSE_BLOCK_CASES
 def test_blocks_equal_the_entrywise_formula(z, mass, beta, theta):
-    # bit for bit: entry [a, b] is _block_entries' entry at d = j - i, taken
-    # from its -|d| half where d < 0
+    # bit for bit: P = e^{2i pi theta d/N} p[d] and C = -e^{2i pi theta d/N} q[d]
+    # with p[-d] = conj(p[d]), each entry conjugated first, then twisted.  At
+    # theta in {0, 1/2} the partial DFT gives p and q twisted, each entry
+    # exactly real or imaginary, and the -d entry is the conjugate of the +d one
     for spec, sites, corr in _sparse_blocks(z, mass, beta, theta):
         d = np.subtract.outer(sites, sites).T  # d[a, b] = j - i
-        same, cross = _block_entries(spec, beta, np.abs(d).ravel())
-        pick = np.arange(d.size).reshape(d.shape) + d.size * (d < 0)
-        assert corr.same.tobytes() == same[pick].tobytes()
-        assert corr.cross.tobytes() == cross[pick].tobytes()
+        p, q = (x.reshape(d.shape) for x in _own_profiles(spec, beta, np.abs(d).ravel()))
+        below = d < 0
+        grid = not (mass == 0.0 and beta == INF)
+        if grid and _uses_partial_dft(spec.n_sites) and theta in (0.0, 0.5):
+            same, cross = p, -q
+            same[below], cross[below] = same[below].conj(), cross[below].conj()
+        else:
+            p[below], q[below] = p[below].conj(), q[below].conj()
+            twist = np.exp(2j * np.pi * theta * d / spec.n_sites)
+            same, cross = twist * p, -twist * q
+        assert corr.same.tobytes() == same.tobytes()
+        assert corr.cross.tobytes() == cross.tobytes()
 

@@ -20,6 +20,7 @@ from eechain.blas import openblas_threads
 from eechain.lattice import (
     _block_entries,
     _mode_weights,
+    _partial_dft,
     _unfolded,
     _uses_partial_dft,
     fourier_profile,
@@ -39,14 +40,16 @@ def _twist(spec, d):
 
 
 def _assert_entries_equal_fft(spec, beta):
-    """P and C at +d to 1e-15 of FFTs of the unfolded weights, twisted."""
+    """P and C at +d and -d to 1e-15 of FFTs of the unfolded weights, twisted."""
     d = _distances(spec.n_sites)
     same, cross = _block_entries(spec, beta, d)
     f, g = _mode_weights(spec, beta)
     p = fourier_profile(_unfolded(spec, f, (-1.0) ** spec.z_exponent))[d]
-    q = fourier_profile(_unfolded(spec, g, 1.0))[d] if spec.mass > 0 else 0.0
-    assert np.abs(same[: d.size] - _twist(spec, d) * p).max() <= 1e-15
-    assert np.abs(cross[: d.size] + _twist(spec, d) * q).max() <= 1e-15
+    q = fourier_profile(_unfolded(spec, g, 1.0))[d] if spec.mass > 0 else np.zeros(d.size)
+    signed = np.concatenate((d, -d))
+    p, q = np.concatenate((p, p.conj())), np.concatenate((q, q.conj()))
+    assert np.abs(same - _twist(spec, signed) * p).max() <= 1e-15
+    assert np.abs(cross + _twist(spec, signed) * q).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n_sites", [100_000, 1_000_000, 1_000_003])
@@ -105,6 +108,16 @@ def test_mirrored_partial_dft_equals_fft(n_sites, theta, z, mass, beta):
     assert _uses_partial_dft(n_sites)
     spec = LatticeSpec(n_sites=n_sites, z_exponent=z, mass=mass, boundary_phase=theta)
     _assert_entries_equal_fft(spec, beta)
+
+
+def test_partial_dft_leaves_the_weights_alone():
+    # the self-paired modes (0 and K - 1 here) are halved on copies, so the
+    # caller's arrays still unfold by _unfolded
+    spec = LatticeSpec(n_sites=131_072, z_exponent=2, mass=0.3)
+    f, g = _mode_weights(spec, 50.0)
+    saved = f.copy(), g.copy()
+    _partial_dft(spec, [(f, 1.0), (g, 1.0)], np.arange(8))
+    assert f.tobytes() == saved[0].tobytes() and g.tobytes() == saved[1].tobytes()
 
 
 @pytest.mark.parametrize("n_sites", [131_072, 131_074, 100_003])
