@@ -10,10 +10,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import NUMPY_VERSION
 
 from eechain.cli import main
-
-NUMPY_VERSION = "2.4.6"
 
 POINT = "--n 64 --na 8 --z 3 --mass 0.3 --beta 20 --theta 0.25"
 SWEEP = "sweep --n 40 --zs 1,2 --betas inf,10 --nas 2,5 --mass 0.2"
