@@ -23,9 +23,10 @@ the site difference d = j - i:
 where p, q are half inverse-DFTs of the real occupation weights F, G over
 the mode grid (see fourier_profile).  Real weights make them conjugate
 symmetric, p[-d] = conj(p[d]), so the block reads p and q only at the
-distinct |d| its site pairs span.  Only those are computed, the block
-entries from them once per signed d = +/-|d|, and each N_A x N_A block is
-one gather of those.  Each profile takes one of three paths:
+distinct |d| its site pairs span.  Only those are computed, and the block
+entries from them at each |d|; the entry at -|d| is the conjugate of the
+one at +|d|, and each N_A x N_A block is one gather of those.  Each
+profile takes one of three paths:
 
 * massless ground state: no mode grid at all.  Even z gives the exact
   delta p[d] = delta_{d0}/2.  Odd z gives Peschel's Fermi-sea correlator
@@ -622,32 +623,13 @@ def _partial_dft(spec: LatticeSpec, weights, distances):
     return profiles
 
 
-def _twisted(spec, distances, p, q):
-    """P and C entries at +distances, then -distances, from p and q there.
-
-    The -|d| twist comes from exp too, not from conj of the +|d| entry:
-    conj would turn 1+0j into 1-0j at theta = 0 and so change the bytes
-    these entries have always had.  The partial DFT at theta in {0, 1/2}
-    does not come here (see _block_entries): its entries come twisted and
-    exactly real or exactly imaginary, so conj is their exact conjugate and
-    differs from an exp twist in the sign of a zero part alone.  That path
-    was pinned with conj.
-    """
-    signed = np.concatenate((distances, -distances))
-    twist = np.exp(2j * np.pi * spec.boundary_phase * signed / spec.n_sites)
-    return (
-        twist * np.concatenate((p, p.conj())),
-        -twist * np.concatenate((q, q.conj())),
-    )
-
-
 def _block_entries(spec: LatticeSpec, beta, distances):
-    """Block entries (P, C) at the site differences +distances, then -distances.
+    """Block entries (P, C) at the site differences d >= 0 given.
 
-    P = e^{2i pi theta d/N} p[d] and C = -e^{2i pi theta d/N} q[d], with
-    p[-d] = conj(p[d]) and q[-d] = conj(q[d]), for 0 <= d < N given.  The
-    path is picked from N, theta and the model alone (see the module
-    docstring).
+    P = e^{2i pi theta d/N} p[d] and C = -e^{2i pi theta d/N} q[d] for
+    0 <= d < N; the entries at -d are their conjugates (see
+    build_correlation_matrix).  The path is picked from N, theta and the
+    model alone (see the module docstring).
     """
     beta = validate_beta(beta)
     n = spec.n_sites
@@ -659,20 +641,22 @@ def _block_entries(spec: LatticeSpec, beta, distances):
             p = _fermi_sea_profile(n, spec.boundary_phase, distances)
         else:
             p = np.where(distances == 0, 0.5 + 0j, 0j)
-        return _twisted(spec, distances, p, zeros)
-    f, g = _mode_weights(spec, beta)
-    sign = -1.0 if spec.z_exponent % 2 else 1.0  # (-1)^z
-    if _uses_partial_dft(n):
-        weights = [(f, sign), (g, 1.0)] if massive else [(f, sign)]
-        profiles = _partial_dft(spec, weights, distances)
-        p, q = profiles[0], profiles[1] if massive else zeros
-        if _mirrored(spec):  # p and q come twisted; see _twisted for conj
-            return np.concatenate((p, p.conj())), -np.concatenate((q, q.conj()))
-        return _twisted(spec, distances, p, q)
-    p = fourier_profile(_unfolded(spec, f, sign))[distances]
-    del f  # lowers the peak memory of the second transform
-    q = fourier_profile(_unfolded(spec, g, 1.0))[distances] if massive else zeros
-    return _twisted(spec, distances, p, q)
+        q = zeros
+    else:
+        f, g = _mode_weights(spec, beta)
+        sign = -1.0 if spec.z_exponent % 2 else 1.0  # (-1)^z
+        if _uses_partial_dft(n):
+            weights = [(f, sign), (g, 1.0)] if massive else [(f, sign)]
+            profiles = _partial_dft(spec, weights, distances)
+            p, q = profiles[0], profiles[1] if massive else zeros
+            if _mirrored(spec):  # p and q come twisted
+                return p, -q
+        else:
+            p = fourier_profile(_unfolded(spec, f, sign))[distances]
+            del f  # lowers the peak memory of the second transform
+            q = fourier_profile(_unfolded(spec, g, 1.0))[distances] if massive else zeros
+    twist = np.exp(2j * np.pi * spec.boundary_phase * distances / n)
+    return twist * p, -twist * q
 
 
 def build_correlation_matrix(spec: LatticeSpec, beta, subsystem) -> CorrelationMatrix:
@@ -680,7 +664,9 @@ def build_correlation_matrix(spec: LatticeSpec, beta, subsystem) -> CorrelationM
 
     The subsystem follows validate_subsystem.  Block entry [a, b] belongs to
     the site pair (subsystem[a], subsystem[b]); see CorrelationMatrix for
-    the layout.  Each block is one gather from its entries at the signed d.
+    the layout.  Each block is one gather from its entries at the signed d,
+    where P and C are Hermitian: the entry at -d is the conjugate of the one
+    at +d, on every path.
     """
     sites = np.asarray(validate_subsystem(subsystem, spec.n_sites), dtype=np.int64)
     d_signed = sites[None, :] - sites[:, None]  # d[a, b] = j - i
@@ -688,6 +674,6 @@ def build_correlation_matrix(spec: LatticeSpec, beta, subsystem) -> CorrelationM
     needed = np.zeros(d_abs.max() + 1, dtype=bool)
     needed[d_abs] = True
     distances = np.flatnonzero(needed)
-    same, cross = _block_entries(spec, beta, distances)
+    same, cross = (np.concatenate((x, x.conj())) for x in _block_entries(spec, beta, distances))
     index = (np.cumsum(needed) - 1)[d_abs] + distances.size * (d_signed < 0)
     return CorrelationMatrix(same=same[index], cross=cross[index])

@@ -315,9 +315,11 @@ SPARSE_BLOCK_CASES = pytest.mark.parametrize(
 @SPARSE_BLOCK_CASES
 def test_block_entries_depend_only_on_their_site_pair(z, mass, beta, theta):
     for spec, sites, corr in _sparse_blocks(z, mass, beta, theta):
+        off = ~np.eye(len(sites), dtype=bool)
         for block in (corr.same, corr.cross):
-            # equal as numbers: conj gives a zero imaginary part the other sign
-            assert np.array_equal(block.T, block.conj())
+            # byte for byte, zero parts' signs included: the -d entry is the
+            # conj of the +d one on every path
+            assert block.T[off].tobytes() == block.conj()[off].tobytes()
         for a, i in enumerate(sites):
             for b, j in enumerate(sites):
                 pair = build_correlation_matrix(spec, beta, [i] if a == b else [i, j])
@@ -347,21 +349,19 @@ def _own_profiles(spec, beta, distances):
 @SPARSE_BLOCK_CASES
 def test_blocks_equal_the_entrywise_formula(z, mass, beta, theta):
     # bit for bit: P = e^{2i pi theta d/N} p[d] and C = -e^{2i pi theta d/N} q[d]
-    # with p[-d] = conj(p[d]), each entry conjugated first, then twisted.  At
-    # theta in {0, 1/2} the partial DFT gives p and q twisted, each entry
-    # exactly real or imaginary, and the -d entry is the conjugate of the +d one
+    # at d = |j - i|, and at d < 0 the conjugate of the entry at -d.  At
+    # theta in {0, 1/2} the partial DFT gives p and q twisted
     for spec, sites, corr in _sparse_blocks(z, mass, beta, theta):
         d = np.subtract.outer(sites, sites).T  # d[a, b] = j - i
         p, q = (x.reshape(d.shape) for x in _own_profiles(spec, beta, np.abs(d).ravel()))
-        below = d < 0
         grid = not (mass == 0.0 and beta == INF)
         if grid and _uses_partial_dft(spec.n_sites) and theta in (0.0, 0.5):
             same, cross = p, -q
-            same[below], cross[below] = same[below].conj(), cross[below].conj()
         else:
-            p[below], q[below] = p[below].conj(), q[below].conj()
-            twist = np.exp(2j * np.pi * theta * d / spec.n_sites)
+            twist = np.exp(2j * np.pi * theta * np.abs(d) / spec.n_sites)
             same, cross = twist * p, -twist * q
+        below = d < 0
+        same[below], cross[below] = same[below].conj(), cross[below].conj()
         assert corr.same.tobytes() == same.tobytes()
         assert corr.cross.tobytes() == cross.tobytes()
 
