@@ -201,12 +201,13 @@ def geodesic_length_massive(z, m, cutoff, length, eps, n_points=4001):
 
 
 def ee_cmera(z, length, eps, c=2.0):
-    """Holographic entropy closed form: (c/3) ln(l/eps) for odd z, 0 even.
+    """Holographic entropy S = c L / (sqrt(3) pi) of an interval l.
 
-    The interval must exceed the cutoff, as in geodesic_length.
+    L is the geodesic_length of the massless entangler strength g, the
+    constant g_closed_form gives at m = 0: -pi/2 for odd z, so
+    S = (c/3) ln(l/eps), and 0 for even z, so S = 0 exactly.  This is the
+    cMERA picture of Nozaki, Ryu and Takayanagi (arXiv:1208.3469).  The
+    interval must exceed the cutoff, as in geodesic_length.
     """
-    z, c = validate_integer("z", z, 1), validate_real("c", c)
-    length, eps = _interval(length, eps)
-    if z % 2 == 0:
-        return 0.0
-    return (c / 3.0) * math.log(length / eps)
+    c = validate_real("c", c)
+    return c * geodesic_length(g_closed_form(0.0, z, 0.0), length, eps) / (SQRT3 * math.pi)

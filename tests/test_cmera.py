@@ -10,9 +10,11 @@ from eechain import (
     DegenerateInterval,
     InsufficientSampling,
     InvalidParameter,
+    LatticeSpec,
     bogoliubov_angle,
     ee_cmera,
     energy_density,
+    entropy_of,
     g_closed_form,
     g_from_phi_numeric,
     geodesic_length,
@@ -248,3 +250,16 @@ def test_ee_closed_form():
     assert ee_cmera(8, 7.0, 1.0) == 0.0
     # c is adjustable
     assert ee_cmera(1, 10.0, 1.0, c=3.0) == pytest.approx(math.log(10))
+
+
+@pytest.mark.parametrize("z", [1, 2, 3])
+def test_massless_cmera_slope_equals_the_lattice(z):
+    # from N_A = 10 to 30 in an N = 20000 ground state the lattice S grows by
+    # 0.73271 for odd z, the geodesic's c L/(sqrt(3) pi) by (2/3) ln 3 =
+    # 0.73241; for even z neither grows
+    spec = LatticeSpec(n_sites=20_000, z_exponent=z)
+    lattice = [entropy_of(spec, math.inf, range(na)).entropy for na in (10, 30)]
+    cmera = [ee_cmera(z, na, 1.0) for na in (10, 30)]
+    assert lattice[1] - lattice[0] == pytest.approx(cmera[1] - cmera[0], abs=5e-4)
+    if z % 2 == 0:
+        assert lattice == cmera == [0.0, 0.0]

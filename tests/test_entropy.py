@@ -150,3 +150,24 @@ def test_block_solve_matches_dense_eigensolve_at_450_sites():
     spec = LatticeSpec(n_sites=2000, z_exponent=3, mass=0.3, boundary_phase=0.25)
     corr = build_correlation_matrix(spec, 50.0, range(450))
     _assert_block_solve_matches_dense(corr, entropy_tol=1e-10)
+
+
+# S of range(32) from blocks built with mpmath at 40 digits, independent of
+# eechain: F and G summed over all N modes, the twist, an mpmath SVD and the
+# entropy.  That takes about 2 s a point, so the values are pinned here.
+EXACT_ENTROPIES = [  # N, z, m, theta, beta, S
+    (195, 3, 1.954, 0.5, 17.36, 0.25045467660729212417),
+    (120, 1, 1.2, 0.0, INF, 0.56625010733177559837),
+    (301, 2, 0.8, 0.3183, 5.0, 3.7398499245550281870),
+    (200, 1, 0.5, 0.0, 30.0, 1.2445268998064861610),
+    (151, 3, 0.7, 0.5, INF, 0.81973164895359236150),
+    (240, 2, 1.5, 0.0, INF, 0.27082967828329308993),
+]
+
+
+@pytest.mark.parametrize("n, z, mass, theta, beta, exact", EXACT_ENTROPIES)
+def test_entropy_matches_exact_blocks(n, z, mass, theta, beta, exact):
+    # PURE_SNAP drops the true eigenvalues within 1e-15 of 0 or 1, which
+    # puts the first point 5.5e-13 off; the others lie within 1.4e-13
+    got = entropy_of(LatticeSpec(n, z, mass, 1.0, theta), beta, range(32)).entropy
+    assert abs(got - exact) <= 1e-12
