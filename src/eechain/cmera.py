@@ -203,11 +203,11 @@ def geodesic_length_massive(z, m, cutoff, length, eps, n_points=4001):
 def ee_cmera(z, length, eps, c=2.0):
     """Holographic entropy S = c L / (sqrt(3) pi) of an interval l.
 
-    L is the geodesic_length of the massless entangler strength g, the
-    constant g_closed_form gives at m = 0: -pi/2 for odd z, so
-    S = (c/3) ln(l/eps), and 0 for even z, so S = 0 exactly.  This is the
-    cMERA picture of Nozaki, Ryu and Takayanagi (arXiv:1208.3469).  The
-    interval must exceed the cutoff, as in geodesic_length.
+    L is the geodesic_length of the constant massless entangler strength
+    g = g_closed_form(u, z, 0): -pi/2 for odd z, which gives
+    S = (c/3) ln(l/eps), and 0 for even z, which gives S = 0 exactly.  This
+    is the cMERA picture of Nozaki, Ryu and Takayanagi (arXiv:1208.3469).
+    The interval must exceed the cutoff, as in geodesic_length.
     """
     c = validate_real("c", c)
     return c * geodesic_length(g_closed_form(0.0, z, 0.0), length, eps) / (SQRT3 * math.pi)
