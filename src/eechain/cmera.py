@@ -43,6 +43,7 @@ from .lattice import (
     validate_nonnegative,
     validate_positive,
     validate_real,
+    validate_real_array,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -52,14 +53,6 @@ MIN_POINTS_PER_DECADE = 100
 def _model(z, m):
     """(z, m) as an int and a float, if z is an integer >= 1 and m finite >= 0."""
     return validate_integer("z", z, 1), validate_nonnegative("m", m)
-
-
-def _real_array(name, values):
-    """values as a float array, if they are real numbers (bools not)."""
-    array = np.asarray(values)
-    if array.dtype.kind not in "iuf":
-        raise InvalidParameter(f"{name} must be real numbers, got {values!r}")
-    return array.astype(float, copy=False)
 
 
 def _interval(length, eps):
@@ -79,7 +72,7 @@ def _mixing_angle(k, z, m):
 def bogoliubov_angle(k, z, m):
     """Closed-form mixing angle at finite momentum k > 0."""
     z, m = _model(z, m)
-    k = _real_array("k", k)
+    k = validate_real_array("k", k)
     if not np.all((k > 0) & (k < math.inf)):
         raise InvalidParameter("momenta must be finite and positive")
     # m = 0: exactly pi/2, where k^z may underflow to 0 and atan2(0, 0) = 0
@@ -91,7 +84,7 @@ def bogoliubov_angle(k, z, m):
 def minimizing_angle(k, z, m):
     """Per-momentum energy minimizer; valid for either sign of k."""
     z, m = _model(z, m)
-    k = _real_array("k", k)
+    k = validate_real_array("k", k)
     phi = 0.5 * (np.pi - np.arctan2(m, (-k) ** z))
     return float(phi) if phi.ndim == 0 else phi
 
@@ -104,7 +97,7 @@ def g_closed_form(u, z, m, cutoff=1.0):
     """
     z, m = _model(z, m)
     cutoff = validate_positive("cutoff", cutoff)
-    u = _real_array("u", u)
+    u = validate_real_array("u", u)
     if m == 0:
         value = np.full_like(u, (np.pi / 4.0) * ((-1.0) ** z - 1.0))
     else:
@@ -135,7 +128,8 @@ def g_from_phi_numeric(u_values, phi_values):
     The grid must be uniform and at least 100 points per decade of scale
     (du <= ln(10)/100), else InsufficientSampling.
     """
-    u, phi = _real_array("u_values", u_values), _real_array("phi_values", phi_values)
+    u = validate_real_array("u_values", u_values)
+    phi = validate_real_array("phi_values", phi_values)
     if u.ndim != 1 or u.shape != phi.shape or u.size < 5:
         raise InsufficientSampling("profile must be 1-d with at least 5 samples")
     steps = np.diff(u)
@@ -153,7 +147,8 @@ def g_from_phi_numeric(u_values, phi_values):
 def energy_density(k_values, phi_values, z, m):
     """Trapezoid quadrature of (1/2pi) [(-k)^z cos 2phi - m sin 2phi] dk."""
     z, m = _model(z, m)
-    k, phi = _real_array("k_values", k_values), _real_array("phi_values", phi_values)
+    k = validate_real_array("k_values", k_values)
+    phi = validate_real_array("phi_values", phi_values)
     integrand = (-k) ** z * np.cos(2.0 * phi) - m * np.sin(2.0 * phi)
     return float(trapezoid(integrand, k) / (2.0 * np.pi))
 
@@ -209,5 +204,5 @@ def ee_cmera(z, length, eps, c=2.0):
     is the cMERA picture of Nozaki, Ryu and Takayanagi (arXiv:1208.3469).
     The interval must exceed the cutoff, as in geodesic_length.
     """
-    c = validate_real("c", c)
+    c = validate_positive("c", c)
     return c * geodesic_length(g_closed_form(0.0, z, 0.0), length, eps) / (SQRT3 * math.pi)

@@ -34,13 +34,16 @@ profile takes one of three paths:
 * partial DFT, where N is large or has a large prime factor
   (_uses_partial_dft): a sqrt(K)-split DFT over the K distinct modes in
   fixed blocks of PROFILE_BLOCK site differences, O(K) per block (see
-  _partial_dft).  At theta in {0, 1/2} F(-k) = (-1)^z F(k) and
-  G(-k) = G(k), so the twisted profiles e^{2i pi theta d/N} p[d] and
-  e^{2i pi theta d/N} q[d] are sine or cosine series over the
-  reflection-distinct modes: each entry is exactly real or exactly
-  imaginary.  The massless ground state has no such weights (its
-  one-sided node filling breaks the symmetry), which is one more reason
-  it keeps its closed form.
+  _partial_dft).  For even N mode kappa + N/2 carries (-1)^z times the
+  F weight of mode kappa and the same G weight, so p[d] vanishes unless
+  (-1)^d = (-1)^z and q[d] unless d is even: at every theta only the
+  non-vanishing parity of d is computed.  At theta in {0, 1/2}
+  F(-k) = (-1)^z F(k) and G(-k) = G(k), so the twisted profiles
+  e^{2i pi theta d/N} p[d] and e^{2i pi theta d/N} q[d] are sine or
+  cosine series over the reflection-distinct modes: each entry is
+  exactly real or exactly imaginary.  The massless ground state has no
+  such weights (its one-sided node filling breaks the symmetry), which
+  is one more reason it keeps its closed form.
 * FFT, at every other N: fourier_profile, one real-input FFT per weight
   array unfolded to length N, O(N log N).
 
@@ -121,6 +124,15 @@ def validate_real(name, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidParameter(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def validate_real_array(name, values):
+    """values as a float array, if numpy reads them as real numbers (bools
+    not)."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise InvalidParameter(f"{name} must be real numbers, got {values!r}")
+    return array.astype(float, copy=False)
 
 
 def validate_positive(name, value):
@@ -238,15 +250,6 @@ class CorrelationMatrix:
         return m
 
 
-def _folded_modes(n):
-    """N/2 for even N, else N.
-
-    For even N, mode kappa + N/2 has k*eps shifted by pi, so the same
-    |keff| as mode kappa and the opposite sign of keff.
-    """
-    return n // 2 if n % 2 == 0 else n
-
-
 def _mirrored(spec):
     """True where the grid keeps the reflection-distinct modes only: on the
     partial-DFT path at theta in {0, 1/2} (see _distinct_modes)."""
@@ -256,7 +259,7 @@ def _mirrored(spec):
 class DistinctModes(NamedTuple):
     """The mode set a grid computes (see _distinct_modes)."""
 
-    folded: int  # L = _folded_modes(N)
+    folded: int  # L: N/2 for even N, N for odd N
     twice_theta: int  # 2 theta where mirrored, else 0
     count: int  # K, the modes kappa < K the grid computes
     self_paired: list  # the modes among them that are their own mirror
@@ -265,12 +268,13 @@ class DistinctModes(NamedTuple):
 def _distinct_modes(spec):
     """The K modes kappa < K the grid computes, and how they unfold.
 
-    Of the N modes, only the L = _folded_modes(N) first are distinct as
-    a rule: N/2 for even N, N for odd N.  At theta in {0, 1/2} the mode set
-    is also closed under k -> -k, which maps mode kappa < L to the mirror
-    kappa' = (L - 2 theta - kappa) mod L, or to the partner kappa' + N/2 of
-    that mirror for even N.  There, on the partial-DFT path (_mirrored), the
-    grid keeps the reflection-distinct modes kappa <= kappa' only:
+    Of the N modes, only the L first are distinct as a rule: L = N/2 for
+    even N (see the module docstring) and L = N for odd N.  At theta in
+    {0, 1/2} the mode set is also closed under k -> -k, which maps mode
+    kappa < L to the mirror kappa' = (L - 2 theta - kappa) mod L, or to the
+    partner kappa' + N/2 of that mirror for even N.  There, on the
+    partial-DFT path (_mirrored), the grid keeps the reflection-distinct
+    modes kappa <= kappa' only:
     K = floor((L - 2 theta)/2) + 1, which is N/4 + 1, (N + 2)/4 or N/4 for
     even N and (N + 1)/2 for odd N.  A mode is its own mirror (self-paired)
     at kappa = 0 for theta = 0, and at kappa = K - 1 where L - 2 theta is
@@ -281,7 +285,7 @@ def _distinct_modes(spec):
     F(-k) = (-1)^z F(k) would need 0 for odd z.  It keeps its closed form
     and builds no grid.
     """
-    folded = _folded_modes(spec.n_sites)
+    folded = spec.n_sites // (2 - spec.n_sites % 2)
     if not _mirrored(spec):
         return DistinctModes(folded, 0, folded, [])
     twice_theta = round(2 * spec.boundary_phase)
@@ -531,22 +535,23 @@ def _partial_dft(spec: LatticeSpec, weights, distances):
 
     weights holds (w, s) pairs: w over the K distinct modes of
     build_mode_grid, and s the sign mode kappa + N/2 carries for even N
-    (see _unfolded): (-1)^z for F, +1 for G.  At a generic theta entry d is
+    (see _unfolded): (-1)^z for F, +1 for G.  For even N that mode adds
+    s(-1)^d times the term of mode kappa, so entry d is exactly 0 where
+    (-1)^d != s; only the d of the other parity are computed, and the
+    others stay 0.  At a generic theta entry d is then
 
-        (1/2N) sum_{kappa < K} w[kappa] e^{2i pi kappa d/N} * (1 + s(-1)^d)
+        (1/2L) sum_{kappa < K} w[kappa] e^{2i pi kappa d/N},
 
-    for even N, the last factor exactly 0 or 2, and the plain K = N term sum
-    for odd N.  At theta in {0, 1/2} (_mirrored) the mirror of a mode
-    carries s times its weight too, so the entries come out twisted, as
-    e^{2i pi theta d/N} times the above.  That is the cosine series (s = +1)
-    or i times the sine series (s = -1)
+    with L = N/2 for even N (the surviving terms count twice) and L = N,
+    K = N for odd N.  At theta in {0, 1/2} (_mirrored) the mirror of a
+    mode carries s times its weight too, so the entries come out twisted,
+    as e^{2i pi theta d/N} times the above.  That is the cosine series
+    (s = +1) or i times the sine series (s = -1)
 
         (1/L) sum_{kappa < K} w'[kappa] cos|sin(2 pi (kappa + theta) d/N)
 
-    over the reflection-distinct modes, with L = _folded_modes(N) and w' = w
-    but w/2 at a self-paired mode (halved on a copy), and entry d is exactly
-    0 where (-1)^d != s for even N.  Only the d of the other parity are
-    computed there.
+    over the reflection-distinct modes, with w' = w but w/2 at a
+    self-paired mode (halved on a copy).
 
     With B = isqrt(K) and kappa = a*B + c the sum is
 
@@ -555,12 +560,12 @@ def _partial_dft(spec: LatticeSpec, weights, distances):
     The site differences are taken in fixed blocks [j*W, (j+1)*W) with
     W = PROFILE_BLOCK, and only the blocks that hold a requested d are
     computed.  Per block, one real GEMM of the phase tables
-    [cos; sin](2 pi aB d/N), 2W x ceil(K/B), against the weights laid out as
-    rows of B gives the inner sums, and a B-term phase sum per d finishes
-    them; weight arrays that keep the same d share the tables.  The shapes
-    of every product are fixed by N and theta and the GEMM runs on one BLAS
-    thread, so an entry's bits do not depend on which other entries were
-    asked for.  O(K) per block.
+    [cos; sin](2 pi aB d/N) over the computed d, against the weights laid
+    out as rows of B, gives the inner sums, and a B-term phase sum per d
+    finishes them; weight arrays that keep the same d share the tables.
+    The shapes of every product are fixed by N and theta and the GEMM runs
+    on one BLAS thread, so an entry's bits do not depend on which other
+    entries were asked for.  O(K) per block.
     """
     n = spec.n_sites
     folded, twice_theta, modes, self_paired = _distinct_modes(spec)
@@ -570,16 +575,13 @@ def _partial_dft(spec: LatticeSpec, weights, distances):
         weights = [(w.copy(), s) for w, s in weights]
         for w, _ in weights:
             w[self_paired] /= 2.0
-    # one parity of d survives for even N; off the mirrored path all are
-    # computed and the others multiplied by 0
-    step = 2 if mirrored and n % 2 == 0 else 1
+    step = 2 - n % 2  # one parity of d survives for even N
     width = math.isqrt(modes)
     rows, rest = divmod(modes, width)
     # integer phases are reduced mod N (the inner ones, in units of pi/N,
     # mod 2N) before they are scaled: exact while N*N fits an int64
     outer_phase = np.arange(rows + (rest > 0)) * width % n
     inner_phase = 2 * np.arange(width) + twice_theta
-    parity = np.where(distances % 2, -1.0, 1.0)  # (-1)^d
     block_of = distances // PROFILE_BLOCK
     profiles = [np.zeros(distances.size, dtype=complex) for _ in weights]
     with one_blas_thread():
@@ -604,22 +606,16 @@ def _partial_dft(spec: LatticeSpec, weights, distances):
                 if rest:
                     sums[:, :rest] += np.outer(table[:, rows], w[rows * width :])
                 re, im = np.split(sums, 2)
-                if mirrored:
-                    if sign > 0:
-                        part, series = profile.real, re * cos_c - im * sin_c
-                    else:
-                        part, series = profile.imag, re * sin_c + im * cos_c
-                    kept = offsets % step == first
-                    part[np.flatnonzero(wanted)[kept]] = (
-                        series.sum(axis=1)[offsets[kept] // step] / folded
-                    )
+                real = (re * cos_c - im * sin_c).sum(axis=1)
+                imag = (re * sin_c + im * cos_c).sum(axis=1)
+                kept = offsets % step == first
+                at, row = np.flatnonzero(wanted)[kept], offsets[kept] // step
+                if not mirrored:
+                    profile[at] = (real[row] + 1j * imag[row]) / (2 * folded)
+                elif sign > 0:
+                    profile.real[at] = real[row] / folded
                 else:
-                    real = (re * cos_c - im * sin_c).sum(axis=1)
-                    imag = (re * sin_c + im * cos_c).sum(axis=1)
-                    value = (real[offsets] + 1j * imag[offsets]) / (2 * n)
-                    if modes < n:
-                        value *= 1.0 + sign * parity[wanted]  # exactly 0 or 2
-                    profile[wanted] = value
+                    profile.imag[at] = imag[row] / folded
     return profiles
 
 

@@ -17,7 +17,8 @@ import typing
 import numpy as np
 
 from .entropy import EntropyPoint
-from .errors import EmptySeries, IoError
+from .errors import EmptySeries, InvalidParameter, IoError
+from .lattice import validate_real_array
 from .thermal import SweepTable
 
 _COLUMN_TYPES = typing.get_type_hints(EntropyPoint)
@@ -100,12 +101,15 @@ _ML, _MR, _MT, _MB = 70, 24, 34, 52
 
 
 def _scaler(lo, hi, out_lo, out_hi, log):
+    lo, hi = float(lo), float(hi)  # a range that overflows reads inf, with no warning
     if log:
         if lo <= 0:
-            raise ValueError("log axis requires positive data")
+            raise InvalidParameter("log axis requires positive data")
         lo, hi = math.log10(lo), math.log10(hi)
     if hi == lo:
         hi = lo + 1.0
+    if not 0 < (hi - lo) * abs(out_hi - out_lo) < math.inf:
+        raise InvalidParameter(f"cannot scale the data range [{lo!r}, {hi!r}] to pixels")
 
     def to_px(v):
         t = (math.log10(v) if log else v)
@@ -126,6 +130,14 @@ def _ticks(lo, hi, log):
     return [10.0**t for t in marks] if log else marks
 
 
+def _finite_reals(name, values):
+    """values as a float array, if they are finite real numbers."""
+    array = validate_real_array(name, values)
+    if not np.isfinite(array).all():
+        raise InvalidParameter(f"{name} must be finite, got {values!r}")
+    return array
+
+
 def emit_plot(series, axes=None):
     """Render line series to self-contained SVG bytes.
 
@@ -133,6 +145,8 @@ def emit_plot(series, axes=None):
     axes:   optional dict with keys xlabel, ylabel, title,
             xscale ('linear' | 'log'), hlines (list of (y, label)
             drawn as dashed reference lines).
+    Values that are not finite real numbers, x <= 0 on a log axis, or a
+    range too wide to scale to pixels raise InvalidParameter.
     """
     axes = dict(axes or {})
     if not series:
@@ -140,8 +154,8 @@ def emit_plot(series, axes=None):
     cleaned = []
     for item in series:
         x, y, label = item
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x = _finite_reals(f"series {label!r}", x)
+        y = _finite_reals(f"series {label!r}", y)
         if x.size < 2 or x.size != y.size:
             raise EmptySeries(f"series {label!r} needs >= 2 points")
         cleaned.append((x, y, str(label)))
@@ -150,7 +164,7 @@ def emit_plot(series, axes=None):
     hlines = list(axes.get("hlines", ()))
     all_x = np.concatenate([s[0] for s in cleaned])
     all_y = np.concatenate(
-        [s[1] for s in cleaned] + ([np.array([h for h, _ in hlines])] if hlines else [])
+        [s[1] for s in cleaned] + [_finite_reals("hlines", [h for h, _ in hlines])]
     )
     x_px, xlo, xhi = _scaler(all_x.min(), all_x.max(), _ML, _W - _MR, xlog)
     y_px, ylo, yhi = _scaler(all_y.min(), all_y.max(), _H - _MB, _MT, log=False)

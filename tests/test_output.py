@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from eechain import (
     EmptySeries,
     EntropyPoint,
+    InvalidParameter,
     IoError,
     SweepTable,
     emit_plot,
@@ -157,8 +158,22 @@ def test_plot_empty_gates():
 
 def test_plot_log_axis_needs_positive_values():
     x = np.linspace(-1, 1, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter):
         emit_plot([(x, x, "s")], {"xscale": "log"})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_plot_rejects_values_that_are_not_finite(bad):
+    # they went into the SVG as "nan" points, inf with a RuntimeWarning
+    x = np.linspace(1.0, 2.0, 5)
+    spoilt = np.where(x > 1.5, bad, x)
+    for series, axes in [
+        ([(x, spoilt, "s")], None),
+        ([(spoilt, x, "s")], None),
+        ([(x, x, "s")], {"hlines": [(bad, "h")]}),
+    ]:
+        with pytest.raises(InvalidParameter):
+            emit_plot(series, axes)
 
 
 def _tick_positions(svg):

@@ -205,16 +205,21 @@ def test_partial_dft_bits_do_not_depend_on_blas_threads():
         return
     get, put = control
     saved = get()
-    spec = LatticeSpec(n_sites=100_003, mass=0.3)
-    profiles = []
-    try:
-        for threads in (1, 2):
-            put(threads)
-            profiles.append(np.concatenate(_block_entries(spec, 50.0, np.arange(64))))
-            assert get() == threads
-    finally:
-        put(saved)
-    assert np.array_equal(profiles[0], profiles[1])
+    # a mirrored odd N, and a generic theta at even N (one parity of d)
+    specs = [
+        LatticeSpec(n_sites=100_003, mass=0.3),
+        LatticeSpec(n_sites=1_000_000, mass=0.3, boundary_phase=0.37),
+    ]
+    for spec in specs:
+        profiles = []
+        try:
+            for threads in (1, 2):
+                put(threads)
+                profiles.append(np.concatenate(_block_entries(spec, 50.0, np.arange(64))))
+                assert get() == threads
+        finally:
+            put(saved)
+        assert np.array_equal(profiles[0], profiles[1])
 
 
 @pytest.mark.parametrize("mass, beta", [(0.3, 50.0), (0.0, INF)])

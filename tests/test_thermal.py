@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -382,7 +383,7 @@ def entropy_by_z(request):
 
 
 def _second_differences(s):
-    """S(z+1) - 2 S(z) + S(z-1) for z = 2..9."""
+    """S(z+1) - 2 S(z) + S(z-1) for every inner z of S(z) over z = 1, 2, ..."""
     return s[2:] - 2 * s[1:-1] + s[:-2]
 
 
@@ -407,3 +408,50 @@ def test_steps_do_not_yet_fall_with_z_at_beta_10(entropy_by_z):
     # z = 7 to 8 (1.51): the steps do not yet fall with z
     steps = np.abs(np.diff(entropy_by_z[10.0]))
     assert steps[7] > steps[6]
+
+
+# The washout claim holds in one measure and not in the other.  At fixed
+# x = N_A beta^(-1/z), so beta = (N_A/x)^z, the zigzag survives at every x;
+# at fixed beta it washes out as z grows, because S saturates at
+# 2 N_A ln 2.  Both chain parities run, for the reason given above.
+
+
+def _massless_entropy(n, z, beta):
+    return entropy_of(LatticeSpec(n_sites=n, z_exponent=z), beta, range(50)).entropy
+
+
+@pytest.mark.parametrize("n", [2000, 2001])
+@pytest.mark.parametrize("x", [0.05, 0.2, 1.0, 3.0, 10.0])
+def test_zigzag_survives_at_fixed_scaling_variable(n, x):
+    s = np.array([_massless_entropy(n, z, (50 / x) ** z) for z in range(1, 12)])
+    signs = "".join("+" if d > 0 else "-" for d in _second_differences(s))
+    assert signs == "+-+-+-+-+"
+
+
+@pytest.mark.parametrize("n", [2000, 2001])
+def test_odd_even_gap_shrinks_slowly_at_fixed_scaling_variable(n):
+    # x = 10: S(z) - S(z + 1) for z = 3, 5, 7, 9
+    gaps = [_massless_entropy(n, z, 5.0**z) - _massless_entropy(n, z + 1, 5.0 ** (z + 1))
+            for z in (3, 5, 7, 9)]
+    assert gaps == pytest.approx([1.646, 1.227, 1.130, 1.096], abs=1e-3)
+
+
+@pytest.mark.parametrize("n", [2000, 2001])
+def test_large_z_washes_out_the_zigzag_at_fixed_beta(n):
+    steps = [abs(_massless_entropy(n, z, 1e4) - _massless_entropy(n, z + 1, 1e4))
+             for z in (1, 9, 31, 101, 1001)]
+    assert steps == pytest.approx([2.871, 1.219, 0.257, 0.026, 0.003], abs=1e-3)
+    assert 64.97 < _massless_entropy(n, 1001, 1e4) < 2 * 50 * math.log(2)
+    # in the ground state the parity never washes out
+    assert _massless_entropy(n, 1001, INF) == _massless_entropy(n, 1, INF) > 4.05
+    assert _massless_entropy(n, 1002, INF) == 0.0
+
+
+@pytest.mark.parametrize("n", [1_000_000, 1_000_003])
+def test_large_z_on_the_partial_dft_path(n):
+    # S(101) = 53.0197279444 at N = 2000 and 2001 as well
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = {z: _massless_entropy(n, z, 1e4) for z in (101, 1001, 1002)}
+    assert s[101] == pytest.approx(53.0197279444, abs=1e-9)
+    assert s[1001] - s[1002] == pytest.approx(0.0029846, abs=1e-6)

@@ -23,6 +23,7 @@ from eechain import (
     build_correlation_matrix,
     cft_reference,
     ee_cmera,
+    emit_plot,
     energy_density,
     entropy_of,
     g_closed_form,
@@ -98,8 +99,12 @@ def _geodesic_length_massive(z=1, m=0.3, cutoff=1.0, length=2.0, eps=1.0, n_poin
     return geodesic_length_massive(z, m, cutoff, length, eps, n_points)
 
 
-def _ee_cmera(z=1, length=2.0, eps=1.0):
-    return ee_cmera(z, length, eps)
+def _ee_cmera(z=1, length=2.0, eps=1.0, c=2.0):
+    return ee_cmera(z, length, eps, c)
+
+
+def _emit_plot(x=1.0, y=1.0, hline=2.0):
+    return emit_plot([([x, 3.0], [y, 2.0], "s")], {"hlines": [(hline, "h")]})
 
 
 MISSING = object()  # a params key left out of cft_reference's dict
@@ -132,6 +137,7 @@ ENTRY_POINTS = {
     "geodesic_length": _geodesic_length,
     "geodesic_length_massive": _geodesic_length_massive,
     "ee_cmera": _ee_cmera,
+    "emit_plot": _emit_plot,
     "cft_finite_size": _cft_finite_size,
     "cft_thermal": _cft_thermal,
 }
@@ -165,6 +171,13 @@ BAD_CALLS = [
     ("ee_cmera", {"z": 1, "length": 2.0, "eps": 0.0}),
     ("cft_thermal", {"l": 1.0, "beta": 0.0}),
     ("cft_finite_size", {"n": 10, "na": MISSING}),
+    ("ee_cmera", {"c": math.nan}),
+    ("ee_cmera", {"c": math.inf}),
+    ("ee_cmera", {"c": -2.0}),
+    ("ee_cmera", {"c": 0.0}),
+    ("emit_plot", {"y": math.nan}),
+    ("emit_plot", {"hline": math.inf}),
+    ("emit_plot", {"x": -1e308}),  # overflowed the pixel scale
 ]
 
 
