@@ -20,6 +20,19 @@ whose sigma_y = -1 and +1 sectors are (P + iC)(P + iC)^dag and
 P + iC as eigenvalues, so the spectrum of M is exactly {1/2 +- s_j}: one
 N_A x N_A singular-value solve instead of a 2N_A x 2N_A eigensolve.
 
+At theta in {0, 1/2} the weights obey F(-k) = (-1)^z F(k) and
+G(-k) = G(k), so P is imaginary for odd z and real for even z, and C is
+real; the lattice builds those parts as exact zeros on every profile path
+with a mode grid.  The solve is picked from exact zeros of the blocks:
+
+* Re P = 0 and Im C = 0: P + iC = i(Im P + Re C), and a unit factor
+  leaves the singular values alone, so s_j are those of the real matrix
+  Im P + Re C (odd z, massive or massless);
+* C = 0 and Im P = 0: M = 1/2 + P (x) sigma_z has the eigenvalues
+  1/2 +- lambda_j of the real symmetric P, so s_j = |lambda_j| from a real
+  eigvalsh (even z, massless);
+* otherwise the complex singular values of P + iC.
+
 Every evaluated entropy is an EntropyPoint: the entropy with the model
 point that produced it.  Its fields are the columns of the CSV/JSON
 tables, in their order (see eechain.output).
@@ -82,12 +95,21 @@ def hermitian_eigenvalues(corr: CorrelationMatrix):
 
     Raises NotHermitian when the maximum asymmetry |B - B^dag| of block P
     or C exceeds 1e-9.  The 2N_A eigenvalues are 1/2 +- s_j, with s_j the
-    singular values of P + iC (see the module docstring).  The solve runs
-    on one BLAS thread, so the eigenvalues do not depend on the core count.
+    singular values of P + iC.  Where Re P and Im C are exactly 0 they come
+    from a real SVD of Im P + Re C; where C and Im P are, as |eigvalsh(P)|;
+    else from the complex SVD (see the module docstring for why each is
+    exact).  The checks read the blocks alone, and every solve runs on one
+    BLAS thread, so the eigenvalues do not depend on the core count.
     """
-    _check_hermitian(corr.same, corr.cross)
+    same, cross = corr.same, corr.cross
+    _check_hermitian(same, cross)
     with one_blas_thread():
-        s = np.linalg.svd(corr.same + 1j * corr.cross, compute_uv=False)
+        if not same.real.any() and not cross.imag.any():
+            s = np.linalg.svd(same.imag + cross.real, compute_uv=False)
+        elif not cross.any() and not same.imag.any():
+            s = np.sort(np.abs(np.linalg.eigvalsh(same.real)))[::-1]
+        else:
+            s = np.linalg.svd(same + 1j * cross, compute_uv=False)
     # s is descending
     return np.concatenate((0.5 - s, 0.5 + s[::-1]))
 

@@ -45,7 +45,10 @@ profile takes one of three paths:
   such weights (its one-sided node filling breaks the symmetry), which
   is one more reason it keeps its closed form.
 * FFT, at every other N: fourier_profile, one real-input FFT per weight
-  array unfolded to length N, O(N log N).
+  array unfolded to length N, O(N log N).  At theta in {0, 1/2} the
+  same symmetry holds, but the transform of all N weights leaves the
+  parts it forbids (Re P for odd z, Im P for even z, Im C) as round-off
+  of about 1e-17; they are set to exact zeros after the twist.
 
 The path depends on N, theta and the model alone, and each entry's bits
 depend on N, theta, the model and its own d alone: never on N_A or on
@@ -625,14 +628,17 @@ def _block_entries(spec: LatticeSpec, beta, distances):
     P = e^{2i pi theta d/N} p[d] and C = -e^{2i pi theta d/N} q[d] for
     0 <= d < N; the entries at -d are their conjugates (see
     build_correlation_matrix).  The path is picked from N, theta and the
-    model alone (see the module docstring).
+    model alone (see the module docstring).  At theta in {0, 1/2} every
+    path with a mode grid gives P exactly imaginary (odd z) or real (even
+    z) and C exactly real.
     """
     beta = validate_beta(beta)
     n = spec.n_sites
     distances = np.asarray(distances, dtype=np.int64)
     massive = spec.mass > 0
     zeros = np.zeros(distances.size, dtype=complex)
-    if not massive and math.isinf(beta):
+    closed_form = not massive and math.isinf(beta)
+    if closed_form:
         if spec.z_exponent % 2:
             p = _fermi_sea_profile(n, spec.boundary_phase, distances)
         else:
@@ -652,7 +658,13 @@ def _block_entries(spec: LatticeSpec, beta, distances):
             del f  # lowers the peak memory of the second transform
             q = fourier_profile(_unfolded(spec, g, 1.0))[distances] if massive else zeros
     twist = np.exp(2j * np.pi * spec.boundary_phase * distances / n)
-    return twist * p, -twist * q
+    same, cross = twist * p, -twist * q
+    if not closed_form and spec.boundary_phase in (0.0, 0.5):
+        # the FFT path: its P and C have the parts the reflection symmetry
+        # forbids only to round-off (about 1e-17), so they are dropped
+        (same.real if spec.z_exponent % 2 else same.imag)[:] = 0.0
+        cross.imag[:] = 0.0
+    return same, cross
 
 
 def build_correlation_matrix(spec: LatticeSpec, beta, subsystem) -> CorrelationMatrix:

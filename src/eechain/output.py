@@ -108,6 +108,8 @@ def _scaler(lo, hi, out_lo, out_hi, log):
         lo, hi = math.log10(lo), math.log10(hi)
     if hi == lo:
         hi = lo + 1.0
+    if hi == lo:  # lo + 1 rounded to lo (|lo| >= 2**53): widen toward 0
+        lo, hi = sorted((lo, lo * (1 - 2**-10)))
     if not 0 < (hi - lo) * abs(out_hi - out_lo) < math.inf:
         raise InvalidParameter(f"cannot scale the data range [{lo!r}, {hi!r}] to pixels")
 

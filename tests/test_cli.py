@@ -342,8 +342,11 @@ def test_parser_is_built_once_at_import(tmp_path, monkeypatch, capsys):
 
 ORACLE_ARGV = "oracle-check --n 5 --na 2 --z 3 --mass 0.7 --beta 1.5 --theta 0.3"
 EE_ARGVS = [
-    # a 600-row eigensolve, threaded when BLAS may use two threads
+    # a 300 x 300 real singular-value solve (odd z at theta = 0), threaded
+    # when BLAS may use two threads
     "ee --n 2000 --na 300 --z 1 --beta 100",
+    # a 300-row real eigvalsh: even z, massless, theta = 0
+    "ee --n 2000 --na 300 --z 2 --beta 100",
     # the partial-DFT path: its GEMMs and the eigensolve
     "ee --n 100003 --na 64 --z 1 --mass 0.3 --beta 50",
     # a 300 x 300 complex singular-value solve: massive, twisted

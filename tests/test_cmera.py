@@ -263,3 +263,20 @@ def test_massless_cmera_slope_equals_the_lattice(z):
     assert lattice[1] - lattice[0] == pytest.approx(cmera[1] - cmera[0], abs=5e-4)
     if z % 2 == 0:
         assert lattice == cmera == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("z, saturated", [(1, 1.244498), (2, 0.779164), (3, 1.044951)])
+def test_massive_cmera_grows_where_the_lattice_saturates(z, saturated):
+    # past the correlation length 1/m = 2 the lattice S of an N = 4000 ground
+    # state is flat, but g -> (-1)^z pi/4 as k^z -> 0, so the geodesic's
+    # c L/(sqrt(3) pi) keeps growing by (1/3) ln 2 = 0.231 per doubling of l.
+    # The paper claims the cMERA form for the massless case only
+    lengths = (20, 40, 80, 160)
+    spec = LatticeSpec(n_sites=4000, z_exponent=z, mass=0.5)
+    lattice = [entropy_of(spec, math.inf, range(na)).entropy for na in lengths]
+    assert lattice == pytest.approx([saturated] * 4, abs=1e-6)
+    cmera = [
+        2 * geodesic_length_massive(z, 0.5, 1.0, l, 1.0) / (math.sqrt(3) * PI)
+        for l in lengths
+    ]
+    assert np.diff(cmera) == pytest.approx([math.log(2) / 3] * 3, abs=5e-3)

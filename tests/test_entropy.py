@@ -63,6 +63,20 @@ def test_hermiticity_gate():
         hermitian_eigenvalues(CorrelationMatrix(same=corr.same, cross=cross))
 
 
+def test_structured_solves_give_the_ascending_dense_spectrum():
+    # hand-built blocks with both signs of eigenvalue: real P with C = 0
+    # (real eigvalsh), imaginary P with real C (real SVD), and generic ones
+    rng = np.random.default_rng(7)
+    sym, anti = rng.normal(size=(2, 12, 12)) / 20
+    sym, anti = sym + sym.T, anti - anti.T
+    zero = np.zeros((12, 12))
+    for same, cross in [(sym, zero), (1j * anti, sym), (sym + 1j * anti, sym)]:
+        corr = CorrelationMatrix(same=same + 0j, cross=cross + 0j)
+        eigs = hermitian_eigenvalues(corr)
+        assert np.all(np.diff(eigs) >= 0)
+        assert np.abs(eigs - np.linalg.eigvalsh(corr.entries)).max() <= 1e-14
+
+
 def test_entropy_of_point():
     spec = LatticeSpec(n_sites=4, z_exponent=1)
     pt = entropy_of(spec, INF, range(2))
@@ -152,6 +166,37 @@ def test_block_solve_matches_dense_eigensolve_at_450_sites():
     _assert_block_solve_matches_dense(corr, entropy_tol=1e-10)
 
 
+# At theta in {0, 1/2} the blocks are structured: P is imaginary for odd z
+# and real for even z, C is real, and C = 0 at m = 0.  Odd z (and even z
+# with m = 0) take a real solve; N = 2000, 2001 build the blocks by FFT,
+# N = 131072, 100003 by the mirrored partial DFT.
+STRUCTURED_POINTS = [  # z, m, beta
+    (1, 0.3, 50.0),
+    (3, 0.5, INF),
+    (1, 0.0, 2.0),
+    (2, 0.0, 20.0),
+    (4, 0.0, 5.0),
+]
+
+
+@pytest.mark.parametrize("n_sites", [2000, 2001, 131_072, 100_003])
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+@pytest.mark.parametrize("z, mass, beta", STRUCTURED_POINTS)
+def test_structured_blocks_solve_as_the_complex_svd(n_sites, theta, z, mass, beta):
+    spec = LatticeSpec(n_sites, z, mass, 1.0, theta)
+    sparse = np.random.default_rng(n_sites).choice(n_sites, size=12, replace=False)
+    for sites in (range(200), sparse):
+        corr = build_correlation_matrix(spec, beta, sites)
+        same, cross = corr.same, corr.cross
+        if z % 2:
+            assert not same.real.any() and not cross.imag.any()
+        else:
+            assert not same.imag.any() and not cross.any()
+        s = np.linalg.svd(same + 1j * cross, compute_uv=False)
+        reference = np.concatenate((0.5 - s, 0.5 + s[::-1]))
+        assert np.abs(hermitian_eigenvalues(corr) - reference).max() <= 1e-14
+
+
 # S of range(32) from blocks built with mpmath at 40 digits, independent of
 # eechain: F and G summed over all N modes, the twist, an mpmath SVD and the
 # entropy.  That takes about 2 s a point, so the values are pinned here.
@@ -168,6 +213,6 @@ EXACT_ENTROPIES = [  # N, z, m, theta, beta, S
 @pytest.mark.parametrize("n, z, mass, theta, beta, exact", EXACT_ENTROPIES)
 def test_entropy_matches_exact_blocks(n, z, mass, theta, beta, exact):
     # PURE_SNAP drops the true eigenvalues within 1e-15 of 0 or 1, which
-    # puts the first point 5.5e-13 off; the others lie within 1.4e-13
+    # puts the first point 5.2e-13 off; the others lie within 1.3e-13
     got = entropy_of(LatticeSpec(n, z, mass, 1.0, theta), beta, range(32)).entropy
     assert abs(got - exact) <= 1e-12

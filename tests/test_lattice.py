@@ -350,16 +350,22 @@ def _own_profiles(spec, beta, distances):
 def test_blocks_equal_the_entrywise_formula(z, mass, beta, theta):
     # bit for bit: P = e^{2i pi theta d/N} p[d] and C = -e^{2i pi theta d/N} q[d]
     # at d = |j - i|, and at d < 0 the conjugate of the entry at -d.  At
-    # theta in {0, 1/2} the partial DFT gives p and q twisted
+    # theta in {0, 1/2} the partial DFT gives p and q twisted, and the FFT
+    # path keeps only the imaginary (odd z) or real (even z) part of P and
+    # the real part of C
     for spec, sites, corr in _sparse_blocks(z, mass, beta, theta):
         d = np.subtract.outer(sites, sites).T  # d[a, b] = j - i
         p, q = (x.reshape(d.shape) for x in _own_profiles(spec, beta, np.abs(d).ravel()))
         grid = not (mass == 0.0 and beta == INF)
-        if grid and _uses_partial_dft(spec.n_sites) and theta in (0.0, 0.5):
+        reflected = grid and theta in (0.0, 0.5)
+        if reflected and _uses_partial_dft(spec.n_sites):
             same, cross = p, -q
         else:
             twist = np.exp(2j * np.pi * theta * np.abs(d) / spec.n_sites)
             same, cross = twist * p, -twist * q
+            if reflected:
+                (same.real if z % 2 else same.imag)[:] = 0.0
+                cross.imag[:] = 0.0
         below = d < 0
         same[below], cross[below] = same[below].conj(), cross[below].conj()
         assert corr.same.tobytes() == same.tobytes()

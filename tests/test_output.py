@@ -176,6 +176,20 @@ def test_plot_rejects_values_that_are_not_finite(bad):
             emit_plot(series, axes)
 
 
+@pytest.mark.parametrize(
+    "value", [0.0, -3.5, 2.0**53, 1e17, -1e17, 1e308, -1e308, np.finfo(float).max]
+)
+def test_plot_takes_a_constant_series_of_any_size(value):
+    # an empty range is widened by 1 where that is exact; at 2^53 and up
+    # lo + 1 rounded back to lo and the plot raised InvalidParameter
+    x = np.array([1.0, 2.0])
+    svg = emit_plot([(x, np.full(2, value), "s")]).decode()
+    assert "nan" not in svg and "inf" not in svg
+    xs, ys = _tick_positions(svg)
+    assert len(xs) == len(ys) == 5
+    assert all(output._MT <= v <= output._H - output._MB for v in ys)
+
+
 def _tick_positions(svg):
     """Pixel positions of the x and y axis tick marks in an emit_plot SVG."""
     bottom = output._H - output._MB

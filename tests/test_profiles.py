@@ -141,6 +141,31 @@ def test_mirrored_entries_are_exactly_real_or_imaginary(n_sites, theta, z, mass,
     assert cross[d % 2 == 0].all() == (mass > 0)
 
 
+@pytest.mark.parametrize("n_sites", [2000, 2001, 9973])
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+@pytest.mark.parametrize(
+    "z, mass, beta",
+    [(1, 0.3, 50.0), (2, 0.3, 50.0), (3, 0.0, 20.0), (4, 0.0, 20.0), (5, 0.5, INF)],
+)
+def test_fft_entries_drop_only_round_off_at_theta_0_and_half(n_sites, theta, z, mass, beta):
+    # the same symmetry on the FFT path: the transform of the unfolded
+    # weights leaves the parts it forbids as round-off, and the block
+    # entries hold them as exact zeros and the other parts as the FFT's bits
+    assert not _uses_partial_dft(n_sites)
+    spec = LatticeSpec(n_sites=n_sites, z_exponent=z, mass=mass, boundary_phase=theta)
+    d = np.arange(450)
+    same, cross = _block_entries(spec, beta, d)
+    f, g = _mode_weights(spec, beta)
+    p = _twist(spec, d) * fourier_profile(_unfolded(spec, f, (-1.0) ** z))[d]
+    q = _twist(spec, d) * fourier_profile(_unfolded(spec, g, 1.0))[d]
+    kept, dropped = (np.imag, np.real) if z % 2 else (np.real, np.imag)
+    assert np.abs(dropped(p)).max() <= 1e-16
+    assert np.abs(q.imag).max() <= 1e-16
+    assert not dropped(same).any() and not cross.imag.any()
+    assert np.array_equal(kept(same), kept(p))
+    assert np.array_equal(cross.real, -q.real)
+
+
 @pytest.mark.parametrize("n_sites", [1_000_000, 1_000_003])
 @pytest.mark.parametrize("theta", [0.0, GENERIC_THETA])
 @pytest.mark.parametrize("z, mass, beta", [(1, 0.5, 50.0), (2, 0.3, 10.0), (3, 0.5, INF)])

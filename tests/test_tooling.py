@@ -1,5 +1,6 @@
 """The suite's pytest configuration, checked on a planted failing test, the
-package's one home for its input rules, and the names the benchmark uses."""
+package's one home for its input rules, the one BLAS thread of its linalg
+calls, and the names the benchmark uses."""
 
 import ast
 import importlib.util
@@ -84,6 +85,59 @@ def test_input_rules_live_only_in_the_lattice_validators():
             offending[path.name] = lines
     assert offending == {}
 
+
+# The linalg calls that may run outside one_blas_thread, by (module, function,
+# name), with the reason their bits cannot depend on the BLAS thread count.
+UNPINNED_LINALG = {
+    ("oracle.py", "single_particle_hamiltonian", "matrix_power"): (
+        "powers of the N x N lattice momentum, N <= MAX_SITES = 6: far below "
+        "the size at which OpenBLAS splits a product"
+    ),
+    ("oracle.py", "_ground_sector", "eigvalsh"): (
+        "the spectrum of h, at most 12 x 12; only the count of its negative "
+        "eigenvalues and a degeneracy check against 1e-12 use it"
+    ),
+    ("thermal.py", "_solve_least_squares", "cond"): "the fit's normal matrix, at most 4 x 4",
+    ("thermal.py", "_solve_least_squares", "solve"): "the fit's normal matrix, at most 4 x 4",
+    ("thermal.py", "_solve_least_squares", "inv"): "the fit's normal matrix, at most 4 x 4",
+}
+
+
+def _is_one_blas_thread(item):
+    call = item.context_expr
+    return isinstance(call, ast.Call) and getattr(call.func, "id", None) == "one_blas_thread"
+
+
+def _unpinned_linalg(node, function=None, pinned=False):
+    """(function, name) of each <module>.linalg.<name> call under node that
+    no `with one_blas_thread():` encloses, and ("import", module) of each
+    import from a linalg module."""
+    if isinstance(node, ast.FunctionDef):
+        function = node.name
+    if isinstance(node, ast.With) and any(map(_is_one_blas_thread, node.items)):
+        pinned = True
+    found = []
+    if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+        found.append(("import", node.module))
+    func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+    if isinstance(func, ast.Attribute) and getattr(func.value, "attr", None) == "linalg":
+        if not pinned:
+            found.append((function, func.attr))
+    for child in ast.iter_child_nodes(node):
+        found += _unpinned_linalg(child, function, pinned)
+    return found
+
+
+def test_output_bearing_linalg_runs_on_one_blas_thread():
+    # a threaded BLAS can change a solve's last bits with the core count
+    # (see eechain.blas), so every linalg call runs on one thread unless it
+    # is listed above with its reason
+    found = {
+        (path.name, function, name)
+        for path in sorted(Path(eechain.__file__).parent.glob("*.py"))
+        for function, name in _unpinned_linalg(ast.parse(path.read_text()))
+    }
+    assert found == set(UNPINNED_LINALG)
 
 
 def test_benchmark_finds_every_name_it_uses():
