@@ -68,8 +68,8 @@ _number = _converter("a number", float)
 
 def _inverse_temperature(text):
     temp = _number(text)
-    if temp <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    if not 0 < temp < math.inf:  # nan fails both
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
     return 1.0 / temp
 
 

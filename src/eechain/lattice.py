@@ -480,13 +480,23 @@ def _uses_partial_dft(n):
     """True where the partial DFT, not the FFT, computes the profiles.
 
     A function of N alone, so a profile entry never changes path with the
-    subsystem.  FFT / partial DFT for both profiles of z = 1, m = 0.3,
-    beta = 50 at 64 site differences, on one BLAS thread (2-core Xeon VM,
-    numpy 2.4): 0.33 / 0.68 ms at N = 16384, 1.15 / 0.85 ms at 32768,
-    4.47 / 1.69 ms at 1e5 and 53 / 9.8 ms at 1e6.  So the 5-smooth crossover
-    lies between 2e4 and 3.3e4; the rule keeps 2^17, as moving it changes
-    which bits those N get.  A prime factor above about 300 sends numpy's
-    FFT down its Bluestein path: 23.1 / 1.9 ms at the prime N = 65537.
+    subsystem.  The FFT costs the same at any N_A; the partial DFT grows
+    with the number of site differences (N_A - 1 for a contiguous
+    subsystem), so the crossover depends on N_A as well as N.  FFT /
+    partial DFT through _block_entries (mode grid and weights included),
+    z = 1, m = 0.3, beta = 50, theta = 0.3, at 16, 64 and 450 site
+    differences, min of 15 interleaved runs on one BLAS thread (2-core
+    Xeon VM, numpy 2.4): 1.2 / 0.9, 1.1 / 2.0 and 1.1 / 12 ms at
+    N = 16384; 7.2 / 2.2, 6.9 / 3.5 and 7.1 / 18 ms at 65536; 15 / 3.6,
+    14 / 5.8 and 14 / 30 ms at 2^17; 121 / 24, 115 / 24 and 103 / 111 ms
+    at 1e6.  At theta = 0 the mirrored partial DFT takes about half that
+    (10, 17 and 63 ms at 1e6).  Absolute times moved by up to 2x between
+    runs on that VM; the ratios at one N held.  So for a 5-smooth N the
+    partial DFT would win below 2^17 at small N_A only, and the FFT would
+    win at N_A in the hundreds up to about 1e6; the rule keeps 2^17, as
+    moving it changes which bits those N get.  A prime factor above about
+    300 sends numpy's FFT down its Bluestein path: 26 / 3.4, 26 / 5.5 and
+    23 / 25 ms at the prime N = 65537.
     """
     return n >= 2**17 or (n >= 10**4 and _largest_prime_factor(n) > 300)
 

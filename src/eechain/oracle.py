@@ -11,13 +11,13 @@ sector blocks.  Entropies of reduced density
 matrices follow by partial trace.  All of it is independent of the
 correlation-matrix pipeline, which it exists to validate.
 
-Partial traces are taken in the occupation basis after relabeling sites so
-the subsystem is a prefix of the Jordan-Wigner string; kept-mode operators
-then act trivially on the traced factor and the spin-basis partial trace
-is the fermionic one, signs included.  Relabeling permutes the bits of
-each Fock index and multiplies by the sign of the permutation restricted
-to the occupied modes, since a basis state is the product of its creation
-operators in string order.
+Every state is held in the natural site order.  A partial trace reads each
+entry of rho in the order that puts the subsystem at the front of the
+Jordan-Wigner string; kept-mode operators then act trivially on the traced
+factor and the spin-basis partial trace is the fermionic one, signs
+included.  Reordering permutes the bits of each Fock index and multiplies
+by the sign of the permutation restricted to the occupied modes, since a
+basis state is the product of its creation operators in string order.
 """
 
 from __future__ import annotations
@@ -49,13 +49,12 @@ class FockState:
     """Exact many-body density matrix plus the context needed to rebuild it.
 
     rho is a sparse CSR matrix holding exactly its particle-number sector
-    blocks: one for a ground state, all of them for a Gibbs state.
-    site_order records the Jordan-Wigner site ordering it was built in.
+    blocks: one for a ground state, all of them for a Gibbs state, in the
+    natural site order of the Jordan-Wigner string.
     """
 
     spec: LatticeSpec
     beta: float
-    site_order: tuple
     rho: sp.csr_matrix
 
     @property
@@ -140,44 +139,26 @@ def _fock_hamiltonian(h):
     ).tocsr()
 
 
-def _mode_permutation(site_order, n):
-    """Mode indices (2i+s) listed in the given site order."""
-    modes = []
-    for site in site_order:
-        modes.extend((2 * site, 2 * site + 1))
-    assert len(modes) == 2 * n
-    return modes
+def _fock_relabeling(site_order):
+    """(index, sign) of every natural Fock basis state in another site order.
 
-
-def _fock_relabeling(old_order, new_order):
-    """(index, sign) with new amplitude i = sign[i] * old amplitude index[i].
-
-    Both orders are site orders of the Jordan-Wigner string.  A basis state
-    is prod c_mu^dag |0> in string order, so moving to another order
-    permutes its occupation bits and reorders its creation operators: the
-    sign is (-1)^(number of occupied mode pairs whose order flips).
+    Natural basis state k is sign[k] times basis state index[k] of the
+    Jordan-Wigner string in site_order.  A basis state is prod c_mu^dag |0>
+    in string order, so moving to another order permutes its occupation
+    bits and reorders its creation operators: the sign is
+    (-1)^(number of occupied mode pairs whose order flips).
     """
-    n = len(old_order)
-    n_modes = 2 * n
-    old_position = {mode: j for j, mode in enumerate(_mode_permutation(old_order, n))}
-    # source[j]: old string position of the mode at new position j
-    source = np.array([old_position[mu] for mu in _mode_permutation(new_order, n)])
+    n_modes = 2 * len(site_order)
+    # position[mu]: string position of natural mode mu (index 2*site + chirality)
+    position = np.argsort([2 * site + s for site in site_order for s in (0, 1)])
     shifts = n_modes - 1 - np.arange(n_modes)  # position j is bit shifts[j]
     bits = (np.arange(2**n_modes)[:, None] >> shifts) & 1
-    index = (bits << shifts[source]).sum(axis=1)
+    index = (bits << shifts[position]).sum(axis=1)
     flips = np.zeros(2**n_modes, dtype=np.int64)
-    for j, k in itertools.combinations(range(n_modes), 2):
-        if source[j] > source[k]:
-            flips += bits[:, j] & bits[:, k]
+    for mu, nu in itertools.combinations(range(n_modes), 2):
+        if position[mu] > position[nu]:
+            flips += bits[:, mu] & bits[:, nu]
     return index, 1.0 - 2.0 * (flips & 1)
-
-
-def _relabeled(state: FockState, site_order) -> FockState:
-    """The same physical state, in the occupation basis of another site order."""
-    index, sign = _fock_relabeling(state.site_order, site_order)
-    signs = sp.diags(sign)
-    rho = signs @ state.rho[index][:, index] @ signs
-    return FockState(spec=state.spec, beta=state.beta, site_order=site_order, rho=rho)
 
 
 def _ground_sector(h):
@@ -196,34 +177,23 @@ def _ground_sector(h):
     return int(np.count_nonzero(single_eigs < 0))
 
 
-def many_body_state(spec: LatticeSpec, beta, site_order=None) -> FockState:
+def many_body_state(spec: LatticeSpec, beta) -> FockState:
     """Exact ground state (beta = inf) or Gibbs density matrix.
 
     A ground state builds and diagonalizes only its own particle-number
     sector (see _ground_sector); a Gibbs state every sector.
-
-    site_order permutes the Jordan-Wigner string (default: natural order);
-    the physical state is the same, only the occupation-basis labeling
-    changes.  reduced_entropy brings a subsystem to the front of an
-    existing state by relabeling it instead (see _relabeled).
     """
     beta = validate_beta(beta)
     n = spec.n_sites
     if n > MAX_SITES:
         raise InvalidParameter(f"oracle supports at most {MAX_SITES} sites, got {n}")
-    # a permutation of 0..N-1 is N distinct sites in [0, N)
-    site_order = range(n) if site_order is None else site_order
-    site_order = tuple(validate_subsystem(site_order, n))
-    if len(site_order) != n:
-        raise InvalidParameter(f"site_order must permute 0..{n-1}, got {site_order}")
 
     h = single_particle_hamiltonian(spec)
     # H conserves particle number, so it is block-diagonal by occupation count
     sectors = _particle_sectors(2 * n)
     if math.isinf(beta):
         sectors = [sectors[_ground_sector(h)]]
-    perm = _mode_permutation(site_order, n)
-    h_many = _fock_hamiltonian(h[np.ix_(perm, perm)])
+    h_many = _fock_hamiltonian(h)
     blocks = [h_many[index][:, index].toarray() for index in sectors]
     # the sector solves and products on one BLAS thread, so that rho's bits
     # do not depend on the core count (see eechain.blas)
@@ -245,29 +215,23 @@ def many_body_state(spec: LatticeSpec, beta, site_order=None) -> FockState:
     col = np.concatenate([np.tile(index, index.size) for index in sectors])
     data = np.concatenate([block.ravel() for block in blocks])
     rho = sp.coo_matrix((data, (row, col)), shape=(4**n, 4**n)).tocsr()
-    return FockState(spec=spec, beta=beta, site_order=site_order, rho=rho)
+    return FockState(spec=spec, beta=beta, rho=rho)
 
 
 def mode_correlators(state: FockState):
-    """<c_mu^dag c_nu> over all mode pairs, in NATURAL site order.
+    """<c_mu^dag c_nu> over all mode pairs, mu = 2*site + chirality.
 
     Comparable entrywise with build_correlation_matrix over the full
     system (same (site, chirality) indexing).
     """
-    n = state.spec.n_sites
-    n_modes = 2 * n
+    n_modes = 2 * state.spec.n_sites
     pair, row, col, sign = _hopping_pieces(n_modes)
     # Tr(c_mu^dag c_nu rho) = sum of sign * rho[col, row] over the pair's nonzeros
     terms = sign * np.asarray(state.rho[col, row]).ravel()
-    corr_perm = (
+    return (
         np.bincount(pair, terms.real, n_modes**2)
         + 1j * np.bincount(pair, terms.imag, n_modes**2)
     ).reshape(n_modes, n_modes)
-    # undo the site_order permutation so indices are (2*site + chirality)
-    perm = _mode_permutation(state.site_order, n)
-    corr = np.zeros_like(corr_perm)
-    corr[np.ix_(perm, perm)] = corr_perm
-    return corr
 
 
 def reduced_entropy(state: FockState, subsystem):
@@ -278,21 +242,20 @@ def reduced_entropy(state: FockState, subsystem):
     """
     n = state.spec.n_sites
     sites = validate_subsystem(subsystem, n)
-
-    if tuple(state.site_order[: len(sites)]) != tuple(sites):
-        rest = [s for s in range(n) if s not in sites]
-        state = _relabeled(state, tuple(sites) + tuple(rest))
-
+    rest = [s for s in range(n) if s not in sites]
+    # each natural Fock index as (A state, B state) of the string that
+    # starts with the subsystem, and its sign there
+    index, sign = _fock_relabeling((*sites, *rest))
     dim_a = 4 ** len(sites)
-    dim_b = state.dimension // dim_a
-    # Tr_B keeps the entries whose B states agree.  CSR yields them row by
-    # row, so each rho_A entry is summed in ascending B state.
+    a, b = np.divmod(index, state.dimension // dim_a)
+    # Tr_B keeps the entries whose B states agree.  The rest keeps its
+    # natural order, so the rows of one A state come in ascending B state,
+    # and each rho_A entry is summed in that order.
     rho = state.rho.tocoo()
-    a_row, b_row = np.divmod(rho.row, dim_b)
-    a_col, b_col = np.divmod(rho.col, dim_b)
-    keep = b_row == b_col
+    keep = b[rho.row] == b[rho.col]
+    row, col = rho.row[keep], rho.col[keep]
     rho_a = np.zeros(dim_a**2, dtype=complex)
-    np.add.at(rho_a, a_row[keep] * dim_a + a_col[keep], rho.data[keep])
+    np.add.at(rho_a, a[row] * dim_a + a[col], sign[row] * sign[col] * rho.data[keep])
     with one_blas_thread():
         lam = np.linalg.eigvalsh(rho_a.reshape(dim_a, dim_a))
     lam = np.clip(lam, 0.0, None)

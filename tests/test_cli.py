@@ -47,6 +47,11 @@ def test_noninteger_z_is_usage_error(capsys):
 def test_nonpositive_beta_is_usage_error(capsys):
     assert main(["ee", "--n", "10", "--na", "2", "--z", "1", "--beta", "0"]) == 2
     assert main(["ee", "--n", "10", "--na", "2", "--z", "1", "--temp", "-1"]) == 2
+    # a TEMP that is not finite is named, not the beta it would give
+    for temp in ("inf", "nan"):
+        capsys.readouterr()
+        assert main(["ee", "--n", "10", "--na", "2", "--z", "1", "--temp", temp]) == 2
+        assert f"--temp must be positive and finite, got '{temp}'" in capsys.readouterr().err
 
 
 def test_beta_temp_mutually_exclusive(capsys):
@@ -286,6 +291,8 @@ INVALID_PARAMETERS = {
     "ee-eps-inf": f"{POINT} --eps inf",
     "ee-beta-nan": f"{POINT} --beta nan",
     "ee-temp0": f"{POINT} --temp 0",
+    "ee-temp-nan": f"{POINT} --temp nan",
+    "oracle-temp-inf": "oracle-check --n 4 --na 2 --z 1 --mass 0.5 --temp inf",
     "sweep-jobs0": "sweep --n 10 --z 1 --nas 2 --jobs 0",
     "cmera-eps0": "cmera --z 1 --eps 0",
     "cmera-eps-negative": "cmera --z 1 --eps -1",
