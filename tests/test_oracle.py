@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
+from conftest import NUMPY_VERSION
 from hypothesis import strategies as st
 
 from eechain import (
@@ -162,6 +164,36 @@ def test_oracle_bits_do_not_depend_on_blas_threads():
         put(saved)
     assert results[1] == results[2]
 
+
+
+# SHA-256 of mode_correlators' bytes and float.hex of reduced_entropy on a
+# prefix and a non-prefix subsystem, at N = 5, z = 3, m = 0.7, theta = 0.3.
+# A Gibbs state's partial trace adds entries of several sectors into one
+# rho_A entry, so its entropies also pin the order of that sum.
+ORACLE_PINS = {
+    1.5: (
+        "7a46c9634bcb31df9937bc339aa69a9f50e54f13a44dab8b6b9d55744c90dd39",
+        {(0, 1): "0x1.1b56add5711f8p+1", (1, 3): "0x1.293e70c26c854p+1"},
+    ),
+    INF: (
+        "0cac18c00bdd49ceab68df9b6dd2f166591b1178cb44e180fc51f93bcee1797a",
+        {(0, 1): "0x1.6aa770583817ap-1", (1, 3): "0x1.0658a99ce47d2p+0"},
+    ),
+}
+
+
+@pytest.mark.skipif(
+    np.__version__ != NUMPY_VERSION,
+    reason=f"oracle bits were pinned under numpy {NUMPY_VERSION}",
+)
+@pytest.mark.parametrize("beta", ORACLE_PINS)
+def test_oracle_bits_unchanged(beta):
+    spec = LatticeSpec(n_sites=5, z_exponent=3, mass=0.7, boundary_phase=0.3)
+    state = many_body_state(spec, beta)
+    digest, entropies = ORACLE_PINS[beta]
+    assert hashlib.sha256(mode_correlators(state).tobytes()).hexdigest() == digest
+    for sites, pinned in entropies.items():
+        assert reduced_entropy(state, sites).hex() == pinned
 
 LARGE = LatticeSpec(n_sites=6, z_exponent=3, mass=0.4, boundary_phase=0.2)
 
