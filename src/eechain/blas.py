@@ -15,9 +15,9 @@ count:
   Gibbs block products;
 * oracle.reduced_entropy: the eigvalsh of the reduced density matrix.
 
-Only numpy's OpenBLAS is pinned.  scipy ships its own OpenBLAS, whose
-thread count this module does not set, so no output-bearing solve may go
-through scipy.linalg.
+Only numpy's OpenBLAS is pinned, and numpy is eechain's one numeric
+dependency: a library with its own BLAS (scipy ships one) would bring a
+thread count this module does not set.
 """
 
 from __future__ import annotations

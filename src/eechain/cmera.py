@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import DegenerateInterval, InsufficientSampling, InvalidParameter
 from .lattice import (
@@ -150,7 +149,7 @@ def energy_density(k_values, phi_values, z, m):
     k = validate_real_array("k_values", k_values)
     phi = validate_real_array("phi_values", phi_values)
     integrand = (-k) ** z * np.cos(2.0 * phi) - m * np.sin(2.0 * phi)
-    return float(trapezoid(integrand, k) / (2.0 * np.pi))
+    return float(np.trapezoid(integrand, k) / (2.0 * np.pi))
 
 
 def metric_guu(u, z, m, cutoff=1.0):
@@ -192,7 +191,7 @@ def geodesic_length_massive(z, m, cutoff, length, eps, n_points=4001):
     s = np.linspace(log_x + math.log(math.tan(x) / x), 0.0, n_points)
     u = log_x + np.abs(s) + np.log1p(np.exp(-2.0 * np.abs(s)))
     g = np.abs(g_closed_form(u, z, m, cutoff))
-    return float((2.0 / SQRT3) * trapezoid(g, s))
+    return float((2.0 / SQRT3) * np.trapezoid(g, s))
 
 
 def ee_cmera(z, length, eps, c=2.0):

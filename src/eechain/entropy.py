@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .blas import one_blas_thread
 from .errors import EigenvalueOutOfRange, NotHermitian
@@ -130,7 +129,7 @@ def entanglement_entropy(eigs):
     c = np.clip(c, 0.0, 1.0)
     mixed = (c > PURE_SNAP) & (c < 1.0 - PURE_SNAP)
     c = c[mixed]
-    return float(-np.sum(xlogy(c, c) + xlogy(1.0 - c, 1.0 - c))) + 0.0
+    return float(-np.sum(c * np.log(c) + (1.0 - c) * np.log(1.0 - c))) + 0.0
 
 
 def entropy_of(spec: LatticeSpec, beta, subsystem) -> EntropyPoint:

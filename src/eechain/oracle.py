@@ -1,15 +1,14 @@
 """Brute-force many-body cross-check at tiny system sizes.
 
-Builds the 4^N-dimensional Fock space of the 2N fermionic modes
-(site-major, chirality-minor Jordan-Wigner ordering) and the quadratic
-Hamiltonian on it as one sparse matrix.  That Hamiltonian has no pairing
-terms, so it conserves particle number and is block-diagonal by occupation
-count; each particle-number sector (at most C(2N, N) states) is
-diagonalized densely, the ground state's sector alone for a ground state,
-and the exact ground or Gibbs state is one sparse density matrix made of
-sector blocks.  Entropies of reduced density
-matrices follow by partial trace.  All of it is independent of the
-correlation-matrix pipeline, which it exists to validate.
+Works in the 4^N-dimensional Fock space of the 2N fermionic modes
+(site-major, chirality-minor Jordan-Wigner ordering), where c_mu^dag c_nu
+acts on Fock indices by bit arithmetic.  The quadratic Hamiltonian has no
+pairing terms, so it conserves particle number; each particle-number sector
+(at most C(2N, N) states) is built and diagonalized densely, only the
+ground state's own for a ground state, and the exact ground or Gibbs state
+is held as its sector blocks.  Entropies of reduced density matrices follow
+by partial trace.  All of it is independent of the correlation-matrix
+pipeline, which it exists to validate.
 
 Every state is held in the natural site order.  A partial trace reads each
 entry of rho in the order that puts the subsystem at the front of the
@@ -28,34 +27,30 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .blas import one_blas_thread
 from .errors import DegenerateGroundState, InvalidParameter
 from .lattice import LatticeSpec, validate_beta, validate_subsystem
 
 # Fock dimension 4^6 = 4096, largest sector C(12, 6) = 924.  At 7 sites the
-# sparse Gibbs rho would hold C(28, 14) = 40.1M entries, 642 MB of complex
+# Gibbs sector blocks would hold C(28, 14) = 40.1M entries, 642 MB of complex
 # values, against 4.3 GB for a dense 4^7 x 4^7 rho.
 MAX_SITES = 6
 DEGENERACY_TOL = 1e-12
-
-_SIGMA_Z_DIAG = np.array([1.0, -1.0])
-_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])  # <empty|c|occupied> = 1
 
 
 @dataclass(frozen=True)
 class FockState:
     """Exact many-body density matrix plus the context needed to rebuild it.
 
-    rho is a sparse CSR matrix holding exactly its particle-number sector
-    blocks: one for a ground state, all of them for a Gibbs state, in the
-    natural site order of the Jordan-Wigner string.
+    sectors holds rho as (index, block) pairs over _particle_sectors
+    entries, block[i, j] = <index[i]|rho|index[j]>: one pair for a ground
+    state, one per occupation count for a Gibbs state; rho is 0 elsewhere.
     """
 
     spec: LatticeSpec
     beta: float
-    rho: sp.csr_matrix
+    sectors: tuple
 
     @property
     def dimension(self):
@@ -84,17 +79,6 @@ def single_particle_hamiltonian(spec: LatticeSpec):
     )
 
 
-def _jordan_wigner_ops(n_modes):
-    """Sparse annihilators c_mu = Z^(mu) (x) lower (x) I^(rest)."""
-    ops = []
-    string = np.ones(1)  # diagonal of Z^(mu)
-    for mu in range(n_modes):
-        op = sp.kron(sp.diags(string), _LOWER)
-        ops.append(sp.kron(op, sp.identity(2 ** (n_modes - mu - 1)), format="csr"))
-        string = np.kron(string, _SIGMA_Z_DIAG)
-    return ops
-
-
 def _read_only(arrays):
     """The arrays as a tuple, locked: cached results are shared by every caller."""
     arrays = tuple(arrays)
@@ -108,35 +92,51 @@ def _read_only(arrays):
 def _hopping_pieces(n_modes):
     """Nonzeros of every c_mu^dag c_nu as flat (pair, row, col, sign) arrays.
 
-    pair = mu * n_modes + nu; each sign is +/-1 (the Jordan-Wigner string).
+    pair = mu * n_modes + nu ascends.  Mode mu is bit n_modes - 1 - mu, and
+    c_mu = Z^(mu) (x) lower (x) I: c_nu takes col (bit nu set) to mid, then
+    c_mu^dag mid (bit mu clear) to row = col - bit nu + bit mu, which rises
+    with col; each signs by the occupied modes ahead of it in the string.
     """
-    ops = _jordan_wigner_ops(n_modes)
+    index = np.arange(2**n_modes)
+    bit = 1 << (n_modes - 1 - np.arange(n_modes))
+    ahead = index[-1] ^ (2 * bit - 1)  # modes 0..mu-1, the bits above bit mu
     parts = []
     for mu, nu in itertools.product(range(n_modes), repeat=2):
-        piece = (ops[mu].T @ ops[nu]).tocoo()
-        pair = np.full(piece.nnz, mu * n_modes + nu)
-        parts.append((pair, piece.row, piece.col, piece.data))
+        col = index[((index & bit[nu]) != 0) & (((index ^ bit[nu]) & bit[mu]) == 0)]
+        mid = col ^ bit[nu]
+        flips = np.bitwise_count(col & ahead[nu]) + np.bitwise_count(mid & ahead[mu])
+        pair = np.full(col.size, mu * n_modes + nu)
+        parts.append((pair, mid | bit[mu], col, 1.0 - 2.0 * (flips & 1)))
     return _read_only(np.concatenate(column) for column in zip(*parts))
 
 
 @functools.cache
 def _particle_sectors(n_modes):
     """Fock indices grouped by occupation count, the popcount of the index."""
-    index = np.arange(2**n_modes)
-    count = ((index[:, None] >> np.arange(n_modes)) & 1).sum(axis=1)
+    count = np.bitwise_count(np.arange(2**n_modes))
     return _read_only(np.flatnonzero(count == k) for k in range(n_modes + 1))
 
 
-def _fock_hamiltonian(h):
-    """Sparse sum_{mu,nu} h[mu,nu] c_mu^dag c_nu, in one COO -> CSR assembly."""
-    n_modes = h.shape[0]
-    pair, row, col, sign = _hopping_pieces(n_modes)
-    data = h.ravel()[pair] * sign
-    keep = data != 0
-    dim = 2**n_modes
-    return sp.coo_matrix(
-        (data[keep], (row[keep], col[keep])), shape=(dim, dim)
-    ).tocsr()
+@functools.cache
+def _sector_rank(n_modes):
+    """Each Fock index's position in its sector of _particle_sectors."""
+    rank = np.empty(2**n_modes, dtype=np.intp)
+    for index in _particle_sectors(n_modes):
+        rank[index] = np.arange(index.size)
+    return _read_only([rank])[0]
+
+
+def _sector_hamiltonian(h, k):
+    """Dense sum_{mu,nu} h[mu,nu] c_mu^dag c_nu on _particle_sectors(2N)[k].
+
+    Entries add in pair order: a diagonal entry sums h[mu,mu] by ascending mu.
+    """
+    pair, row, col, sign = _hopping_pieces(h.shape[0])
+    rank, inside = _sector_rank(h.shape[0]), np.bitwise_count(row) == k
+    block = np.zeros((math.comb(h.shape[0], k),) * 2, dtype=complex)
+    position = (rank[row[inside]], rank[col[inside]])
+    np.add.at(block, position, h.ravel()[pair[inside]] * sign[inside])
+    return block
 
 
 def _fock_relabeling(site_order):
@@ -190,11 +190,8 @@ def many_body_state(spec: LatticeSpec, beta) -> FockState:
 
     h = single_particle_hamiltonian(spec)
     # H conserves particle number, so it is block-diagonal by occupation count
-    sectors = _particle_sectors(2 * n)
-    if math.isinf(beta):
-        sectors = [sectors[_ground_sector(h)]]
-    h_many = _fock_hamiltonian(h)
-    blocks = [h_many[index][:, index].toarray() for index in sectors]
+    counts = [_ground_sector(h)] if math.isinf(beta) else range(2 * n + 1)
+    blocks = [_sector_hamiltonian(h, k) for k in counts]
     # the sector solves and products on one BLAS thread, so that rho's bits
     # do not depend on the core count (see eechain.blas)
     with one_blas_thread():
@@ -210,12 +207,8 @@ def many_body_state(spec: LatticeSpec, beta) -> FockState:
                 (states * (w / partition)) @ states.conj().T
                 for (_, states), w in zip(spectra, weights)
             ]
-    # one COO -> CSR assembly of the (sector index, block) pairs
-    row = np.concatenate([np.repeat(index, index.size) for index in sectors])
-    col = np.concatenate([np.tile(index, index.size) for index in sectors])
-    data = np.concatenate([block.ravel() for block in blocks])
-    rho = sp.coo_matrix((data, (row, col)), shape=(4**n, 4**n)).tocsr()
-    return FockState(spec=spec, beta=beta, rho=rho)
+    index = [_particle_sectors(2 * n)[k] for k in counts]
+    return FockState(spec=spec, beta=beta, sectors=tuple(zip(index, blocks)))
 
 
 def mode_correlators(state: FockState):
@@ -226,8 +219,13 @@ def mode_correlators(state: FockState):
     """
     n_modes = 2 * state.spec.n_sites
     pair, row, col, sign = _hopping_pieces(n_modes)
-    # Tr(c_mu^dag c_nu rho) = sum of sign * rho[col, row] over the pair's nonzeros
-    terms = sign * np.asarray(state.rho[col, row]).ravel()
+    rank, count = _sector_rank(n_modes), np.bitwise_count(row)
+    # Tr(c_mu^dag c_nu rho) = sum of sign * rho[col, row] over the pair's
+    # nonzeros; row and col share a sector, and rho is 0 outside its blocks
+    terms = np.zeros(pair.size, dtype=complex)
+    for index, block in state.sectors:
+        inside = np.flatnonzero(count == np.bitwise_count(index[0]))
+        terms[inside] = sign[inside] * block[rank[col[inside]], rank[row[inside]]]
     return (
         np.bincount(pair, terms.real, n_modes**2)
         + 1j * np.bincount(pair, terms.imag, n_modes**2)
@@ -248,14 +246,18 @@ def reduced_entropy(state: FockState, subsystem):
     index, sign = _fock_relabeling((*sites, *rest))
     dim_a = 4 ** len(sites)
     a, b = np.divmod(index, state.dimension // dim_a)
-    # Tr_B keeps the entries whose B states agree.  The rest keeps its
-    # natural order, so the rows of one A state come in ascending B state,
-    # and each rho_A entry is summed in that order.
-    rho = state.rho.tocoo()
-    keep = b[rho.row] == b[rho.col]
-    row, col = rho.row[keep], rho.col[keep]
+    # Tr_B keeps the entries whose B states agree.  Taken by ascending row
+    # (the rest keeps its natural order, so the rows of one A state come in
+    # ascending B state), each rho_A entry is summed in that order.
+    kept = []
+    for fock, block in state.sectors:
+        i, j = np.nonzero(b[fock][:, None] == b[fock])
+        kept.append((fock[i], fock[j], block[i, j]))
+    row, col, value = (np.concatenate(column) for column in zip(*kept))
+    order = np.argsort(row, kind="stable")
+    row, col, value = row[order], col[order], value[order]
     rho_a = np.zeros(dim_a**2, dtype=complex)
-    np.add.at(rho_a, a[row] * dim_a + a[col], sign[row] * sign[col] * rho.data[keep])
+    np.add.at(rho_a, a[row] * dim_a + a[col], sign[row] * sign[col] * value)
     with one_blas_thread():
         lam = np.linalg.eigvalsh(rho_a.reshape(dim_a, dim_a))
     lam = np.clip(lam, 0.0, None)

@@ -380,21 +380,26 @@ json.dump(outputs, sys.stdout)
 """
 
 
-def _cli_at_blas_threads(argvs, threads):
-    """{argv: stdout} of the commands, run with OPENBLAS_NUM_THREADS set."""
+def _fresh_interpreter(script, argvs, **env):
+    """stdout of the script run with argvs in a new interpreter, with env set."""
     src = str(Path(eechain.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env = dict(os.environ, **env)
     path = filter(None, (src, env.get("PYTHONPATH")))
     env["PYTHONPATH"] = os.pathsep.join(path)
     done = subprocess.run(
-        [sys.executable, "-c", _CLI_DRIVER, *argvs],
+        [sys.executable, "-c", script, *argvs],
         env=env,
         capture_output=True,
         text=True,
         timeout=600,
     )
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
+    return done.stdout
+
+
+def _cli_at_blas_threads(argvs, threads):
+    """{argv: stdout} of the commands, run with OPENBLAS_NUM_THREADS set."""
+    return json.loads(_fresh_interpreter(_CLI_DRIVER, argvs, OPENBLAS_NUM_THREADS=threads))
 
 
 @pytest.fixture(scope="module")
@@ -414,6 +419,16 @@ def test_oracle_check_bytes_do_not_depend_on_blas_threads(outputs_by_blas_thread
 def test_ee_bytes_do_not_depend_on_blas_threads(argv, outputs_by_blas_threads):
     one, two = outputs_by_blas_threads
     assert one[argv] == two[argv]
+
+
+def test_cli_runs_without_scipy():
+    # numpy is the one numeric dependency at run time.  The suite imports
+    # scipy for its own references, so the CLI runs in a new interpreter.
+    script = _CLI_DRIVER + (
+        "\nprint()\nprint(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    argvs = [ORACLE_ARGV, "ee --n 100 --na 10 --z 3 --beta inf"]
+    assert _fresh_interpreter(script, argvs).splitlines()[-1] == "[]"
 
 
 def test_ee_out_holds_the_plain_value(tmp_path, capsysbinary):

@@ -1,13 +1,13 @@
 import ast
 import hashlib
+import itertools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from hypothesis import example, given, settings
 from conftest import NUMPY_VERSION
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eechain import (
@@ -28,12 +28,21 @@ from eechain import oracle
 from eechain.blas import openblas_threads
 from eechain.oracle import (
     MAX_SITES,
-    _fock_hamiltonian,
     _ground_sector,
+    _hopping_pieces,
     _particle_sectors,
+    _sector_hamiltonian,
 )
 
 INF = math.inf
+
+
+def _dense(state):
+    """The state's rho as a dense 4^N x 4^N matrix, from its sector blocks."""
+    rho = np.zeros((state.dimension, state.dimension), dtype=complex)
+    for index, block in state.sectors:
+        rho[np.ix_(index, index)] = block
+    return rho
 
 
 def test_single_particle_hamiltonian_spectrum():
@@ -66,7 +75,7 @@ def test_degenerate_ground_state_gate():
 def test_pure_state_entropy_symmetry():
     spec = LatticeSpec(n_sites=4, z_exponent=1, mass=0.7)
     state = many_body_state(spec, INF)
-    rho = state.rho.toarray()
+    rho = _dense(state)
     assert np.abs(rho - rho.conj().T).max() < 1e-12
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.matrix_rank(rho, tol=1e-10) == 1
@@ -105,7 +114,7 @@ def test_relabeling_invariance(case, z, beta, theta):
 def test_thermal_state_structure():
     spec = LatticeSpec(n_sites=3, z_exponent=1, mass=0.5)
     state = many_body_state(spec, 1.0)
-    rho = state.rho.toarray()
+    rho = _dense(state)
     assert np.abs(rho - rho.conj().T).max() < 1e-12
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     corr = mode_correlators(state)
@@ -156,7 +165,10 @@ def test_oracle_bits_do_not_depend_on_blas_threads():
             put(threads)
             states = [many_body_state(spec, beta) for beta in (1.5, INF)]
             results[threads] = [
-                (state.rho.data.tobytes(), reduced_entropy(state, [0, 2]))
+                (
+                    [block.tobytes() for _, block in state.sectors],
+                    reduced_entropy(state, [0, 2]),
+                )
                 for state in states
             ]
             assert get() == threads
@@ -209,23 +221,21 @@ def test_large_gibbs_state_matches_lattice(large_gibbs_state):
     assert np.abs(corr - fast).max() < 1e-10
 
 
-def _occupation_counts(n_modes):
-    return np.array([bin(i).count("1") for i in range(2**n_modes)])
-
-
 def test_state_holds_only_the_sector_blocks(large_gibbs_state):
-    # a Gibbs state fills every sector block, sum_k C(12, k)^2 entries at
-    # N = 6; a gapped ground state fills exactly one block
-    gibbs = large_gibbs_state.rho
-    assert sp.issparse(gibbs)
-    assert gibbs.nnz == sum(math.comb(12, k) ** 2 for k in range(13)) == 2_704_156
+    # a Gibbs state holds every sector block, sum_k C(12, k)^2 entries at
+    # N = 6, each over the ascending Fock indices of k particles; a gapped
+    # ground state holds exactly one block
+    sectors = large_gibbs_state.sectors
+    assert [index.size for index, _ in sectors] == [math.comb(12, k) for k in range(13)]
+    for k, (index, block) in enumerate(sectors):
+        assert np.all(np.bitwise_count(index) == k) and np.all(np.diff(index) > 0)
+        assert block.shape == (index.size, index.size)
+    assert sum(block.size for _, block in sectors) == 2_704_156
     ground = many_body_state(LatticeSpec(n_sites=4, z_exponent=3, mass=0.4), INF)
-    assert sp.issparse(ground.rho)
-    entries = ground.rho.tocoo()
-    counts = _occupation_counts(8)
-    k = counts[entries.row[0]]
-    assert np.all(counts[entries.row] == k) and np.all(counts[entries.col] == k)
-    assert ground.rho.nnz == math.comb(8, k) ** 2
+    [(index, block)] = ground.sectors
+    k = np.bitwise_count(index[0])
+    assert np.all(np.bitwise_count(index) == k) and index.size == math.comb(8, k)
+    assert block.shape == (index.size, index.size)
 
 
 SUBSYSTEM_ERRORS = {  # at N = 4
@@ -266,29 +276,8 @@ def test_oracle_reads_only_the_model_from_lattice():
     assert names == {"LatticeSpec", "validate_beta", "validate_subsystem"}
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(2, 4),
-    z=st.integers(1, 5),
-    mass=st.one_of(st.just(0.0), st.floats(0.05, 2.0)),
-    theta=st.one_of(st.just(0.0), st.floats(0.01, 0.99)),
-)
-def test_fock_hamiltonian_conserves_particle_number(n, z, mass, theta):
-    # the sector split rests on this: no entry joins different counts
-    spec = LatticeSpec(n_sites=n, z_exponent=z, mass=mass, boundary_phase=theta)
-    h = single_particle_hamiltonian(spec)
-    h_many = _fock_hamiltonian(h).tocoo()
-    counts = _occupation_counts(2 * n)
-    assert np.array_equal(counts[h_many.row], counts[h_many.col])
-    # h is exactly 0 only where every mode is a node (N = 2, theta = 0,
-    # m = 0), and then so is H
-    assert (h_many.nnz > 0) == h.any()
-
-
-def _dense_fock_hamiltonian(h):
-    """Reference: sum_{mu,nu} h[mu,nu] c_mu^dag c_nu from dense Kronecker
-    products of the Jordan-Wigner factors."""
-    n_modes = h.shape[0]
+def _dense_annihilators(n_modes):
+    """Reference: c_mu = Z^(mu) (x) lower (x) I^(rest) as dense matrices."""
     sigma_z = np.diag([1.0, -1.0])
     lower = np.array([[0.0, 1.0], [0.0, 0.0]])
     ops = []
@@ -297,6 +286,31 @@ def _dense_fock_hamiltonian(h):
         for f in [sigma_z] * mu + [lower] + [np.eye(2)] * (n_modes - mu - 1):
             op = np.kron(op, f)
         ops.append(op)
+    return ops
+
+
+def test_fock_hamiltonian_conserves_particle_number():
+    # the sector split rests on this: no c_mu^dag c_nu joins different
+    # counts.  Each pair's pieces are the nonzeros of the dense operator in
+    # ascending row, the order the oracle's sums keep.
+    for n_modes in (2, 4, 6, 8):
+        pair, row, col, sign = _hopping_pieces(n_modes)
+        assert np.array_equal(np.bitwise_count(row), np.bitwise_count(col))
+        assert np.all(np.diff(pair) >= 0)
+        ops = _dense_annihilators(n_modes)
+        for mu, nu in itertools.product(range(n_modes), repeat=2):
+            hop = ops[mu].T @ ops[nu]
+            rows, cols = np.nonzero(hop)
+            piece = pair == mu * n_modes + nu
+            assert np.array_equal(row[piece], rows) and np.array_equal(col[piece], cols)
+            assert np.array_equal(sign[piece], hop[rows, cols])
+
+
+def _dense_fock_hamiltonian(h):
+    """Reference: sum_{mu,nu} h[mu,nu] c_mu^dag c_nu from dense Kronecker
+    products of the Jordan-Wigner factors."""
+    n_modes = h.shape[0]
+    ops = _dense_annihilators(n_modes)
     return sum(
         h[mu, nu] * ops[mu].T @ ops[nu]
         for mu in range(n_modes)
@@ -318,25 +332,21 @@ def test_sectors_reproduce_dense_fock_diagonalization(n, z, mass, theta):
     spec = LatticeSpec(n_sites=n, z_exponent=z, mass=mass, boundary_phase=theta)
     h = single_particle_hamiltonian(spec)
     dense = _dense_fock_hamiltonian(h)
-    h_many = _fock_hamiltonian(h)
-    assert np.abs(h_many.toarray() - dense).max() < 1e-14
-    sector_spectrum = np.sort(
-        np.concatenate(
-            [
-                np.linalg.eigvalsh(h_many[index][:, index].toarray())
-                for index in _particle_sectors(2 * n)
-            ]
-        )
-    )
+    blocks = [_sector_hamiltonian(h, k) for k in range(2 * n + 1)]
+    h_many = np.zeros_like(dense)
+    for index, block in zip(_particle_sectors(2 * n), blocks):
+        h_many[np.ix_(index, index)] = block
+    assert np.abs(h_many - dense).max() < 1e-14
+    sector_spectrum = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
     energies, states = np.linalg.eigh(dense)
     np.testing.assert_allclose(sector_spectrum, energies, rtol=0, atol=1e-12)
     # the Gibbs state assembled sector by sector is exp(-beta H) / Z
     beta = 1.3
     weights = np.exp(-beta * (energies - energies[0]))
     rho = (states * (weights / weights.sum())) @ states.conj().T
-    assert np.abs(many_body_state(spec, beta).rho.toarray() - rho).max() < 1e-12
+    assert np.abs(_dense(many_body_state(spec, beta)) - rho).max() < 1e-12
     if mass > 0:  # a gapped chain has one ground state, found in one sector
-        rho = many_body_state(spec, INF).rho.toarray()
+        rho = _dense(many_body_state(spec, INF))
         assert np.trace(dense @ rho).real == pytest.approx(energies[0], abs=1e-12)
         psi = states[:, 0]
         assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-10
@@ -354,9 +364,7 @@ def test_ground_sector_holds_the_lowest_energy(n, z, mass, theta):
     h = single_particle_hamiltonian(
         LatticeSpec(n_sites=n, z_exponent=z, mass=mass, boundary_phase=theta)
     )
-    h_many = _fock_hamiltonian(h)
     lowest = [
-        np.linalg.eigvalsh(h_many[index][:, index].toarray())[0]
-        for index in _particle_sectors(2 * n)
+        np.linalg.eigvalsh(_sector_hamiltonian(h, k))[0] for k in range(2 * n + 1)
     ]
     assert _ground_sector(h) == np.argmin(lowest)
