@@ -327,7 +327,7 @@ def _run_fit(cfg):
 
 def _run_cmera(cfg):
     _require(cfg, "z")
-    validate_model(cfg.z, cfg.mass, cfg.epsilon)
+    cfg.z, cfg.mass, cfg.epsilon = validate_model(cfg.z, cfg.mass, cfg.epsilon)
     cutoff = 1.0 / cfg.epsilon
     u = np.linspace(-5.0, 0.0, 501)
     k = cutoff * np.exp(u)

@@ -74,10 +74,9 @@ class EntropyPoint:
 
     @classmethod
     def of(cls, spec: LatticeSpec, beta, na, entropy):
-        """The point of an N_A = na subsystem of spec at beta; the integer
-        columns are Python ints whatever integer type spec holds."""
-        z, n = int(spec.z_exponent), int(spec.n_sites)
-        return cls(z, float(beta), n, int(na), spec.spacing, spec.mass, entropy)
+        """The point of an N_A = na subsystem of spec at beta."""
+        z, n = spec.z_exponent, spec.n_sites
+        return cls(z, float(beta), n, na, spec.spacing, spec.mass, entropy)
 
     def sort_key(self):
         return (self.z, self.beta, self.na, self.n, self.mass, self.epsilon)

@@ -68,7 +68,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -102,12 +102,14 @@ class LatticeSpec:
     boundary_phase: float = 0.0
 
     def __post_init__(self):
-        validate_integer("n_sites", self.n_sites, 2)
-        validate_model(self.z_exponent, self.mass, self.spacing)
-        if not 0 <= validate_real("boundary_phase", self.boundary_phase) < 1:
-            raise InvalidParameter(
-                f"boundary_phase must lie in [0, 1), got {self.boundary_phase!r}"
-            )
+        # the fields hold the Python ints and floats the validators return
+        n_sites = validate_integer("n_sites", self.n_sites, 2)
+        model = validate_model(self.z_exponent, self.mass, self.spacing)
+        theta = validate_real("boundary_phase", self.boundary_phase)
+        if not 0 <= theta < 1:
+            raise InvalidParameter(f"boundary_phase must lie in [0, 1), got {theta!r}")
+        for field, value in zip(fields(self), (n_sites, *model, theta)):
+            object.__setattr__(self, field.name, value)
 
 
 def _is_integer(value):
@@ -123,10 +125,13 @@ def validate_integer(name, value, minimum):
 
 
 def validate_real(name, value):
-    """value as a float, if it is a real number (ints included, bools not)."""
+    """value as a float, if it is a real number that fits one (ints, not bools)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidParameter(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int or a Fraction beyond the largest float
+        raise InvalidParameter(f"{name} must fit a float") from None
 
 
 def validate_real_array(name, values):
@@ -140,30 +145,31 @@ def validate_real_array(name, values):
 
 def validate_positive(name, value):
     """value as a float, if it is a finite real number > 0."""
-    if not (math.isfinite(validate_real(name, value)) and value > 0):
+    if not (math.isfinite(value := validate_real(name, value)) and value > 0):
         raise InvalidParameter(f"{name} must be finite and > 0, got {value!r}")
-    return float(value)
+    return value
 
 
 def validate_nonnegative(name, value):
     """value as a float, if it is a finite real number >= 0 (a mass)."""
-    if not (math.isfinite(validate_real(name, value)) and value >= 0):
+    if not (math.isfinite(value := validate_real(name, value)) and value >= 0):
         raise InvalidParameter(f"{name} must be finite and >= 0, got {value!r}")
-    return float(value)
+    return value
 
 
 def validate_model(z_exponent, mass, spacing):
-    """Check the dispersion parameters z, m and eps of a LatticeSpec (whose
-    docstring gives the ranges); the cMERA profiles share them."""
-    validate_integer("z_exponent", z_exponent, 1)
-    validate_nonnegative("mass", mass)
-    validate_positive("spacing", spacing)
+    """The dispersion parameters z, m and eps of a LatticeSpec (whose
+    docstring gives the ranges), as an int and floats; cMERA shares them."""
+    z_exponent = validate_integer("z_exponent", z_exponent, 1)
+    mass = validate_nonnegative("mass", mass)
+    spacing = validate_positive("spacing", spacing)
     # omega**2 = keff**(2z) + m**2 with |keff| <= 1/eps on every grid
     if not math.isfinite(_power(mass, 2) + _power(spacing, -2 * z_exponent)):
         raise InvalidParameter(
             "mass**2 + spacing**(-2*z_exponent) must be a finite float, got "
             f"mass={mass!r}, spacing={spacing!r}, z_exponent={z_exponent}"
         )
+    return z_exponent, mass, spacing
 
 
 def _power(base, exponent):
@@ -365,8 +371,8 @@ def build_mode_grid(spec: LatticeSpec) -> ModeGrid:
 
 def _mode_weights(spec: LatticeSpec, beta):
     """Real occupation weight arrays (F, G) over the K distinct modes of
-    build_mode_grid, at a beta the caller has validated.  _unfolded gives
-    the weights of the other modes.
+    build_mode_grid, at a beta the caller has validated.  On the FFT path
+    _unfolded gives the weights of the other modes.
 
     F = (-keff)^z/omega * tanh(beta*omega/2) weights the chirality-diagonal
     correlator and G = (m/omega) * tanh(beta*omega/2) the cross-chirality
@@ -415,24 +421,10 @@ def _mode_weights(spec: LatticeSpec, beta):
 
 
 def _unfolded(spec, weights, sign):
-    """Weights over all N modes from those over the K distinct modes.
-
-    sign is (-1)^z for F and +1 for G.  Reflection-distinct weights (see
-    _distinct_modes) first give the L folded modes: the mirror kappa' of
-    mode kappa carries sign * weights[kappa] for odd N, and weights[kappa]
-    for even N, where kappa' + N/2 is the true mirror.  Then for even N mode
-    kappa + N/2 carries sign * weights[kappa].  For odd N the L = N weights
-    are the result.
-    """
-    n = spec.n_sites
-    modes = _distinct_modes(spec)
-    folded = modes.folded
-    if modes.count < folded:
-        kappa = np.arange(folded)
-        mirror = (folded - modes.twice_theta - kappa) % folded
-        flip = np.where(mirror < kappa, sign if n % 2 else 1.0, 1.0)
-        weights = flip * weights[np.minimum(kappa, mirror)]
-    if weights.size == n:
+    """Weights over all N modes from those over the L distinct modes of an
+    unmirrored grid: for even N mode kappa + N/2 carries sign * weights[kappa],
+    sign being (-1)^z for F and +1 for G; for odd N they are the weights."""
+    if weights.size == spec.n_sites:
         return weights
     return np.concatenate((weights, weights if sign > 0 else -weights))
 
@@ -486,17 +478,17 @@ def _uses_partial_dft(n):
     partial DFT through _block_entries (mode grid and weights included),
     z = 1, m = 0.3, beta = 50, theta = 0.3, at 16, 64 and 450 site
     differences, min of 15 interleaved runs on one BLAS thread (2-core
-    Xeon VM, numpy 2.4): 1.2 / 0.9, 1.1 / 2.0 and 1.1 / 12 ms at
-    N = 16384; 7.2 / 2.2, 6.9 / 3.5 and 7.1 / 18 ms at 65536; 15 / 3.6,
-    14 / 5.8 and 14 / 30 ms at 2^17; 121 / 24, 115 / 24 and 103 / 111 ms
-    at 1e6.  At theta = 0 the mirrored partial DFT takes about half that
-    (10, 17 and 63 ms at 1e6).  Absolute times moved by up to 2x between
-    runs on that VM; the ratios at one N held.  So for a 5-smooth N the
-    partial DFT would win below 2^17 at small N_A only, and the FFT would
-    win at N_A in the hundreds up to about 1e6; the rule keeps 2^17, as
-    moving it changes which bits those N get.  A prime factor above about
-    300 sends numpy's FFT down its Bluestein path: 26 / 3.4, 26 / 5.5 and
-    23 / 25 ms at the prime N = 65537.
+    Xeon VM, numpy 2.4), the lower of two such runs: 1.4 / 0.9, 1.6 / 1.9
+    and 1.2 / 6.8 ms at N = 16384; 4.4 / 1.5, 4.5 / 2.6 and 4.5 / 11 ms at
+    65536; 11 / 2.6, 11 / 4.0 and 10 / 17 ms at 2^17; 95 / 17, 88 / 24 and
+    86 / 79 ms at 1e6.  At theta = 0 the mirrored partial DFT takes about
+    half that (8.4, 13 and 47 ms at 1e6).  Single figures moved by up to
+    1.5x between the runs; the ratios at one N held.  So for a 5-smooth N
+    the partial DFT would win below 2^17 at small N_A only, and the FFT at
+    N_A in the hundreds up to about 1e6, where the two tie; the rule keeps
+    2^17, as moving it changes which bits those N get.  A prime factor
+    above about 300 sends numpy's FFT down its Bluestein path: 21 / 2.6,
+    26 / 6.1 and 21 / 20 ms at the prime N = 65537.
     """
     return n >= 2**17 or (n >= 10**4 and _largest_prime_factor(n) > 300)
 
@@ -584,7 +576,7 @@ def _partial_dft(spec: LatticeSpec, weights, distances):
     folded, twice_theta, modes, self_paired = _distinct_modes(spec)
     mirrored = _mirrored(spec)
     if self_paired:
-        # on copies: the caller's arrays still unfold by _unfolded
+        # on copies: the caller's arrays stay the weights of the grid
         weights = [(w.copy(), s) for w, s in weights]
         for w, _ in weights:
             w[self_paired] /= 2.0

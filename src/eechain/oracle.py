@@ -201,7 +201,8 @@ def many_body_state(spec: LatticeSpec, beta) -> FockState:
             blocks = [np.outer(psi, psi.conj())]
         else:
             ground = min(energies[0] for energies, _ in spectra)
-            weights = [np.exp(-beta * (energies - ground)) for energies, _ in spectra]
+            with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit
+                weights = [np.exp(-beta * (energies - ground)) for energies, _ in spectra]
             partition = sum(w.sum() for w in weights)
             blocks = [
                 (states * (w / partition)) @ states.conj().T

@@ -7,7 +7,9 @@ equations directly (the bases are O(1) in the windows used) with a
 conditioning guard, and report classical per-coefficient standard errors
 (sigma^2 = RSS/(n-p), cov = sigma^2 (X^T X)^(-1)).
 
-Default beta grids (frozen after a window study; see the acceptance tests):
+Default beta grids (frozen after a window study; see the acceptance tests).
+Both take z, N_A and eps by the input rules, and raise RegimeUnreachable
+where a beta overflows a float:
 
 * low T: x linearly spaced on [0.05, 0.27], 10 points, beta = (l/x)^z.
   The floor keeps the thermal length l/x inside the chain (beta^(1/z)
@@ -37,7 +39,9 @@ from .errors import (
     InvalidParameter,
     RegimeUnreachable,
 )
-from .lattice import LatticeSpec, validate_integer, validate_positive
+from .lattice import (
+    LatticeSpec, _power, validate_integer, validate_model, validate_positive, validate_real
+)
 
 LOW_T_WINDOW = 0.3  # rows with x = l * beta^(-1/z) below this qualify
 HIGH_T_WINDOW = 3.0  # rows with x above this qualify
@@ -155,7 +159,7 @@ def sweep_entropy(
     serial rows byte for byte.
     """
     if jobs is not None:
-        validate_integer("jobs", jobs, 1)
+        jobs = validate_integer("jobs", jobs, 1)
     groups = list(dict.fromkeys((z, beta) for z in zs for beta in betas))
     specs = [LatticeSpec(n_sites, z, mass, spacing, boundary_phase) for z, _ in groups]
     group_betas = [beta for _, beta in groups]
@@ -171,17 +175,31 @@ def sweep_entropy(
     return SweepTable(rows=tuple(rows)).sorted()
 
 
+def _grid_scales(z, na, eps):
+    """(z, eps, l = N_A * eps), with z and eps as validate_model takes them."""
+    z, _, eps = validate_model(z, 0.0, eps)
+    return z, eps, validate_real("na", validate_integer("na", na, 1)) * eps
+
+
+def _finite(betas):
+    """betas, if every one is a finite float; else RegimeUnreachable."""
+    if not np.isfinite(betas).all():
+        raise RegimeUnreachable("a beta of the default grid overflows a float")
+    return betas
+
+
 def default_low_temperature_betas(z, na, eps=1.0):
     """Frozen default beta grid for the low-T window (see module docstring)."""
-    length = na * eps
+    z, _, length = _grid_scales(z, na, eps)
     x = np.linspace(0.05, 0.27, 10)
-    return (length / x) ** z
+    with np.errstate(over="ignore"):
+        return _finite((length / x) ** z)
 
 
 def default_high_temperature_betas(z, na, eps=1.0):
     """Frozen default beta grid for the high-T window; may be empty."""
-    lo = 200.0 * eps**z
-    hi = (na * eps / 3.0) ** z
+    z, eps, length = _grid_scales(z, na, eps)
+    lo, hi = _finite(np.array([200.0 * _power(eps, z), _power(length / 3.0, z)]))
     if lo >= hi:
         return np.empty(0)
     return np.geomspace(lo, hi, 12)

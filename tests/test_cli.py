@@ -537,6 +537,10 @@ def _argvs(draw):
 @example(["sweep", "--n", "20", "--zs", "1", "--betas", "10,inf", "--nas", "4", "--format", "svg"])
 @example(["sweep", "--n", "2", "--z", "1", "--na", "1", "--betas", "inf,inf", "--format", "svg"])
 @example(["sweep", "--n", "40", "--z", "1", "--betas", "0.5,2", "--na", "4", "--format", "svg"])
+# a default beta grid that overflows a float; a Gibbs exponent beta*dE that does
+@example(["fit", "--n", "64", "--na", "40", "--z", "300", "--regime", "low"])
+@example(["fit", "--n", "64", "--na", "40", "--z", "300", "--regime", "high"])
+@example(["oracle-check", "--n", "4", "--na", "2", "--z", "1", "--mass", "0.5", "--beta", "1e308"])
 def test_any_argv_exits_cleanly(argv):
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     err = io.StringIO()

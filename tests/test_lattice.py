@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,9 @@ from eechain import (
     SiteOutOfRange,
     build_correlation_matrix,
     build_mode_grid,
+    entropy_of,
+    many_body_state,
+    reduced_entropy,
     validate_beta,
 )
 from eechain.lattice import (
@@ -55,6 +59,31 @@ def test_spec_rejects_overflowing_frequencies():
         with pytest.raises(InvalidParameter):
             LatticeSpec(n_sites=4, **kwargs)
     LatticeSpec(n_sites=4, mass=1e150, spacing=1e-30, z_exponent=3)
+
+
+INTEGER_TYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@pytest.mark.parametrize("integer", INTEGER_TYPES)
+@pytest.mark.parametrize("real", [np.float16, np.float32, np.float64])
+def test_numpy_scalars_give_the_python_number_results(integer, real):
+    # numpy 2 computes on a numpy scalar in its own type (NEP 50): unless the
+    # spec holds the validators' Python numbers, m*m runs in float32, -2z in
+    # uint8, 4**N in int8, and (2j - 1)N wraps on the grid of an int16 N
+    mass, spacing, theta, beta = (real(v) for v in (0.3, 0.9, 0.3, 2.0))
+    assert _uses_partial_dft(30011) and not _uses_partial_dft(100)
+    for n in [4, 100] + ([30011] if np.iinfo(integer).max >= 30011 else []):
+        spec = LatticeSpec(integer(n), integer(3), mass, spacing, theta)
+        python = LatticeSpec(n, 3, float(mass), float(spacing), float(theta))
+        assert spec == python
+        assert [type(getattr(spec, f.name)) for f in fields(spec)] == [int, int] + [float] * 3
+        if n == 4:  # the oracle
+            values = [reduced_entropy(many_body_state(s, beta), [0, 1]) for s in (spec, python)]
+        else:  # the FFT path, then the partial DFT
+            a, b = entropy_of(spec, beta, range(16)), entropy_of(python, float(beta), range(16))
+            assert a == b
+            values = [a.entropy, b.entropy]
+        assert values[0].hex() == values[1].hex()
 
 
 def test_validate_beta():

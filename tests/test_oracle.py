@@ -133,6 +133,19 @@ def test_correlators_match_lattice(z, beta):
     assert np.abs(corr - fast).max() < 1e-10
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the zero-mode limit: on a massless chain with exact nodes, "
+    "round-off splits the degenerate many-body levels the zero modes create, "
+    "and exp(-beta dE) resolves the split; the error grows as about 5.6e-17 beta",
+)
+def test_massless_correlators_match_lattice_at_large_beta():
+    spec = LatticeSpec(n_sites=4, z_exponent=2, mass=0.0)
+    corr = mode_correlators(many_body_state(spec, 1e8))
+    fast = build_correlation_matrix(spec, 1e8, range(4)).entries
+    assert np.abs(corr - fast).max() < 1e-10
+
+
 def test_entropy_matches_lattice_with_twist():
     spec = LatticeSpec(n_sites=4, z_exponent=1, mass=0.8, boundary_phase=0.3)
     state = many_body_state(spec, 2.5)

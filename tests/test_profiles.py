@@ -3,6 +3,7 @@ with the path under test: the closed-form Fermi sea and the partial DFT are
 checked against numpy's FFT, and sweeps against single points."""
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -39,13 +40,22 @@ def _twist(spec, d):
     return np.exp(2j * np.pi * spec.boundary_phase * d / spec.n_sites)
 
 
+def _full_grid_weights(spec, beta):
+    """(F, G) over all N modes, from a grid of every distinct mode even where
+    the partial DFT keeps the reflection-distinct ones: a reference that
+    shares no mirror map with the code it checks."""
+    with mock.patch.object(eechain.lattice, "_mirrored", lambda spec: False):
+        f, g = _mode_weights(spec, beta)
+    return _unfolded(spec, f, (-1.0) ** spec.z_exponent), _unfolded(spec, g, 1.0)
+
+
 def _assert_entries_equal_fft(spec, beta):
-    """P and C at d >= 0 to 1e-15 of FFTs of the unfolded weights, twisted."""
+    """P and C at d >= 0 to 1e-15 of FFTs of the full-grid weights, twisted."""
     d = _distances(spec.n_sites)
     same, cross = _block_entries(spec, beta, d)
-    f, g = _mode_weights(spec, beta)
-    p = fourier_profile(_unfolded(spec, f, (-1.0) ** spec.z_exponent))[d]
-    q = fourier_profile(_unfolded(spec, g, 1.0))[d] if spec.mass > 0 else np.zeros(d.size)
+    f, g = _full_grid_weights(spec, beta)
+    p = fourier_profile(f)[d]
+    q = fourier_profile(g)[d] if spec.mass > 0 else np.zeros(d.size)
     assert np.abs(same - _twist(spec, d) * p).max() <= 1e-15
     assert np.abs(cross + _twist(spec, d) * q).max() <= 1e-15
 
@@ -56,7 +66,7 @@ def test_fermi_sea_closed_form_equals_fft(n_sites, theta):
     d = _distances(n_sites)
     spec1 = LatticeSpec(n_sites=n_sites, boundary_phase=theta)
     f1, _ = _mode_weights(spec1, INF)
-    reference = _twist(spec1, d) * fourier_profile(_unfolded(spec1, f1, -1.0))[d]
+    reference = _twist(spec1, d) * fourier_profile(_full_grid_weights(spec1, INF)[0])[d]
     for z in (1, 3, 5, 9):
         spec = LatticeSpec(n_sites=n_sites, z_exponent=z, boundary_phase=theta)
         # every odd z has the z = 1 weights, so one FFT serves all four
@@ -110,7 +120,7 @@ def test_mirrored_partial_dft_equals_fft(n_sites, theta, z, mass, beta):
 
 def test_partial_dft_leaves_the_weights_alone():
     # the self-paired modes (0 and K - 1 here) are halved on copies, so the
-    # caller's arrays still unfold by _unfolded
+    # caller's arrays stay the weights of the grid
     spec = LatticeSpec(n_sites=131_072, z_exponent=2, mass=0.3)
     f, g = _mode_weights(spec, 50.0)
     saved = f.copy(), g.copy()
@@ -173,8 +183,7 @@ def test_weights_next_to_the_nodes_match_mpmath(n_sites, theta, z, mass, beta):
     # the modes next to k*eps = pi and 2*pi, where a sine of the unreduced
     # angle loses up to six digits of keff; mpmath's sinpi is exact at nodes
     spec = LatticeSpec(n_sites=n_sites, z_exponent=z, mass=mass, boundary_phase=theta)
-    f, g = _mode_weights(spec, beta)
-    f, g = _unfolded(spec, f, (-1.0) ** z), _unfolded(spec, g, 1.0)
+    f, g = _full_grid_weights(spec, beta)
     half = n_sites // 2
     with mpmath.workdps(40):
         for kappa in [*range(half - 3, half + 4), *range(n_sites - 3, n_sites)]:

@@ -220,6 +220,27 @@ def test_default_beta_grids():
     assert high[0] == pytest.approx(200.0)
 
 
+def test_default_beta_grids_take_numpy_scalars_as_python_numbers():
+    # numpy 2 would compute eps**z and N_A * eps in float32 here (NEP 50)
+    for grid in (default_low_temperature_betas, default_high_temperature_betas):
+        betas = grid(np.uint8(8), np.int8(50), np.float32(0.9))
+        assert betas.tobytes() == grid(8, 50, float(np.float32(0.9))).tobytes()
+
+
+@pytest.mark.parametrize(
+    "grid, z, na, eps",
+    [
+        (default_low_temperature_betas, 300, 40, 1.0),
+        (default_high_temperature_betas, 300, 40, 1.0),
+        (default_high_temperature_betas, 7, 5, 1e300),
+    ],
+)
+def test_default_beta_grid_that_overflows_is_unreachable(grid, z, na, eps):
+    # numpy's ** warned and left infinite betas, Python's raised OverflowError
+    with pytest.raises(RegimeUnreachable):
+        grid(z, na, eps)
+
+
 # ------------------------------------------------------------- synthetic
 
 

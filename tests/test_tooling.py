@@ -1,6 +1,6 @@
 """The suite's pytest configuration, checked on a planted failing test, the
-package's one home for its input rules, the one BLAS thread of its linalg
-calls, and the names the benchmark uses."""
+package's one home for its input rules and the use of what they return, the
+one BLAS thread of its linalg calls, and the names the benchmark uses."""
 
 import ast
 import importlib.util
@@ -84,6 +84,29 @@ def test_input_rules_live_only_in_the_lattice_validators():
         if lines:
             offending[path.name] = lines
     assert offending == {}
+
+
+def _discarded_validator_results(tree):
+    """Line numbers of the validate_* calls that stand as bare statements."""
+    calls = [node.value for node in ast.walk(tree) if isinstance(node, ast.Expr)]
+    return sorted(
+        call.lineno
+        for call in calls
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "id", getattr(call.func, "attr", "")).startswith("validate_")
+    )
+
+
+def test_every_validator_result_is_used():
+    # a validator returns the Python int or float it checked: code that
+    # drops it goes on computing on the caller's value, in whatever numpy
+    # scalar type that came as
+    found = {}
+    for path in sorted(Path(eechain.__file__).parent.glob("*.py")):
+        lines = _discarded_validator_results(ast.parse(path.read_text()))
+        if lines:
+            found[path.name] = lines
+    assert found == {}
 
 
 # The linalg calls that may run outside one_blas_thread, by (module, function,

@@ -22,6 +22,8 @@ from eechain import (
     bogoliubov_angle,
     build_correlation_matrix,
     cft_reference,
+    default_high_temperature_betas,
+    default_low_temperature_betas,
     ee_cmera,
     emit_plot,
     energy_density,
@@ -123,6 +125,14 @@ def _cft_thermal(l=40.0, beta=20.0, eps=MISSING, c=MISSING):
         _cft_reference(kind, l=l, beta=beta, eps=eps, c=c)
 
 
+def _default_low_temperature_betas(z=2, na=10, eps=1.0):
+    return default_low_temperature_betas(z, na, eps)
+
+
+def _default_high_temperature_betas(z=2, na=60, eps=1.0):
+    return default_high_temperature_betas(z, na, eps)
+
+
 ENTRY_POINTS = {
     "LatticeSpec": _lattice_spec,
     "entropy_of": _entropy_of,
@@ -140,6 +150,8 @@ ENTRY_POINTS = {
     "emit_plot": _emit_plot,
     "cft_finite_size": _cft_finite_size,
     "cft_thermal": _cft_thermal,
+    "default_low_temperature_betas": _default_low_temperature_betas,
+    "default_high_temperature_betas": _default_high_temperature_betas,
 }
 
 # calls that must raise InvalidParameter; all but the two
@@ -178,6 +190,17 @@ BAD_CALLS = [
     ("emit_plot", {"y": math.nan}),
     ("emit_plot", {"hline": math.inf}),
     ("emit_plot", {"x": -1e308}),  # overflowed the pixel scale
+    # a bare OverflowError from float(): an int beyond the largest float
+    ("LatticeSpec", {"mass": 10**400}),
+    ("entropy_of", {"beta": 10**400}),
+    ("cft_thermal", {"l": 10**400}),
+    # the default beta grids computed on these without a check
+    ("default_low_temperature_betas", {"z": True}),
+    ("default_low_temperature_betas", {"na": 0}),
+    ("default_low_temperature_betas", {"eps": -1}),
+    ("default_high_temperature_betas", {"z": True}),
+    ("default_high_temperature_betas", {"na": 0}),
+    ("default_high_temperature_betas", {"eps": -1}),
 ]
 
 
