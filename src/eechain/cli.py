@@ -33,7 +33,7 @@ import numpy as np
 from . import cmera as cmera_mod
 from .entropy import entanglement_entropy, entropy_of, hermitian_eigenvalues
 from .errors import EechainError, InvalidParameter, UsageError
-from .lattice import LatticeSpec, build_correlation_matrix, validate_model
+from .lattice import CorrelationMatrix, LatticeSpec, build_correlation_matrix, validate_model
 from .oracle import many_body_state, mode_correlators, reduced_entropy
 from .output import emit_csv, emit_json, emit_plot, emit_table
 from .thermal import (
@@ -356,14 +356,13 @@ def _run_oracle_check(cfg):
     _require(cfg, "n", "na", "z")
     spec = _spec_of(cfg)
     state = many_body_state(spec, cfg.beta)
-    corr_exact = mode_correlators(state)
-    corr_fast = build_correlation_matrix(spec, cfg.beta, range(cfg.n)).entries
-    corr_diff = float(np.abs(corr_exact - corr_fast).max())
+    corr = build_correlation_matrix(spec, cfg.beta, range(cfg.n))
+    corr_diff = float(np.abs(mode_correlators(state) - corr.entries).max())
 
-    s_exact = reduced_entropy(state, range(cfg.na))
-    s_fast = entanglement_entropy(
-        hermitian_eigenvalues(build_correlation_matrix(spec, cfg.beta, range(cfg.na)))
-    )
+    s_exact = reduced_entropy(state, range(cfg.na))  # checks N_A against N
+    # the subsystem's blocks lead the chain's, bit for bit
+    sub = CorrelationMatrix(*(block[: cfg.na, : cfg.na] for block in (corr.same, corr.cross)))
+    s_fast = entanglement_entropy(hermitian_eigenvalues(sub))
     s_diff = abs(s_exact - s_fast)
 
     corr_ok = corr_diff <= CORRELATOR_TOL

@@ -47,6 +47,7 @@ from .lattice import (
 
 SQRT3 = math.sqrt(3.0)
 MIN_POINTS_PER_DECADE = 100
+GEODESIC_POINTS = 4001
 
 
 def _model(z, m):
@@ -107,11 +108,8 @@ def g_closed_form(u, z, m, cutoff=1.0):
 
 
 def _derivative_uniform(values, du):
-    """Fourth-order first derivative on a uniform grid (5-point stencils)."""
+    """Fourth-order first derivative on >= 5 uniform samples (5-point stencils)."""
     f = np.asarray(values, dtype=float)
-    n = f.size
-    if n < 5:
-        raise InsufficientSampling("need at least 5 samples for differentiation")
     out = np.empty_like(f)
     out[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * du)
     out[0] = (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * du)
@@ -165,18 +163,17 @@ def geodesic_length(g_const, length, eps):
     return (2.0 * abs(g_const) / SQRT3) * math.log(length / eps)
 
 
-def geodesic_length_massive(z, m, cutoff, length, eps, n_points=4001):
+def geodesic_length_massive(z, m, cutoff, length, eps):
     """Semicircle-ansatz geodesic length in the u-dependent massive metric.
 
     (2 pi / sqrt 3) * integral_alpha^(1/2) |g(u(t))| csc(pi t) dt along
     r(t) = (l/2) sin(pi t), u(t) = ln(eps / r(t)), alpha = 2 eps/(pi l), is
     (2 / sqrt 3) * integral_(ln tan(eps/l))^0 |g| ds in s = ln tan(pi t/2),
-    taken by the trapezoid rule: exact for a constant g, and geodesic_length
-    up to the small-alpha expansion.  This is an ansatz (the constant-g case
-    is the controlled one).
+    taken by the trapezoid rule on GEODESIC_POINTS nodes: exact for a
+    constant g, and geodesic_length up to the small-alpha expansion.  This
+    is an ansatz (the constant-g case is the controlled one).
     """
     length, eps = _interval(length, eps)
-    n_points = validate_integer("n_points", n_points, 2)
     alpha = 2.0 * eps / (math.pi * length)
     if alpha == 0.0:
         raise DegenerateInterval(
@@ -188,7 +185,7 @@ def geodesic_length_massive(z, m, cutoff, length, eps, n_points=4001):
     # ln(eps/l) as a difference of logs keeps its digits where eps/l is
     # subnormal, and u = ln(2 eps/l) + ln cosh s without an overflowing cosh
     x, log_x = eps / length, math.log(eps) - math.log(length)
-    s = np.linspace(log_x + math.log(math.tan(x) / x), 0.0, n_points)
+    s = np.linspace(log_x + math.log(math.tan(x) / x), 0.0, GEODESIC_POINTS)
     u = log_x + np.abs(s) + np.log1p(np.exp(-2.0 * np.abs(s)))
     g = np.abs(g_closed_form(u, z, m, cutoff))
     return float((2.0 / SQRT3) * np.trapezoid(g, s))

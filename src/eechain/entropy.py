@@ -45,9 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blas import one_blas_thread
-from .errors import EigenvalueOutOfRange, NotHermitian
+from .errors import EigenvalueOutOfRange, InvalidParameter, NotHermitian
 from .lattice import (
-    CorrelationMatrix, LatticeSpec, build_correlation_matrix, validate_integer
+    CorrelationMatrix, LatticeSpec, build_correlation_matrix, validate_integer, validate_real_array
 )
 
 HERMITICITY_TOL = 1e-9
@@ -83,8 +83,9 @@ class EntropyPoint:
 
 
 def _check_hermitian(*blocks):
-    asym = max(np.max(np.abs(b - b.conj().T)) for b in blocks)
-    if asym > HERMITICITY_TOL:
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, and np.max keeps a NaN
+        asym = np.max([np.max(np.abs(b - b.conj().T)) for b in blocks])
+    if not asym <= HERMITICITY_TOL:
         raise NotHermitian(f"max asymmetry {asym:.3e} exceeds {HERMITICITY_TOL}")
 
 
@@ -92,12 +93,12 @@ def hermitian_eigenvalues(corr: CorrelationMatrix):
     """Ascending real eigenvalues of a correlation matrix, from its blocks.
 
     Raises NotHermitian when the maximum asymmetry |B - B^dag| of block P
-    or C exceeds 1e-9.  The 2N_A eigenvalues are 1/2 +- s_j, with s_j the
-    singular values of P + iC.  Where Re P and Im C are exactly 0 they come
-    from a real SVD of Im P + Re C; where C and Im P are, as |eigvalsh(P)|;
-    else from the complex SVD (see the module docstring for why each is
-    exact).  The checks read the blocks alone, and every solve runs on one
-    BLAS thread, so the eigenvalues do not depend on the core count.
+    or C is NaN or over 1e-9.  The 2N_A eigenvalues are 1/2 +- s_j, with s_j
+    the singular values of P + iC.  Where Re P and Im C are exactly 0 they
+    come from a real SVD of Im P + Re C; where C and Im P are, as
+    |eigvalsh(P)|; else from the complex SVD (see the module docstring for
+    why each is exact).  The checks read the blocks alone, and every solve
+    runs on one BLAS thread, so no eigenvalue depends on the core count.
     """
     same, cross = corr.same, corr.cross
     _check_hermitian(same, cross)
@@ -115,16 +116,17 @@ def hermitian_eigenvalues(corr: CorrelationMatrix):
 def entanglement_entropy(eigs):
     """Entropy functional of a 1-D array of correlation eigenvalues, in nats.
 
-    Values outside [0, 1] by at most 1e-9 are clamped; anything further out
-    raises EigenvalueOutOfRange.  Eigenvalues within 1e-15 of 0 or 1
-    contribute exactly zero (pure modes), avoiding ln(0) noise.
+    Anything but a 1-D array of real numbers raises InvalidParameter.  Values
+    outside [0, 1] by at most 1e-9 are clamped; anything further out, NaN
+    included, raises EigenvalueOutOfRange.  Eigenvalues within 1e-15 of 0
+    or 1 contribute exactly zero (pure modes), avoiding ln(0) noise.
     """
-    c = np.asarray(eigs, dtype=float)
-    if c.size and (c.min() < -CLAMP_TOL or c.max() > 1.0 + CLAMP_TOL):
-        bad = c[(c < -CLAMP_TOL) | (c > 1.0 + CLAMP_TOL)]
-        raise EigenvalueOutOfRange(
-            f"correlation eigenvalues outside [0,1] beyond clamp tolerance: {bad}"
-        )
+    c = validate_real_array("eigs", eigs)
+    if c.ndim != 1:
+        raise InvalidParameter(f"eigs must be a 1-d array, got shape {c.shape}")
+    bad = c[~((c >= -CLAMP_TOL) & (c <= 1.0 + CLAMP_TOL))]  # NaN fails both
+    if bad.size:
+        raise EigenvalueOutOfRange(f"eigenvalues outside [0,1] beyond clamp tolerance: {bad}")
     c = np.clip(c, 0.0, 1.0)
     mixed = (c > PURE_SNAP) & (c < 1.0 - PURE_SNAP)
     c = c[mixed]

@@ -76,6 +76,9 @@ import numpy as np
 from .blas import one_blas_thread
 from .errors import DuplicateSite, InvalidParameter, SiteOutOfRange
 
+MAX_CHAIN_SITES = math.isqrt(2**63 - 1)  # N*N bounds the profiles' int64 phases
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Static description of one lattice model instance.
@@ -83,7 +86,7 @@ class LatticeSpec:
     Attributes
     ----------
     n_sites : int
-        Number of sites N (>= 2).
+        Number of sites N, 2 <= N <= MAX_CHAIN_SITES = 3037000499.
     z_exponent : int
         Dynamical exponent z >= 1; sets the dispersion omega ~ |k|^z.
     mass : float
@@ -104,6 +107,8 @@ class LatticeSpec:
     def __post_init__(self):
         # the fields hold the Python ints and floats the validators return
         n_sites = validate_integer("n_sites", self.n_sites, 2)
+        if n_sites > MAX_CHAIN_SITES:
+            raise InvalidParameter(f"n_sites must be <= {MAX_CHAIN_SITES}: N*N must fit an int64")
         model = validate_model(self.z_exponent, self.mass, self.spacing)
         theta = validate_real("boundary_phase", self.boundary_phase)
         if not 0 <= theta < 1:
@@ -237,11 +242,21 @@ class CorrelationMatrix:
     is P, `cross` is C, each with the twist phase applied; block entry
     [a, b] belongs to the a-th and b-th sites of the subsystem.  `dim` is
     2N_A.  `entries` is M itself, row/column index 2*a + s, interleaved
-    from the blocks on first access; the eigensolve never reads it.
+    from the blocks on first access; the eigensolve never reads it.  Blocks
+    that are not numeric, square and of one shape raise InvalidParameter.
     """
 
     same: np.ndarray
     cross: np.ndarray
+
+    def __post_init__(self):
+        for field in fields(self):  # the blocks as float or complex arrays
+            block = np.asarray(getattr(self, field.name))
+            real = validate_real_array(field.name, block.real)
+            object.__setattr__(self, field.name, block if np.iscomplexobj(block) else real)
+        shape, cross = self.same.shape, self.cross.shape
+        if not (len(shape) == 2 and shape[0] == shape[1] > 0 and cross == shape):
+            raise InvalidParameter(f"blocks must be square, of one shape: {shape}, {cross}")
 
     @property
     def dim(self):

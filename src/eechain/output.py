@@ -43,8 +43,8 @@ def emit_json(payload):
 
 
 def _json_value(value, column_type):
-    """An int column as a Python int (a LatticeSpec may hold numpy
-    integers); a float rounded to 12 digits, inf as "inf"."""
+    """An int column as a Python int (a hand-built EntropyPoint may hold a
+    numpy integer); a float rounded to 12 digits, inf as "inf"."""
     if column_type is int:
         return int(value)
     return "inf" if value == math.inf else float(f"{value:.12g}")

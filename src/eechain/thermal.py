@@ -8,8 +8,8 @@ conditioning guard, and report classical per-coefficient standard errors
 (sigma^2 = RSS/(n-p), cov = sigma^2 (X^T X)^(-1)).
 
 Default beta grids (frozen after a window study; see the acceptance tests).
-Both take z, N_A and eps by the input rules, and raise RegimeUnreachable
-where a beta overflows a float:
+Both take z, N_A and eps by the input rules (as the fits take z), and raise
+RegimeUnreachable where a beta overflows a float:
 
 * low T: x linearly spaced on [0.05, 0.27], 10 points, beta = (l/x)^z.
   The floor keeps the thermal length l/x inside the chain (beta^(1/z)
@@ -205,7 +205,7 @@ def default_high_temperature_betas(z, na, eps=1.0):
     return np.geomspace(lo, hi, 12)
 
 
-def _solve_least_squares(design, values, basis, n_rows):
+def _solve_least_squares(design, values, basis):
     normal = design.T @ design
     cond = np.linalg.cond(normal)
     if cond > CONDITION_BOUND:
@@ -223,7 +223,7 @@ def _solve_least_squares(design, values, basis, n_rows):
         std_errors=tuple(float(v) for v in std),
         residual_rms=rms,
         basis=basis,
-        n_rows=n_rows,
+        n_rows=len(values),
     )
 
 
@@ -233,12 +233,9 @@ def _scaling_variable(row: EntropyPoint):
     return row.na * row.epsilon * row.beta ** (-1.0 / row.z)
 
 
-def fit_low_temperature(table: SweepTable, z, extra_power=None) -> FitResult:
-    """Fit S = S_inf + f1*x + f2*x^2 on rows with x < 0.3 at this z.
-
-    extra_power appends one more monomial (e.g. 3 for a cubic refit used
-    by the odd-z parity checks).
-    """
+def fit_low_temperature(table: SweepTable, z) -> FitResult:
+    """Fit S = S_inf + f1*x + f2*x^2 on rows with x < 0.3 at this z."""
+    z = validate_integer("z", z, 1)
     rows = [r for r in table.rows if r.z == z and _scaling_variable(r) < LOW_T_WINDOW]
     if len(rows) < MIN_ROWS:
         raise InsufficientData(
@@ -247,10 +244,7 @@ def fit_low_temperature(table: SweepTable, z, extra_power=None) -> FitResult:
         )
     x = np.array([_scaling_variable(r) for r in rows])
     s = np.array([r.entropy for r in rows])
-    powers = [0, 1, 2] + ([extra_power] if extra_power else [])
-    design = np.column_stack([x**p for p in powers])
-    basis = tuple("1" if p == 0 else f"x^{p}" if p > 1 else "x" for p in powers)
-    return _solve_least_squares(design, s, basis, len(rows))
+    return _solve_least_squares(np.column_stack([x**p for p in (0, 1, 2)]), s, ("1", "x", "x^2"))
 
 
 def fit_high_temperature(table: SweepTable, z) -> FitResult:
@@ -260,6 +254,7 @@ def fit_high_temperature(table: SweepTable, z) -> FitResult:
     rows means the regime is physically out of reach at this (z, N_A) —
     RegimeUnreachable; one to seven rows is InsufficientData.
     """
+    z = validate_integer("z", z, 1)
     rows = []
     for r in table.rows:
         if r.z != z or math.isinf(r.beta):
@@ -279,6 +274,4 @@ def fit_high_temperature(table: SweepTable, z) -> FitResult:
     log_term = np.array([r.z * math.log(r.epsilon) - math.log(r.beta) for r in rows])
     s = np.array([r.entropy for r in rows])
     design = np.column_stack([np.ones_like(x), x, log_term])
-    return _solve_least_squares(
-        design, s, ("1", "x", "ln(eps^z/beta)"), len(rows)
-    )
+    return _solve_least_squares(design, s, ("1", "x", "ln(eps^z/beta)"))

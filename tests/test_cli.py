@@ -182,6 +182,17 @@ def test_fit_json(capsys):
     assert len(payload["coefficients"]) == 3
 
 
+@pytest.mark.parametrize("z, na", [(1, 10), (2, 12), (3, 8)])
+def test_fit_explicit_betas_equal_the_default_grid(z, na, capsysbinary):
+    # the default low grid's betas, given back as --betas, give the same fit
+    argv = ["fit", "--n", "400", "--na", str(na), "--z", str(z), "--format", "json"]
+    betas = eechain.default_low_temperature_betas(z, na)
+    assert main(argv) == 0
+    default = capsysbinary.readouterr().out
+    assert main([*argv, "--betas", ",".join(repr(float(b)) for b in betas)]) == 0
+    assert capsysbinary.readouterr().out == default
+
+
 def test_fit_unreachable_regime_is_runtime_error(capsys):
     rc = main(["fit", "--n", "200", "--na", "50", "--z", "1", "--regime", "high"])
     assert rc == 1
@@ -207,6 +218,23 @@ def test_oracle_check_ok(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.count("OK") == 2
+
+
+def test_oracle_check_builds_one_correlation_matrix(monkeypatch, capsys):
+    # the entropy reads the leading N_A x N_A blocks of the full chain's matrix
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    build = eechain.cli.build_correlation_matrix
+    monkeypatch.setattr(eechain.cli, "build_correlation_matrix", counted)
+    argv = ["oracle-check", "--n", "5", "--na", "3", "--z", "3", "--mass", "0.5",
+            "--beta", "2", "--theta", "0.25"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("OK") == 2
+    assert len(calls) == 1
 
 
 def test_oracle_check_rejects_large_chain(capsys):
@@ -541,6 +569,8 @@ def _argvs(draw):
 @example(["fit", "--n", "64", "--na", "40", "--z", "300", "--regime", "low"])
 @example(["fit", "--n", "64", "--na", "40", "--z", "300", "--regime", "high"])
 @example(["oracle-check", "--n", "4", "--na", "2", "--z", "1", "--mass", "0.5", "--beta", "1e308"])
+# an N whose N*N overflows an int64: a bare OverflowError before N was bounded
+@example(["ee", "--n", "1" + "0" * 30, "--na", "4", "--z", "1"])
 def test_any_argv_exits_cleanly(argv):
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     err = io.StringIO()

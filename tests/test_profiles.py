@@ -19,6 +19,8 @@ from eechain import (
 )
 from eechain.blas import openblas_threads
 from eechain.lattice import (
+    MAX_CHAIN_SITES,
+    _below_node_range,
     _block_entries,
     _mode_weights,
     _partial_dft,
@@ -314,3 +316,27 @@ def test_finite_size_central_charge_at_large_n():
     law = [cft_reference("finite_size", {"n": n, "na": na, "c": 1.0}) for na in nas]
     c = np.polyfit(law, [row.entropy for row in table.rows], 1)[0]
     assert c == pytest.approx(2.0, abs=0.05)
+
+
+@pytest.mark.parametrize("z", [1, 3])
+def test_fermi_sea_closed_form_at_the_largest_chain(z):
+    # at N = MAX_CHAIN_SITES every integer phase product is below 2^63; the
+    # entries match Peschel's geometric sum in 40-digit arithmetic
+    n, theta = MAX_CHAIN_SITES, 0.25
+    d = np.array([0, 1, 2, 999, n // 3, n // 2, n - 2, n - 1])
+    spec = LatticeSpec(n_sites=n, z_exponent=z, boundary_phase=theta)
+    same, cross = _block_entries(spec, INF, d)
+    lo, hi = _below_node_range(n, theta)
+    length = hi - lo
+    with mpmath.workdps(40):
+        for entry, dist in zip(same, map(int, d)):
+            twist = mpmath.expjpi(2 * mpmath.mpf(theta) * dist / n)
+            if dist == 0:
+                p = mpmath.mpf(n - 2 * length) / (2 * n)
+            else:
+                phi = 2 * mpmath.pi * dist / n
+                p = -mpmath.expj(phi * (lo + mpmath.mpf(length - 1) / 2)) * (
+                    mpmath.sin(length * phi / 2) / (n * mpmath.sin(phi / 2))
+                )
+            assert abs(entry - complex(twist * p)) <= 1e-16
+    assert not cross.any()

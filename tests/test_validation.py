@@ -15,10 +15,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import eechain
 from eechain import (
+    CorrelationMatrix,
     EechainError,
+    EigenvalueOutOfRange,
+    EntropyPoint,
     InvalidParameter,
     LatticeSpec,
+    NotHermitian,
+    SweepTable,
     bogoliubov_angle,
     build_correlation_matrix,
     cft_reference,
@@ -27,17 +33,24 @@ from eechain import (
     ee_cmera,
     emit_plot,
     energy_density,
+    entanglement_entropy,
     entropy_of,
+    fit_high_temperature,
+    fit_low_temperature,
     g_closed_form,
     g_from_phi_numeric,
     geodesic_length,
     geodesic_length_massive,
+    hermitian_eigenvalues,
     many_body_state,
+    metric_guu,
     minimizing_angle,
     reduced_entropy,
     regime_scales,
     sweep_entropy,
+    validate_beta,
 )
+from eechain.lattice import MAX_CHAIN_SITES
 
 SPEC = LatticeSpec(n_sites=8, z_exponent=1, mass=0.5)
 ORACLE_SPEC = LatticeSpec(n_sites=3, z_exponent=1, mass=0.5)
@@ -97,8 +110,8 @@ def _geodesic_length(g_const=1.0, length=2.0, eps=1.0):
     return geodesic_length(g_const, length, eps)
 
 
-def _geodesic_length_massive(z=1, m=0.3, cutoff=1.0, length=2.0, eps=1.0, n_points=101):
-    return geodesic_length_massive(z, m, cutoff, length, eps, n_points)
+def _geodesic_length_massive(z=1, m=0.3, cutoff=1.0, length=2.0, eps=1.0):
+    return geodesic_length_massive(z, m, cutoff, length, eps)
 
 
 def _ee_cmera(z=1, length=2.0, eps=1.0, c=2.0):
@@ -133,6 +146,44 @@ def _default_high_temperature_betas(z=2, na=60, eps=1.0):
     return default_high_temperature_betas(z, na, eps)
 
 
+def _validate_beta(beta=2.0):
+    return validate_beta(beta)
+
+
+def _metric_guu(u=0.0, z=1, m=0.3, cutoff=1.0):
+    return metric_guu(u, z, m, cutoff)
+
+
+def _entanglement_entropy(c0=0.2, c1=0.7):
+    return entanglement_entropy([c0, c1])
+
+
+def _correlation_matrix(p=0.1, c=0.2):
+    return CorrelationMatrix(same=[[p]], cross=[[c]]).entries
+
+
+def _hermitian_eigenvalues(p=0.1, c=0.2):
+    return hermitian_eigenvalues(CorrelationMatrix(same=[[p]], cross=[[c]]))
+
+
+# z = 1 rows of one site: eight in the low-T window x = 1/beta < 0.3, and
+# eight unsaturated ones in the high-T window x > 3
+FIT_TABLE = SweepTable(
+    rows=tuple(
+        EntropyPoint(1, float(beta), 8, 1, 1.0, 0.0, 0.5 + 0.1 / beta)
+        for beta in (*np.geomspace(4.0, 40.0, 8), *np.geomspace(0.01, 0.3, 8))
+    )
+)
+
+
+def _fit_low_temperature(z=1):
+    return fit_low_temperature(FIT_TABLE, z)
+
+
+def _fit_high_temperature(z=1):
+    return fit_high_temperature(FIT_TABLE, z)
+
+
 ENTRY_POINTS = {
     "LatticeSpec": _lattice_spec,
     "entropy_of": _entropy_of,
@@ -152,6 +203,33 @@ ENTRY_POINTS = {
     "cft_thermal": _cft_thermal,
     "default_low_temperature_betas": _default_low_temperature_betas,
     "default_high_temperature_betas": _default_high_temperature_betas,
+    "validate_beta": _validate_beta,
+    "metric_guu": _metric_guu,
+    "entanglement_entropy": _entanglement_entropy,
+    "CorrelationMatrix": _correlation_matrix,
+    "hermitian_eigenvalues": _hermitian_eigenvalues,
+    "fit_low_temperature": _fit_low_temperature,
+    "fit_high_temperature": _fit_high_temperature,
+}
+
+# The public names that are not in ENTRY_POINTS, with the reason.
+NOT_ENTRY_POINTS = {
+    "EntropyPoint": "a record of one computed entropy; the library builds it",
+    "FitResult": "a record the fits return",
+    "FockState": "a record many_body_state returns",
+    "ModeGrid": "a record build_mode_grid returns",
+    "SweepTable": "a record of EntropyPoints that sweeps and parse_table return",
+    "backend_name": "takes no argument",
+    "build_mode_grid": "takes a LatticeSpec alone, whose fields are checked",
+    "single_particle_hamiltonian": "takes a LatticeSpec alone, whose fields are checked",
+    "mode_correlators": "takes a FockState alone, which many_body_state built",
+    "cft_reference": "in ENTRY_POINTS as cft_finite_size and cft_thermal, one per key set",
+    "emit_table": "takes a SweepTable; an unknown format raises IoError (test_output)",
+    "parse_table": "reads table text; malformed text raises IoError (test_output)",
+    # test_non_numeric_arrays_raise_invalid_parameter checks their array
+    # kinds; an infinite sample still ends in a RuntimeWarning, not a typed error
+    "energy_density": "non-finite samples are not refused yet",
+    "g_from_phi_numeric": "non-finite samples are not refused yet",
 }
 
 # calls that must raise InvalidParameter; all but the two
@@ -172,7 +250,7 @@ BAD_CALLS = [
     ("regime_scales", {"na": True}),
     ("sweep_entropy", {"jobs": 2.5}),
     ("sweep_entropy", {"jobs": "2"}),
-    ("geodesic_length_massive", {"n_points": 2.5}),
+    ("geodesic_length_massive", {"cutoff": 0.0}),
     ("geodesic_length_massive", {"m": -1.0}),
     ("bogoliubov_angle", {"k": "x", "z": 1, "m": 0}),
     ("bogoliubov_angle", {"k": 1.0, "z": "x", "m": 0}),
@@ -201,6 +279,21 @@ BAD_CALLS = [
     ("default_high_temperature_betas", {"z": True}),
     ("default_high_temperature_betas", {"na": 0}),
     ("default_high_temperature_betas", {"eps": -1}),
+    # an N whose N*N does not fit an int64: a bare OverflowError or
+    # ValueError, or wrapped phases at N = 3037000500
+    ("LatticeSpec", {"n_sites": 10**400}),
+    ("LatticeSpec", {"n_sites": 2**70}),
+    ("LatticeSpec", {"n_sites": MAX_CHAIN_SITES + 1}),
+    # a bool spectrum read as 1 and 0; a bare ValueError and TypeError
+    ("entanglement_entropy", {"c0": True, "c1": False}),
+    ("entanglement_entropy", {"c0": "a"}),
+    ("entanglement_entropy", {"c0": 0.5 + 0j}),
+    # a bool block read as 1, or a string block
+    ("CorrelationMatrix", {"p": True}),
+    ("hermitian_eigenvalues", {"c": "x"}),
+    # the fits took True and 1.0 for z = 1
+    ("fit_low_temperature", {"z": True}),
+    ("fit_high_temperature", {"z": 1.0}),
 ]
 
 
@@ -208,6 +301,74 @@ BAD_CALLS = [
 def test_bad_input_raises_invalid_parameter(name, kwargs):
     with pytest.raises(InvalidParameter):
         ENTRY_POINTS[name](**kwargs)
+
+
+def test_every_public_callable_is_an_entry_point_or_exempt():
+    # every function and non-exception class eechain exports checks its
+    # input by the rules above, or is listed with the reason it has none
+    public = {
+        name for name in eechain.__all__
+        if callable(obj := getattr(eechain, name))
+        and not (isinstance(obj, type) and issubclass(obj, Exception))
+    }
+    assert public - set(ENTRY_POINTS) == set(NOT_ENTRY_POINTS)
+
+
+def test_largest_chain_keeps_the_fermi_sea_closed_form():
+    # N*N < 2^63 at the largest N: a massless ground state needs no mode grid
+    largest, smaller = (
+        entropy_of(LatticeSpec(n, 1, boundary_phase=0.25), math.inf, range(200))
+        for n in (MAX_CHAIN_SITES, 10**9)
+    )
+    assert largest.n == MAX_CHAIN_SITES
+    assert abs(largest.entropy - smaller.entropy) < 1e-12
+
+
+@pytest.mark.parametrize("eigs", [[0.5, math.nan], [math.nan]])
+def test_spectrum_with_nan_raises_out_of_range(eigs):
+    # NaN passed the old range check and read as a pure mode: S = 0
+    with pytest.raises(EigenvalueOutOfRange):
+        entanglement_entropy(eigs)
+
+
+@pytest.mark.parametrize("eigs", [[[0.2, 0.3]], 0.5])
+def test_spectrum_that_is_not_1d_raises_invalid_parameter(eigs):
+    with pytest.raises(InvalidParameter):
+        entanglement_entropy(eigs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("block", ["same", "cross"])
+def test_non_finite_block_raises_not_hermitian(bad, block):
+    # a NaN asymmetry failed no `asym > tol` test, and the NaN spectrum read S = 0
+    blocks = {"same": np.full((2, 2), 0.1), "cross": np.zeros((2, 2))}
+    blocks[block][0, 1] = blocks[block][1, 0] = bad
+    with pytest.raises(NotHermitian):
+        hermitian_eigenvalues(CorrelationMatrix(**blocks))
+
+
+@pytest.mark.parametrize(
+    "same, cross",
+    [
+        (np.zeros((1, 3)), np.zeros((1, 3))),  # read as the spectrum [0.5, 0.5]
+        (np.zeros((2, 2)), np.zeros((3, 3))),
+        (np.zeros(2), np.zeros(2)),
+        (np.zeros((0, 0)), np.zeros((0, 0))),
+        ([[None]], [[0.0]]),
+    ],
+)
+def test_blocks_not_square_numeric_of_one_shape_raise_invalid_parameter(same, cross):
+    with pytest.raises(InvalidParameter):
+        CorrelationMatrix(same=same, cross=cross)
+
+
+def test_list_blocks_are_held_as_arrays():
+    # list blocks raised a bare AttributeError in the eigensolve
+    p, c = [[0.1, 0.05j], [-0.05j, 0.1]], [[0.2, 0.0], [0.0, 0.2]]
+    listed = CorrelationMatrix(same=p, cross=c)
+    arrays = CorrelationMatrix(same=np.array(p), cross=np.array(c))
+    assert np.array_equal(hermitian_eigenvalues(listed), hermitian_eigenvalues(arrays))
+    assert np.array_equal(listed.entries, arrays.entries)
 
 
 @pytest.mark.parametrize("subsystem", [5, None, 2.0])
