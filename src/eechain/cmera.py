@@ -63,6 +63,21 @@ def _interval(length, eps):
     return length, eps
 
 
+def _finite_samples(name, values):
+    """values as a float array, if they are finite real numbers."""
+    samples = validate_real_array(name, values)
+    if not np.isfinite(samples).all():
+        raise InvalidParameter(f"{name} must be finite, got {values!r}")
+    return samples
+
+
+def _finite_result(name, value):
+    """value, if every entry of it is finite: finite samples can overflow."""
+    if not np.isfinite(value).all():
+        raise InvalidParameter(f"{name} overflows a float on these samples")
+    return value
+
+
 def _mixing_angle(k, z, m):
     """atan2(k^z, m) for m > 0: pi/2 where k^z overflows, 0 where it underflows."""
     with np.errstate(over="ignore"):
@@ -125,8 +140,8 @@ def g_from_phi_numeric(u_values, phi_values):
     The grid must be uniform and at least 100 points per decade of scale
     (du <= ln(10)/100), else InsufficientSampling.
     """
-    u = validate_real_array("u_values", u_values)
-    phi = validate_real_array("phi_values", phi_values)
+    u = _finite_samples("u_values", u_values)
+    phi = _finite_samples("phi_values", phi_values)
     if u.ndim != 1 or u.shape != phi.shape or u.size < 5:
         raise InsufficientSampling("profile must be 1-d with at least 5 samples")
     steps = np.diff(u)
@@ -138,16 +153,21 @@ def g_from_phi_numeric(u_values, phi_values):
             f"grid spacing {du:.4g} coarser than "
             f"{MIN_POINTS_PER_DECADE} points per decade"
         )
-    return -phi + _derivative_uniform(phi, du)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_result("g", -phi + _derivative_uniform(phi, du))
 
 
 def energy_density(k_values, phi_values, z, m):
-    """Trapezoid quadrature of (1/2pi) [(-k)^z cos 2phi - m sin 2phi] dk."""
+    """Trapezoid quadrature of (1/2pi) [(-k)^z cos 2phi - m sin 2phi] dk
+    over finite samples of one shape."""
     z, m = _model(z, m)
-    k = validate_real_array("k_values", k_values)
-    phi = validate_real_array("phi_values", phi_values)
-    integrand = (-k) ** z * np.cos(2.0 * phi) - m * np.sin(2.0 * phi)
-    return float(np.trapezoid(integrand, k) / (2.0 * np.pi))
+    k = _finite_samples("k_values", k_values)
+    phi = _finite_samples("phi_values", phi_values)
+    if k.shape != phi.shape:
+        raise InvalidParameter(f"k_values and phi_values differ in shape: {k.shape}, {phi.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = (-k) ** z * np.cos(2.0 * phi) - m * np.sin(2.0 * phi)
+        return float(_finite_result("energy density", np.trapezoid(integrand, k) / (2.0 * np.pi)))
 
 
 def metric_guu(u, z, m, cutoff=1.0):

@@ -26,11 +26,24 @@ symmetric, p[-d] = conj(p[d]), so the block reads p and q only at the
 distinct |d| its site pairs span.  Only those are computed, and the block
 entries from them at each |d|; the entry at -|d| is the conjugate of the
 one at +|d|, and each N_A x N_A block is one gather of those.  Each
-profile takes one of three paths:
+profile takes one of four paths:
 
 * massless ground state: no mode grid at all.  Even z gives the exact
   delta p[d] = delta_{d0}/2.  Odd z gives Peschel's Fermi-sea correlator
   in closed form (see _fermi_sea_profile): O(1) per entry.
+* short chain, for a massive or thermal point at d < SHORT_CHAIN_DISTANCES
+  = D: the entries of an M-site chain with the same z, m, eps and theta,
+  where M, the smallest even 5-smooth length >= D + c/a, is below N (see
+  _short_chain_sites).  There F and G are analytic and periodic in
+  t = k*eps, the sum over the modes is the trapezoid rule, and by Poisson
+  summation an N-site entry differs from the infinite chain's only by
+  aliases from d - N, which decay as e^{-a(N - d)}; a is the distance of
+  the nearest singularity of the weights from the real t axis.  The
+  aliases of the M-site chain are below K e^{-c} at every d < D, with
+  c = SHORT_CHAIN_MARGIN = 40 and K < 7, under 3e-17: so its entries are
+  the N-site ones to rounding, and a massive or thermal entry no longer
+  depends on N once M < N.  The M-site chain takes one of the two paths
+  below, by its own M.
 * partial DFT, where N is large or has a large prime factor
   (_uses_partial_dft): a sqrt(K)-split DFT over the K distinct modes in
   fixed blocks of PROFILE_BLOCK site differences, O(K) per block (see
@@ -45,15 +58,16 @@ profile takes one of three paths:
   such weights (its one-sided node filling breaks the symmetry), which
   is one more reason it keeps its closed form.
 * FFT, at every other N: fourier_profile, one real-input FFT per weight
-  array unfolded to length N, O(N log N).  At theta in {0, 1/2} the
-  same symmetry holds, but the transform of all N weights leaves the
-  parts it forbids (Re P for odd z, Im P for even z, Im C) as round-off
-  of about 1e-17; they are set to exact zeros after the twist.
+  array unfolded to length N, O(N log N).  The transform of all N
+  weights leaves the entries the symmetries forbid as round-off of about
+  1e-17, and they are set to exact zeros: for even N, p[d] where
+  (-1)^d != (-1)^z and q[d] at odd d; at theta in {0, 1/2}, after the
+  twist, Re P for odd z, Im P for even z, and Im C.
 
-The path depends on N, theta and the model alone, and each entry's bits
-depend on N, theta, the model and its own d alone: never on N_A or on
-which other entries the subsystem needs.  So a block of a larger matrix
-equals the matrix of the smaller subsystem bit for bit.
+The path depends on N, beta, theta and the model alone, and each entry's
+bits depend on N, beta, theta, the model and its own d alone: never on
+N_A or on which other entries the subsystem needs.  So a block of a
+larger matrix equals the matrix of the smaller subsystem bit for bit.
 
 A mode is an exact node (k*eps = 0 mod pi, so keff = 0) exactly when
 2*(theta + kappa)/N is an integer, which needs theta in {0, 1/2}.  The
@@ -65,10 +79,11 @@ are zero modes.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -139,10 +154,30 @@ def validate_real(name, value):
         raise InvalidParameter(f"{name} must fit a float") from None
 
 
+def _holds_bool(values):
+    """True if values is a bool, a bool array, or a list or tuple that nests one."""
+    if isinstance(values, (list, tuple)):
+        return any(map(_holds_bool, values))
+    return isinstance(values, (bool, np.bool_)) or (
+        isinstance(values, np.ndarray) and values.dtype.kind == "b"
+    )
+
+
+def _as_array(name, values):
+    """values as an array, if they are not ragged and hold no bool."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged nested sequence
+        raise InvalidParameter(f"{name} must be a regular array, got {values!r}") from None
+    if _holds_bool(values):  # numpy reads [True, 0.7] as floats
+        raise InvalidParameter(f"{name} must be numbers, not bools, got {values!r}")
+    return array
+
+
 def validate_real_array(name, values):
-    """values as a float array, if numpy reads them as real numbers (bools
-    not)."""
-    array = np.asarray(values)
+    """values as a float array, if numpy reads them as real numbers: no
+    bools, also among numbers, and no ragged nesting."""
+    array = _as_array(name, values)
     if array.dtype.kind not in "iuf":
         raise InvalidParameter(f"{name} must be real numbers, got {values!r}")
     return array.astype(float, copy=False)
@@ -251,7 +286,7 @@ class CorrelationMatrix:
 
     def __post_init__(self):
         for field in fields(self):  # the blocks as float or complex arrays
-            block = np.asarray(getattr(self, field.name))
+            block = _as_array(field.name, getattr(self, field.name))
             real = validate_real_array(field.name, block.real)
             object.__setattr__(self, field.name, block if np.iscomplexobj(block) else real)
         shape, cross = self.same.shape, self.cross.shape
@@ -639,19 +674,124 @@ def _partial_dft(spec: LatticeSpec, weights, distances):
     return profiles
 
 
+# Site differences below D take the short chain; the margin c sets its length.
+SHORT_CHAIN_DISTANCES = 512
+SHORT_CHAIN_MARGIN = 40.0
+
+
+def _singularity_distance(spec: LatticeSpec, beta):
+    """a: the distance from the real t = k*eps axis to the nearest
+    singularity of the weights F and G, for a massive or thermal point.
+
+    Both are functions of s = keff^(2z) + m^2, times (-keff)^z or m, with
+    keff = sin(t)/eps entire.  At finite beta tanh(beta*omega/2)/omega is
+    even in omega, so the branch points of omega cancel and the nearest
+    singularities are the n = 0 poles of tanh, at s = -(pi/beta)^2; at
+    beta = inf they are the branch points of omega, at s = 0.  Both sit
+    where keff^(2z) = -R, R = m^2 + (pi/beta)^2: at
+    sin t = eps R^(1/2z) e^{i pi (2j + 1)/(2z)}.  |Im asin(w)| grows with
+    |w - 1| + |w + 1| (its level sets are ellipses with foci +/-1), so on a
+    circle it is least nearest the real axis: at j = 0, whose angle is
+    pi/(2z).  0 where eps R^(1/2z) underflows, inf or NaN where it
+    overflows.
+    """
+    root = math.hypot(spec.mass, math.pi / beta) ** (1.0 / spec.z_exponent)  # R^(1/2z)
+    return abs(cmath.asin(spec.spacing * root * cmath.exp(0.5j * math.pi / spec.z_exponent)).imag)
+
+
+@functools.lru_cache(maxsize=4096)
+def _even_smooth_length(target):
+    """The smallest even 5-smooth integer >= target (target >= 2)."""
+    best, five = 2 * target, 1
+    while five < best:
+        odd = five
+        while odd < best:
+            # the least power of two, at least 2, with odd << shift >= target
+            shift = max(1, (-(-target // odd) - 1).bit_length())
+            best = min(best, odd << shift)
+            odd *= 3
+        five *= 5
+    return best
+
+
+def _short_chain_sites(spec: LatticeSpec, beta):
+    """M, the sites of the chain whose entries stand for the N-site ones at
+    d < D = SHORT_CHAIN_DISTANCES; None where the N-site chain keeps them.
+
+    M is the smallest even 5-smooth length >= D + c/a, with
+    c = SHORT_CHAIN_MARGIN and a = _singularity_distance.  The entries are
+    the trapezoid rule (1/2M) sum_kappa w(t_kappa) e^{i t_kappa d} over
+    t_kappa = 2 pi (kappa + theta)/M, and by Poisson summation they differ
+    from the infinite chain's P_inf[d] = (1/4 pi) int w(t) e^{itd} dt by
+    the aliases e^{-2i pi theta j} P_inf[d + jM], j != 0.  Moving the
+    contour up, P_inf[x] for x > 0 is the sum over the singularities t* in
+    the upper half plane of (i/2) Res e^{i t* x}.  At finite beta,
+    1/beta <= sqrt(R)/pi bounds each residue of F and G by
+    (2/(pi z)) |tan t*|, and the sum of |Res|/2 over the 2z nearest poles,
+    K, stayed below 0.75 on a scan of z <= 1002 and eps R^(1/2z) from 1e-3
+    to 1e3; the poles of n >= 1 lie further out.  At beta = inf each
+    branch point adds the leading term of the integral along its cut,
+    |tan t*|^(1/2) / (2 sqrt(2 pi z x)), to K, which at x >= c/a stayed
+    below 0.45 for z <= 5 and below 6.3 for z <= 1002 (eps R^(1/2z) from
+    1e-4 to 1e4).  So the largest alias, from j = -1 at distance
+    M - d > c/a, is below K e^{-c} < 7 * 4.2e-18 = 3e-17 at every d < D,
+    under a quarter of the rounding unit of an entry of size 1/2; the
+    N-site chain's own aliases are smaller still.  Halving c lets them
+    through: 4e-12 at z = 1, m = 0, beta = 1000.
+
+    M depends on z, m, eps, beta and theta alone, never on the entries
+    asked for.  The N-site chain keeps every entry of a massless ground
+    state (a closed form), and those where a is not a positive finite
+    number or where M would not be below N.
+    """
+    if spec.n_sites <= SHORT_CHAIN_DISTANCES or (spec.mass == 0.0 and math.isinf(beta)):
+        return None
+    a = _singularity_distance(spec, beta)
+    if not 0.0 < a < math.inf:
+        return None
+    target = SHORT_CHAIN_DISTANCES + SHORT_CHAIN_MARGIN / a
+    if not target < spec.n_sites:
+        return None
+    sites = _even_smooth_length(math.ceil(target))
+    return sites if sites < spec.n_sites else None
+
+
 def _block_entries(spec: LatticeSpec, beta, distances):
     """Block entries (P, C) at the site differences d >= 0 given.
 
-    P = e^{2i pi theta d/N} p[d] and C = -e^{2i pi theta d/N} q[d] for
-    0 <= d < N; the entries at -d are their conjugates (see
-    build_correlation_matrix).  The path is picked from N, theta and the
-    model alone (see the module docstring).  At theta in {0, 1/2} every
-    path with a mode grid gives P exactly imaginary (odd z) or real (even
-    z) and C exactly real.
+    P = e^{2i pi theta d/N} p[d] and C = -e^{2i pi theta d/N} q[d]
+    for 0 <= d < N; the entries at -d are their conjugates (see
+    build_correlation_matrix).  Those at d < SHORT_CHAIN_DISTANCES come
+    from the short chain where _short_chain_sites gives one, and every
+    other from _chain_entries of the N-site chain.
     """
     beta = validate_beta(beta)
-    n = spec.n_sites
     distances = np.asarray(distances, dtype=np.int64)
+    sites = _short_chain_sites(spec, beta)
+    if sites is None:
+        return _chain_entries(spec, beta, distances)
+    short_chain = replace(spec, n_sites=sites)
+    short = distances < SHORT_CHAIN_DISTANCES
+    if short.all():
+        return _chain_entries(short_chain, beta, distances)
+    same = np.empty(distances.size, dtype=complex)
+    cross = np.empty(distances.size, dtype=complex)
+    for chain, wanted in ((short_chain, short), (spec, ~short)):
+        if wanted.any():
+            same[wanted], cross[wanted] = _chain_entries(chain, beta, distances[wanted])
+    return same, cross
+
+
+def _chain_entries(spec: LatticeSpec, beta, distances):
+    """Block entries (P, C) of the N-site chain itself, at a validated beta
+    and int64 distances d >= 0.
+
+    The path is picked from N, theta and the model alone (see the module
+    docstring).  At theta in {0, 1/2} every path with a mode grid gives P
+    exactly imaginary (odd z) or real (even z) and C exactly real, and
+    for even N p[d] is exactly 0 where (-1)^d != (-1)^z and q[d] at odd d.
+    """
+    n = spec.n_sites
     massive = spec.mass > 0
     zeros = np.zeros(distances.size, dtype=complex)
     closed_form = not massive and math.isinf(beta)
@@ -674,6 +814,12 @@ def _block_entries(spec: LatticeSpec, beta, distances):
             p = fourier_profile(_unfolded(spec, f, sign))[distances]
             del f  # lowers the peak memory of the second transform
             q = fourier_profile(_unfolded(spec, g, 1.0))[distances] if massive else zeros
+            if n % 2 == 0:
+                # the round-off the transform leaves where the even-N
+                # parity rule (see _partial_dft) makes p and q vanish
+                odd = distances % 2 == 1
+                p[odd != (sign < 0)] = 0.0
+                q[odd] = 0.0
     twist = np.exp(2j * np.pi * spec.boundary_phase * distances / n)
     same, cross = twist * p, -twist * q
     if not closed_form and spec.boundary_phase in (0.0, 0.5):

@@ -2,10 +2,16 @@
 
 The CLI prints 12 significant digits, so its byte pins cannot show an
 entropy moving in its last bits.  These pin float.hex of the entropy
-itself: the FFT at theta = 0, 1/2 and a generic theta, the partial DFT at
-a generic theta and mirrored at theta in {0, 1/2} (even and odd N), the
-Fermi-sea closed form, the even-z delta and one sweep row.  Like the CLI
-digests they were taken under one numpy version and skip under another.
+itself.  The points named after the FFT (theta = 0, 1/2 and generic) and
+the partial DFT (generic theta, and mirrored at theta in {0, 1/2} at even
+and odd N) were first pinned on those N-site paths; being massive and
+thermal, they now take the short chain, an FFT at M = 600 to 648 sites.
+The N-site FFT and the mirrored partial DFT keep a pin each at a
+correlation length too long for a short chain, and one point spans both
+a short chain (d < 512) and the N-site FFT (d >= 512).  The Fermi-sea
+closed form, the even-z delta and one sweep row complete the set.  Like
+the CLI digests they were taken under one numpy version and skip under
+another.
 """
 
 import math
@@ -23,19 +29,27 @@ pytestmark = pytest.mark.skipif(
     reason=f"entropies were pinned under numpy {NUMPY_VERSION}",
 )
 
-# Re-pinned when odd-z spectra at theta in {0, 1/2} became a real SVD of
-# Im P + Re C (the FFT path drops its round-off parts first): S moved by
-# -6.7e-14 (fft-theta0), -6.7e-15 (fft-theta-half), +5.4e-14
-# (partial-dft-mirrored-even-n) and -3.5e-14, -2.7e-14 (the sweep rows).
+# Re-pinned when the short chain came in, and the FFT path set the entries
+# the even-N parity rule forbids (round-off of about 1e-17) to exact zeros.
+# Both change the blocks by round-off only, and S moves by what crosses
+# PURE_SNAP: the parity zeros alone moved fft-theta0, fft-theta-half and
+# fft-generic-theta by +1.4e-13, -1.4e-13 and -1.5e-13; with the short
+# chain they moved by +3.2e-13, +1.8e-13, -1.5e-13, the three partial-DFT
+# points by -5.7e-14 (generic theta), -9.0e-14 (even N) and +1.9e-14 (odd
+# N), and the sweep rows by -3.1e-14 and -2.9e-15.  The last three pins
+# are new.
 POINTS = {  # name: (N, z, m, beta, theta, N_A), S as float.hex
-    "fft-theta0": ((2000, 3, 0.3, 50.0, 0.0, 160), "0x1.5a6856abfc585p+0"),
-    "fft-theta-half": ((2000, 5, 0.2, 100.0, 0.5, 40), "0x1.8cf69a31b8488p+0"),
-    "fft-generic-theta": ((2000, 1, 0.5, 10.0, 0.3183, 40), "0x1.eadf5a2542c8cp+0"),
-    "partial-dft-generic-theta": ((131072, 2, 0.3, 20.0, 0.25, 40), "0x1.53bed2d6adef0p+0"),
-    "partial-dft-mirrored-even-n": ((131072, 3, 0.3, 20.0, 0.0, 40), "0x1.d371c3eb980c5p+0"),
-    "partial-dft-mirrored-odd-n": ((100003, 2, 0.3, 20.0, 0.5, 40), "0x1.53bed2d6add4ap+0"),
+    "fft-theta0": ((2000, 3, 0.3, 50.0, 0.0, 160), "0x1.5a6856abfcb36p+0"),
+    "fft-theta-half": ((2000, 5, 0.2, 100.0, 0.5, 40), "0x1.8cf69a31b87a0p+0"),
+    "fft-generic-theta": ((2000, 1, 0.5, 10.0, 0.3183, 40), "0x1.eadf5a25429ffp+0"),
+    "partial-dft-generic-theta": ((131072, 2, 0.3, 20.0, 0.25, 40), "0x1.53bed2d6addeep+0"),
+    "partial-dft-mirrored-even-n": ((131072, 3, 0.3, 20.0, 0.0, 40), "0x1.d371c3eb97f2ep+0"),
+    "partial-dft-mirrored-odd-n": ((100003, 2, 0.3, 20.0, 0.5, 40), "0x1.53bed2d6add9ep+0"),
     "fermi-sea": ((100003, 3, 0.0, INF, 0.25, 40), "0x1.f4a7a2fb27245p+1"),
     "even-z-delta": ((2000, 2, 0.0, INF, 0.0, 40), "0x0.0p+0"),
+    "n-site-fft": ((2000, 1, 0.0, 1000.0, 0.3183, 40), "0x1.f4dffe3d7af9dp+1"),
+    "n-site-partial-dft": ((131072, 1, 0.0, 1e5, 0.0, 40), "0x1.f4a7a6822da14p+1"),
+    "short-chain-and-n-site": ((2000, 1, 0.5, 10.0, 0.3183, 530), "0x1.530c059b7d5f0p+3"),
 }
 
 
@@ -48,5 +62,5 @@ def test_entropy_bits_unchanged(name):
 
 def test_sweep_row_bits_unchanged():
     table = sweep_entropy((1,), (50.0,), (16, 40), n_sites=2000, mass=0.3, boundary_phase=0.5)
-    pinned = ["0x1.a69e20378f3a1p+0", "0x1.a6a019eb18857p+0"]
+    pinned = ["0x1.a69e20378f316p+0", "0x1.a6a019eb1884ap+0"]
     assert [row.entropy.hex() for row in table.rows] == pinned

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import eechain.lattice
 from eechain import (
     DuplicateSite,
     InvalidParameter,
@@ -358,8 +359,10 @@ def test_block_entries_depend_only_on_their_site_pair(z, mass, beta, theta):
 
 
 def _own_profiles(spec, beta, distances):
-    """p and q at the d >= 0 given, from the profile function of each path:
-    the delta, the Fermi sea, the partial DFT or FFTs of the unfolded weights."""
+    """p and q at the d >= 0 given, from the profile function of each path
+    of the N-site chain: the delta, the Fermi sea, the partial DFT or FFTs
+    of the unfolded weights, whose round-off at the d the even-N parity
+    rule forbids is dropped."""
     n, z = spec.n_sites, spec.z_exponent
     zeros = np.zeros(distances.size, dtype=complex)
     if spec.mass == 0.0 and beta == INF:
@@ -372,16 +375,21 @@ def _own_profiles(spec, beta, distances):
         p, q = _partial_dft(spec, weights, distances)
     else:
         p, q = (fourier_profile(_unfolded(spec, w, s))[distances] for w, s in weights)
+        if n % 2 == 0:
+            p[distances % 2 != z % 2] = 0.0
+            q[distances % 2 == 1] = 0.0
     return p, q if spec.mass > 0 else zeros
 
 
 @SPARSE_BLOCK_CASES
-def test_blocks_equal_the_entrywise_formula(z, mass, beta, theta):
+def test_blocks_equal_the_entrywise_formula(z, mass, beta, theta, monkeypatch):
     # bit for bit: P = e^{2i pi theta d/N} p[d] and C = -e^{2i pi theta d/N} q[d]
     # at d = |j - i|, and at d < 0 the conjugate of the entry at -d.  At
     # theta in {0, 1/2} the partial DFT gives p and q twisted, and the FFT
     # path keeps only the imaginary (odd z) or real (even z) part of P and
-    # the real part of C
+    # the real part of C.  The N-site chain gives every entry here: with
+    # D = 0 no d takes the short chain (tests/test_short_chain.py checks it)
+    monkeypatch.setattr(eechain.lattice, "SHORT_CHAIN_DISTANCES", 0)
     for spec, sites, corr in _sparse_blocks(z, mass, beta, theta):
         d = np.subtract.outer(sites, sites).T  # d[a, b] = j - i
         p, q = (x.reshape(d.shape) for x in _own_profiles(spec, beta, np.abs(d).ravel()))

@@ -22,8 +22,10 @@ from eechain.lattice import (
     MAX_CHAIN_SITES,
     _below_node_range,
     _block_entries,
+    _chain_entries,
     _mode_weights,
     _partial_dft,
+    _short_chain_sites,
     _unfolded,
     _uses_partial_dft,
     fourier_profile,
@@ -136,7 +138,8 @@ def test_partial_dft_leaves_the_weights_alone():
 def test_mirrored_entries_are_exactly_real_or_imaginary(n_sites, theta, z, mass, beta):
     # F(-k) = (-1)^z F(k) and G(-k) = G(k): the twisted p is imaginary for
     # odd z and real for even z, the twisted q real; for even N, p vanishes
-    # at the d of the other parity than z, q at odd d; all exactly
+    # at the d of the other parity than z, q at odd d; all exactly.  So do
+    # the entries of the short chain, whose M is even, at odd N too
     spec = LatticeSpec(n_sites=n_sites, z_exponent=z, mass=mass, boundary_phase=theta)
     corr = build_correlation_matrix(spec, beta, range(40))
     same, cross = corr.same, corr.cross
@@ -145,7 +148,7 @@ def test_mirrored_entries_are_exactly_real_or_imaginary(n_sites, theta, z, mass,
     d = np.subtract.outer(np.arange(40), np.arange(40))
     # for odd z, p[0] is a sine series at d = 0: exactly 0 as well
     live = d != 0 if z % 2 else np.full(d.shape, True)
-    if n_sites % 2 == 0:
+    if n_sites % 2 == 0 or _short_chain_sites(spec, beta) is not None:
         live &= d % 2 == z % 2
         assert not cross[d % 2 == 1].any()
     assert not same[~live].any()
@@ -160,13 +163,14 @@ def test_mirrored_entries_are_exactly_real_or_imaginary(n_sites, theta, z, mass,
     [(1, 0.3, 50.0), (2, 0.3, 50.0), (3, 0.0, 20.0), (4, 0.0, 20.0), (5, 0.5, INF)],
 )
 def test_fft_entries_drop_only_round_off_at_theta_0_and_half(n_sites, theta, z, mass, beta):
-    # the same symmetry on the FFT path: the transform of the unfolded
-    # weights leaves the parts it forbids as round-off, and the block
-    # entries hold them as exact zeros and the other parts as the FFT's bits
+    # the same symmetry on the FFT path of the N-site chain: the transform
+    # of the unfolded weights leaves the parts it forbids as round-off, and
+    # the block entries hold them as exact zeros and the other parts as the
+    # FFT's bits.  For even N so are the entries the parity rule forbids
     assert not _uses_partial_dft(n_sites)
     spec = LatticeSpec(n_sites=n_sites, z_exponent=z, mass=mass, boundary_phase=theta)
     d = np.arange(450)
-    same, cross = _block_entries(spec, beta, d)
+    same, cross = _chain_entries(spec, beta, d)
     f, g = _mode_weights(spec, beta)
     p = _twist(spec, d) * fourier_profile(_unfolded(spec, f, (-1.0) ** z))[d]
     q = _twist(spec, d) * fourier_profile(_unfolded(spec, g, 1.0))[d]
@@ -174,8 +178,13 @@ def test_fft_entries_drop_only_round_off_at_theta_0_and_half(n_sites, theta, z, 
     assert np.abs(dropped(p)).max() <= 1e-16
     assert np.abs(q.imag).max() <= 1e-16
     assert not dropped(same).any() and not cross.imag.any()
-    assert np.array_equal(kept(same), kept(p))
-    assert np.array_equal(cross.real, -q.real)
+    live_p = d % 2 == z % 2 if n_sites % 2 == 0 else np.full(d.size, True)
+    live_q = d % 2 == 0 if n_sites % 2 == 0 else np.full(d.size, True)
+    assert np.abs(p[~live_p]).max(initial=0.0) <= 1e-16
+    assert np.abs(q[~live_q]).max(initial=0.0) <= 1e-16
+    assert not same[~live_p].any() and not cross[~live_q].any()
+    assert np.array_equal(kept(same)[live_p], kept(p)[live_p])
+    assert np.array_equal(cross.real[live_q], -q.real[live_q])
 
 
 @pytest.mark.parametrize("n_sites", [1_000_000, 1_000_003])
@@ -294,10 +303,10 @@ def test_small_chain_keeps_the_fft(monkeypatch):
 
     monkeypatch.setattr(eechain.lattice, "fourier_profile", counting)
     spec = LatticeSpec(n_sites=2000, mass=0.3)
-    build_correlation_matrix(spec, 50.0, range(450))
+    _chain_entries(spec, 50.0, np.arange(450))
     assert calls == [2000, 2000]
     calls.clear()
-    build_correlation_matrix(LatticeSpec(n_sites=100_003, mass=0.3), 50.0, range(64))
+    _chain_entries(LatticeSpec(n_sites=100_003, mass=0.3), 50.0, np.arange(64))
     assert calls == []
 
 

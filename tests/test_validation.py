@@ -166,6 +166,18 @@ def _hermitian_eigenvalues(p=0.1, c=0.2):
     return hermitian_eigenvalues(CorrelationMatrix(same=[[p]], cross=[[c]]))
 
 
+def _energy_density(k0=-1.0, k1=1.0, phi0=0.3, phi1=0.2, z=1, m=0.3):
+    return energy_density([k0, k1], [phi0, phi1], z, m)
+
+
+# a uniform grid of 8 samples whose first one, u0, is an argument
+U_TAIL = tuple(-1.0 + 0.01 * i for i in range(1, 8))
+
+
+def _g_from_phi_numeric(u0=-1.0, phi0=0.3):
+    return g_from_phi_numeric([u0, *U_TAIL], [phi0, *(0.3 + 0.1 * u for u in U_TAIL)])
+
+
 # z = 1 rows of one site: eight in the low-T window x = 1/beta < 0.3, and
 # eight unsaturated ones in the high-T window x > 3
 FIT_TABLE = SweepTable(
@@ -210,6 +222,8 @@ ENTRY_POINTS = {
     "hermitian_eigenvalues": _hermitian_eigenvalues,
     "fit_low_temperature": _fit_low_temperature,
     "fit_high_temperature": _fit_high_temperature,
+    "energy_density": _energy_density,
+    "g_from_phi_numeric": _g_from_phi_numeric,
 }
 
 # The public names that are not in ENTRY_POINTS, with the reason.
@@ -226,10 +240,6 @@ NOT_ENTRY_POINTS = {
     "cft_reference": "in ENTRY_POINTS as cft_finite_size and cft_thermal, one per key set",
     "emit_table": "takes a SweepTable; an unknown format raises IoError (test_output)",
     "parse_table": "reads table text; malformed text raises IoError (test_output)",
-    # test_non_numeric_arrays_raise_invalid_parameter checks their array
-    # kinds; an infinite sample still ends in a RuntimeWarning, not a typed error
-    "energy_density": "non-finite samples are not refused yet",
-    "g_from_phi_numeric": "non-finite samples are not refused yet",
 }
 
 # calls that must raise InvalidParameter; all but the two
@@ -294,6 +304,20 @@ BAD_CALLS = [
     # the fits took True and 1.0 for z = 1
     ("fit_low_temperature", {"z": True}),
     ("fit_high_temperature", {"z": 1.0}),
+    # a ragged nested sequence: a bare ValueError from np.asarray
+    ("entanglement_entropy", {"c0": [0.5], "c1": [0.5, 0.2]}),
+    ("bogoliubov_angle", {"k": [[1.0, 2.0], [1.0]]}),
+    ("CorrelationMatrix", {"p": [0.1, [0.2]]}),
+    # a bool among numbers, read as 1.0
+    ("entanglement_entropy", {"c0": True}),
+    ("bogoliubov_angle", {"k": [True, 2.0]}),
+    # non-finite samples: RuntimeWarnings and NaN; huge ones overflowed
+    ("energy_density", {"k0": math.inf}),
+    ("energy_density", {"phi1": math.nan}),
+    ("energy_density", {"k0": -1e308}),
+    ("g_from_phi_numeric", {"u0": math.inf}),
+    ("g_from_phi_numeric", {"phi0": math.nan}),
+    ("g_from_phi_numeric", {"phi0": -1e308}),
 ]
 
 
@@ -369,6 +393,20 @@ def test_list_blocks_are_held_as_arrays():
     arrays = CorrelationMatrix(same=np.array(p), cross=np.array(c))
     assert np.array_equal(hermitian_eigenvalues(listed), hermitian_eigenvalues(arrays))
     assert np.array_equal(listed.entries, arrays.entries)
+
+
+@pytest.mark.parametrize(
+    "same",
+    [
+        [[0.1, True], [True, 0.1]],  # read as 1.0
+        [[0.1, np.True_], [np.True_, 0.1]],
+        [np.array([True, False]), [0.5, 0.1]],
+        [[0.1, 0.2], [0.2]],  # ragged: a bare ValueError
+    ],
+)
+def test_blocks_with_bools_or_ragged_rows_raise_invalid_parameter(same):
+    with pytest.raises(InvalidParameter):
+        CorrelationMatrix(same=same, cross=np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("subsystem", [5, None, 2.0])
