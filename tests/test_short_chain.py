@@ -17,6 +17,7 @@ import eechain.lattice
 from eechain import LatticeSpec, entropy_of
 from eechain.lattice import (
     SHORT_CHAIN_DISTANCES,
+    SHORT_CHAIN_MARGIN,
     _block_entries,
     _chain_entries,
     _even_smooth_length,
@@ -82,7 +83,7 @@ def test_short_chain_equals_the_n_site_chain_at_large_z(theta, z, mass, beta):
 
 def test_halved_margin_fails_the_comparison(monkeypatch):
     # a planted M from c/2: the aliases at d near D come through
-    monkeypatch.setattr(eechain.lattice, "SHORT_CHAIN_MARGIN", eechain.lattice.SHORT_CHAIN_MARGIN / 2)
+    monkeypatch.setattr(eechain.lattice, "SHORT_CHAIN_MARGIN", SHORT_CHAIN_MARGIN / 2)
     for z, mass, beta in LONG_CORRELATION:
         spec = LatticeSpec(100_000, z, mass, 1.0, GENERIC_THETA)
         assert _largest_difference(spec, beta) > 1e3 * TOLERANCE
@@ -103,8 +104,9 @@ def test_extreme_inputs_fall_back_to_the_n_site_chain(spec, beta):
         warnings.simplefilter("error")
         point = entropy_of(spec, beta, range(40))
     assert np.isfinite(point.entropy)
-    for short, full in zip(_block_entries(spec, beta, DISTANCES), _chain_entries(spec, beta, DISTANCES)):
-        assert np.array_equal(short, full)
+    entries = _block_entries(spec, beta, DISTANCES)
+    for block, full in zip(entries, _chain_entries(spec, beta, DISTANCES)):
+        assert np.array_equal(block, full)
 
 
 def test_large_z_takes_the_short_chain_without_error():
