@@ -40,7 +40,8 @@ profile takes one of four paths:
   aliases from d - N, which decay as e^{-a(N - d)}; a is the distance of
   the nearest singularity of the weights from the real t axis.  The
   aliases of the M-site chain are below K e^{-c} at every d < D, with
-  c = SHORT_CHAIN_MARGIN = 40 and K < 7, under 3e-17: so its entries are
+  c = SHORT_CHAIN_MARGIN = 40 and K < 7 (on z <= 1002, see
+  _short_chain_sites), under 3e-17: so its entries are
   the N-site ones to rounding, and a massive or thermal entry no longer
   depends on N once M < N.  The M-site chain takes one of the two paths
   below, by its own M.
@@ -725,28 +726,34 @@ def _short_chain_sites(spec: LatticeSpec, beta):
     from the infinite chain's P_inf[d] = (1/4 pi) int w(t) e^{itd} dt by
     the aliases e^{-2i pi theta j} P_inf[d + jM], j != 0.  Moving the
     contour up, P_inf[x] for x > 0 is the sum over the singularities t* in
-    the upper half plane of (i/2) Res e^{i t* x}.  At finite beta,
-    1/beta <= sqrt(R)/pi bounds each residue of F and G by
-    (2/(pi z)) |tan t*|, and the sum of |Res|/2 over the 2z nearest poles,
-    K, stayed below 0.75 on a scan of z <= 1002 and eps R^(1/2z) from 1e-3
-    to 1e3; the poles of n >= 1 lie further out.  At beta = inf each
-    branch point adds the leading term of the integral along its cut,
-    |tan t*|^(1/2) / (2 sqrt(2 pi z x)), to K, which at x >= c/a stayed
-    below 0.45 for z <= 5 and below 6.3 for z <= 1002 (eps R^(1/2z) from
-    1e-4 to 1e4).  So the largest alias, from j = -1 at distance
-    M - d > c/a, is below K e^{-c} < 7 * 4.2e-18 = 3e-17 at every d < D,
-    under a quarter of the rounding unit of an entry of size 1/2; the
-    N-site chain's own aliases are smaller still.  Halving c lets them
-    through: 4e-12 at z = 1, m = 0, beta = 1000.
+    the upper half plane of (i/2) Res e^{i t* x}.  The largest alias, from
+    j = -1, sits at x = M - d > c/a, so it is below K e^{-c}, K the sum of
+    |Res|/2 e^{-(x Im t* - c)}.  At finite beta, 1/beta <= sqrt(R)/pi
+    bounds the residue of F and G at each n = 0 pole by (2/(pi z)) |tan t*|.
+    With sin t* = rho e^{i phi}, rho = eps R^(1/2z),
+    |tan t*| = rho / |1 - rho^2 e^{2i phi}|^(1/2) is at most 1 where
+    cos 2phi <= 0 and at most |sin 2phi|^(-1/2) elsewhere, and these
+    bounds summed over the 2z poles give at most 4/pi at every z and rho.
+    The poles of n >= 1 (residues smaller by 1/(2n+1), further out) and,
+    at beta = inf, the leading terms of the integrals along the branch
+    cuts, |tan t*|^(1/2) / (2 sqrt(2 pi z x)), have no such bound: on a
+    scan of z <= 1002 and rho from 1e-4 to 1e4 the sum over all poles
+    stayed below 1.4, and the cut terms below 0.45 for z <= 5 and 6.3 for
+    z <= 1002.  So on that range the largest
+    alias is below K e^{-c} < 7 * 4.2e-18 = 3e-17 at every d < D, under a
+    quarter of the rounding unit of an entry of size 1/2; the N-site
+    chain's own aliases are smaller still.  Beyond z = 1002 the bound is
+    not verified (the cut terms grow like sqrt(z): 14 at z = 5000, where
+    tests/test_short_chain.py compares the chain with the N-site one).
+    Halving c lets the aliases through: 4e-12 at z = 1, m = 0,
+    beta = 1000.
 
     M depends on z, m, eps, beta and theta alone, never on the entries
     asked for.  The N-site chain keeps every entry of a massless ground
     state (a closed form), and those where a is not a positive finite
     number or where M would not be below N.
     """
-    if spec.n_sites <= SHORT_CHAIN_DISTANCES or (spec.mass == 0.0 and math.isinf(beta)):
-        return None
-    a = _singularity_distance(spec, beta)
+    a = _singularity_distance(spec, beta)  # 0 for a massless ground state
     if not 0.0 < a < math.inf:
         return None
     target = SHORT_CHAIN_DISTANCES + SHORT_CHAIN_MARGIN / a
@@ -772,8 +779,6 @@ def _block_entries(spec: LatticeSpec, beta, distances):
         return _chain_entries(spec, beta, distances)
     short_chain = replace(spec, n_sites=sites)
     short = distances < SHORT_CHAIN_DISTANCES
-    if short.all():
-        return _chain_entries(short_chain, beta, distances)
     same = np.empty(distances.size, dtype=complex)
     cross = np.empty(distances.size, dtype=complex)
     for chain, wanted in ((short_chain, short), (spec, ~short)):

@@ -213,7 +213,8 @@ def test_criterion_09_cmera_closed_forms():
     )
 
 
-# Massless z = 1 chains at an FFT-path and a partial-DFT-path N, at two twists
+# Massless z = 1 chains at an FFT-path and a partial-DFT-path N, at two
+# twists; at these beta their entries at d < 512 come from short chains
 CONTINUUM_CHAINS = [
     LatticeSpec(n, 1, boundary_phase=theta)
     for n in (100000, 100003)

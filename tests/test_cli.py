@@ -382,8 +382,12 @@ EE_ARGVS = [
     "ee --n 2000 --na 300 --z 1 --beta 100",
     # a 300-row real eigvalsh: even z, massless, theta = 0
     "ee --n 2000 --na 300 --z 2 --beta 100",
-    # the partial-DFT path: its GEMMs and the eigensolve
+    # the short chain of a massive point at a prime N: its FFTs and the
+    # eigensolve
     "ee --n 100003 --na 64 --z 1 --mass 0.3 --beta 50",
+    # the partial-DFT path, its GEMMs and the eigensolve: a correlation
+    # length too long for a chain shorter than N
+    "ee --n 100003 --na 64 --z 1 --beta 100000",
     # a 300 x 300 complex singular-value solve: massive, twisted
     "ee --n 2000 --na 300 --z 3 --mass 0.3 --beta 50 --theta 0.25",
     # one block pair, its leading blocks solved for every N_A

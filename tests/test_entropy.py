@@ -177,8 +177,10 @@ def test_block_solve_matches_dense_eigensolve_at_450_sites():
 
 # At theta in {0, 1/2} the blocks are structured: P is imaginary for odd z
 # and real for even z, C is real, and C = 0 at m = 0.  Odd z (and even z
-# with m = 0) take a real solve; N = 2000, 2001 build the blocks by FFT,
-# N = 131072, 100003 by the mirrored partial DFT.
+# with m = 0) take a real solve.  At these points range(200) takes the
+# short chain at every N; the sparse sites' far entries come from the
+# N-site chain: by FFT at N = 2000, 2001, and by the mirrored partial DFT
+# at N = 131072, 100003.
 STRUCTURED_POINTS = [  # z, m, beta
     (1, 0.3, 50.0),
     (3, 0.5, INF),

@@ -54,14 +54,17 @@ def _full_grid_weights(spec, beta):
 
 
 def _assert_entries_equal_fft(spec, beta):
-    """P and C at d >= 0 to 1e-15 of FFTs of the full-grid weights, twisted."""
+    """P and C at d >= 0 to 1e-15 of FFTs of the full-grid weights, twisted:
+    those of the N-site chain itself (the partial DFT at the N used here),
+    and the block entries, which take the short chain at d < 512 where it
+    is shorter than N."""
     d = _distances(spec.n_sites)
-    same, cross = _block_entries(spec, beta, d)
     f, g = _full_grid_weights(spec, beta)
     p = fourier_profile(f)[d]
     q = fourier_profile(g)[d] if spec.mass > 0 else np.zeros(d.size)
-    assert np.abs(same - _twist(spec, d) * p).max() <= 1e-15
-    assert np.abs(cross + _twist(spec, d) * q).max() <= 1e-15
+    for same, cross in (_chain_entries(spec, beta, d), _block_entries(spec, beta, d)):
+        assert np.abs(same - _twist(spec, d) * p).max() <= 1e-15
+        assert np.abs(cross + _twist(spec, d) * q).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n_sites", [100_000, 1_000_000, 1_000_003])
@@ -139,16 +142,26 @@ def test_mirrored_entries_are_exactly_real_or_imaginary(n_sites, theta, z, mass,
     # F(-k) = (-1)^z F(k) and G(-k) = G(k): the twisted p is imaginary for
     # odd z and real for even z, the twisted q real; for even N, p vanishes
     # at the d of the other parity than z, q at odd d; all exactly.  So do
-    # the entries of the short chain, whose M is even, at odd N too
+    # the entries of the short chain, whose M is even, at odd N too; the
+    # N-site chain's own entries are checked apart, since at d < 512 the
+    # blocks here take the short chain
     spec = LatticeSpec(n_sites=n_sites, z_exponent=z, mass=mass, boundary_phase=theta)
     corr = build_correlation_matrix(spec, beta, range(40))
-    same, cross = corr.same, corr.cross
+    d = np.subtract.outer(np.arange(40), np.arange(40))
+    even = n_sites % 2 == 0 or _short_chain_sites(spec, beta) is not None
+    _assert_exact_symmetry(corr.same, corr.cross, d, z, mass, even)
+    d = np.arange(40)
+    _assert_exact_symmetry(*_chain_entries(spec, beta, d), d, z, mass, n_sites % 2 == 0)
+
+
+def _assert_exact_symmetry(same, cross, d, z, mass, even):
+    """P exactly imaginary (odd z) or real (even z), C exactly real, and,
+    for an even chain, exact zeros where the parity rule forbids them."""
     assert not (same.imag if z % 2 == 0 else same.real).any()
     assert not cross.imag.any()
-    d = np.subtract.outer(np.arange(40), np.arange(40))
     # for odd z, p[0] is a sine series at d = 0: exactly 0 as well
     live = d != 0 if z % 2 else np.full(d.shape, True)
-    if n_sites % 2 == 0 or _short_chain_sites(spec, beta) is not None:
+    if even:
         live &= d % 2 == z % 2
         assert not cross[d % 2 == 1].any()
     assert not same[~live].any()
@@ -210,15 +223,21 @@ def test_weights_next_to_the_nodes_match_mpmath(n_sites, theta, z, mass, beta):
 @pytest.mark.parametrize("z, mass, beta", [(1, 0.5, 50.0), (3, 0.3, INF), (5, 0.0, 20.0)])
 def test_even_n_partial_dft_zeros_are_exact(n_sites, z, mass, beta):
     # for even N, mode kappa + N/2 carries -F (odd z) and +G, so p vanishes
-    # at even d and q at odd d: exactly, not to round-off
+    # at even d and q at odd d: exactly, not to round-off.  The blocks take
+    # the short chain at d < 512, so the partial DFT's entries are checked
+    # through the N-site chain as well
     assert _uses_partial_dft(n_sites)
     spec = LatticeSpec(n_sites=n_sites, z_exponent=z, mass=mass, boundary_phase=0.37)
     corr = build_correlation_matrix(spec, beta, range(40))
-    odd = np.add.outer(np.arange(40), np.arange(40)) % 2 == 1
-    assert not corr.same[~odd].any()
-    assert corr.same[odd].all()
-    assert not corr.cross[odd].any()
-    assert corr.cross[~odd].all() == (mass > 0)
+    d = np.arange(40)
+    for same, cross, odd in (
+        (corr.same, corr.cross, np.add.outer(d, d) % 2 == 1),
+        (*_chain_entries(spec, beta, d), d % 2 == 1),
+    ):
+        assert not same[~odd].any()
+        assert same[odd].all()
+        assert not cross[odd].any()
+        assert cross[~odd].all() == (mass > 0)
 
 
 @pytest.mark.parametrize("n_sites", [100_000, 100_003, 131_072])
@@ -244,7 +263,8 @@ def test_profile_entries_do_not_depend_on_the_request(n_sites, mass, beta):
 
 def test_partial_dft_bits_do_not_depend_on_blas_threads():
     # a threaded GEMM changes the profiles' last bits, which the twelve
-    # digits the CLI prints can hide
+    # digits the CLI prints can hide.  The entries are those of the N-site
+    # chain: at d < 512 the blocks of these points take the short chain
     control = openblas_threads()
     if control is None:
         return
@@ -260,7 +280,7 @@ def test_partial_dft_bits_do_not_depend_on_blas_threads():
         try:
             for threads in (1, 2):
                 put(threads)
-                profiles.append(np.concatenate(_block_entries(spec, 50.0, np.arange(64))))
+                profiles.append(np.concatenate(_chain_entries(spec, 50.0, np.arange(64))))
                 assert get() == threads
         finally:
             put(saved)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eechain.lattice
 from eechain import (
     EntropyPoint,
     IllConditioned,
@@ -27,6 +28,7 @@ from eechain import (
     sweep_entropy,
 )
 from eechain import thermal
+from eechain.lattice import SHORT_CHAIN_DISTANCES
 
 INF = math.inf
 
@@ -482,10 +484,14 @@ def test_large_z_washes_out_the_zigzag_at_fixed_beta(n):
 
 
 @pytest.mark.parametrize("n", [1_000_000, 1_000_003])
-def test_large_z_on_the_partial_dft_path(n):
-    # S(101) = 53.0197279444 at N = 2000 and 2001 as well
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        s = {z: _massless_entropy(n, z, 1e4) for z in (101, 1001, 1002)}
-    assert s[101] == pytest.approx(53.0197279444, abs=1e-9)
-    assert s[1001] - s[1002] == pytest.approx(0.0029846, abs=1e-6)
+def test_large_z_on_the_partial_dft_path(n, monkeypatch):
+    # S(101) = 53.0197279444 at N = 2000 and 2001 as well.  These points
+    # take the short chain at d < 512; with D = 0 every entry comes from
+    # the N-site chain, the partial DFT at these N
+    for distances in (SHORT_CHAIN_DISTANCES, 0):
+        monkeypatch.setattr(eechain.lattice, "SHORT_CHAIN_DISTANCES", distances)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = {z: _massless_entropy(n, z, 1e4) for z in (101, 1001, 1002)}
+        assert s[101] == pytest.approx(53.0197279444, abs=1e-9)
+        assert s[1001] - s[1002] == pytest.approx(0.0029846, abs=1e-6)
