@@ -73,7 +73,8 @@ __version__ = "0.1.0"
 
 def backend_name():
     """Name of the kernel backend: numpy is the only one.  It takes each
-    profile by closed form, partial DFT or FFT (see eechain.lattice)."""
+    profile by closed form, short chain, partial DFT or FFT (see
+    eechain.lattice)."""
     return "numpy"
 
 

@@ -8,11 +8,8 @@ beta is the dimensionless inverse temperature, and beta = math.inf denotes
 the ground state.
 
 For even N, mode kappa + N/2 has k*eps shifted by pi, so its keff is minus
-that of mode kappa and its omega the same.  Only the K distinct modes are
-computed: K = N/2 for even N and K = N for odd N.  On the partial-DFT path
-at theta in {0, 1/2} the mode set is also closed under k -> -k, and only
-the reflection-distinct modes are computed: about N/4 for even N and N/2
-for odd N (see _distinct_modes).
+that of mode kappa and its omega the same.  Only the L distinct modes are
+computed: L = N/2 for even N and L = N for odd N (see _folded).
 
 The two-point functions of the (+/-) chirality components are circulant in
 the site difference d = j - i:
@@ -46,24 +43,27 @@ profile takes one of four paths:
   depends on N once M < N.  The M-site chain takes one of the two paths
   below, by its own M.
 * partial DFT, where N is large or has a large prime factor
-  (_uses_partial_dft): a sqrt(K)-split DFT over the K distinct modes in
-  fixed blocks of PROFILE_BLOCK site differences, O(K) per block (see
-  _partial_dft).  For even N mode kappa + N/2 carries (-1)^z times the
-  F weight of mode kappa and the same G weight, so p[d] vanishes unless
-  (-1)^d = (-1)^z and q[d] unless d is even: at every theta only the
-  non-vanishing parity of d is computed.  At theta in {0, 1/2}
-  F(-k) = (-1)^z F(k) and G(-k) = G(k), so the twisted profiles
-  e^{2i pi theta d/N} p[d] and e^{2i pi theta d/N} q[d] are sine or
-  cosine series over the reflection-distinct modes: each entry is
-  exactly real or exactly imaginary.  The massless ground state has no
-  such weights (its one-sided node filling breaks the symmetry), which
-  is one more reason it keeps its closed form.
+  (_uses_partial_dft): a sqrt(L)-split DFT over the L distinct modes in
+  fixed blocks of PROFILE_BLOCK site differences, O(L) per block (see
+  _partial_dft).
 * FFT, at every other N: fourier_profile, one real-input FFT per weight
-  array unfolded to length N, O(N log N).  The transform of all N
-  weights leaves the entries the symmetries forbid as round-off of about
-  1e-17, and they are set to exact zeros: for even N, p[d] where
-  (-1)^d != (-1)^z and q[d] at odd d; at theta in {0, 1/2}, after the
-  twist, Re P for odd z, Im P for even z, and Im C.
+  array unfolded to length N, O(N log N).
+
+Two symmetries make parts of the grid paths' entries vanish, and each has
+one rule that makes them exact zeros:
+
+* parity, for even N: mode kappa + N/2 carries (-1)^z times the F weight
+  of mode kappa and the same G weight, so p[d] vanishes unless
+  (-1)^d = (-1)^z and q[d] unless d is even.  The partial DFT computes
+  only the other parity of d; the FFT's round-off of about 1e-17 at the
+  vanishing one is set to 0.
+* reflection, at theta in {0, 1/2}: the mode set is closed under
+  k -> -k, with F(-k) = (-1)^z F(k) and G(-k) = G(k), so the twisted
+  P is imaginary for odd z and real for even z, and C is real.  Both
+  grid paths leave the other part as round-off, set to 0 after the
+  twist.  The massless ground state has no such weights (its one-sided
+  node filling breaks the symmetry), which is one more reason it keeps
+  its closed form.
 
 The path depends on N, beta, theta and the model alone, and each entry's
 bits depend on N, beta, theta, the model and its own d alone: never on
@@ -85,7 +85,6 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -254,14 +253,11 @@ def validate_subsystem(subsystem, n):
 
 @dataclass(frozen=True)
 class ModeGrid:
-    """Frequencies over the K distinct modes kappa < K (see _distinct_modes).
+    """Frequencies over the L distinct modes kappa < L (see _folded).
 
     massless_frequencies holds |keff|^z, the frequencies at m = 0, with
     exact zeros at the nodes; frequencies holds omega.  For even N, mode
-    kappa + N/2 has the frequencies of mode kappa.  On the partial-DFT path
-    at theta in {0, 1/2} K is the reflection-distinct count, about N/4 for
-    even N and N/2 for odd N, and every other mode has the frequencies of
-    its mirror among them.
+    kappa + N/2 has the frequencies of mode kappa.
     """
 
     frequencies: np.ndarray
@@ -310,50 +306,9 @@ class CorrelationMatrix:
         return m
 
 
-def _mirrored(spec):
-    """True where the grid keeps the reflection-distinct modes only: on the
-    partial-DFT path at theta in {0, 1/2} (see _distinct_modes)."""
-    return spec.boundary_phase in (0.0, 0.5) and _uses_partial_dft(spec.n_sites)
-
-
-class DistinctModes(NamedTuple):
-    """The mode set a grid computes (see _distinct_modes)."""
-
-    folded: int  # L: N/2 for even N, N for odd N
-    twice_theta: int  # 2 theta where mirrored, else 0
-    count: int  # K, the modes kappa < K the grid computes
-    self_paired: list  # the modes among them that are their own mirror
-
-
-def _distinct_modes(spec):
-    """The K modes kappa < K the grid computes, and how they unfold.
-
-    Of the N modes, only the L first are distinct as a rule: L = N/2 for
-    even N (see the module docstring) and L = N for odd N.  At theta in
-    {0, 1/2} the mode set is also closed under k -> -k, which maps mode
-    kappa < L to the mirror kappa' = (L - 2 theta - kappa) mod L, or to the
-    partner kappa' + N/2 of that mirror for even N.  There, on the
-    partial-DFT path (_mirrored), the grid keeps the reflection-distinct
-    modes kappa <= kappa' only:
-    K = floor((L - 2 theta)/2) + 1, which is N/4 + 1, (N + 2)/4 or N/4 for
-    even N and (N + 1)/2 for odd N.  A mode is its own mirror (self-paired)
-    at kappa = 0 for theta = 0, and at kappa = K - 1 where L - 2 theta is
-    even.  Elsewhere K = L and no mode is self-paired.
-
-    The massless ground state has this symmetry in |keff| but not in its
-    weights: the one-sided filling of a node gives F = +/-1 there, where
-    F(-k) = (-1)^z F(k) would need 0 for odd z.  It keeps its closed form
-    and builds no grid.
-    """
-    folded = spec.n_sites // (2 - spec.n_sites % 2)
-    if not _mirrored(spec):
-        return DistinctModes(folded, 0, folded, [])
-    twice_theta = round(2 * spec.boundary_phase)
-    count = (folded - twice_theta) // 2 + 1
-    self_paired = [0] if twice_theta == 0 else []
-    if (folded - twice_theta) % 2 == 0:
-        self_paired.append(count - 1)
-    return DistinctModes(folded, twice_theta, count, self_paired)
+def _folded(n):
+    """L, the distinct modes: N/2 for even N, N for odd N (see the module docstring)."""
+    return n // (2 - n % 2)
 
 
 def _below_node_range(n, theta):
@@ -384,8 +339,8 @@ def _abs_power(x, z):
 
 
 def build_mode_grid(spec: LatticeSpec) -> ModeGrid:
-    """|keff|^z and omega over the K distinct modes (see ModeGrid and
-    _distinct_modes).
+    """|keff|^z and omega over the L distinct modes (see ModeGrid): N/2
+    of them for even N, N for odd N.
 
     |keff| = |sin(pi*u/N)|/eps with u = 2*(theta + kappa).  The multiple of
     N nearest u is subtracted from 2*kappa first, in floats that hold the
@@ -400,7 +355,7 @@ def build_mode_grid(spec: LatticeSpec) -> ModeGrid:
     array itself.
     """
     n, eps, m, theta = spec.n_sites, spec.spacing, spec.mass, spec.boundary_phase
-    angle = np.arange(0.0, 2.0 * _distinct_modes(spec).count, 2.0)
+    angle = np.arange(0.0, 2.0 * _folded(n), 2.0)
     for j in (1, 2):
         # u is nearer to j*N than to (j-1)*N from u >= (2j-1)N/2 on
         angle[math.ceil((2 * j - 1) * n / 4 - theta) :] -= n
@@ -421,7 +376,7 @@ def build_mode_grid(spec: LatticeSpec) -> ModeGrid:
 
 
 def _mode_weights(spec: LatticeSpec, beta):
-    """Real occupation weight arrays (F, G) over the K distinct modes of
+    """Real occupation weight arrays (F, G) over the L distinct modes of
     build_mode_grid, at a beta the caller has validated.  On the FFT path
     _unfolded gives the weights of the other modes.
 
@@ -465,15 +420,15 @@ def _mode_weights(spec: LatticeSpec, beta):
             f *= tanh_factor
             g *= tanh_factor
     if spec.z_exponent % 2:
-        # for even N, hi is N/2 or N/2 + 1, so the slice ends at K
+        # for even N, hi is N/2 or N/2 + 1, so the slice ends at L
         lo, hi = _below_node_range(spec.n_sites, spec.boundary_phase)
         np.negative(f[lo:hi], out=f[lo:hi])
     return f, g
 
 
 def _unfolded(spec, weights, sign):
-    """Weights over all N modes from those over the L distinct modes of an
-    unmirrored grid: for even N mode kappa + N/2 carries sign * weights[kappa],
+    """Weights over all N modes from those over the L distinct modes of
+    build_mode_grid: for even N mode kappa + N/2 carries sign * weights[kappa],
     sign being (-1)^z for F and +1 for G; for odd N they are the weights."""
     if weights.size == spec.n_sites:
         return weights
@@ -532,14 +487,13 @@ def _uses_partial_dft(n):
     Xeon VM, numpy 2.4), the lower of two such runs: 1.4 / 0.9, 1.6 / 1.9
     and 1.2 / 6.8 ms at N = 16384; 4.4 / 1.5, 4.5 / 2.6 and 4.5 / 11 ms at
     65536; 11 / 2.6, 11 / 4.0 and 10 / 17 ms at 2^17; 95 / 17, 88 / 24 and
-    86 / 79 ms at 1e6.  At theta = 0 the mirrored partial DFT takes about
-    half that (8.4, 13 and 47 ms at 1e6).  Single figures moved by up to
-    1.5x between the runs; the ratios at one N held.  So for a 5-smooth N
-    the partial DFT would win below 2^17 at small N_A only, and the FFT at
-    N_A in the hundreds up to about 1e6, where the two tie; the rule keeps
-    2^17, as moving it changes which bits those N get.  A prime factor
-    above about 300 sends numpy's FFT down its Bluestein path: 21 / 2.6,
-    26 / 6.1 and 21 / 20 ms at the prime N = 65537.
+    86 / 79 ms at 1e6.  Single figures moved by up to 1.5x between the
+    runs; the ratios at one N held.  So for a 5-smooth N the partial DFT
+    would win below 2^17 at small N_A only, and the FFT at N_A in the
+    hundreds up to about 1e6, where the two tie; the rule keeps 2^17, as
+    moving it changes which bits those N get.  A prime factor above about
+    300 sends numpy's FFT down its Bluestein path: 21 / 2.6, 26 / 6.1 and
+    21 / 20 ms at the prime N = 65537.
     """
     return n >= 2**17 or (n >= 10**4 and _largest_prime_factor(n) > 300)
 
@@ -589,29 +543,19 @@ PROFILE_BLOCK = 16
 def _partial_dft(spec: LatticeSpec, weights, distances):
     """fourier_profile of each unfolded weight array, at the given d only.
 
-    weights holds (w, s) pairs: w over the K distinct modes of
+    weights holds (w, s) pairs: w over the L distinct modes of
     build_mode_grid, and s the sign mode kappa + N/2 carries for even N
     (see _unfolded): (-1)^z for F, +1 for G.  For even N that mode adds
     s(-1)^d times the term of mode kappa, so entry d is exactly 0 where
     (-1)^d != s; only the d of the other parity are computed, and the
-    others stay 0.  At a generic theta entry d is then
+    others stay 0.  Entry d is then
 
-        (1/2L) sum_{kappa < K} w[kappa] e^{2i pi kappa d/N},
+        (1/2L) sum_{kappa < L} w[kappa] e^{2i pi kappa d/N},
 
-    with L = N/2 for even N (the surviving terms count twice) and L = N,
-    K = N for odd N.  At theta in {0, 1/2} (_mirrored) the mirror of a
-    mode carries s times its weight too, so the entries come out twisted,
-    as e^{2i pi theta d/N} times the above.  That is the cosine series
-    (s = +1) or i times the sine series (s = -1)
+    the surviving terms of even N counting twice.  With B = isqrt(L) and
+    kappa = a*B + c the sum is
 
-        (1/L) sum_{kappa < K} w'[kappa] cos|sin(2 pi (kappa + theta) d/N)
-
-    over the reflection-distinct modes, with w' = w but w/2 at a
-    self-paired mode (halved on a copy).
-
-    With B = isqrt(K) and kappa = a*B + c the sum is
-
-        sum_c e^{2i pi (c + theta) d/N} sum_a w[aB + c] e^{2i pi aB d/N}.
+        sum_c e^{2i pi c d/N} sum_a w[aB + c] e^{2i pi aB d/N}.
 
     The site differences are taken in fixed blocks [j*W, (j+1)*W) with
     W = PROFILE_BLOCK, and only the blocks that hold a requested d are
@@ -619,25 +563,19 @@ def _partial_dft(spec: LatticeSpec, weights, distances):
     [cos; sin](2 pi aB d/N) over the computed d, against the weights laid
     out as rows of B, gives the inner sums, and a B-term phase sum per d
     finishes them; weight arrays that keep the same d share the tables.
-    The shapes of every product are fixed by N and theta and the GEMM runs
-    on one BLAS thread, so an entry's bits do not depend on which other
-    entries were asked for.  O(K) per block.
+    The shapes of every product are fixed by N and the GEMM runs on one
+    BLAS thread, so an entry's bits do not depend on which other entries
+    were asked for.  O(L) per block.
     """
     n = spec.n_sites
-    folded, twice_theta, modes, self_paired = _distinct_modes(spec)
-    mirrored = _mirrored(spec)
-    if self_paired:
-        # on copies: the caller's arrays stay the weights of the grid
-        weights = [(w.copy(), s) for w, s in weights]
-        for w, _ in weights:
-            w[self_paired] /= 2.0
+    modes = _folded(n)
     step = 2 - n % 2  # one parity of d survives for even N
     width = math.isqrt(modes)
     rows, rest = divmod(modes, width)
-    # integer phases are reduced mod N (the inner ones, in units of pi/N,
-    # mod 2N) before they are scaled: exact while N*N fits an int64
+    # integer phases are reduced mod N before they are scaled: exact while
+    # N*N fits an int64
     outer_phase = np.arange(rows + (rest > 0)) * width % n
-    inner_phase = 2 * np.arange(width) + twice_theta
+    inner_phase = np.arange(width)
     block_of = distances // PROFILE_BLOCK
     profiles = [np.zeros(distances.size, dtype=complex) for _ in weights]
     with one_blas_thread():
@@ -651,7 +589,7 @@ def _partial_dft(spec: LatticeSpec, weights, distances):
                     d = np.arange(first, PROFILE_BLOCK, step)[:, None]
                     d += block * PROFILE_BLOCK
                     outer = outer_phase * d % n * (2.0 * math.pi / n)
-                    inner = inner_phase * d % (2 * n) * (math.pi / n)
+                    inner = inner_phase * d % n * (2.0 * math.pi / n)
                     tables[first] = (
                         np.concatenate([np.cos(outer), np.sin(outer)]),
                         np.cos(inner),
@@ -666,12 +604,7 @@ def _partial_dft(spec: LatticeSpec, weights, distances):
                 imag = (re * sin_c + im * cos_c).sum(axis=1)
                 kept = offsets % step == first
                 at, row = np.flatnonzero(wanted)[kept], offsets[kept] // step
-                if not mirrored:
-                    profile[at] = (real[row] + 1j * imag[row]) / (2 * folded)
-                elif sign > 0:
-                    profile.real[at] = real[row] / folded
-                else:
-                    profile.imag[at] = imag[row] / folded
+                profile[at] = (real[row] + 1j * imag[row]) / (2 * modes)
     return profiles
 
 
@@ -792,9 +725,10 @@ def _chain_entries(spec: LatticeSpec, beta, distances):
     and int64 distances d >= 0.
 
     The path is picked from N, theta and the model alone (see the module
-    docstring).  At theta in {0, 1/2} every path with a mode grid gives P
-    exactly imaginary (odd z) or real (even z) and C exactly real, and
-    for even N p[d] is exactly 0 where (-1)^d != (-1)^z and q[d] at odd d.
+    docstring).  Every path with a mode grid gives the exact zeros of the
+    module docstring's two symmetry rules: for even N p[d] where
+    (-1)^d != (-1)^z and q[d] at odd d, and at theta in {0, 1/2} Re P for
+    odd z, Im P for even z and Im C.
     """
     n = spec.n_sites
     massive = spec.mass > 0
@@ -813,23 +747,21 @@ def _chain_entries(spec: LatticeSpec, beta, distances):
             weights = [(f, sign), (g, 1.0)] if massive else [(f, sign)]
             profiles = _partial_dft(spec, weights, distances)
             p, q = profiles[0], profiles[1] if massive else zeros
-            if _mirrored(spec):  # p and q come twisted
-                return p, -q
         else:
             p = fourier_profile(_unfolded(spec, f, sign))[distances]
             del f  # lowers the peak memory of the second transform
             q = fourier_profile(_unfolded(spec, g, 1.0))[distances] if massive else zeros
             if n % 2 == 0:
-                # the round-off the transform leaves where the even-N
-                # parity rule (see _partial_dft) makes p and q vanish
+                # the round-off the transform leaves where the parity
+                # rule makes p and q vanish
                 odd = distances % 2 == 1
                 p[odd != (sign < 0)] = 0.0
                 q[odd] = 0.0
     twist = np.exp(2j * np.pi * spec.boundary_phase * distances / n)
     same, cross = twist * p, -twist * q
     if not closed_form and spec.boundary_phase in (0.0, 0.5):
-        # the FFT path: its P and C have the parts the reflection symmetry
-        # forbids only to round-off (about 1e-17), so they are dropped
+        # the reflection rule: both grid paths leave the parts it forbids
+        # as round-off (about 1e-17), so they are dropped
         (same.real if spec.z_exponent % 2 else same.imag)[:] = 0.0
         cross.imag[:] = 0.0
     return same, cross

@@ -179,8 +179,8 @@ def test_block_solve_matches_dense_eigensolve_at_450_sites():
 # and real for even z, C is real, and C = 0 at m = 0.  Odd z (and even z
 # with m = 0) take a real solve.  At these points range(200) takes the
 # short chain at every N; the sparse sites' far entries come from the
-# N-site chain: by FFT at N = 2000, 2001, and by the mirrored partial DFT
-# at N = 131072, 100003.
+# N-site chain: by FFT at N = 2000, 2001, and by the partial DFT at
+# N = 131072, 100003.
 STRUCTURED_POINTS = [  # z, m, beta
     (1, 0.3, 50.0),
     (3, 0.5, INF),
@@ -224,6 +224,6 @@ EXACT_ENTROPIES = [  # N, z, m, theta, beta, S
 @pytest.mark.parametrize("n, z, mass, theta, beta, exact", EXACT_ENTROPIES)
 def test_entropy_matches_exact_blocks(n, z, mass, theta, beta, exact):
     # PURE_SNAP drops the true eigenvalues within 1e-15 of 0 or 1, which
-    # puts the first point 5.2e-13 off; the others lie within 1.3e-13
+    # puts the first point 5.2e-13 off; the others lie within 1.4e-13
     got = entropy_of(LatticeSpec(n, z, mass, 1.0, theta), beta, range(32)).entropy
     assert abs(got - exact) <= 1e-12

@@ -233,6 +233,8 @@ def test_odd_z_ground_state_correlators_equal_z1(n_sites, z):
 )
 # a sine of the unreduced angle is 2.5e-13 off in relative terms here
 @example(n=215, z=4, mass=0.0, theta=0.3183, beta=100.0)
+# the partial DFT's N at theta = 0: the grid holds all N distinct modes
+@example(n=100003, z=3, mass=0.3, theta=0.0, beta=50.0)
 def test_mode_weights_match_direct_formula(n, z, mass, theta, beta):
     spec = LatticeSpec(n_sites=n, z_exponent=z, mass=mass, boundary_phase=theta)
     f, g = _mode_weights(spec, beta)
@@ -385,24 +387,19 @@ def _own_profiles(spec, beta, distances):
 def test_blocks_equal_the_entrywise_formula(z, mass, beta, theta, monkeypatch):
     # bit for bit: P = e^{2i pi theta d/N} p[d] and C = -e^{2i pi theta d/N} q[d]
     # at d = |j - i|, and at d < 0 the conjugate of the entry at -d.  At
-    # theta in {0, 1/2} the partial DFT gives p and q twisted, and the FFT
-    # path keeps only the imaginary (odd z) or real (even z) part of P and
-    # the real part of C.  The N-site chain gives every entry here: with
-    # D = 0 no d takes the short chain (tests/test_short_chain.py checks it)
+    # theta in {0, 1/2} every grid path keeps only the imaginary (odd z) or
+    # real (even z) part of P and the real part of C.  The N-site chain
+    # gives every entry here: with D = 0 no d takes the short chain
+    # (tests/test_short_chain.py checks it)
     monkeypatch.setattr(eechain.lattice, "SHORT_CHAIN_DISTANCES", 0)
     for spec, sites, corr in _sparse_blocks(z, mass, beta, theta):
         d = np.subtract.outer(sites, sites).T  # d[a, b] = j - i
         p, q = (x.reshape(d.shape) for x in _own_profiles(spec, beta, np.abs(d).ravel()))
-        grid = not (mass == 0.0 and beta == INF)
-        reflected = grid and theta in (0.0, 0.5)
-        if reflected and _uses_partial_dft(spec.n_sites):
-            same, cross = p, -q
-        else:
-            twist = np.exp(2j * np.pi * theta * np.abs(d) / spec.n_sites)
-            same, cross = twist * p, -twist * q
-            if reflected:
-                (same.real if z % 2 else same.imag)[:] = 0.0
-                cross.imag[:] = 0.0
+        twist = np.exp(2j * np.pi * theta * np.abs(d) / spec.n_sites)
+        same, cross = twist * p, -twist * q
+        if not (mass == 0.0 and beta == INF) and theta in (0.0, 0.5):
+            (same.real if z % 2 else same.imag)[:] = 0.0
+            cross.imag[:] = 0.0
         below = d < 0
         same[below], cross[below] = same[below].conj(), cross[below].conj()
         assert corr.same.tobytes() == same.tobytes()

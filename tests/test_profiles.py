@@ -3,7 +3,6 @@ with the path under test: the closed-form Fermi sea and the partial DFT are
 checked against numpy's FFT, and sweeps against single points."""
 
 import math
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -45,11 +44,8 @@ def _twist(spec, d):
 
 
 def _full_grid_weights(spec, beta):
-    """(F, G) over all N modes, from a grid of every distinct mode even where
-    the partial DFT keeps the reflection-distinct ones: a reference that
-    shares no mirror map with the code it checks."""
-    with mock.patch.object(eechain.lattice, "_mirrored", lambda spec: False):
-        f, g = _mode_weights(spec, beta)
+    """(F, G) over all N modes, unfolded from the grid's distinct modes."""
+    f, g = _mode_weights(spec, beta)
     return _unfolded(spec, f, (-1.0) ** spec.z_exponent), _unfolded(spec, g, 1.0)
 
 
@@ -95,8 +91,8 @@ def test_partial_dft_equals_fft(n_sites, z, mass, beta, theta):
     _assert_entries_equal_fft(spec, beta)
 
 
-# At theta in {0, 1/2} the grid keeps the reflection-distinct modes only and
-# the partial DFT sums sine and cosine series.  Every N mod 4 is covered
+# At theta in {0, 1/2} the reflection rule drops the part of each entry the
+# symmetry k -> -k forbids, after the partial DFT.  Every N mod 4 is covered
 # (131072, 1000001, 131074, 100003), with massive thermal, massless thermal
 # and massive ground points at z = 1..5; at the Bluestein sizes 1000001
 # and 1000003 each FFT takes about 0.4 s, so they get one point each.
@@ -126,8 +122,8 @@ def test_mirrored_partial_dft_equals_fft(n_sites, theta, z, mass, beta):
 
 
 def test_partial_dft_leaves_the_weights_alone():
-    # the self-paired modes (0 and K - 1 here) are halved on copies, so the
-    # caller's arrays stay the weights of the grid
+    # the partial DFT only reads the weights, so the caller's arrays stay
+    # the weights of the grid
     spec = LatticeSpec(n_sites=131_072, z_exponent=2, mass=0.3)
     f, g = _mode_weights(spec, 50.0)
     saved = f.copy(), g.copy()
@@ -270,7 +266,7 @@ def test_partial_dft_bits_do_not_depend_on_blas_threads():
         return
     get, put = control
     saved = get()
-    # a mirrored odd N, and a generic theta at even N (one parity of d)
+    # an odd N at theta = 0, and a generic theta at even N (one parity of d)
     specs = [
         LatticeSpec(n_sites=100_003, mass=0.3),
         LatticeSpec(n_sites=1_000_000, mass=0.3, boundary_phase=0.37),

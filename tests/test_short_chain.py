@@ -53,8 +53,8 @@ def _largest_difference(spec, beta):
     return max(np.abs(same - full_same).max(), np.abs(cross - full_cross).max())
 
 
-# an even 5-smooth N (the FFT), a prime one (the partial DFT, mirrored at
-# theta in {0, 1/2}) and an even one above 2^17 (the partial DFT)
+# an even 5-smooth N (the FFT), a prime one and an even one above 2^17 (the
+# partial DFT)
 @pytest.mark.parametrize("n_sites", [100_000, 100_003, 131_072])
 @pytest.mark.parametrize("theta", [0.0, 0.5, GENERIC_THETA])
 @pytest.mark.parametrize("z, mass, beta", MODELS)

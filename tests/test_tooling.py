@@ -1,6 +1,7 @@
 """The suite's pytest configuration, checked on a planted failing test, the
 package's one home for its input rules and the use of what they return, the
-one BLAS thread of its linalg calls, and the names the benchmark uses."""
+one BLAS thread of its linalg calls, the use of its private names, and the
+names the benchmark uses."""
 
 import ast
 import importlib.util
@@ -161,6 +162,45 @@ def test_output_bearing_linalg_runs_on_one_blas_thread():
         for function, name in _unpinned_linalg(ast.parse(path.read_text()))
     }
     assert found == set(UNPINNED_LINALG)
+
+
+def _private_definitions(tree):
+    """The module-level _private names a module defines or assigns."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(
+                t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)
+            )
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _read_names(tree):
+    """The names a module reads, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_private_name_is_read_in_the_package():
+    # a private helper, class or constant that no code of the package reads
+    # is a leftover of a deleted path, whatever tests still import it
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(Path(eechain.__file__).parent.glob("*.py"))
+    }
+    read = set().union(*map(_read_names, trees.values()))
+    unread = {
+        (module, name)
+        for module, tree in trees.items()
+        for name in _private_definitions(tree) - read
+    }
+    assert unread == set()
 
 
 def test_benchmark_finds_every_name_it_uses():
