@@ -46,8 +46,10 @@ profile takes one of four paths:
   (_uses_partial_dft): a sqrt(L)-split DFT over the L distinct modes in
   fixed blocks of PROFILE_BLOCK site differences, O(L) per block (see
   _partial_dft).
-* FFT, at every other N: fourier_profile, one real-input FFT per weight
-  array unfolded to length N, O(N log N).
+* FFT, at every other N: one real-input FFT of length N per weight array,
+  O(N log N) (see _fft_entries).  It takes the partial DFT's (w, s) pairs,
+  weights over the L distinct modes and the sign of mode kappa + N/2, and
+  gives its profiles, the parity zeros below included.
 
 Two symmetries make parts of the grid paths' entries vanish, and each has
 one rule that makes them exact zeros:
@@ -377,8 +379,8 @@ def build_mode_grid(spec: LatticeSpec) -> ModeGrid:
 
 def _mode_weights(spec: LatticeSpec, beta):
     """Real occupation weight arrays (F, G) over the L distinct modes of
-    build_mode_grid, at a beta the caller has validated.  On the FFT path
-    _unfolded gives the weights of the other modes.
+    build_mode_grid, at a beta the caller has validated.  For even N mode
+    kappa + N/2 carries (-1)^z times the F and the same G of mode kappa.
 
     F = (-keff)^z/omega * tanh(beta*omega/2) weights the chirality-diagonal
     correlator and G = (m/omega) * tanh(beta*omega/2) the cross-chirality
@@ -424,15 +426,6 @@ def _mode_weights(spec: LatticeSpec, beta):
         lo, hi = _below_node_range(spec.n_sites, spec.boundary_phase)
         np.negative(f[lo:hi], out=f[lo:hi])
     return f, g
-
-
-def _unfolded(spec, weights, sign):
-    """Weights over all N modes from those over the L distinct modes of
-    build_mode_grid: for even N mode kappa + N/2 carries sign * weights[kappa],
-    sign being (-1)^z for F and +1 for G; for odd N they are the weights."""
-    if weights.size == spec.n_sites:
-        return weights
-    return np.concatenate((weights, weights if sign > 0 else -weights))
 
 
 def fourier_profile(weights):
@@ -545,7 +538,7 @@ def _partial_dft(spec: LatticeSpec, weights, distances):
 
     weights holds (w, s) pairs: w over the L distinct modes of
     build_mode_grid, and s the sign mode kappa + N/2 carries for even N
-    (see _unfolded): (-1)^z for F, +1 for G.  For even N that mode adds
+    (see _mode_weights): (-1)^z for F, +1 for G.  For even N that mode adds
     s(-1)^d times the term of mode kappa, so entry d is exactly 0 where
     (-1)^d != s; only the d of the other parity are computed, and the
     others stay 0.  Entry d is then
@@ -605,6 +598,21 @@ def _partial_dft(spec: LatticeSpec, weights, distances):
                 kept = offsets % step == first
                 at, row = np.flatnonzero(wanted)[kept], offsets[kept] // step
                 profile[at] = (real[row] + 1j * imag[row]) / (2 * modes)
+    return profiles
+
+
+def _fft_entries(spec: LatticeSpec, weights, distances):
+    """_partial_dft's profiles by fourier_profile, one FFT of length N per
+    weight array: for even N each (w, s) is unfolded to the N modes, mode
+    kappa + N/2 carrying s * w[kappa], and the round-off of about 1e-17
+    that the transform leaves at the d where (-1)^d != s is set to 0."""
+    n = spec.n_sites
+    profiles = []
+    for w, sign in weights:
+        profile = fourier_profile(w if n % 2 else np.concatenate((w, sign * w)))[distances]
+        if n % 2 == 0:
+            profile[(distances % 2 == 1) != (sign < 0)] = 0.0
+        profiles.append(profile)
     return profiles
 
 
@@ -732,31 +740,18 @@ def _chain_entries(spec: LatticeSpec, beta, distances):
     """
     n = spec.n_sites
     massive = spec.mass > 0
-    zeros = np.zeros(distances.size, dtype=complex)
     closed_form = not massive and math.isinf(beta)
     if closed_form:
         if spec.z_exponent % 2:
-            p = _fermi_sea_profile(n, spec.boundary_phase, distances)
+            profiles = [_fermi_sea_profile(n, spec.boundary_phase, distances)]
         else:
-            p = np.where(distances == 0, 0.5 + 0j, 0j)
-        q = zeros
+            profiles = [np.where(distances == 0, 0.5 + 0j, 0j)]
     else:
         f, g = _mode_weights(spec, beta)
-        sign = -1.0 if spec.z_exponent % 2 else 1.0  # (-1)^z
-        if _uses_partial_dft(n):
-            weights = [(f, sign), (g, 1.0)] if massive else [(f, sign)]
-            profiles = _partial_dft(spec, weights, distances)
-            p, q = profiles[0], profiles[1] if massive else zeros
-        else:
-            p = fourier_profile(_unfolded(spec, f, sign))[distances]
-            del f  # lowers the peak memory of the second transform
-            q = fourier_profile(_unfolded(spec, g, 1.0))[distances] if massive else zeros
-            if n % 2 == 0:
-                # the round-off the transform leaves where the parity
-                # rule makes p and q vanish
-                odd = distances % 2 == 1
-                p[odd != (sign < 0)] = 0.0
-                q[odd] = 0.0
+        weights = [(f, (-1.0) ** spec.z_exponent), (g, 1.0)][: 1 + massive]
+        engine = _partial_dft if _uses_partial_dft(n) else _fft_entries
+        profiles = engine(spec, weights, distances)
+    p, q = (*profiles, np.zeros(distances.size, dtype=complex))[:2]
     twist = np.exp(2j * np.pi * spec.boundary_phase * distances / n)
     same, cross = twist * p, -twist * q
     if not closed_form and spec.boundary_phase in (0.0, 0.5):

@@ -22,9 +22,9 @@ from eechain import (
 )
 from eechain.lattice import (
     _fermi_sea_profile,
+    _fft_entries,
     _mode_weights,
     _partial_dft,
-    _unfolded,
     _uses_partial_dft,
     fourier_profile,
 )
@@ -216,8 +216,9 @@ def test_odd_z_ground_state_correlators_equal_z1(n_sites, z):
     # f = sign(-keff)^z for every odd z, also where |keff|^z is far below
     # 1e-12 (z = 9 at N = 2000), so every correlator equals the z = 1 one.
     # the blocks take the closed form here, so the weights go through the FFT
+    d = np.arange(n_sites)
     p1, pz = (
-        fourier_profile(_unfolded(spec, _mode_weights(spec, INF)[0], -1.0))
+        _fft_entries(spec, [(_mode_weights(spec, INF)[0], -1.0)], d)[0]
         for spec in (LatticeSpec(n_sites=n_sites), LatticeSpec(n_sites=n_sites, z_exponent=z))
     )
     assert np.abs(pz - p1).max() <= 1e-14
@@ -239,7 +240,8 @@ def test_mode_weights_match_direct_formula(n, z, mass, theta, beta):
     spec = LatticeSpec(n_sites=n, z_exponent=z, mass=mass, boundary_phase=theta)
     f, g = _mode_weights(spec, beta)
     assert f.size == g.size == (n // 2 if n % 2 == 0 else n)
-    f, g = _unfolded(spec, f, (-1.0) ** z), _unfolded(spec, g, 1.0)
+    if n % 2 == 0:  # mode kappa + N/2 carries (-1)^z F and the G of mode kappa
+        f, g = np.concatenate((f, (-1.0) ** z * f)), np.concatenate((g, g))
     assert np.isfinite(f).all() and np.isfinite(g).all()
     assert np.abs(f).max() <= 1.0 and 0.0 <= g.min() and g.max() <= 1.0
 
@@ -362,9 +364,8 @@ def test_block_entries_depend_only_on_their_site_pair(z, mass, beta, theta):
 
 def _own_profiles(spec, beta, distances):
     """p and q at the d >= 0 given, from the profile function of each path
-    of the N-site chain: the delta, the Fermi sea, the partial DFT or FFTs
-    of the unfolded weights, whose round-off at the d the even-N parity
-    rule forbids is dropped."""
+    of the N-site chain: the delta, the Fermi sea, the partial DFT or the
+    FFT."""
     n, z = spec.n_sites, spec.z_exponent
     zeros = np.zeros(distances.size, dtype=complex)
     if spec.mass == 0.0 and beta == INF:
@@ -373,13 +374,7 @@ def _own_profiles(spec, beta, distances):
         return np.where(distances == 0, 0.5 + 0j, 0j), zeros
     f, g = _mode_weights(spec, beta)
     weights = [(f, (-1.0) ** z), (g, 1.0)]
-    if _uses_partial_dft(n):
-        p, q = _partial_dft(spec, weights, distances)
-    else:
-        p, q = (fourier_profile(_unfolded(spec, w, s))[distances] for w, s in weights)
-        if n % 2 == 0:
-            p[distances % 2 != z % 2] = 0.0
-            q[distances % 2 == 1] = 0.0
+    p, q = (_partial_dft if _uses_partial_dft(n) else _fft_entries)(spec, weights, distances)
     return p, q if spec.mass > 0 else zeros
 
 

@@ -22,10 +22,10 @@ from eechain.lattice import (
     _below_node_range,
     _block_entries,
     _chain_entries,
+    _fft_entries,
     _mode_weights,
     _partial_dft,
     _short_chain_sites,
-    _unfolded,
     _uses_partial_dft,
     fourier_profile,
 )
@@ -43,21 +43,15 @@ def _twist(spec, d):
     return np.exp(2j * np.pi * spec.boundary_phase * d / spec.n_sites)
 
 
-def _full_grid_weights(spec, beta):
-    """(F, G) over all N modes, unfolded from the grid's distinct modes."""
-    f, g = _mode_weights(spec, beta)
-    return _unfolded(spec, f, (-1.0) ** spec.z_exponent), _unfolded(spec, g, 1.0)
-
-
 def _assert_entries_equal_fft(spec, beta):
     """P and C at d >= 0 to 1e-15 of FFTs of the full-grid weights, twisted:
     those of the N-site chain itself (the partial DFT at the N used here),
     and the block entries, which take the short chain at d < 512 where it
     is shorter than N."""
     d = _distances(spec.n_sites)
-    f, g = _full_grid_weights(spec, beta)
-    p = fourier_profile(f)[d]
-    q = fourier_profile(g)[d] if spec.mass > 0 else np.zeros(d.size)
+    f, g = _mode_weights(spec, beta)
+    weights = [(f, (-1.0) ** spec.z_exponent), (g, 1.0)][: 1 + (spec.mass > 0)]
+    p, q = (*_fft_entries(spec, weights, d), np.zeros(d.size))[:2]
     for same, cross in (_chain_entries(spec, beta, d), _block_entries(spec, beta, d)):
         assert np.abs(same - _twist(spec, d) * p).max() <= 1e-15
         assert np.abs(cross + _twist(spec, d) * q).max() <= 1e-15
@@ -69,7 +63,7 @@ def test_fermi_sea_closed_form_equals_fft(n_sites, theta):
     d = _distances(n_sites)
     spec1 = LatticeSpec(n_sites=n_sites, boundary_phase=theta)
     f1, _ = _mode_weights(spec1, INF)
-    reference = _twist(spec1, d) * fourier_profile(_full_grid_weights(spec1, INF)[0])[d]
+    reference = _twist(spec1, d) * _fft_entries(spec1, [(f1, -1.0)], d)[0]
     for z in (1, 3, 5, 9):
         spec = LatticeSpec(n_sites=n_sites, z_exponent=z, boundary_phase=theta)
         # every odd z has the z = 1 weights, so one FFT serves all four
@@ -181,8 +175,10 @@ def test_fft_entries_drop_only_round_off_at_theta_0_and_half(n_sites, theta, z, 
     d = np.arange(450)
     same, cross = _chain_entries(spec, beta, d)
     f, g = _mode_weights(spec, beta)
-    p = _twist(spec, d) * fourier_profile(_unfolded(spec, f, (-1.0) ** z))[d]
-    q = _twist(spec, d) * fourier_profile(_unfolded(spec, g, 1.0))[d]
+    if n_sites % 2 == 0:  # mode kappa + N/2 carries (-1)^z F and the G of mode kappa
+        f, g = np.concatenate((f, (-1.0) ** z * f)), np.concatenate((g, g))
+    p = _twist(spec, d) * fourier_profile(f)[d]
+    q = _twist(spec, d) * fourier_profile(g)[d]
     kept, dropped = (np.imag, np.real) if z % 2 else (np.real, np.imag)
     assert np.abs(dropped(p)).max() <= 1e-16
     assert np.abs(q.imag).max() <= 1e-16
@@ -203,7 +199,9 @@ def test_weights_next_to_the_nodes_match_mpmath(n_sites, theta, z, mass, beta):
     # the modes next to k*eps = pi and 2*pi, where a sine of the unreduced
     # angle loses up to six digits of keff; mpmath's sinpi is exact at nodes
     spec = LatticeSpec(n_sites=n_sites, z_exponent=z, mass=mass, boundary_phase=theta)
-    f, g = _full_grid_weights(spec, beta)
+    f, g = _mode_weights(spec, beta)
+    if n_sites % 2 == 0:  # mode kappa + N/2 carries (-1)^z F and the G of mode kappa
+        f, g = np.concatenate((f, (-1.0) ** z * f)), np.concatenate((g, g))
     half = n_sites // 2
     with mpmath.workdps(40):
         for kappa in [*range(half - 3, half + 4), *range(n_sites - 3, n_sites)]:
@@ -290,11 +288,10 @@ def test_sparse_subsystem_equals_fft_path(mass, beta):
     sites = np.array([0, 5, n // 2])
     m = build_correlation_matrix(spec, beta, sites).entries
     f, g = _mode_weights(spec, beta)
-    f, g = _unfolded(spec, f, -1.0), _unfolded(spec, g, 1.0)
     d = sites[None, :] - sites[:, None]
+    p, q = _fft_entries(spec, [(f, -1.0), (g, 1.0)], d % n)
     phase = np.exp(2j * np.pi * 0.37 * d / n)
-    same = phase * fourier_profile(f)[d % n]
-    cross = -phase * fourier_profile(g)[d % n]
+    same, cross = phase * p, -phase * q
     assert np.abs(m[0::2, 0::2] - (0.5 * np.eye(3) + same)).max() <= 1e-14
     assert np.abs(m[1::2, 1::2] - (0.5 * np.eye(3) - same)).max() <= 1e-14
     assert np.abs(m[0::2, 1::2] - cross).max() <= 1e-14
