@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import DegenerateInterval, InsufficientSampling, InvalidParameter
 from .lattice import (
+    validate_finite_array,
     validate_integer,
     validate_nonnegative,
     validate_positive,
@@ -61,14 +62,6 @@ def _interval(length, eps):
     if length <= eps:
         raise DegenerateInterval(f"interval l={length} must exceed cutoff eps={eps}")
     return length, eps
-
-
-def _finite_samples(name, values):
-    """values as a float array, if they are finite real numbers."""
-    samples = validate_real_array(name, values)
-    if not np.isfinite(samples).all():
-        raise InvalidParameter(f"{name} must be finite, got {values!r}")
-    return samples
 
 
 def _finite_result(name, value):
@@ -140,8 +133,8 @@ def g_from_phi_numeric(u_values, phi_values):
     The grid must be uniform and at least 100 points per decade of scale
     (du <= ln(10)/100), else InsufficientSampling.
     """
-    u = _finite_samples("u_values", u_values)
-    phi = _finite_samples("phi_values", phi_values)
+    u = validate_finite_array("u_values", u_values)
+    phi = validate_finite_array("phi_values", phi_values)
     if u.ndim != 1 or u.shape != phi.shape or u.size < 5:
         raise InsufficientSampling("profile must be 1-d with at least 5 samples")
     steps = np.diff(u)
@@ -161,8 +154,8 @@ def energy_density(k_values, phi_values, z, m):
     """Trapezoid quadrature of (1/2pi) [(-k)^z cos 2phi - m sin 2phi] dk
     over finite samples of one shape."""
     z, m = _model(z, m)
-    k = _finite_samples("k_values", k_values)
-    phi = _finite_samples("phi_values", phi_values)
+    k = validate_finite_array("k_values", k_values)
+    phi = validate_finite_array("phi_values", phi_values)
     if k.shape != phi.shape:
         raise InvalidParameter(f"k_values and phi_values differ in shape: {k.shape}, {phi.shape}")
     with np.errstate(over="ignore", invalid="ignore"):

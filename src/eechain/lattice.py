@@ -185,6 +185,14 @@ def validate_real_array(name, values):
     return array.astype(float, copy=False)
 
 
+def validate_finite_array(name, values):
+    """values as a float array, if they are finite real numbers."""
+    array = validate_real_array(name, values)
+    if not np.isfinite(array).all():
+        raise InvalidParameter(f"{name} must be finite, got {values!r}")
+    return array
+
+
 def validate_positive(name, value):
     """value as a float, if it is a finite real number > 0."""
     if not (math.isfinite(value := validate_real(name, value)) and value > 0):

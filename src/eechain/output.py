@@ -18,7 +18,7 @@ import numpy as np
 
 from .entropy import EntropyPoint
 from .errors import EmptySeries, InvalidParameter, IoError
-from .lattice import validate_real_array
+from .lattice import validate_finite_array
 from .thermal import SweepTable
 
 _COLUMN_TYPES = typing.get_type_hints(EntropyPoint)
@@ -132,14 +132,6 @@ def _ticks(lo, hi, log):
     return [10.0**t for t in marks] if log else marks
 
 
-def _finite_reals(name, values):
-    """values as a float array, if they are finite real numbers."""
-    array = validate_real_array(name, values)
-    if not np.isfinite(array).all():
-        raise InvalidParameter(f"{name} must be finite, got {values!r}")
-    return array
-
-
 def emit_plot(series, axes=None):
     """Render line series to self-contained SVG bytes.
 
@@ -156,8 +148,8 @@ def emit_plot(series, axes=None):
     cleaned = []
     for item in series:
         x, y, label = item
-        x = _finite_reals(f"series {label!r}", x)
-        y = _finite_reals(f"series {label!r}", y)
+        x = validate_finite_array(f"series {label!r}", x)
+        y = validate_finite_array(f"series {label!r}", y)
         if x.size < 2 or x.size != y.size:
             raise EmptySeries(f"series {label!r} needs >= 2 points")
         cleaned.append((x, y, str(label)))
@@ -166,7 +158,7 @@ def emit_plot(series, axes=None):
     hlines = list(axes.get("hlines", ()))
     all_x = np.concatenate([s[0] for s in cleaned])
     all_y = np.concatenate(
-        [s[1] for s in cleaned] + [_finite_reals("hlines", [h for h, _ in hlines])]
+        [s[1] for s in cleaned] + [validate_finite_array("hlines", [h for h, _ in hlines])]
     )
     x_px, xlo, xhi = _scaler(all_x.min(), all_x.max(), _ML, _W - _MR, xlog)
     y_px, ylo, yhi = _scaler(all_y.min(), all_y.max(), _H - _MB, _MT, log=False)

@@ -1,9 +1,10 @@
 """The suite's pytest configuration, checked on a planted failing test, the
 package's one home for its input rules and the use of what they return, the
-one BLAS thread of its linalg calls, the use of its private names, and the
-names the benchmark uses."""
+one BLAS thread of its linalg calls, the use of its private names, no
+function body written twice, and the names the benchmark uses."""
 
 import ast
+import copy
 import importlib.util
 import subprocess
 import sys
@@ -201,6 +202,33 @@ def test_every_private_name_is_read_in_the_package():
         for name in _private_definitions(tree) - read
     }
     assert unread == set()
+
+
+def _body_shape(function):
+    """function's body, docstring dropped, as an AST dump in which each of
+    its arguments and assigned names reads as the order of its first use."""
+    body = function.body[1:] if ast.get_docstring(function) is not None else function.body
+    tree = copy.deepcopy(ast.Module(body=body, type_ignores=[]))
+    local = [a.arg for a in ast.walk(function.args) if isinstance(a, ast.arg)]
+    local += [
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+    ]
+    order = {name: f"_{i}" for i, name in enumerate(dict.fromkeys(local))}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            node.id = order.get(node.id, node.id)
+    return ast.dump(tree)
+
+
+def test_no_two_functions_share_a_body():
+    # a helper copied into a second module under another name is a second
+    # home for one job: the copies drift apart when only one is mended
+    homes = {}
+    for path in sorted(Path(eechain.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                homes.setdefault(_body_shape(node), []).append(f"{path.name}:{node.name}")
+    assert [names for names in homes.values() if len(names) > 1] == []
 
 
 def test_benchmark_finds_every_name_it_uses():
