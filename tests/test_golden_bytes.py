@@ -21,19 +21,30 @@ ARGV = {  # name: the command; a final --out gets a file path
     "ee-plain": f"ee {POINT}",
     "ee-csv": f"ee {POINT} --format csv",
     "ee-json": f"ee {POINT} --format json --out",
-    # the other two profile paths: partial DFT and the Fermi-sea closed form
-    "ee-partial-dft": "ee --n 131072 --na 40 --z 2 --mass 0.3 --beta 20 --theta 0.25",
+    # the Fermi-sea closed form
     "ee-fermi-sea": "ee --n 100003 --na 40 --z 3 --beta inf --theta 0.25",
-    # the partial DFT at theta in {0, 1/2}, at an even and an odd N
+    # N the N-site partial DFT would take, at generic theta and at theta in
+    # {0, 1/2}, at an even and an odd N; every d they need takes the short
+    # chain (M = 640)
+    "ee-partial-dft": "ee --n 131072 --na 40 --z 2 --mass 0.3 --beta 20 --theta 0.25",
     "ee-partial-dft-theta0": (
         "ee --n 131072 --na 40 --z 3 --mass 0.3 --beta 20 --format json --out"
     ),
     "ee-partial-dft-theta-half": (
         "ee --n 100003 --na 40 --z 2 --mass 0.3 --beta 20 --theta 0.5 --format json --out"
     ),
+    # the N-site partial DFT, whose points are too long for a short chain:
+    # massive at even N, and thermal at a prime N under the reflection rule
+    "ee-n-site-partial-dft": "ee --n 131072 --na 40 --z 1 --mass 1e-5 --theta 0.25",
+    "ee-n-site-partial-dft-theta-half": (
+        "ee --n 100003 --na 40 --z 1 --beta 100000 --theta 0.5 --format json --out"
+    ),
     "sweep-csv": f"{SWEEP} --eps 0.5",
     "sweep-json": f"{SWEEP} --format json --out",
+    # one plot per sweep axis: N_A, beta and z
     "sweep-svg": "sweep --n 40 --z 1 --beta inf --nas 2,4,8,16 --format svg",
+    "sweep-svg-betas": "sweep --n 40 --zs 1,2 --betas 1,10,inf --nas 4 --format svg",
+    "sweep-svg-zs": "sweep --n 40 --zs 1,2,3,4 --beta inf --na 4 --format svg",
     "fit-text": "fit --n 400 --na 10 --z 1 --regime low",
     "fit-json": "fit --n 400 --na 10 --z 2 --regime low --format json --out",
     "cmera-csv": "cmera --z 1 --mass 1",
@@ -53,19 +64,21 @@ SHA256 = {
     "ee-json": "2f34614541f89df623602c4862648519fe65ede1bab5f203afb8f4a97d2370bc",
     "ee-partial-dft": "537ba15dd90575f2e4a56dabbcbe466f4796c4a61bdacb912bd04be917795e95",
     "ee-fermi-sea": "ae0017b6b32c7a151c31829d502c5321fc56e9975a0ae0b1c042dc47650f9886",
-    # pinned before the partial DFT summed reflection-distinct modes at theta
-    # in {0, 1/2}; that moved S by 1.0e-13 and 5.3e-15, below the 12
-    # digits printed (1.8259546709233305 -> 1.825954670923228 and
-    # 1.3271304868811282 -> 1.3271304868811336), so the bytes held
     "ee-partial-dft-theta0": (
         "f30afb1593bf5b10336eed0cc1d210a2440006e315ce6643ea999b205164d551"
     ),
     "ee-partial-dft-theta-half": (
         "619ddd8e49e654f26931d8560fcf3368e5c8c4790ed2a71b9e1aa2d6c327291b"
     ),
+    "ee-n-site-partial-dft": "55428e411c18f796e2643235c401127e4d8bc5744921eb5a356c650a270f70cd",
+    "ee-n-site-partial-dft-theta-half": (
+        "ab53c42b9cb8b6677cdf20ef6d48ca6815a67613d25ca1ee63313611a9c138eb"
+    ),
     "sweep-csv": "709892b633f56fb67f92219a9c786816ba538c31e16ecc7a9c4a06094e49783e",
     "sweep-json": "b4d96cefb9e0f14c292155cf4406a41ebc7ce4f77099521e23401442a73aea96",
     "sweep-svg": "96df2719847d32950a91547abc9c88735c791322a1de1ef2355562517fc34955",
+    "sweep-svg-betas": "475b7b9bf08e29fbfec163371260befe9b04492f96820f2af9c3198225080cf0",
+    "sweep-svg-zs": "d98730a21ba306dec2060841810859a6a92ea2f181c8ff7f4e917fa91a118365",
     "fit-text": "64484d4a33330bf6a87871bec5ea644ed933d4a5f5b2dc6f1985d8a52221d5ec",
     # every fit point is an even-z massless thermal point at theta = 0, whose
     # spectrum is now a real eigvalsh of P: the repr coefficients moved by
