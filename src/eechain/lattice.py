@@ -479,22 +479,14 @@ def _uses_partial_dft(n):
     """True where the partial DFT, not the FFT, computes the profiles.
 
     A function of N alone, so a profile entry never changes path with the
-    subsystem.  The FFT costs the same at any N_A; the partial DFT grows
-    with the number of site differences (N_A - 1 for a contiguous
-    subsystem), so the crossover depends on N_A as well as N.  FFT /
-    partial DFT through _block_entries (mode grid and weights included),
-    z = 1, m = 0.3, beta = 50, theta = 0.3, at 16, 64 and 450 site
-    differences, min of 15 interleaved runs on one BLAS thread (2-core
-    Xeon VM, numpy 2.4), the lower of two such runs: 1.4 / 0.9, 1.6 / 1.9
-    and 1.2 / 6.8 ms at N = 16384; 4.4 / 1.5, 4.5 / 2.6 and 4.5 / 11 ms at
-    65536; 11 / 2.6, 11 / 4.0 and 10 / 17 ms at 2^17; 95 / 17, 88 / 24 and
-    86 / 79 ms at 1e6.  Single figures moved by up to 1.5x between the
-    runs; the ratios at one N held.  So for a 5-smooth N the partial DFT
-    would win below 2^17 at small N_A only, and the FFT at N_A in the
-    hundreds up to about 1e6, where the two tie; the rule keeps 2^17, as
-    moving it changes which bits those N get.  A prime factor above about
-    300 sends numpy's FFT down its Bluestein path: 21 / 2.6, 26 / 6.1 and
-    21 / 20 ms at the prime N = 65537.
+    subsystem.  The FFT costs O(N log N) whatever the subsystem, and several
+    times that where a prime factor of N above about 300 sends numpy's FFT
+    down its Bluestein path.  The partial DFT costs O(L) per block of
+    PROFILE_BLOCK site differences, so it wins at large N, and at such
+    prime factors, while a subsystem spans few blocks.  The bounds were set
+    when the partial DFT summed all N modes; at even N it now sums N/2, so
+    the true crossover lies lower, but they stay where they are, as moving
+    them changes which bits those N get.
     """
     return n >= 2**17 or (n >= 10**4 and _largest_prime_factor(n) > 300)
 
