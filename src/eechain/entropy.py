@@ -53,7 +53,7 @@ from .lattice import (
 HERMITICITY_TOL = 1e-9
 CLAMP_TOL = 1e-9
 # Eigenvalues this close to 0 or 1 are pure modes; they contribute exactly 0.
-PURE_SNAP = 4.5e-16
+PURE_SNAP = 1e-15
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,8 @@ def entanglement_entropy(eigs):
 
     Anything but a 1-D array of real numbers raises InvalidParameter.  Values
     outside [0, 1] by at most 1e-9 are clamped; anything further out, NaN
-    included, raises EigenvalueOutOfRange.  Eigenvalues within PURE_SNAP =
-    4.5e-16 of 0 or 1 contribute exactly zero (pure modes), avoiding ln(0) noise.
+    included, raises EigenvalueOutOfRange.  Eigenvalues within 1e-15 of 0
+    or 1 contribute exactly zero (pure modes), avoiding ln(0) noise.
     """
     c = validate_real_array("eigs", eigs)
     if c.ndim != 1:

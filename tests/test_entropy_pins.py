@@ -41,11 +41,9 @@ pytestmark = pytest.mark.skipif(
 # in {0, 1/2} stopped summing cosine and sine series over the
 # reflection-distinct modes and took the sum over all distinct modes, with
 # the reflection rule's zeros set after the twist: the entries moved by
-# round-off, and S by -7.7e-14 (0x1.f4a7a6822da14p+1 before).  fft-theta0
-# was re-pinned when PURE_SNAP went from 1e-15 to 4.5e-16: S now counts
-# the eigenvalues between the two, +9.6e-14 (0x1.5a6856abfcb36p+0 before).
+# round-off, and S by -7.7e-14 (0x1.f4a7a6822da14p+1 before).
 POINTS = {  # name: (N, z, m, beta, theta, N_A), S as float.hex
-    "fft-theta0": ((2000, 3, 0.3, 50.0, 0.0, 160), "0x1.5a6856abfcce7p+0"),
+    "fft-theta0": ((2000, 3, 0.3, 50.0, 0.0, 160), "0x1.5a6856abfcb36p+0"),
     "fft-theta-half": ((2000, 5, 0.2, 100.0, 0.5, 40), "0x1.8cf69a31b87a0p+0"),
     "fft-generic-theta": ((2000, 1, 0.5, 10.0, 0.3183, 40), "0x1.eadf5a25429ffp+0"),
     "partial-dft-generic-theta": ((131072, 2, 0.3, 20.0, 0.25, 40), "0x1.53bed2d6addeep+0"),

@@ -87,11 +87,8 @@ SHA256 = {
     # (round-off of about 1e-17 at N = 400) to exact zeros: the repr
     # coefficients moved by <= 4.0e-12 (0.13497158603263054 ->
     # 0.13497158603254258, 2.1456369678980605 -> 2.145636967899485,
-    # 0.631727592593326 -> 0.6317275925893199).  Re-pinned when PURE_SNAP
-    # went from 1e-15 to 4.5e-16, which keeps the eigenvalues between the
-    # two: the repr coefficients moved by <= 1.3e-12 (0.13497158603251852,
-    # 2.1456369678999114, 0.6317275925880257)
-    "fit-json": "9bf943977292b0793b94c79fac31b2c8e6cab7cc443601bf9d6fb97fc6e946a0",
+    # 0.631727592593326 -> 0.6317275925893199)
+    "fit-json": "761e71316d0b6be18418483c0603600a80a724603dcd7e15ec14797af05f3683",
     "cmera-csv": "0a3d799ed2fdf6b5b6eaf6265c043975bd50857b77f81adb4e446f79aadd7e8b",
     # g = -phi + (z/4) sin 2 alpha: 173 of its 501 g values moved, by <= 2.2e-16
     "cmera-json": "db252eafe449454030db925d7fa1ca6ecf2901193d4fe511c867d7a4ca6073af",
