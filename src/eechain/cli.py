@@ -258,34 +258,7 @@ def _sweep_plot(table, zs, betas, nas):
     # repeated axis values repeat rows: the plot follows the distinct ones
     rows = tuple(dict.fromkeys(table.rows))
     zs, betas, nas = (tuple(dict.fromkeys(axis)) for axis in (zs, betas, nas))
-    if len(nas) > 1:
-        series = []
-        for z in zs:
-            for beta in betas:
-                pts = [(r.na, r.entropy) for r in rows if r.z == z and r.beta == beta]
-                pts.sort()
-                lbl = f"z={z}" + ("" if len(betas) == 1 else f" b={beta:g}")
-                series.append(([p[0] for p in pts], [p[1] for p in pts], lbl))
-        meta = {"xlabel": "N_A", "ylabel": "S", "xscale": "log", "title": "S vs N_A"}
-    elif len(betas) > 1:
-        # the x axis is log10(beta): the ground state is drawn as a line
-        if sum(map(math.isfinite, betas)) < 2:
-            raise UsageError("an svg sweep over beta needs two finite betas")
-        series, hlines = [], {}
-        for z in zs:
-            for na in nas:
-                pts = sorted((r.beta, r.entropy) for r in rows if r.z == z and r.na == na)
-                finite = [p for p in pts if math.isfinite(p[0])]
-                series.append(([p[0] for p in finite], [p[1] for p in finite], f"z={z}"))
-                hlines.update({(s, f"z={z} b=inf"): None for b, s in pts if math.isinf(b)})
-        meta = {
-            "xlabel": "beta",
-            "ylabel": "S",
-            "xscale": "log",
-            "title": "S vs beta",
-            "hlines": list(hlines),
-        }
-    else:
+    if len(nas) < 2 and len(betas) < 2:
         if len(zs) < 2:
             raise UsageError("an svg sweep needs an axis with two distinct values")
         pts = sorted((r.z, r.entropy) for r in rows)
@@ -297,6 +270,31 @@ def _sweep_plot(table, zs, betas, nas):
             "title": "S vs z",
             "hlines": [(smax, "2 N_A ln 2")],
         }
+        return emit_plot(series, meta)
+    # x is N_A or log10(beta), with one series per z and value of the other
+    # axis; points at beta = inf (the ground state) are drawn as lines
+    x, xlabel, other, values = (
+        ("na", "N_A", "beta", betas) if len(nas) > 1 else ("beta", "beta", "na", nas)
+    )
+    if x == "beta" and sum(map(math.isfinite, betas)) < 2:
+        raise UsageError("an svg sweep over beta needs two finite betas")
+    series, hlines = [], {}
+    for z in zs:
+        for value in values:
+            pts = sorted(
+                (getattr(r, x), r.entropy) for r in rows if (r.z, getattr(r, other)) == (z, value)
+            )
+            label = f"z={z}" + (f" b={value:g}" if x == "na" and len(betas) > 1 else "")
+            finite = [p for p in pts if math.isfinite(p[0])]
+            series.append(([p[0] for p in finite], [p[1] for p in finite], label))
+            hlines.update({(s, f"{label} b=inf"): None for b, s in pts if math.isinf(b)})
+    meta = {
+        "xlabel": xlabel,
+        "ylabel": "S",
+        "xscale": "log",
+        "title": f"S vs {xlabel}",
+        "hlines": list(hlines),
+    }
     return emit_plot(series, meta)
 
 
@@ -344,11 +342,8 @@ def _run_cmera(cfg):
         ]
         _emit(cfg, emit_json(payload))
     else:
-        data = emit_plot(
-            [(u, phi, "phi"), (u, g, "g"), (u, guu, "g_uu")],
-            {"xlabel": "u", "ylabel": "profile", "title": f"cMERA z={cfg.z}"},
-        )
-        _emit(cfg, data)
+        meta = {"xlabel": "u", "ylabel": "profile", "title": f"cMERA z={cfg.z}"}
+        _emit(cfg, emit_plot([(u, phi, "phi"), (u, g, "g"), (u, guu, "g_uu")], meta))
     return 0
 
 

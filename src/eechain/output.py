@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 import math
 import typing
+from html import escape
 
 import numpy as np
 
 from .entropy import EntropyPoint
 from .errors import EmptySeries, InvalidParameter, IoError
-from .lattice import validate_finite_array
+from .lattice import _is_integer, validate_finite_array
 from .thermal import SweepTable
 
 _COLUMN_TYPES = typing.get_type_hints(EntropyPoint)
@@ -77,7 +78,12 @@ def parse_table(data):
     stripped = text.lstrip()
     try:
         if stripped.startswith("["):
-            rows = [_row([obj[c] for c in _COLUMNS]) for obj in json.loads(stripped)]
+            objs = json.loads(stripped)
+            ints = [obj[c] for obj in objs for c, t in _COLUMN_TYPES.items() if t is int]
+            bad = [v for v in ints if not _is_integer(v)]
+            if bad:  # a bool or 10.7 would pass int() as 1 or 10
+                raise ValueError(f"z, n and na must be integers, got {bad[0]!r}")
+            rows = [_row([obj[c] for c in _COLUMNS]) for obj in objs]
             return SweepTable(rows=tuple(rows)).sorted()
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != CSV_HEADER:
@@ -89,7 +95,7 @@ def parse_table(data):
                 raise ValueError(f"bad CSV row: {ln!r}")
             rows.append(_row(parts))
         return SweepTable(rows=tuple(rows)).sorted()
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise IoError(f"cannot parse table: {exc}") from exc
 
 
@@ -132,13 +138,20 @@ def _ticks(lo, hi, log):
     return [10.0**t for t in marks] if log else marks
 
 
+def _text(attributes, body):
+    """A <text> element with its body XML-escaped, so any label reads back
+    (by html.escape: xml.sax.saxutils imports urllib.request, about 6 MB)."""
+    return f"<text {attributes}>{escape(str(body), quote=False)}</text>"
+
+
 def emit_plot(series, axes=None):
     """Render line series to self-contained SVG bytes.
 
     series: list of (x_values, y_values, label); each needs >= 2 points.
     axes:   optional dict with keys xlabel, ylabel, title,
             xscale ('linear' | 'log'), hlines (list of (y, label)
-            drawn as dashed reference lines).
+            drawn as dashed reference lines).  Every label and tick is
+            written XML-escaped.
     Values that are not finite real numbers, x <= 0 on a log axis, or a
     range too wide to scale to pixels raise InvalidParameter.
     """
@@ -146,8 +159,7 @@ def emit_plot(series, axes=None):
     if not series:
         raise EmptySeries("no series to plot")
     cleaned = []
-    for item in series:
-        x, y, label = item
+    for x, y, label in series:
         x = validate_finite_array(f"series {label!r}", x)
         y = validate_finite_array(f"series {label!r}", y)
         if x.size < 2 or x.size != y.size:
@@ -171,9 +183,7 @@ def emit_plot(series, axes=None):
         f'height="{_H - _MT - _MB}" fill="none" stroke="black"/>',
     ]
     if axes.get("title"):
-        parts.append(
-            f'<text x="{_W / 2:.1f}" y="20" text-anchor="middle">{axes["title"]}</text>'
-        )
+        parts.append(_text(f'x="{_W / 2:.1f}" y="20" text-anchor="middle"', axes["title"]))
 
     for tv in _ticks(xlo, xhi, xlog):
         px = x_px(tv)
@@ -181,30 +191,21 @@ def emit_plot(series, axes=None):
             f'<line x1="{px:.2f}" y1="{_H - _MB}" x2="{px:.2f}" '
             f'y2="{_H - _MB + 5}" stroke="black"/>'
         )
-        parts.append(
-            f'<text x="{px:.2f}" y="{_H - _MB + 18}" text-anchor="middle">'
-            f"{tv:.4g}</text>"
-        )
+        parts.append(_text(f'x="{px:.2f}" y="{_H - _MB + 18}" text-anchor="middle"', f"{tv:.4g}"))
     for tv in _ticks(ylo, yhi, log=False):
         py = y_px(tv)
         parts.append(
             f'<line x1="{_ML - 5}" y1="{py:.2f}" x2="{_ML}" y2="{py:.2f}" '
             f'stroke="black"/>'
         )
-        parts.append(
-            f'<text x="{_ML - 8}" y="{py + 4:.2f}" text-anchor="end">{tv:.4g}</text>'
-        )
+        parts.append(_text(f'x="{_ML - 8}" y="{py + 4:.2f}" text-anchor="end"', f"{tv:.4g}"))
     if axes.get("xlabel"):
-        parts.append(
-            f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 14}" '
-            f'text-anchor="middle">{axes["xlabel"]}</text>'
-        )
+        xl = f'x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 14}" text-anchor="middle"'
+        parts.append(_text(xl, axes["xlabel"]))
     if axes.get("ylabel"):
         cx, cy = 16, (_MT + _H - _MB) / 2
-        parts.append(
-            f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 {cx} {cy:.1f})">{axes["ylabel"]}</text>'
-        )
+        yl = f'x="{cx}" y="{cy:.1f}" text-anchor="middle" transform="rotate(-90 {cx} {cy:.1f})"'
+        parts.append(_text(yl, axes["ylabel"]))
 
     for y_ref, label in hlines:
         py = y_px(y_ref)
@@ -214,8 +215,7 @@ def emit_plot(series, axes=None):
         )
         if label:
             parts.append(
-                f'<text x="{_W - _MR - 4}" y="{py - 4:.2f}" text-anchor="end" '
-                f'fill="gray">{label}</text>'
+                _text(f'x="{_W - _MR - 4}" y="{py - 4:.2f}" text-anchor="end" fill="gray"', label)
             )
 
     for idx, (x, y, label) in enumerate(cleaned):
@@ -230,7 +230,7 @@ def emit_plot(series, axes=None):
             f'<line x1="{_W - _MR - 120}" y1="{ly - 4}" x2="{_W - _MR - 100}" '
             f'y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>'
         )
-        parts.append(f'<text x="{_W - _MR - 94}" y="{ly}">{label}</text>')
+        parts.append(_text(f'x="{_W - _MR - 94}" y="{ly}"', label))
 
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode()

@@ -120,9 +120,9 @@ def cft_reference(kind, params):
            'high_T_expansion'  (c/3) [pi l/beta - ln(l/beta) + ln(l/(2 pi eps))]
 
     params maps the keys the kind reads (n and na, or l, beta and eps) and
-    c to finite reals > 0; c defaults to 2 and eps to 1.  A missing or bad
-    key, or a curve that overflows or takes the log of a value <= 0, raises
-    InvalidParameter.
+    c to finite reals > 0, with na < n; c defaults to 2 and eps to 1.  A
+    missing or bad key, or a curve that overflows or takes the log of a
+    value <= 0, raises InvalidParameter.
     """
     if kind not in _CFT_CURVES:
         raise InvalidKind(f"unknown reference curve kind: {kind!r}")
@@ -133,6 +133,9 @@ def cft_reference(kind, params):
         raise InvalidParameter(f"{kind} reference needs params {missing}")
     c = validate_positive("c", p["c"])
     values = [validate_positive(key, p[key]) for key in keys]
+    if kind == "finite_size" and not values[1] < values[0]:
+        # sin(pi N_A / N) at N_A = N or 3N is round-off, not 0, and its log is finite
+        raise InvalidParameter(f"finite_size reference needs na < n, got {params}")
     try:
         return (c / 3.0) * curve(*values)
     except (ArithmeticError, ValueError):  # math's overflow and domain errors

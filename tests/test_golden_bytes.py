@@ -7,6 +7,7 @@ digit, so the cases skip there instead of failing.
 """
 
 import hashlib
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -117,3 +118,9 @@ def _output_bytes(argv, tmp_path, capsysbinary):
 def test_cli_bytes_unchanged(name, tmp_path, capsysbinary):
     data = _output_bytes(ARGV[name].split(), tmp_path, capsysbinary)
     assert hashlib.sha256(data).hexdigest() == SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in ARGV if "svg" in ARGV[n].split()))
+def test_cli_svg_is_xml(name, tmp_path, capsysbinary):
+    svg = ElementTree.fromstring(_output_bytes(ARGV[name].split(), tmp_path, capsysbinary))
+    assert svg.tag == "{http://www.w3.org/2000/svg}svg"

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import typing
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -87,6 +88,20 @@ def test_parse_rejects_garbage():
         parse_table(b"[{\"z\": 1}]")
     with pytest.raises(IoError):
         parse_table(b"[not json")
+    with pytest.raises(IoError):  # a row that is not an object raised TypeError
+        parse_table(b"[1]")
+    row = json.loads(emit_table(_table(), "json"))[0]
+    with pytest.raises(IoError):  # an int beyond a float raised OverflowError
+        parse_table(json.dumps([{**row, "entropy": 10**400}]))
+
+
+@pytest.mark.parametrize("column, value", [("n", 10.7), ("na", 2.5), ("z", True)])
+def test_json_integer_columns_take_only_integers(column, value):
+    # int() read these as n = 10, N_A = 2 and z = 1; the CSV path rejects 10.0
+    row = json.loads(emit_table(_table(), "json"))[0]
+    assert parse_table(json.dumps([row])).rows == _table().rows[:1]
+    with pytest.raises(IoError):
+        parse_table(json.dumps([{**row, column: value}]))
 
 
 def test_unknown_format():
@@ -147,6 +162,20 @@ def test_plot_reference_lines_and_log_axis():
     ).decode()
     assert "stroke-dasharray" in data
     assert "bound" in data
+
+
+def test_plot_escapes_every_label():
+    # a label holding & or < made an SVG that no XML parser reads
+    axes = {
+        "title": "S & <T>",
+        "xlabel": "x<1 & y>2",
+        "ylabel": "<S>",
+        "hlines": [(1.5, "a & b < c")],
+    }
+    svg = ElementTree.fromstring(emit_plot([([1, 2], [1, 2], "a<b & c")], axes))
+    texts = [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")]
+    for label in ("a<b & c", "S & <T>", "x<1 & y>2", "<S>", "a & b < c"):
+        assert label in texts
 
 
 def test_plot_empty_gates():

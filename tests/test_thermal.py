@@ -57,6 +57,14 @@ def test_reference_finite_size():
     assert a == pytest.approx(b, rel=1e-14)
 
 
+@pytest.mark.parametrize("na", [10, 30])
+def test_reference_finite_size_needs_na_below_n(na):
+    # sin(pi N_A / N) rounded to about 1e-16 and the curve read -23.65 and -22.92
+    assert math.isfinite(cft_reference("finite_size", {"n": 10, "na": 9}))
+    with pytest.raises(InvalidParameter):
+        cft_reference("finite_size", {"n": 10, "na": na})
+
+
 def test_reference_thermal_limits():
     base = {"c": 2.0, "l": 40.0, "eps": 1.0}
     # cold: sinh -> its argument, reproducing the area law + quadratic term

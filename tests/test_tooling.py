@@ -1,16 +1,19 @@
 """The suite's pytest configuration, checked on a planted failing test, the
 package's one home for its input rules and the use of what they return, the
 one BLAS thread of its linalg calls, the use of its private names, no
-function body written twice, and the names the benchmark uses."""
+function body written twice, the names the benchmark uses, and README's
+CLI table."""
 
 import ast
 import copy
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import eechain
+from eechain import cli
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -243,3 +246,19 @@ def test_benchmark_finds_every_name_it_uses():
     spec.loader.exec_module(spans)
     spans.Tracer(eechain)  # getattr on each name the traced run wraps
     assert isinstance(eechain.backend_name(), str)
+
+
+def test_readme_cli_table_matches_the_parser():
+    # README's table is the user's list of flags and formats: a renamed,
+    # added or dropped flag must show there too
+    readme = (PYPROJECT.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `([\w-]+)` \| `([^`]+)` \| (.+) \|$", readme, re.MULTILINE)
+    assert [command for command, _, _ in rows] == list(cli._COMMAND_FLAGS)
+    for command, flags, formats in rows:
+        read = cli._COMMAND_FLAGS[command]
+        sets = [[f.removeprefix("--") for f in token.split("\\|")] for token in flags.split()]
+        assert sorted(name for names in sets for name in names) == sorted(read)
+        groups = [[name for name in group if name in read] for group in cli._EXCLUSIVE_FLAGS]
+        assert [names for names in sets if len(names) > 1] == [g for g in groups if len(g) > 1]
+        written = re.match(r"`([^`]+)`", formats)
+        assert (written[1].split() if written else []) == list(cli._FORMATS.get(command, ()))
