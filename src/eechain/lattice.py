@@ -17,13 +17,13 @@ the site difference d = j - i:
     <psi_s,i^dag psi_s,j>  = delta_ij/2 + s * e^{2i pi theta d/N} * p[d]
     <psi_s,i^dag psi_-s,j> =            - e^{2i pi theta d/N} * q[d]
 
-where p, q are half inverse-DFTs of the real occupation weights F, G over
-the mode grid (see fourier_profile).  Real weights make them conjugate
-symmetric, p[-d] = conj(p[d]), so the block reads p and q only at the
-distinct |d| its site pairs span.  Only those are computed, and the block
-entries from them at each |d|; the entry at -|d| is the conjugate of the
-one at +|d|, and each N_A x N_A block is one gather of those.  Each
-profile takes one of four paths:
+where p, q are the half inverse-DFTs of the real occupation weights
+w = F, G over the mode grid, (1/2N) sum_kappa w[kappa] e^{2i pi kappa d/N}.
+Real weights make them conjugate symmetric, p[-d] = conj(p[d]), so the
+block reads p and q only at the distinct |d| its site pairs span.  Only
+those are computed, and the block entries from them at each |d|; the
+entry at -|d| is the conjugate of the one at +|d|, and each N_A x N_A
+block is one gather of those.  Each profile takes one of four paths:
 
 * massless ground state: no mode grid at all.  Even z gives the exact
   delta p[d] = delta_{d0}/2.  Odd z gives Peschel's Fermi-sea correlator
@@ -47,9 +47,10 @@ profile takes one of four paths:
   fixed blocks of PROFILE_BLOCK site differences, O(L) per block (see
   _partial_dft).
 * FFT, at every other N: one real-input FFT of length N per weight array,
-  O(N log N) (see _fft_entries).  It takes the partial DFT's (w, s) pairs,
-  weights over the L distinct modes and the sign of mode kappa + N/2, and
-  gives its profiles, the parity zeros below included.
+  O(N log N) (see fourier_profile).  It takes the partial DFT's (w, s)
+  pairs, weights over the L distinct modes and the sign of mode
+  kappa + N/2, reads each entry off the half spectrum, and gives the
+  parity zeros below.
 
 Two symmetries make parts of the grid paths' entries vanish, and each has
 one rule that makes them exact zeros:
@@ -436,35 +437,6 @@ def _mode_weights(spec: LatticeSpec, beta):
     return f, g
 
 
-def fourier_profile(weights):
-    """Half inverse-DFT of a real length-N weight vector, by FFT.
-
-    Parameters
-    ----------
-    weights : (N,) array_like, real
-        Mode weights w_kappa.
-
-    Returns
-    -------
-    (N,) complex ndarray with entry d equal to
-    (1/2N) * sum_kappa w[kappa] * exp(2i pi kappa d / N).
-
-    Real weights make the profile conjugate-symmetric, p[N-d] = conj(p[d]),
-    so one real-input transform gives entries 0..N//2 and the upper half
-    is filled by symmetry.
-    """
-    w = np.asarray(weights)
-    if w.ndim != 1 or w.size == 0 or np.iscomplexobj(w):
-        raise InvalidParameter("weights must be a nonempty real 1-d array")
-    n = w.size
-    half = np.fft.ihfft(w)
-    half /= 2.0
-    profile = np.empty(n, dtype=np.complex128)
-    profile[: half.size] = half
-    np.conjugate(half[n - half.size : 0 : -1], out=profile[half.size :])
-    return profile
-
-
 @functools.cache
 def _largest_prime_factor(n):
     factor, largest = 2, 1
@@ -534,7 +506,8 @@ PROFILE_BLOCK = 16
 
 
 def _partial_dft(spec: LatticeSpec, weights, distances):
-    """fourier_profile of each unfolded weight array, at the given d only.
+    """The profile of each weight array at the given d only, by a DFT over
+    the L distinct modes.
 
     weights holds (w, s) pairs: w over the L distinct modes of
     build_mode_grid, and s the sign mode kappa + N/2 carries for even N
@@ -601,15 +574,21 @@ def _partial_dft(spec: LatticeSpec, weights, distances):
     return profiles
 
 
-def _fft_entries(spec: LatticeSpec, weights, distances):
-    """_partial_dft's profiles by fourier_profile, one FFT of length N per
-    weight array: for even N each (w, s) is unfolded to the N modes, mode
-    kappa + N/2 carrying s * w[kappa], and the round-off of about 1e-17
-    that the transform leaves at the d where (-1)^d != s is set to 0."""
+def fourier_profile(spec: LatticeSpec, weights, distances):
+    """_partial_dft's profiles by FFT, one real-input transform of length N
+    per weight array: for even N each (w, s) is unfolded to the N modes,
+    mode kappa + N/2 carrying s * w[kappa].  Real weights make the profile
+    conjugate symmetric, p[N - d] = conj(p[d]), so entry d is read off the
+    half spectrum ihfft/2, which holds d <= N/2, and for d > N/2 is the
+    conjugate of entry N - d there.  The round-off of about 1e-17 that the
+    transform leaves at the d where (-1)^d != s is set to 0."""
     n = spec.n_sites
+    upper = distances > n // 2
+    index = np.where(upper, n - distances, distances)
     profiles = []
     for w, sign in weights:
-        profile = fourier_profile(w if n % 2 else np.concatenate((w, sign * w)))[distances]
+        profile = np.fft.ihfft(w if n % 2 else np.concatenate((w, sign * w)))[index] / 2.0
+        np.conjugate(profile, out=profile, where=upper)
         if n % 2 == 0:
             profile[(distances % 2 == 1) != (sign < 0)] = 0.0
         profiles.append(profile)
@@ -749,7 +728,7 @@ def _chain_entries(spec: LatticeSpec, beta, distances):
     else:
         f, g = _mode_weights(spec, beta)
         weights = [(f, (-1.0) ** spec.z_exponent), (g, 1.0)][: 1 + massive]
-        engine = _partial_dft if _uses_partial_dft(n) else _fft_entries
+        engine = _partial_dft if _uses_partial_dft(n) else fourier_profile
         profiles = engine(spec, weights, distances)
     p, q = (*profiles, np.zeros(distances.size, dtype=complex))[:2]
     twist = np.exp(2j * np.pi * spec.boundary_phase * distances / n)

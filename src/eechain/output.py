@@ -19,7 +19,9 @@ import numpy as np
 
 from .entropy import EntropyPoint
 from .errors import EmptySeries, InvalidParameter, IoError
-from .lattice import _is_integer, validate_finite_array
+from .lattice import (
+    LatticeSpec, _is_integer, validate_beta, validate_finite_array, validate_nonnegative
+)
 from .thermal import SweepTable
 
 _COLUMN_TYPES = typing.get_type_hints(EntropyPoint)
@@ -68,12 +70,25 @@ def emit_table(table: SweepTable, fmt="csv"):
 
 
 def _row(values):
-    """An EntropyPoint from its column values, in CSV_HEADER order."""
-    return EntropyPoint(*(t(v) for t, v in zip(_COLUMN_TYPES.values(), values)))
+    """An EntropyPoint from its column values, in CSV_HEADER order, if it is
+    a point of the model: z, n, epsilon and mass make a LatticeSpec, beta
+    passes validate_beta, N_A is an integer in [1, n] and the entropy is
+    finite and >= 0.  A text value holding "_" or surrounding whitespace,
+    which int() and float() would take (1_0 as 10), raises too."""
+    bad = [v for v in values if isinstance(v, str) and (v != v.strip() or "_" in v)]
+    if bad:
+        raise ValueError(f"bad field: {bad[0]!r}")
+    point = EntropyPoint(*(t(v) for t, v in zip(_COLUMN_TYPES.values(), values)))
+    spec = LatticeSpec(point.n, point.z, point.mass, point.epsilon)
+    if not 1 <= point.na <= point.n:
+        raise ValueError(f"na must lie in [1, n = {point.n}], got {point.na}")
+    entropy = validate_nonnegative("entropy", point.entropy)
+    return EntropyPoint.of(spec, validate_beta(point.beta), point.na, entropy)
 
 
 def parse_table(data):
-    """Inverse of emit_table; auto-detects CSV vs JSON."""
+    """Inverse of emit_table; auto-detects CSV vs JSON.  Malformed text, or
+    a row that is not a point of the model (see _row), raises IoError."""
     text = data.decode() if isinstance(data, (bytes, bytearray)) else str(data)
     stripped = text.lstrip()
     try:

@@ -119,6 +119,28 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_file)]) == 0
 
 
+SWEEP_USAGE_ERRORS = {
+    "no-z": ("sweep --n 10 --nas 2", "sweep requires --z or --zs"),
+    "no-na": ("sweep --n 10 --z 1", "sweep requires --na or --nas"),
+    "empty-list": ("sweep --n 10 --zs , --nas 2", "--zs needs a comma-separated list"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message", SWEEP_USAGE_ERRORS.values(), ids=SWEEP_USAGE_ERRORS.keys()
+)
+def test_sweep_without_an_axis_is_usage_error(argv, message, capsys):
+    assert main(argv.split()) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_line_without_equals_is_usage_error(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("na = 2\nn 10\n")
+    assert main(["ee", "--config", str(cfg_file)]) == 2
+    assert f"{cfg_file}:2: expected key = value" in capsys.readouterr().err
+
+
 def test_config_file_missing(capsys):
     assert main(["ee", "--config", "/nonexistent/file.cfg"]) == 2
 

@@ -154,6 +154,17 @@ def test_numeric_inversion_sampling_gates():
         g_from_phi_numeric(bad_u, np.zeros_like(bad_u))
 
 
+@pytest.mark.parametrize("u", [np.arange(4.0) * 1e-3, np.zeros((10, 10))])
+def test_numeric_inversion_needs_a_1d_profile_of_5_samples(u):
+    with pytest.raises(InsufficientSampling):
+        g_from_phi_numeric(u, np.zeros_like(u))
+
+
+def test_energy_density_rejects_samples_of_two_shapes():
+    with pytest.raises(InvalidParameter):
+        energy_density([1.0, 2.0], [0.1], 1, 0.3)
+
+
 def test_energy_minimizer_beats_constant_profiles():
     z, m = 1, 0.5
     k = np.linspace(1e-3, 1.0, 2000)

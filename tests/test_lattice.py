@@ -22,7 +22,6 @@ from eechain import (
 )
 from eechain.lattice import (
     _fermi_sea_profile,
-    _fft_entries,
     _mode_weights,
     _partial_dft,
     _uses_partial_dft,
@@ -145,6 +144,8 @@ def test_ground_state_block_n4():
 
 
 def test_fourier_profile_matches_direct_sum():
+    # odd N: the L = N weights are the grid's own, and d > N/2 is read as
+    # the conjugate of entry N - d
     rng = np.random.default_rng(3)
     w = rng.standard_normal(17)
     n = w.size
@@ -152,14 +153,8 @@ def test_fourier_profile_matches_direct_sum():
     direct = np.array(
         [np.sum(w * np.exp(2j * np.pi * kappa * d / n)) / (2 * n) for d in range(n)]
     )
-    np.testing.assert_allclose(fourier_profile(w), direct, atol=1e-13)
-
-
-def test_fourier_profile_input_validation():
-    with pytest.raises(InvalidParameter):
-        fourier_profile(np.zeros(0))
-    with pytest.raises(InvalidParameter):
-        fourier_profile(np.zeros((3, 3)))
+    (profile,) = fourier_profile(LatticeSpec(n_sites=n), [(w, 1.0)], np.arange(n))
+    np.testing.assert_allclose(profile, direct, atol=1e-13)
 
 
 def test_matrix_n4_halved():
@@ -218,7 +213,7 @@ def test_odd_z_ground_state_correlators_equal_z1(n_sites, z):
     # the blocks take the closed form here, so the weights go through the FFT
     d = np.arange(n_sites)
     p1, pz = (
-        _fft_entries(spec, [(_mode_weights(spec, INF)[0], -1.0)], d)[0]
+        fourier_profile(spec, [(_mode_weights(spec, INF)[0], -1.0)], d)[0]
         for spec in (LatticeSpec(n_sites=n_sites), LatticeSpec(n_sites=n_sites, z_exponent=z))
     )
     assert np.abs(pz - p1).max() <= 1e-14
@@ -374,7 +369,7 @@ def _own_profiles(spec, beta, distances):
         return np.where(distances == 0, 0.5 + 0j, 0j), zeros
     f, g = _mode_weights(spec, beta)
     weights = [(f, (-1.0) ** z), (g, 1.0)]
-    p, q = (_partial_dft if _uses_partial_dft(n) else _fft_entries)(spec, weights, distances)
+    p, q = (_partial_dft if _uses_partial_dft(n) else fourier_profile)(spec, weights, distances)
     return p, q if spec.mass > 0 else zeros
 
 

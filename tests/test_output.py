@@ -104,6 +104,50 @@ def test_json_integer_columns_take_only_integers(column, value):
         parse_table(json.dumps([{**row, column: value}]))
 
 
+CSV_ROW = "1,inf,100,10,1,0,2.5"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "-3,-1,0,-5,nan,-2,nan",  # every column outside its range
+        "1,inf,10,20,1,0,2.5",  # N_A = 20 > N = 10
+        "1,inf,1_0,10,1,0,2.5",  # int() reads 1_0 as 10
+        "1,1_0.5,100,10,1,0,2.5",  # float() reads 1_0.5 as 10.5
+        "1, inf,100,10,1,0,2.5",  # a leading space
+        "1,inf,100,10,1,0,-inf",  # a negative entropy
+    ],
+)
+def test_csv_rows_outside_the_model_raise(row):
+    header = output.CSV_HEADER + "\n"
+    assert len(parse_table(header + CSV_ROW + "\n").rows) == 1
+    with pytest.raises(IoError):
+        parse_table(header + row + "\n")
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [
+        ("z", -3),
+        ("beta", -1.0),
+        ("beta", "1_0.5"),
+        ("beta", " inf"),
+        ("n", 0),
+        ("na", 0),
+        ("na", 101),  # N_A > N = 100
+        ("epsilon", math.nan),
+        ("mass", -2.0),
+        ("entropy", math.nan),
+        ("entropy", -INF),
+    ],
+)
+def test_json_rows_outside_the_model_raise(column, value):
+    row = json.loads(emit_table(_table(), "json"))[0]
+    assert parse_table(json.dumps([row])).rows == _table().rows[:1]
+    with pytest.raises(IoError):
+        parse_table(json.dumps([{**row, column: value}]))
+
+
 def test_unknown_format():
     with pytest.raises(IoError):
         emit_table(_table(), "xml")
@@ -126,8 +170,9 @@ def test_unknown_format():
     )
 )
 def test_roundtrip_fixpoint_property(raw):
+    # parse_table takes only N_A <= N
     rows = tuple(
-        EntropyPoint(z=a, beta=b, n=c, na=d, epsilon=e, mass=f, entropy=g)
+        EntropyPoint(z=a, beta=b, n=max(c, d), na=d, epsilon=e, mass=f, entropy=g)
         for a, b, c, d, e, f, g in raw
     )
     table = SweepTable(rows=rows).sorted()

@@ -22,7 +22,6 @@ from eechain.lattice import (
     _below_node_range,
     _block_entries,
     _chain_entries,
-    _fft_entries,
     _mode_weights,
     _partial_dft,
     _short_chain_sites,
@@ -51,7 +50,7 @@ def _assert_entries_equal_fft(spec, beta):
     d = _distances(spec.n_sites)
     f, g = _mode_weights(spec, beta)
     weights = [(f, (-1.0) ** spec.z_exponent), (g, 1.0)][: 1 + (spec.mass > 0)]
-    p, q = (*_fft_entries(spec, weights, d), np.zeros(d.size))[:2]
+    p, q = (*fourier_profile(spec, weights, d), np.zeros(d.size))[:2]
     for same, cross in (_chain_entries(spec, beta, d), _block_entries(spec, beta, d)):
         assert np.abs(same - _twist(spec, d) * p).max() <= 1e-15
         assert np.abs(cross + _twist(spec, d) * q).max() <= 1e-15
@@ -63,7 +62,7 @@ def test_fermi_sea_closed_form_equals_fft(n_sites, theta):
     d = _distances(n_sites)
     spec1 = LatticeSpec(n_sites=n_sites, boundary_phase=theta)
     f1, _ = _mode_weights(spec1, INF)
-    reference = _twist(spec1, d) * _fft_entries(spec1, [(f1, -1.0)], d)[0]
+    reference = _twist(spec1, d) * fourier_profile(spec1, [(f1, -1.0)], d)[0]
     for z in (1, 3, 5, 9):
         spec = LatticeSpec(n_sites=n_sites, z_exponent=z, boundary_phase=theta)
         # every odd z has the z = 1 weights, so one FFT serves all four
@@ -177,8 +176,8 @@ def test_fft_entries_drop_only_round_off_at_theta_0_and_half(n_sites, theta, z, 
     f, g = _mode_weights(spec, beta)
     if n_sites % 2 == 0:  # mode kappa + N/2 carries (-1)^z F and the G of mode kappa
         f, g = np.concatenate((f, (-1.0) ** z * f)), np.concatenate((g, g))
-    p = _twist(spec, d) * fourier_profile(f)[d]
-    q = _twist(spec, d) * fourier_profile(g)[d]
+    p = _twist(spec, d) * (np.fft.ihfft(f)[d] / 2)
+    q = _twist(spec, d) * (np.fft.ihfft(g)[d] / 2)
     kept, dropped = (np.imag, np.real) if z % 2 else (np.real, np.imag)
     assert np.abs(dropped(p)).max() <= 1e-16
     assert np.abs(q.imag).max() <= 1e-16
@@ -289,7 +288,7 @@ def test_sparse_subsystem_equals_fft_path(mass, beta):
     m = build_correlation_matrix(spec, beta, sites).entries
     f, g = _mode_weights(spec, beta)
     d = sites[None, :] - sites[:, None]
-    p, q = _fft_entries(spec, [(f, -1.0), (g, 1.0)], d % n)
+    p, q = fourier_profile(spec, [(f, -1.0), (g, 1.0)], d % n)
     phase = np.exp(2j * np.pi * 0.37 * d / n)
     same, cross = phase * p, -phase * q
     assert np.abs(m[0::2, 0::2] - (0.5 * np.eye(3) + same)).max() <= 1e-14
@@ -310,9 +309,9 @@ def test_partial_dft_crossover():
 def test_small_chain_keeps_the_fft(monkeypatch):
     calls = []
 
-    def counting(weights):
-        calls.append(weights.size)
-        return fourier_profile(weights)
+    def counting(spec, weights, distances):
+        calls.extend(spec.n_sites for _ in weights)  # one transform per array
+        return fourier_profile(spec, weights, distances)
 
     monkeypatch.setattr(eechain.lattice, "fourier_profile", counting)
     spec = LatticeSpec(n_sites=2000, mass=0.3)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -77,12 +78,22 @@ def test_reference_thermal_limits():
     assert hot == pytest.approx(high, abs=1e-8)
 
 
+def test_reference_that_overflows_raises():
+    # sinh(pi l / beta) overflows a float
+    with pytest.raises(InvalidParameter):
+        cft_reference("thermal", {"l": 1e6, "beta": 1e-3})
+
+
 def test_reference_unknown_kind():
     with pytest.raises(InvalidKind):
         cft_reference("volume_law", {"l": 10})
 
 
 # ------------------------------------------------------------------ sweep
+
+
+def test_sweep_without_subsystem_sizes_is_empty():
+    assert sweep_entropy((1, 2), (INF, 5.0), (), n_sites=10).rows == ()
 
 
 def test_sweep_sorted_and_complete():
@@ -194,9 +205,9 @@ def test_sweep_builds_one_profile_and_matrix_per_group(
 
     calls = {"profile": 0, "matrix": 0}
 
-    def counting(name, fn):
+    def counting(name, fn, count=lambda *args: 1):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += count(*args)
             return fn(*args, **kwargs)
 
         return wrapper
@@ -204,7 +215,8 @@ def test_sweep_builds_one_profile_and_matrix_per_group(
     monkeypatch.setattr(
         eechain.lattice,
         "fourier_profile",
-        counting("profile", eechain.lattice.fourier_profile),
+        # one engine call gives a profile per weight array
+        counting("profile", eechain.lattice.fourier_profile, lambda spec, w, d: len(w)),
     )
     monkeypatch.setattr(
         eechain.entropy,
@@ -315,6 +327,28 @@ def test_high_fit_recovers_synthetic():
     fit = fit_high_temperature(SweepTable(rows=tuple(rows)), z)
     assert fit.basis == ("1", "x", "ln(eps^z/beta)")
     np.testing.assert_allclose(fit.coefficients, (a, b, c), atol=1e-10)
+
+
+def test_low_fit_counts_the_ground_state_at_x_0():
+    betas = (INF, *np.geomspace(200.0, 2000.0, 9))
+    table = sweep_entropy((1,), betas, (4,), n_sites=200)
+    assert fit_low_temperature(table, 1).n_rows == 10
+
+
+def test_high_fit_skips_other_z_and_the_ground_state():
+    z, na = 2, 10
+    rows = [
+        EntropyPoint(
+            z=z, beta=b, n=2000, na=na, epsilon=1.0, mass=0.0, entropy=1.0 + math.log(b)
+        )
+        for b in np.geomspace(0.01, 4.0, 12)
+    ]
+    fit = fit_high_temperature(SweepTable(rows=tuple(rows)), z)
+    others = [
+        dataclasses.replace(rows[0], z=1, entropy=1.0),
+        dataclasses.replace(rows[0], beta=INF, entropy=1.0),
+    ]
+    assert fit_high_temperature(SweepTable(rows=tuple(rows + others)), z) == fit
 
 
 def test_high_fit_gates():

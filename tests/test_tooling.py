@@ -1,12 +1,16 @@
 """The suite's pytest configuration, checked on a planted failing test, the
 package's one home for its input rules and the use of what they return, the
 one BLAS thread of its linalg calls, the use of its private names, no
-function body written twice, the names the benchmark uses, and README's
-CLI table."""
+function body written twice, the names the benchmark uses, README's CLI
+table, and the code names README and the docstrings cite."""
 
 import ast
+import builtins
 import copy
+import dataclasses
+import importlib
 import importlib.util
+import pkgutil
 import re
 import subprocess
 import sys
@@ -262,3 +266,79 @@ def test_readme_cli_table_matches_the_parser():
         assert [names for names in sets if len(names) > 1] == [g for g in groups if len(g) > 1]
         written = re.match(r"`([^`]+)`", formats)
         assert (written[1].split() if written else []) == list(cli._FORMATS.get(command, ()))
+
+
+MODULES = [eechain] + [
+    importlib.import_module(f"eechain.{info.name}")
+    for info in pkgutil.iter_modules(eechain.__path__)
+]
+# a name the docs could still cite after its code is gone
+STALE_NAME = "lattice._fft_entries"
+
+
+def _citable(name):
+    """True for a name a doc line cites as code: dotted, snake_case, with a
+    leading underscore or capitalised."""
+    return "." in name or "_" in name or name[0].isupper()
+
+
+def _doc_names():
+    """(where, name) of each code name README.md puts in backticks, a whole
+    span or the name a call in one starts with, and of each name a
+    docstring of the package cites as "see <name>"."""
+    name = r"[A-Za-z_]\w*(?:\.\w+)*"
+    readme = (PYPROJECT.parent / "README.md").read_text()
+    spans = re.findall(rf"`({name})(?:\([^`]*\))?`", readme)
+    names = {("README.md", cited) for cited in spans if _citable(cited)}
+    for module in MODULES:
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                docstring = ast.get_docstring(node) or ""
+                seen = re.findall(rf"\b[Ss]ee\s+({name})", docstring)
+                names |= {(module.__name__, cited) for cited in seen if _citable(cited)}
+    return names
+
+
+def _resolvable_names():
+    """The fields of the package's dataclasses and the module-level names of
+    tests/: names no attribute path from eechain reaches."""
+    names = {
+        field.name
+        for module in MODULES
+        for cls in vars(module).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+        for field in dataclasses.fields(cls)
+    }
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def _resolves(name, known):
+    """True if name is in known, or is an attribute path from builtins, from
+    eechain or from one of its modules."""
+    if name in known:
+        return True
+    missing = object()
+    for root in (builtins, *MODULES):
+        obj = root
+        for part in name.removeprefix("eechain.").split("."):
+            obj = getattr(obj, part, missing)
+        if obj is not missing:
+            return True
+    return False
+
+
+def test_docs_cite_only_names_that_exist():
+    # a helper renamed or deleted leaves its name behind in README and in
+    # the docstrings that point to it
+    known = _resolvable_names()
+    assert not _resolves(STALE_NAME, known)
+    unresolved = sorted(
+        (where, name) for where, name in _doc_names() if not _resolves(name, known)
+    )
+    assert unresolved == []
