@@ -7,9 +7,9 @@ two OpenBLAS threads and 9.58136684995 on one.  These run inside
 one_blas_thread, so identical inputs give identical bytes on any core
 count:
 
-* entropy.hermitian_eigenvalues: numpy's real singular-value solve of
-  Im P + Re C, real eigvalsh of P or complex singular-value solve of
-  P + iC, whichever the blocks take;
+* entropy.hermitian_eigenvalues: numpy's real or complex singular-value
+  solves and eigvalsh, of the whole blocks or of the blocks of their
+  sublattice split, whichever the blocks take;
 * lattice._partial_dft: the phase-table GEMMs;
 * oracle.many_body_state: the particle-number sector eigvalsh/eigh and the
   Gibbs block products;

@@ -20,18 +20,54 @@ whose sigma_y = -1 and +1 sectors are (P + iC)(P + iC)^dag and
 P + iC as eigenvalues, so the spectrum of M is exactly {1/2 +- s_j}: one
 N_A x N_A singular-value solve instead of a 2N_A x 2N_A eigensolve.
 
+The blocks' exact zeros pick the solve.  On an even-length chain (every
+short chain included) p[d] vanishes unless (-1)^d = (-1)^z, and q[d]
+unless d is even (see eechain.lattice).  Let D = diag(+-1) over the site
+parities of the subsystem.  Then:
+
+* even z: P and C join only sites of one parity, so P + iC is block
+  diagonal over the even and the odd sites, and s_j are the singular
+  values of its two blocks.  Two equal blocks (a contiguous subsystem
+  with even N_A) are solved once.
+* odd z, massive: P joins only sites of opposite parity, so DP = -PD
+  while DC = CD, and (P + iC)D is anti-Hermitian.  D is unitary, so
+  s_j = |eigvalsh(i(P + iC)D)|: a Hermitian eigensolve of the same size
+  in place of the singular-value solve.
+* odd z, massless (C = 0): over the two parities P = [[0, B], [B^dag, 0]],
+  and the eigenvalues of that matrix are +- the singular values of B
+  (Golub and Kahan).  So s_j are B's singular values, each twice, and one
+  0 for each site by which one parity outnumbers the other (one for a
+  contiguous subsystem with odd N_A).
+
+The two classes come from the blocks alone, never from N or the sites:
+the nonzero entries near row 0 propose them, and the split runs only
+where every entry it drops is exactly 0 (see _sublattices).  So a
+sparse subsystem splits by site parity too, and odd N on the N-site
+chain, which has no such zeros, takes the whole solve.
+
 At theta in {0, 1/2} the weights obey F(-k) = (-1)^z F(k) and
 G(-k) = G(k), so P is imaginary for odd z and real for even z, and C is
 real; the lattice builds those parts as exact zeros on every profile path
-with a mode grid.  The solve is picked from exact zeros of the blocks:
+with a mode grid.  So each solve is real where the blocks allow, with B
+the block of P between the classes:
 
-* Re P = 0 and Im C = 0: P + iC = i(Im P + Re C), and a unit factor
-  leaves the singular values alone, so s_j are those of the real matrix
-  Im P + Re C (odd z, massive or massless);
-* C = 0 and Im P = 0: M = 1/2 + P (x) sigma_z has the eigenvalues
-  1/2 +- lambda_j of the real symmetric P, so s_j = |lambda_j| from a real
-  eigvalsh (even z, massless);
-* otherwise the complex singular values of P + iC.
+    split           solve                        where
+    even z          each block as unsplit, below
+    odd z, C = 0    svd(Im B), each value twice  Re P = 0
+                    svd(B), each value twice     otherwise
+    odd z, C != 0   eigvalsh((Im P + Re C)D)     Re P = 0 and Im C = 0
+                    eigvalsh(i(P + iC)D)         otherwise
+    diagonal        |P_jj + iC_jj|
+    unsplit         svd(Im P + Re C)             Re P = 0 and Im C = 0
+                    |eigvalsh(P)|                C = 0 and Im P = 0
+                    svd(P + iC)                  otherwise
+
+Where Re P = 0 and Im C = 0, P + iC = i(Im P + Re C) and
+i(P + iC)D = -(Im P + Re C)D: a unit factor leaves a real matrix.  Where
+C = 0 and Im P = 0, M = 1/2 + P (x) sigma_z has the eigenvalues
+1/2 +- lambda_j of the real symmetric P.  Diagonal P and C (the even-z
+massless ground state) are N_A blocks of one site each, and are not
+split further.
 
 Every evaluated entropy is an EntropyPoint: the entropy with the model
 point that produced it.  Its fields are the columns of the CSV/JSON
@@ -89,26 +125,113 @@ def _check_hermitian(*blocks):
         raise NotHermitian(f"max asymmetry {asym:.3e} exceeds {HERMITICITY_TOL}")
 
 
+def _is_diagonal(block):
+    """Whether a block is diagonal; row 0 alone refuses most blocks."""
+    return not block[0, 1:].any() and np.count_nonzero(block) == np.count_nonzero(block.diagonal())
+
+
+def _singular_values(same, cross):
+    """Descending singular values of P + iC, by the solve its exact zeros allow."""
+    with one_blas_thread():
+        if not same.real.any() and not cross.imag.any():
+            return np.linalg.svd(same.imag + cross.real, compute_uv=False)
+        if not cross.any() and not same.imag.any():
+            return np.sort(np.abs(np.linalg.eigvalsh(same.real)))[::-1]
+        return np.linalg.svd(same + 1j * cross, compute_uv=False)
+
+
+def _sublattices(same, cross):
+    """Site 0's class in a split of the sites that the blocks' exact zeros allow.
+
+    Where P's diagonal is 0 the split is bipartite (odd z): P may join only
+    sites of two classes, and C only sites of one.  Otherwise neither block
+    may join the classes (even z).  The candidate for site 0's class is the
+    sites two steps from it along nonzero entries, a P step changing class
+    where the split is bipartite: a far entry of row 0 can round to exactly
+    0, and the second step still places its site.  The split is kept only
+    where every entry it drops is exactly 0, a check of every entry:
+    O(N_A^2).  Returns (mask of site 0's class, bipartite), or None.
+    """
+    p, c = same != 0, cross != 0
+    bipartite = not p.diagonal().any()
+    if bipartite:
+        first = p[p[0]].any(0) | c[0]
+    else:
+        joins = p | c
+        first = joins[joins[0]].any(0)
+    first[0] = True
+    together = first[:, None] == first
+    if bipartite:
+        dropped = (p & together).any() or (c > together).any()
+    else:
+        dropped = (joins > together).any()
+    if first.all() or dropped:
+        return None
+    return first, bipartite
+
+
+def _class_index(mask):
+    """The sites of a class: a slice where they are evenly spaced, as the
+    parities of a contiguous subsystem are, so that its blocks are views."""
+    index = np.flatnonzero(mask)
+    step = index[1] - index[0] if len(index) > 1 else 1
+    if (np.diff(index) == step).all():
+        return slice(index[0], index[-1] + 1, step)
+    return index
+
+
+def _split_singular_values(same, cross, first, bipartite):
+    """Descending singular values of P + iC over the classes of _sublattices.
+
+    D is +1 on site 0's class and -1 on the other.
+    """
+    if not bipartite:
+        one, two = _class_index(first), _class_index(~first)
+        blocks = [(same[i][:, i], cross[i][:, i]) for i in (one, two)]
+        s = _singular_values(*blocks[0])
+        if all(map(np.array_equal, *blocks)):
+            return np.repeat(s, 2)
+        return np.sort(np.concatenate((s, _singular_values(*blocks[1]))))[::-1]
+    if not cross.any():
+        b = same[_class_index(first)][:, _class_index(~first)]
+        with one_blas_thread():
+            s = np.linalg.svd(b if b.real.any() else b.imag, compute_uv=False)
+        return np.concatenate((np.repeat(s, 2), np.zeros(abs(len(first) - 2 * len(s)))))
+    d = np.where(first, 1.0, -1.0)
+    if not same.real.any() and not cross.imag.any():
+        h = same.imag + cross.real
+    else:
+        h = 1j * same
+        h -= cross
+    h *= d
+    with one_blas_thread():
+        return np.sort(np.abs(np.linalg.eigvalsh(h)))[::-1]
+
+
 def hermitian_eigenvalues(corr: CorrelationMatrix):
     """Ascending real eigenvalues of a correlation matrix, from its blocks.
 
     Raises NotHermitian when the maximum asymmetry |B - B^dag| of block P
     or C is NaN or over 1e-9.  The 2N_A eigenvalues are 1/2 +- s_j, with s_j
-    the singular values of P + iC.  Where Re P and Im C are exactly 0 they
-    come from a real SVD of Im P + Re C; where C and Im P are, as
-    |eigvalsh(P)|; else from the complex SVD (see the module docstring for
-    why each is exact).  The checks read the blocks alone, and every solve
-    runs on one BLAS thread, so no eigenvalue depends on the core count.
+    the singular values of P + iC.  Where P and C are diagonal they are
+    |P_jj + iC_jj|.  Where the blocks' exact zeros part the sites into two
+    classes (_sublattices), s_j come from the smaller solves of the split:
+    one per class for even z, the singular values of P's block between the
+    classes for massless odd z, and |eigvalsh(i(P + iC)D)| for massive odd
+    z.  Elsewhere they come from the real SVD of Im P + Re C, |eigvalsh(P)|
+    or the complex SVD, by the blocks' zero parts (see the module docstring
+    for the table, and why each solve is exact).  The checks read the
+    blocks alone, and every solve runs on one BLAS thread, so no eigenvalue
+    depends on the core count.
     """
     same, cross = corr.same, corr.cross
     _check_hermitian(same, cross)
-    with one_blas_thread():
-        if not same.real.any() and not cross.imag.any():
-            s = np.linalg.svd(same.imag + cross.real, compute_uv=False)
-        elif not cross.any() and not same.imag.any():
-            s = np.sort(np.abs(np.linalg.eigvalsh(same.real)))[::-1]
-        else:
-            s = np.linalg.svd(same + 1j * cross, compute_uv=False)
+    if _is_diagonal(same) and _is_diagonal(cross):
+        s = np.sort(np.abs(same.diagonal() + 1j * cross.diagonal()))[::-1]
+    elif (split := _sublattices(same, cross)) is None:
+        s = _singular_values(same, cross)
+    else:
+        s = _split_singular_values(same, cross, *split)
     # s is descending
     return np.concatenate((0.5 - s, 0.5 + s[::-1]))
 
@@ -145,9 +268,11 @@ def _entropies_of_blocks(spec: LatticeSpec, beta, nas):
 
     The blocks for range(max(nas)) are built once; each smaller block's P
     and C are their leading na x na submatrices.  hermitian_eigenvalues
-    forms P + iC from them as a fresh contiguous array, so every value
-    equals entropy_of(spec, beta, range(na)) bit for bit.  Repeated na
-    values are solved once; no nas, no points.
+    reads their entries alone: its split comes from their zeros, and each
+    solve takes a fresh array formed from them, or numpy's linalg copies
+    them into its own, so every value equals entropy_of(spec, beta,
+    range(na)) bit for bit.  Repeated na values are solved once; no nas,
+    no points.
     """
     if not nas:
         return []

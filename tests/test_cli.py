@@ -399,19 +399,25 @@ def test_parser_is_built_once_at_import(tmp_path, monkeypatch, capsys):
 
 ORACLE_ARGV = "oracle-check --n 5 --na 2 --z 3 --mass 0.7 --beta 1.5 --theta 0.3"
 EE_ARGVS = [
-    # a 300 x 300 real singular-value solve (odd z at theta = 0), threaded
-    # when BLAS may use two threads
-    "ee --n 2000 --na 300 --z 1 --beta 100",
-    # a 300-row real eigvalsh: even z, massless, theta = 0
-    "ee --n 2000 --na 300 --z 2 --beta 100",
+    # odd z, massless, theta = 0: the split's real singular-value solve of
+    # the 300 x 300 block of P that joins the even sites to the odd ones,
+    # threaded when BLAS may use two threads
+    "ee --n 2000 --na 600 --z 1 --beta 100",
+    # even z, massless, theta = 0: the split's 300-row real eigvalsh of the
+    # even sites' block of P, which the odd sites' block equals
+    "ee --n 2000 --na 600 --z 2 --beta 100",
     # the short chain of a massive point at a prime N: its FFTs and the
     # eigensolve
     "ee --n 100003 --na 64 --z 1 --mass 0.3 --beta 50",
     # the partial-DFT path, its GEMMs and the eigensolve: a correlation
     # length too long for a chain shorter than N
     "ee --n 100003 --na 64 --z 1 --beta 100000",
-    # a 300 x 300 complex singular-value solve: massive, twisted
+    # odd z, massive, twisted: the split's 300-row complex eigvalsh of
+    # i(P + iC)D
     "ee --n 2000 --na 300 --z 3 --mass 0.3 --beta 50 --theta 0.25",
+    # the Fermi sea at odd N has no parity zeros: the whole 300 x 300
+    # complex singular-value solve
+    "ee --n 2001 --na 300 --z 3 --beta inf",
     # one block pair, its leading blocks solved for every N_A
     "sweep --n 2000 --zs 1,2 --betas 20,inf --nas 100,200,300 --mass 0.4",
 ]

@@ -14,6 +14,7 @@ from eechain import (
     NotHermitian,
     build_correlation_matrix,
     entanglement_entropy,
+    entropy,
     entropy_of,
     hermitian_eigenvalues,
 )
@@ -224,6 +225,62 @@ EXACT_ENTROPIES = [  # N, z, m, theta, beta, S
 @pytest.mark.parametrize("n, z, mass, theta, beta, exact", EXACT_ENTROPIES)
 def test_entropy_matches_exact_blocks(n, z, mass, theta, beta, exact):
     # PURE_SNAP drops the true eigenvalues within 1e-15 of 0 or 1, which
-    # puts the first point 5.2e-13 off; the others lie within 1.4e-13
+    # puts the first point 5.2e-13 off; the others lie within 1.3e-13.  The
+    # even-N points split by sublattice, and read -6.7e-14 (120 sites),
+    # +3.7e-14 (200) and -5.5e-14 (240)
     got = entropy_of(LatticeSpec(n, z, mass, 1.0, theta), beta, range(32)).entropy
     assert abs(got - exact) <= 1e-12
+
+
+# The blocks split where their exact zeros allow (eechain.entropy): into
+# the even and the odd sites for even z, and by the bipartite P for odd z.
+# On an even chain every point splits.  At odd N only entries from a short
+# chain (massive or thermal, d < 512) have the zeros; the Fermi sea at odd
+# N and a subsystem spanning d >= 512 do not split.  The even-z massless
+# ground state's P is diagonal, so its blocks split at every N, though its
+# s_j are read off the diagonal without a split.
+def _split_expected(n, z, mass, beta, sites):
+    if z % 2 == 0 and mass == 0 and beta == INF:
+        return True
+    return n % 2 == 0 or ((mass > 0 or beta < INF) and np.ptp(sites) < 512)
+
+
+def _split_site_sets(n):
+    sparse = np.random.default_rng(n).choice(n, size=21, replace=False)
+    return [range(63), range(64), sparse[:20], sparse, np.sort(sparse % 500)]
+
+
+@pytest.mark.parametrize("n_sites", [2000, 2001])
+@pytest.mark.parametrize("theta", [0.0, 0.5, 0.3183])
+@pytest.mark.parametrize("mass, beta", [(0.0, INF), (0.0, 50.0), (0.3, INF), (0.3, 50.0)])
+@pytest.mark.parametrize("z", [1, 2, 3, 4])
+def test_split_solve_matches_the_complex_svd(z, mass, beta, theta, n_sites):
+    spec = LatticeSpec(n_sites, z, mass, 1.0, theta)
+    for sites in _split_site_sets(n_sites):
+        corr = build_correlation_matrix(spec, beta, sites)
+        split = entropy._sublattices(corr.same, corr.cross)
+        assert (split is not None) == _split_expected(n_sites, z, mass, beta, sites)
+        if split is not None:
+            assert split[1] == bool(z % 2)
+        s = np.linalg.svd(corr.same + 1j * corr.cross, compute_uv=False)
+        reference = np.concatenate((0.5 - s, 0.5 + s[::-1]))
+        eigs = hermitian_eigenvalues(corr)
+        assert eigs.shape == reference.shape
+        assert np.abs(eigs - reference).max() <= 1e-14
+
+
+def test_split_needs_every_dropped_entry_to_be_exactly_zero():
+    # one entry the split would drop, set to the smallest subnormal (and its
+    # conjugate), leaves the whole solve
+    spec = LatticeSpec(2000, 3, 0.3, 1.0, 0.0)
+    for beta, block in ((50.0, "cross"), (INF, "same")):
+        corr = build_correlation_matrix(spec, beta, range(10))
+        assert entropy._sublattices(corr.same, corr.cross) is not None
+        blocks = {"same": corr.same.copy(), "cross": corr.cross.copy()}
+        a, b = (0, 1) if block == "cross" else (0, 2)
+        blocks[block][a, b] = blocks[block][b, a] = 5e-324
+        tweaked = CorrelationMatrix(**blocks)
+        assert entropy._sublattices(tweaked.same, tweaked.cross) is None
+        s = np.linalg.svd(tweaked.same + 1j * tweaked.cross, compute_uv=False)
+        reference = np.concatenate((0.5 - s, 0.5 + s[::-1]))
+        assert np.abs(hermitian_eigenvalues(tweaked) - reference).max() <= 1e-14

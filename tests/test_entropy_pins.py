@@ -42,18 +42,28 @@ pytestmark = pytest.mark.skipif(
 # reflection-distinct modes and took the sum over all distinct modes, with
 # the reflection rule's zeros set after the twist: the entries moved by
 # round-off, and S by -7.7e-14 (0x1.f4a7a6822da14p+1 before).
+# Re-pinned when the solve split by sublattice: the blocks are unchanged,
+# and the smaller solves of the split give each s_j another rounding, so S
+# moves by the eigenvalues that cross PURE_SNAP and by round-off.  The moves
+# (new - old): fft-theta0 -3.7e-13, fft-theta-half -2.2e-13,
+# fft-generic-theta +2.0e-13, partial-dft-generic-theta +1.1e-14,
+# partial-dft-mirrored-even-n +1.0e-13, partial-dft-mirrored-odd-n
+# +4.3e-14, n-site-fft +1.3e-14, n-site-partial-dft +4.9e-14,
+# short-chain-and-n-site -1.5e-13, and the sweep rows +7.5e-14 and
+# -8.7e-14.  fermi-sea (odd N, no parity zeros) takes the whole solve, and
+# even-z-delta is still exactly 0.
 POINTS = {  # name: (N, z, m, beta, theta, N_A), S as float.hex
-    "fft-theta0": ((2000, 3, 0.3, 50.0, 0.0, 160), "0x1.5a6856abfcb36p+0"),
-    "fft-theta-half": ((2000, 5, 0.2, 100.0, 0.5, 40), "0x1.8cf69a31b87a0p+0"),
-    "fft-generic-theta": ((2000, 1, 0.5, 10.0, 0.3183, 40), "0x1.eadf5a25429ffp+0"),
-    "partial-dft-generic-theta": ((131072, 2, 0.3, 20.0, 0.25, 40), "0x1.53bed2d6addeep+0"),
-    "partial-dft-mirrored-even-n": ((131072, 3, 0.3, 20.0, 0.0, 40), "0x1.d371c3eb97f2ep+0"),
-    "partial-dft-mirrored-odd-n": ((100003, 2, 0.3, 20.0, 0.5, 40), "0x1.53bed2d6add9ep+0"),
+    "fft-theta0": ((2000, 3, 0.3, 50.0, 0.0, 160), "0x1.5a6856abfc4c4p+0"),
+    "fft-theta-half": ((2000, 5, 0.2, 100.0, 0.5, 40), "0x1.8cf69a31b83adp+0"),
+    "fft-generic-theta": ((2000, 1, 0.5, 10.0, 0.3183, 40), "0x1.eadf5a2542d97p+0"),
+    "partial-dft-generic-theta": ((131072, 2, 0.3, 20.0, 0.25, 40), "0x1.53bed2d6ade21p+0"),
+    "partial-dft-mirrored-even-n": ((131072, 3, 0.3, 20.0, 0.0, 40), "0x1.d371c3eb980fbp+0"),
+    "partial-dft-mirrored-odd-n": ((100003, 2, 0.3, 20.0, 0.5, 40), "0x1.53bed2d6ade5fp+0"),
     "fermi-sea": ((100003, 3, 0.0, INF, 0.25, 40), "0x1.f4a7a2fb27245p+1"),
     "even-z-delta": ((2000, 2, 0.0, INF, 0.0, 40), "0x0.0p+0"),
-    "n-site-fft": ((2000, 1, 0.0, 1000.0, 0.3183, 40), "0x1.f4dffe3d7af9dp+1"),
-    "n-site-partial-dft": ((131072, 1, 0.0, 1e5, 0.0, 40), "0x1.f4a7a6822d967p+1"),
-    "short-chain-and-n-site": ((2000, 1, 0.5, 10.0, 0.3183, 530), "0x1.530c059b7d5f0p+3"),
+    "n-site-fft": ((2000, 1, 0.0, 1000.0, 0.3183, 40), "0x1.f4dffe3d7afbbp+1"),
+    "n-site-partial-dft": ((131072, 1, 0.0, 1e5, 0.0, 40), "0x1.f4a7a6822d9d5p+1"),
+    "short-chain-and-n-site": ((2000, 1, 0.5, 10.0, 0.3183, 530), "0x1.530c059b7d59bp+3"),
 }
 
 
@@ -66,5 +76,5 @@ def test_entropy_bits_unchanged(name):
 
 def test_sweep_row_bits_unchanged():
     table = sweep_entropy((1,), (50.0,), (16, 40), n_sites=2000, mass=0.3, boundary_phase=0.5)
-    pinned = ["0x1.a69e20378f316p+0", "0x1.a6a019eb1884ap+0"]
+    pinned = ["0x1.a69e20378f46ap+0", "0x1.a6a019eb186c0p+0"]
     assert [row.entropy.hex() for row in table.rows] == pinned

@@ -88,8 +88,14 @@ SHA256 = {
     # (round-off of about 1e-17 at N = 400) to exact zeros: the repr
     # coefficients moved by <= 4.0e-12 (0.13497158603263054 ->
     # 0.13497158603254258, 2.1456369678980605 -> 2.145636967899485,
-    # 0.631727592593326 -> 0.6317275925893199)
-    "fit-json": "761e71316d0b6be18418483c0603600a80a724603dcd7e15ec14797af05f3683",
+    # 0.631727592593326 -> 0.6317275925893199).  Re-pinned when the solve
+    # split by sublattice: P is block diagonal over the even and the odd
+    # sites, two equal 5 x 5 blocks here, and the eigvalsh of one of them
+    # rounds the spectrum differently from the 10 x 10 one.  The
+    # repr coefficients moved by <= 2.5e-12 (0.13497158603254258 ->
+    # 0.13497158603253645, 2.145636967899485 -> 2.145636967899987,
+    # 0.6317275925893199 -> 0.6317275925868127)
+    "fit-json": "de9de3ac0fc66231214e5c568a0be19488ccda5c1c9e2f937392787e8b53dd65",
     "cmera-csv": "0a3d799ed2fdf6b5b6eaf6265c043975bd50857b77f81adb4e446f79aadd7e8b",
     # g = -phi + (z/4) sin 2 alpha: 173 of its 501 g values moved, by <= 2.2e-16
     "cmera-json": "db252eafe449454030db925d7fa1ca6ecf2901193d4fe511c867d7a4ca6073af",

@@ -175,6 +175,19 @@ def test_sweep_rows_equal_entropy_of(grid):
         assert row.entropy == entropy_of(spec, row.beta, range(row.na)).entropy
 
 
+@pytest.mark.parametrize("boundary_phase", [0.0, 0.3183])
+@pytest.mark.parametrize("mass", [0.0, 0.3])
+def test_sweep_rows_equal_entropy_of_at_split_sizes(mass, boundary_phase):
+    # the sizes the property test cannot reach: every block splits by
+    # sublattice, into two equal blocks at even N_A and unequal ones at odd
+    grid = {"n_sites": 2000, "mass": mass, "boundary_phase": boundary_phase}
+    table = sweep_entropy((1, 2, 3, 4), (20.0, INF), (63, 64, 120, 121), **grid)
+    assert len(table) == 32
+    for row in table.rows:
+        spec = LatticeSpec(z_exponent=row.z, **grid)
+        assert row.entropy == entropy_of(spec, row.beta, range(row.na)).entropy
+
+
 def test_sweep_rejects_bad_subsystem_sizes():
     with pytest.raises(InvalidParameter):
         sweep_entropy((1,), (INF,), (3, 0), n_sites=10)
