@@ -170,14 +170,13 @@ def _sublattices(same, cross):
     return first, bipartite
 
 
-def _class_index(mask):
-    """The sites of a class: a slice where they are evenly spaced, as the
-    parities of a contiguous subsystem are, so that its blocks are views."""
-    index = np.flatnonzero(mask)
-    step = index[1] - index[0] if len(index) > 1 else 1
-    if (np.diff(index) == step).all():
-        return slice(index[0], index[-1] + 1, step)
-    return index
+def _classes(first):
+    """The two classes as slices where they alternate, as the parities of a
+    contiguous subsystem do, so that their blocks are views; else as index
+    arrays."""
+    if first[::2].all() and not first[1::2].any():
+        return slice(0, None, 2), slice(1, None, 2)
+    return np.flatnonzero(first), np.flatnonzero(~first)
 
 
 def _split_singular_values(same, cross, first, bipartite):
@@ -185,15 +184,15 @@ def _split_singular_values(same, cross, first, bipartite):
 
     D is +1 on site 0's class and -1 on the other.
     """
+    one, two = _classes(first)
     if not bipartite:
-        one, two = _class_index(first), _class_index(~first)
         blocks = [(same[i][:, i], cross[i][:, i]) for i in (one, two)]
         s = _singular_values(*blocks[0])
         if all(map(np.array_equal, *blocks)):
             return np.repeat(s, 2)
         return np.sort(np.concatenate((s, _singular_values(*blocks[1]))))[::-1]
     if not cross.any():
-        b = same[_class_index(first)][:, _class_index(~first)]
+        b = same[one][:, two]
         with one_blas_thread():
             s = np.linalg.svd(b if b.real.any() else b.imag, compute_uv=False)
         return np.concatenate((np.repeat(s, 2), np.zeros(abs(len(first) - 2 * len(s)))))
