@@ -43,7 +43,11 @@ The two classes come from the blocks alone, never from N or the sites:
 the nonzero entries near row 0 propose them, and the split runs only
 where every entry it drops is exactly 0 (see _sublattices).  So a
 sparse subsystem splits by site parity too, and odd N on the N-site
-chain, which has no such zeros, takes the whole solve.
+chain, which has no such zeros, takes the whole solve.  _sublattices
+returns the classes themselves: strided slices where they alternate, as
+on a contiguous subsystem, else index arrays.  Whatever the solve, the
+s_j are sorted once, and the spectrum is 1/2 - s_j descending, then
+1/2 + s_j ascending.
 
 At theta in {0, 1/2} the weights obey F(-k) = (-1)^z F(k) and
 G(-k) = G(k), so P is imaginary for odd z and real for even z, and C is
@@ -131,17 +135,17 @@ def _is_diagonal(block):
 
 
 def _singular_values(same, cross):
-    """Descending singular values of P + iC, by the solve its exact zeros allow."""
+    """Singular values of P + iC, by the solve its exact zeros allow."""
     with one_blas_thread():
         if not same.real.any() and not cross.imag.any():
             return np.linalg.svd(same.imag + cross.real, compute_uv=False)
         if not cross.any() and not same.imag.any():
-            return np.sort(np.abs(np.linalg.eigvalsh(same.real)))[::-1]
+            return np.abs(np.linalg.eigvalsh(same.real))
         return np.linalg.svd(same + 1j * cross, compute_uv=False)
 
 
 def _sublattices(same, cross):
-    """Site 0's class in a split of the sites that the blocks' exact zeros allow.
+    """The two classes of a split of the sites that the blocks' exact zeros allow.
 
     Where P's diagonal is 0 the split is bipartite (odd z): P may join only
     sites of two classes, and C only sites of one.  Otherwise neither block
@@ -150,7 +154,10 @@ def _sublattices(same, cross):
     where the split is bipartite: a far entry of row 0 can round to exactly
     0, and the second step still places its site.  The split is kept only
     where every entry it drops is exactly 0, a check of every entry:
-    O(N_A^2).  Returns (mask of site 0's class, bipartite), or None.
+    O(N_A^2).  Returns (site 0's class, the other, bipartite), the classes
+    as slices where they alternate, as the parities of a contiguous
+    subsystem do, so that their blocks are views, else as index arrays; or
+    None.
     """
     p, c = same != 0, cross != 0
     bipartite = not p.diagonal().any()
@@ -167,44 +174,9 @@ def _sublattices(same, cross):
         dropped = (joins > together).any()
     if first.all() or dropped:
         return None
-    return first, bipartite
-
-
-def _classes(first):
-    """The two classes as slices where they alternate, as the parities of a
-    contiguous subsystem do, so that their blocks are views; else as index
-    arrays."""
     if first[::2].all() and not first[1::2].any():
-        return slice(0, None, 2), slice(1, None, 2)
-    return np.flatnonzero(first), np.flatnonzero(~first)
-
-
-def _split_singular_values(same, cross, first, bipartite):
-    """Descending singular values of P + iC over the classes of _sublattices.
-
-    D is +1 on site 0's class and -1 on the other.
-    """
-    one, two = _classes(first)
-    if not bipartite:
-        blocks = [(same[i][:, i], cross[i][:, i]) for i in (one, two)]
-        s = _singular_values(*blocks[0])
-        if all(map(np.array_equal, *blocks)):
-            return np.repeat(s, 2)
-        return np.sort(np.concatenate((s, _singular_values(*blocks[1]))))[::-1]
-    if not cross.any():
-        b = same[one][:, two]
-        with one_blas_thread():
-            s = np.linalg.svd(b if b.real.any() else b.imag, compute_uv=False)
-        return np.concatenate((np.repeat(s, 2), np.zeros(abs(len(first) - 2 * len(s)))))
-    d = np.where(first, 1.0, -1.0)
-    if not same.real.any() and not cross.imag.any():
-        h = same.imag + cross.real
-    else:
-        h = 1j * same
-        h -= cross
-    h *= d
-    with one_blas_thread():
-        return np.sort(np.abs(np.linalg.eigvalsh(h)))[::-1]
+        return slice(0, None, 2), slice(1, None, 2), bipartite
+    return np.flatnonzero(first), np.flatnonzero(~first), bipartite
 
 
 def hermitian_eigenvalues(corr: CorrelationMatrix):
@@ -217,22 +189,42 @@ def hermitian_eigenvalues(corr: CorrelationMatrix):
     classes (_sublattices), s_j come from the smaller solves of the split:
     one per class for even z, the singular values of P's block between the
     classes for massless odd z, and |eigvalsh(i(P + iC)D)| for massive odd
-    z.  Elsewhere they come from the real SVD of Im P + Re C, |eigvalsh(P)|
-    or the complex SVD, by the blocks' zero parts (see the module docstring
-    for the table, and why each solve is exact).  The checks read the
-    blocks alone, and every solve runs on one BLAS thread, so no eigenvalue
-    depends on the core count.
+    z, with D = +1 on site 0's class and -1 on the other.  Elsewhere they
+    come from the real SVD of Im P + Re C, |eigvalsh(P)| or the complex
+    SVD, by the blocks' zero parts (see the module docstring for the table,
+    and why each solve is exact).  The s_j are sorted once, whatever solve
+    gave them.  The checks read the blocks alone, and every solve runs on
+    one BLAS thread, so no eigenvalue depends on the core count.
     """
     same, cross = corr.same, corr.cross
     _check_hermitian(same, cross)
     if _is_diagonal(same) and _is_diagonal(cross):
-        s = np.sort(np.abs(same.diagonal() + 1j * cross.diagonal()))[::-1]
+        s = np.abs(same.diagonal() + 1j * cross.diagonal())
     elif (split := _sublattices(same, cross)) is None:
         s = _singular_values(same, cross)
     else:
-        s = _split_singular_values(same, cross, *split)
-    # s is descending
-    return np.concatenate((0.5 - s, 0.5 + s[::-1]))
+        one, two, bipartite = split
+        if not bipartite:
+            blocks = [(same[i][:, i], cross[i][:, i]) for i in (one, two)]
+            s = _singular_values(*blocks[0])
+            equal = all(map(np.array_equal, *blocks))
+            s = np.concatenate((s, s if equal else _singular_values(*blocks[1])))
+        elif not cross.any():
+            b = same[one][:, two]
+            with one_blas_thread():
+                s = np.linalg.svd(b if b.real.any() else b.imag, compute_uv=False)
+            s = np.concatenate((s, s, np.zeros(abs(len(same) - 2 * len(s)))))
+        else:
+            if not same.real.any() and not cross.imag.any():
+                h = same.imag + cross.real
+            else:
+                h = 1j * same
+                h -= cross
+            h[:, two] *= -1.0
+            with one_blas_thread():
+                s = np.abs(np.linalg.eigvalsh(h))
+    s = np.sort(s)
+    return np.concatenate((0.5 - s[::-1], 0.5 + s))
 
 
 def entanglement_entropy(eigs):
@@ -267,22 +259,18 @@ def _entropies_of_blocks(spec: LatticeSpec, beta, nas):
 
     The blocks for range(max(nas)) are built once; each smaller block's P
     and C are their leading na x na submatrices.  hermitian_eigenvalues
-    reads their entries alone: its split comes from their zeros, and each
-    solve takes a fresh array formed from them, or numpy's linalg copies
-    them into its own, so every value equals entropy_of(spec, beta,
-    range(na)) bit for bit.  Repeated na values are solved once; no nas,
-    no points.
+    reads their entries alone and writes none of them: its split comes
+    from their zeros, and each solve takes a fresh array formed from them
+    (D flips signs only in such an array), or numpy's linalg copies them
+    into its own, so every value equals entropy_of(spec, beta, range(na))
+    bit for bit.  Repeated na values are solved once; no nas, no points.
     """
     if not nas:
         return []
     nas = [validate_integer("subsystem size", na, 1) for na in nas]
     corr = build_correlation_matrix(spec, beta, range(max(nas)))
-    values = {
-        na: entanglement_entropy(
-            hermitian_eigenvalues(
-                CorrelationMatrix(same=corr.same[:na, :na], cross=corr.cross[:na, :na])
-            )
-        )
-        for na in sorted(set(nas))
-    }
+    values = {}
+    for na in sorted(set(nas)):
+        block = CorrelationMatrix(same=corr.same[:na, :na], cross=corr.cross[:na, :na])
+        values[na] = entanglement_entropy(hermitian_eigenvalues(block))
     return [EntropyPoint.of(spec, beta, na, values[na]) for na in nas]

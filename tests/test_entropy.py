@@ -232,6 +232,29 @@ def test_entropy_matches_exact_blocks(n, z, mass, theta, beta, exact):
     assert abs(got - exact) <= 1e-12
 
 
+# S of range(N_A) from the very blocks build_correlation_matrix gives, so
+# that it measures the spectrum solve and the entropy functional alone: each
+# double entry taken exactly into mpmath, mpmath.svd_c of P + iC at 40
+# digits (60 gives the same 20 digits), and S = 2 sum_j h(1/2 + s_j), h the
+# binary entropy.  A 1/2 - s_j below 0 (down to -8.8e-17, from the blocks'
+# round-off) adds 0, as the clamp has it.  About 2 s a point, so the values
+# are pinned here.  Each
+# bound sits just above today's error at PURE_SNAP = 1e-15: -1.41e-12,
+# -9.8e-13, -2.4e-13 and -1.2e-13.
+BLOCK_ENTROPIES = [  # N, z, m, theta, beta, N_A, S, bound
+    (195, 3, 1.954, 0.5, 17.36, 64, 0.25045467660964881881, 1.45e-12),
+    (77, 2, 0.828, 0.476, 29.67, 64, 0.53191903487326025141, 1.0e-12),
+    (394, 3, 1.5708, 0.9953, INF, 63, 0.33962243624265234119, 2.9e-13),
+    (60, 1, 1.0625, 0.21875, INF, 59, 0.53775044268015904001, 1.25e-13),
+]
+
+
+@pytest.mark.parametrize("n, z, mass, theta, beta, na, exact, bound", BLOCK_ENTROPIES)
+def test_entropy_matches_40_digit_blocks(n, z, mass, theta, beta, na, exact, bound):
+    got = entropy_of(LatticeSpec(n, z, mass, 1.0, theta), beta, range(na)).entropy
+    assert abs(got - exact) <= bound
+
+
 # The blocks split where their exact zeros allow (eechain.entropy): into
 # the even and the odd sites for even z, and by the bipartite P for odd z.
 # On an even chain every point splits.  At odd N only entries from a short
@@ -261,7 +284,7 @@ def test_split_solve_matches_the_complex_svd(z, mass, beta, theta, n_sites):
         split = entropy._sublattices(corr.same, corr.cross)
         assert (split is not None) == _split_expected(n_sites, z, mass, beta, sites)
         if split is not None:
-            assert split[1] == bool(z % 2)
+            assert split[-1] == bool(z % 2)
         s = np.linalg.svd(corr.same + 1j * corr.cross, compute_uv=False)
         reference = np.concatenate((0.5 - s, 0.5 + s[::-1]))
         eigs = hermitian_eigenvalues(corr)
@@ -271,16 +294,70 @@ def test_split_solve_matches_the_complex_svd(z, mass, beta, theta, n_sites):
 
 def test_split_needs_every_dropped_entry_to_be_exactly_zero():
     # one entry the split would drop, set to the smallest subnormal (and its
-    # conjugate), leaves the whole solve
+    # conjugate), leaves the whole solve: next to site 0 on a contiguous
+    # subsystem, whose classes are slices, and away from it on sites whose
+    # parities do not alternate, whose classes are index arrays
     spec = LatticeSpec(2000, 3, 0.3, 1.0, 0.0)
-    for beta, block in ((50.0, "cross"), (INF, "same")):
-        corr = build_correlation_matrix(spec, beta, range(10))
-        assert entropy._sublattices(corr.same, corr.cross) is not None
-        blocks = {"same": corr.same.copy(), "cross": corr.cross.copy()}
-        a, b = (0, 1) if block == "cross" else (0, 2)
-        blocks[block][a, b] = blocks[block][b, a] = 5e-324
-        tweaked = CorrelationMatrix(**blocks)
-        assert entropy._sublattices(tweaked.same, tweaked.cross) is None
-        s = np.linalg.svd(tweaked.same + 1j * tweaked.cross, compute_uv=False)
-        reference = np.concatenate((0.5 - s, 0.5 + s[::-1]))
-        assert np.abs(hermitian_eigenvalues(tweaked) - reference).max() <= 1e-14
+    cases = [  # sites, an entry of C across the classes, an entry of P within one
+        (range(10), (0, 1), (0, 2)),
+        ([0, 3, 4, 6, 9, 10, 15, 17, 18, 23], (8, 9), (5, 8)),
+    ]
+    for sites, across, within in cases:
+        for beta, block in ((50.0, "cross"), (INF, "same")):
+            corr = build_correlation_matrix(spec, beta, sites)
+            split = entropy._sublattices(corr.same, corr.cross)
+            assert split is not None
+            assert isinstance(split[0], slice) == isinstance(sites, range)
+            blocks = {"same": corr.same.copy(), "cross": corr.cross.copy()}
+            a, b = across if block == "cross" else within
+            blocks[block][a, b] = blocks[block][b, a] = 5e-324
+            tweaked = CorrelationMatrix(**blocks)
+            assert entropy._sublattices(tweaked.same, tweaked.cross) is None
+            s = np.linalg.svd(tweaked.same + 1j * tweaked.cross, compute_uv=False)
+            reference = np.concatenate((0.5 - s, 0.5 + s[::-1]))
+            assert np.abs(hermitian_eigenvalues(tweaked) - reference).max() <= 1e-14
+
+
+# One case per row of the solve table in eechain.entropy, and the split
+# each takes.  Odd N on the N-site chain has no exact zeros, so those
+# sites take the whole solve; sites whose parities do not alternate split
+# into index arrays.
+_SPARSE = np.random.default_rng(5).choice(2000, size=20, replace=False)
+SOLVE_ROWS = {  # N, z, m, theta, beta, sites, split
+    "diagonal": (2000, 2, 0.0, 0.0, INF, range(64), "diagonal"),
+    "unsplit-real-svd": (2001, 1, 0.3, 0.0, 50.0, _SPARSE, None),
+    "unsplit-real-eigvalsh": (2001, 2, 0.0, 0.0, 50.0, _SPARSE, None),
+    "unsplit-complex-svd": (2001, 1, 0.0, 0.3183, INF, range(64), None),
+    "even-z-equal-blocks": (2000, 2, 0.0, 0.0, 50.0, range(64), slice),
+    "even-z-unequal-blocks": (2000, 2, 0.3, 0.0, 50.0, range(63), slice),
+    "massless-odd-z-even-na": (2000, 1, 0.0, 0.0, INF, range(64), slice),
+    "massless-odd-z-odd-na": (2000, 1, 0.0, 0.0, INF, range(63), slice),
+    "massive-odd-z-real": (2000, 3, 0.3, 0.0, 50.0, range(64), slice),
+    "massive-odd-z-complex": (2000, 3, 0.3, 0.3183, 50.0, range(64), slice),
+    "sparse-even-z": (2000, 2, 0.3, 0.3183, 50.0, _SPARSE, np.ndarray),
+    "sparse-massless-odd-z": (2000, 1, 0.0, 0.3183, INF, _SPARSE, np.ndarray),
+    "sparse-massive-odd-z": (2000, 3, 0.3, 0.3183, 50.0, _SPARSE, np.ndarray),
+}
+
+
+@pytest.mark.parametrize(
+    "n, z, mass, theta, beta, sites, split", SOLVE_ROWS.values(), ids=SOLVE_ROWS
+)
+def test_every_solve_gives_an_ascending_mirrored_spectrum_and_keeps_the_blocks(
+    n, z, mass, theta, beta, sites, split
+):
+    corr = build_correlation_matrix(LatticeSpec(n, z, mass, 1.0, theta), beta, sites)
+    classes = entropy._sublattices(corr.same, corr.cross)
+    if split == "diagonal":
+        assert entropy._is_diagonal(corr.same) and entropy._is_diagonal(corr.cross)
+    elif split is None:
+        assert classes is None
+    else:
+        assert isinstance(classes[0], split) and isinstance(classes[1], split)
+    same, cross = corr.same.tobytes(), corr.cross.tobytes()
+    eigs = hermitian_eigenvalues(corr)
+    assert np.array_equal(eigs, np.sort(eigs))
+    # 1/2 - s_j and 1/2 + s_j each round once, so each mirrored pair sums to
+    # 1 or to the double below it
+    assert set((eigs + eigs[::-1]).tolist()) <= {1.0, 1.0 - 2.0**-53}
+    assert corr.same.tobytes() == same and corr.cross.tobytes() == cross
