@@ -33,7 +33,7 @@ import numpy as np
 from . import cmera as cmera_mod
 from .entropy import entanglement_entropy, entropy_of, hermitian_eigenvalues
 from .errors import EechainError, InvalidParameter, UsageError
-from .lattice import CorrelationMatrix, LatticeSpec, build_correlation_matrix, validate_model
+from .lattice import LatticeSpec, _held, build_correlation_matrix, validate_model
 from .oracle import many_body_state, mode_correlators, reduced_entropy
 from .output import emit_csv, emit_json, emit_plot, emit_table
 from .thermal import (
@@ -356,7 +356,7 @@ def _run_oracle_check(cfg):
 
     s_exact = reduced_entropy(state, range(cfg.na))  # checks N_A against N
     # the subsystem's blocks lead the chain's, bit for bit
-    sub = CorrelationMatrix(*(block[: cfg.na, : cfg.na] for block in (corr.same, corr.cross)))
+    sub = _held(corr.same[: cfg.na, : cfg.na], corr.cross[: cfg.na, : cfg.na])
     s_fast = entanglement_entropy(hermitian_eigenvalues(sub))
     s_diff = abs(s_exact - s_fast)
 

@@ -85,12 +85,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blas import one_blas_thread
-from .errors import EigenvalueOutOfRange, InvalidParameter, NotHermitian
+from .errors import EigenvalueOutOfRange, InvalidParameter
 from .lattice import (
-    CorrelationMatrix, LatticeSpec, build_correlation_matrix, validate_integer, validate_real_array
+    CorrelationMatrix, LatticeSpec, _held, build_correlation_matrix, validate_integer,
+    validate_real_array,
 )
 
-HERMITICITY_TOL = 1e-9
 CLAMP_TOL = 1e-9
 # Eigenvalues this close to 0 or 1 are pure modes; they contribute exactly 0.
 PURE_SNAP = 1e-15
@@ -120,13 +120,6 @@ class EntropyPoint:
 
     def sort_key(self):
         return (self.z, self.beta, self.na, self.n, self.mass, self.epsilon)
-
-
-def _check_hermitian(*blocks):
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, and np.max keeps a NaN
-        asym = np.max([np.max(np.abs(b - b.conj().T)) for b in blocks])
-    if not asym <= HERMITICITY_TOL:
-        raise NotHermitian(f"max asymmetry {asym:.3e} exceeds {HERMITICITY_TOL}")
 
 
 def _is_diagonal(block):
@@ -182,22 +175,20 @@ def _sublattices(same, cross):
 def hermitian_eigenvalues(corr: CorrelationMatrix):
     """Ascending real eigenvalues of a correlation matrix, from its blocks.
 
-    Raises NotHermitian when the maximum asymmetry |B - B^dag| of block P
-    or C is NaN or over 1e-9.  The 2N_A eigenvalues are 1/2 +- s_j, with s_j
-    the singular values of P + iC.  Where P and C are diagonal they are
-    |P_jj + iC_jj|.  Where the blocks' exact zeros part the sites into two
-    classes (_sublattices), s_j come from the smaller solves of the split:
-    one per class for even z, the singular values of P's block between the
-    classes for massless odd z, and |eigvalsh(i(P + iC)D)| for massive odd
-    z, with D = +1 on site 0's class and -1 on the other.  Elsewhere they
-    come from the real SVD of Im P + Re C, |eigvalsh(P)| or the complex
-    SVD, by the blocks' zero parts (see the module docstring for the table,
-    and why each solve is exact).  The s_j are sorted once, whatever solve
-    gave them.  The checks read the blocks alone, and every solve runs on
-    one BLAS thread, so no eigenvalue depends on the core count.
+    The 2N_A eigenvalues are 1/2 +- s_j, with s_j the singular values of
+    P + iC.  Where P and C are diagonal they are |P_jj + iC_jj|.  Where the
+    blocks' exact zeros part the sites into two classes (_sublattices), s_j
+    come from the smaller solves of the split: one per class for even z,
+    the singular values of P's block between the classes for massless odd
+    z, and |eigvalsh(i(P + iC)D)| for massive odd z, with D = +1 on site
+    0's class and -1 on the other.  Elsewhere they come from the real SVD
+    of Im P + Re C, |eigvalsh(P)| or the complex SVD, by the blocks' zero
+    parts (see the module docstring for the table, and why each solve is
+    exact).  The s_j are sorted once, whatever solve gave them.  The zero
+    tests read the blocks alone, and every solve runs on one BLAS thread,
+    so no eigenvalue depends on the core count.
     """
     same, cross = corr.same, corr.cross
-    _check_hermitian(same, cross)
     if _is_diagonal(same) and _is_diagonal(cross):
         s = np.abs(same.diagonal() + 1j * cross.diagonal())
     elif (split := _sublattices(same, cross)) is None:
@@ -258,12 +249,11 @@ def _entropies_of_blocks(spec: LatticeSpec, beta, nas):
     """Entropies of the contiguous blocks range(na), one point per na in nas.
 
     The blocks for range(max(nas)) are built once; each smaller block's P
-    and C are their leading na x na submatrices.  hermitian_eigenvalues
-    reads their entries alone and writes none of them: its split comes
-    from their zeros, and each solve takes a fresh array formed from them
-    (D flips signs only in such an array), or numpy's linalg copies them
-    into its own, so every value equals entropy_of(spec, beta, range(na))
-    bit for bit.  Repeated na values are solved once; no nas, no points.
+    and C are their leading na x na submatrices, held read-only (_held), so
+    hermitian_eigenvalues writes none of them: its split reads their zeros,
+    and each solve works on a fresh array or on numpy's linalg copy.  So
+    every value equals entropy_of(spec, beta, range(na)) bit for bit.
+    Repeated na values are solved once; no nas, no points.
     """
     if not nas:
         return []
@@ -271,6 +261,6 @@ def _entropies_of_blocks(spec: LatticeSpec, beta, nas):
     corr = build_correlation_matrix(spec, beta, range(max(nas)))
     values = {}
     for na in sorted(set(nas)):
-        block = CorrelationMatrix(same=corr.same[:na, :na], cross=corr.cross[:na, :na])
+        block = _held(corr.same[:na, :na], corr.cross[:na, :na])
         values[na] = entanglement_entropy(hermitian_eigenvalues(block))
     return [EntropyPoint.of(spec, beta, na, values[na]) for na in nas]

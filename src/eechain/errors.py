@@ -19,7 +19,7 @@ class SiteOutOfRange(InvalidParameter):
 
 
 class NotHermitian(EechainError):
-    """Matrix asymmetry exceeds the Hermiticity tolerance (1e-9)."""
+    """A CorrelationMatrix block's asymmetry is NaN or over the Hermiticity tolerance (1e-9)."""
 
 
 class EigenvalueOutOfRange(EechainError):

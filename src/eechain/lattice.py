@@ -92,8 +92,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .blas import one_blas_thread
-from .errors import DuplicateSite, InvalidParameter, SiteOutOfRange
+from .errors import DuplicateSite, InvalidParameter, NotHermitian, SiteOutOfRange
 
+HERMITICITY_TOL = 1e-9
 MAX_CHAIN_SITES = math.isqrt(2**63 - 1)  # N*N bounds the profiles' int64 phases
 
 
@@ -286,20 +287,28 @@ class CorrelationMatrix:
     [a, b] belongs to the a-th and b-th sites of the subsystem.  `dim` is
     2N_A.  `entries` is M itself, row/column index 2*a + s, interleaved
     from the blocks on first access; the eigensolve never reads it.  Blocks
-    that are not numeric, square and of one shape raise InvalidParameter.
+    that are not numeric, square and of one shape raise InvalidParameter,
+    and an asymmetry |B - B^dag| NaN or over 1e-9 NotHermitian.  Each is
+    held as a read-only copy, so this one check covers every solve; the
+    lattice's own blocks, exactly Hermitian, skip it (_held).
     """
 
     same: np.ndarray
     cross: np.ndarray
 
     def __post_init__(self):
-        for field in fields(self):  # the blocks as float or complex arrays
-            block = _as_array(field.name, getattr(self, field.name))
+        for field in fields(self):  # the blocks as float or complex copies
+            block = _as_array(field.name, getattr(self, field.name)).copy()
             real = validate_real_array(field.name, block.real)
             object.__setattr__(self, field.name, block if np.iscomplexobj(block) else real)
         shape, cross = self.same.shape, self.cross.shape
         if not (len(shape) == 2 and shape[0] == shape[1] > 0 and cross == shape):
             raise InvalidParameter(f"blocks must be square, of one shape: {shape}, {cross}")
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, and np.max keeps a NaN
+            asym = np.max([np.max(np.abs(b - b.conj().T)) for b in (self.same, self.cross)])
+        if not asym <= HERMITICITY_TOL:
+            raise NotHermitian(f"max asymmetry {asym:.3e} exceeds {HERMITICITY_TOL}")
+        self.same.flags.writeable = self.cross.flags.writeable = False
 
     @property
     def dim(self):
@@ -315,6 +324,14 @@ class CorrelationMatrix:
         m[0::2, 1::2] = self.cross
         m[1::2, 0::2] = self.cross
         return m
+
+
+def _held(same, cross):
+    """A CorrelationMatrix of the lattice's own blocks, locked but not checked."""
+    same.flags.writeable = cross.flags.writeable = False
+    corr = object.__new__(CorrelationMatrix)
+    corr.__dict__.update(same=same, cross=cross)
+    return corr
 
 
 def _folded(n):
@@ -747,8 +764,9 @@ def build_correlation_matrix(spec: LatticeSpec, beta, subsystem) -> CorrelationM
     The subsystem follows validate_subsystem.  Block entry [a, b] belongs to
     the site pair (subsystem[a], subsystem[b]); see CorrelationMatrix for
     the layout.  Each block is one gather from its entries at the signed d,
-    where P and C are Hermitian: the entry at -d is the conjugate of the one
-    at +d, on every path.
+    and the entry at -d is the conjugate of the one at +d on every path.
+    So P and C are exactly Hermitian, as is each leading sub-block (its
+    [a, b] and [b, a] are the block's), and are held unchecked (_held).
     """
     sites = np.asarray(validate_subsystem(subsystem, spec.n_sites), dtype=np.int64)
     d_signed = sites[None, :] - sites[:, None]  # d[a, b] = j - i
@@ -758,4 +776,4 @@ def build_correlation_matrix(spec: LatticeSpec, beta, subsystem) -> CorrelationM
     distances = np.flatnonzero(needed)
     same, cross = (np.concatenate((x, x.conj())) for x in _block_entries(spec, beta, distances))
     index = (np.cumsum(needed) - 1)[d_abs] + distances.size * (d_signed < 0)
-    return CorrelationMatrix(same=same[index], cross=cross[index])
+    return _held(same[index], cross[index])

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import fields
 from fractions import Fraction
@@ -318,6 +319,28 @@ def test_twisted_matrix_still_hermitian():
     assert np.abs(m - m.conj().T).max() <= 1e-12
     eigs = np.linalg.eigvalsh(m)
     assert eigs.min() >= -1e-9 and eigs.max() <= 1 + 1e-9
+
+
+# A CorrelationMatrix checks its blocks' Hermiticity when it is made, but
+# the lattice holds its own without that check (lattice._held).  So every
+# profile path must give exactly Hermitian blocks: the FFT (N = 16, 17,
+# 2000, 2001), the partial DFT (N = 131072, 100003), the short chain of a
+# massive or thermal point (d < 512, which range(600) passes), the Fermi
+# sea and the even-z delta, on contiguous and on sparse sites.  The sparse
+# sites are 20 of 30 evenly spaced ones, in random order, so that their
+# far entries take at most 29 distances of the N-site chain.
+@pytest.mark.parametrize("n_sites", [16, 17, 2000, 2001, 131_072, 100_003])
+def test_every_profile_path_gives_exactly_hermitian_blocks(n_sites):
+    rng = np.random.default_rng(n_sites)
+    slots = rng.choice(min(30, n_sites), size=min(20, n_sites), replace=False)
+    site_sets = [range(min(64, n_sites)), range(min(600, n_sites)), slots * max(n_sites // 30, 1)]
+    points = itertools.product(range(1, 6), (0.0, 0.3), (INF, 50.0), (0.0, 0.5, 0.3183))
+    for z, mass, beta, theta in points:
+        spec = LatticeSpec(n_sites, z, mass, 1.0, theta)
+        for sites in site_sets:
+            corr = build_correlation_matrix(spec, beta, sites)
+            assert np.array_equal(corr.same, corr.same.conj().T)
+            assert np.array_equal(corr.cross, corr.cross.conj().T)
 
 
 def _sparse_blocks(z, mass, beta, theta):

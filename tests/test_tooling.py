@@ -1,8 +1,9 @@
 """The suite's pytest configuration, checked on a planted failing test, the
-package's one home for its input rules and the use of what they return, the
-one BLAS thread of its linalg calls, the use of its private names, no
-function body written twice, the names the benchmark uses, README's CLI
-table, and the code names README and the docstrings cite."""
+package's one home for its input rules and the use of what they return, its
+one Hermiticity check, the one BLAS thread of its linalg calls, the use of
+its private names, no function body written twice, the names the
+benchmark uses, README's CLI table, and the code names README and the
+docstrings cite."""
 
 import ast
 import builtins
@@ -93,6 +94,24 @@ def test_input_rules_live_only_in_the_lattice_validators():
         if lines:
             offending[path.name] = lines
     assert offending == {}
+
+
+def _raises_of(tree, name):
+    """The number of raise statements in tree that raise the exception name."""
+    excs = [node.exc for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+    excs = [exc.func if isinstance(exc, ast.Call) else exc for exc in excs]
+    return sum(getattr(exc, "id", getattr(exc, "attr", None)) == name for exc in excs)
+
+
+def test_hermiticity_is_checked_only_where_a_correlation_matrix_is_made():
+    # a CorrelationMatrix checks its blocks when it is made and holds them
+    # read-only, so no solve checks them again: one check per fact
+    raised = {}
+    for path in sorted(Path(eechain.__file__).parent.glob("*.py")):
+        count = _raises_of(ast.parse(path.read_text()), "NotHermitian")
+        if count:
+            raised[path.name] = count
+    assert raised == {"lattice.py": 1}
 
 
 def _discarded_validator_results(tree):
