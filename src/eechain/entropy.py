@@ -52,17 +52,22 @@ s_j are sorted once, and the spectrum is 1/2 - s_j descending, then
 At theta in {0, 1/2} the weights obey F(-k) = (-1)^z F(k) and
 G(-k) = G(k), so P is imaginary for odd z and real for even z, and C is
 real; the lattice builds those parts as exact zeros on every profile path
-with a mode grid.  So each solve is real where the blocks allow, with B
-the block of P between the classes:
+with a mode grid.  The short chain, which gives the entries at d < 512 of
+a massive or thermal point at large N, is untwisted, so its reflection
+zeros hold at every theta: by Poisson summation its entries are the
+infinite chain's, whose P and C do not depend on theta (see
+eechain.lattice).  So each solve is real where the blocks allow, with B
+the block of P between the classes, and R marking the reflection zeros
+(theta in {0, 1/2}, or any theta on the short chain):
 
     split           solve                        where
     even z          each block as unsplit, below
-    odd z, C = 0    svd(Im B), each value twice  Re P = 0
+    odd z, C = 0    svd(Im B), each value twice  Re P = 0 (R)
                     svd(B), each value twice     otherwise
-    odd z, C != 0   eigvalsh((Im P + Re C)D)     Re P = 0 and Im C = 0
+    odd z, C != 0   eigvalsh((Im P + Re C)D)     Re P = 0 and Im C = 0 (R)
                     eigvalsh(i(P + iC)D)         otherwise
     diagonal        |P_jj + iC_jj|
-    unsplit         svd(Im P + Re C)             Re P = 0 and Im C = 0
+    unsplit         svd(Im P + Re C)             Re P = 0 and Im C = 0 (R)
                     |eigvalsh(P)|                C = 0 and Im P = 0
                     svd(P + iC)                  otherwise
 

@@ -29,19 +29,21 @@ block is one gather of those.  Each profile takes one of four paths:
   delta p[d] = delta_{d0}/2.  Odd z gives Peschel's Fermi-sea correlator
   in closed form (see _fermi_sea_profile): O(1) per entry.
 * short chain, for a massive or thermal point at d < SHORT_CHAIN_DISTANCES
-  = D: the entries of an M-site chain with the same z, m, eps and theta,
-  where M, the smallest even 5-smooth length >= D + c/a, is below N (see
-  _short_chain_sites).  There F and G are analytic and periodic in
-  t = k*eps, the sum over the modes is the trapezoid rule, and by Poisson
-  summation an N-site entry differs from the infinite chain's only by
-  aliases from d - N, which decay as e^{-a(N - d)}; a is the distance of
-  the nearest singularity of the weights from the real t axis.  The
-  aliases of the M-site chain are below K e^{-c} at every d < D, with
-  c = SHORT_CHAIN_MARGIN = 40 and K < 7 (on z <= 1002, see
-  _short_chain_sites), under 3e-17: so its entries are
-  the N-site ones to rounding, and a massive or thermal entry no longer
-  depends on N once M < N.  The M-site chain takes one of the two paths
-  below, by its own M.
+  = D: the entries of the untwisted (theta = 0) M-site chain with the same
+  z, m and eps, where M, the smallest even 5-smooth length >= D + c/a, is
+  below N (see _short_chain_sites).  There F and G are analytic and
+  periodic in t = k*eps, the sum over the modes is the trapezoid rule,
+  and by Poisson summation the twisted entry of an n-site chain is
+  sum_j e^{-2i pi theta j} P_inf[d + jn]: the infinite chain's P_inf[d],
+  which does not depend on theta, plus aliases that decay as e^{-a|d + jn|};
+  a is the distance of the nearest singularity of the weights from the
+  real t axis.  The aliases of the M-site chain are below K e^{-c} at
+  every d < D, with c = SHORT_CHAIN_MARGIN = 40 and K < 7 (on z <= 1002,
+  see _short_chain_sites), under 3e-17, and the N-site chain's smaller
+  still: so the untwisted M-site entries are the N-site ones at every
+  theta to rounding, and a massive or thermal entry at d < D depends on
+  z, m, eps, beta and d alone once M < N.  The M-site chain takes one of
+  the two paths below, by its own M.
 * partial DFT, where N is large or has a large prime factor
   (_uses_partial_dft): a sqrt(L)-split DFT over the L distinct modes in
   fixed blocks of PROFILE_BLOCK site differences, O(L) per block (see
@@ -64,14 +66,18 @@ one rule that makes them exact zeros:
   k -> -k, with F(-k) = (-1)^z F(k) and G(-k) = G(k), so the twisted
   P is imaginary for odd z and real for even z, and C is real.  Both
   grid paths leave the other part as round-off, set to 0 after the
-  twist.  The massless ground state has no such weights (its one-sided
-  node filling breaks the symmetry), which is one more reason it keeps
-  its closed form.
+  twist.  The short chain is untwisted, so its reflection zeros hold at
+  every theta: P_inf is imaginary for odd z and real for even z, and
+  C_inf is real, whatever the twist, and what the rule drops there is
+  round-off and aliases, under 1e-16.  The massless ground state has no
+  such weights (its one-sided node filling breaks the symmetry), which is
+  one more reason it keeps its closed form.
 
 The path depends on N, beta, theta and the model alone, and each entry's
-bits depend on N, beta, theta, the model and its own d alone: never on
-N_A or on which other entries the subsystem needs.  So a block of a
-larger matrix equals the matrix of the smaller subsystem bit for bit.
+bits depend on N, beta, theta, the model and its own d alone (a
+short-chain entry's on neither N nor theta): never on N_A or on which
+other entries the subsystem needs.  So a block of a larger matrix equals
+the matrix of the smaller subsystem bit for bit.
 
 A mode is an exact node (k*eps = 0 mod pi, so keff = 0) exactly when
 2*(theta + kappa)/N is an integer, which needs theta in {0, 1/2}.  The
@@ -290,7 +296,9 @@ class CorrelationMatrix:
     that are not numeric, square and of one shape raise InvalidParameter,
     and an asymmetry |B - B^dag| NaN or over 1e-9 NotHermitian.  Each is
     held as a read-only copy, so this one check covers every solve; the
-    lattice's own blocks, exactly Hermitian, skip it (_held).
+    lattice's own blocks, exactly Hermitian, skip it (_held).  A copy or
+    an unpickled matrix is made by the constructor too (__reduce__), so it
+    is checked and locked like any other.
     """
 
     same: np.ndarray
@@ -309,6 +317,9 @@ class CorrelationMatrix:
         if not asym <= HERMITICITY_TOL:
             raise NotHermitian(f"max asymmetry {asym:.3e} exceeds {HERMITICITY_TOL}")
         self.same.flags.writeable = self.cross.flags.writeable = False
+
+    def __reduce__(self):
+        return CorrelationMatrix, (self.same, self.cross)
 
     @property
     def dim(self):
@@ -685,10 +696,12 @@ def _short_chain_sites(spec: LatticeSpec, beta):
     Halving c lets the aliases through: 4e-12 at z = 1, m = 0,
     beta = 1000.
 
-    M depends on z, m, eps, beta and theta alone, never on the entries
-    asked for.  The N-site chain keeps every entry of a massless ground
-    state (a closed form), and those where a is not a positive finite
-    number or where M would not be below N.
+    M depends on z, m, eps and beta alone (a never reads theta), never on
+    the entries asked for.  The chain runs untwisted (see _block_entries):
+    the j = 0 term P_inf[d] is the same at every theta, and only the
+    aliases carry the twist.  The N-site chain keeps every entry of a
+    massless ground state (a closed form), and those where a is not a
+    positive finite number or where M would not be below N.
     """
     a = _singularity_distance(spec, beta)  # 0 for a massless ground state
     if not 0.0 < a < math.inf:
@@ -708,13 +721,22 @@ def _block_entries(spec: LatticeSpec, beta, distances):
     build_correlation_matrix).  Those at d < SHORT_CHAIN_DISTANCES come
     from the short chain where _short_chain_sites gives one, and every
     other from _chain_entries of the N-site chain.
+
+    The short chain is untwisted (theta = 0) at every theta: by Poisson
+    summation its entries and the twisted N-site ones are both the
+    infinite chain's P_inf[d] and C_inf[d], which do not depend on theta,
+    to aliases below 3e-17.  So the reflection rule of _chain_entries
+    writes its exact zeros (Re P for odd z, Im P for even z, and Im C) at
+    every twist, and hermitian_eigenvalues reads them and takes a real
+    solve.  The N-site chain keeps its theta: its finite-N effects are not
+    alias-small.
     """
     beta = validate_beta(beta)
     distances = np.asarray(distances, dtype=np.int64)
     sites = _short_chain_sites(spec, beta)
     if sites is None:
         return _chain_entries(spec, beta, distances)
-    short_chain = replace(spec, n_sites=sites)
+    short_chain = replace(spec, n_sites=sites, boundary_phase=0.0)
     short = distances < SHORT_CHAIN_DISTANCES
     same = np.empty(distances.size, dtype=complex)
     cross = np.empty(distances.size, dtype=complex)

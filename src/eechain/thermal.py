@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,6 +168,10 @@ def sweep_entropy(
     args = (specs, group_betas, itertools.repeat(list(nas)))
     workers = min(jobs or 1, len(groups))
     if workers > 1:
+        # imported here: the pool pulls in multiprocessing, which a serial
+        # sweep and a plain import never need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_entropies_of_blocks, *args))
     else:

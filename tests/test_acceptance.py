@@ -1,9 +1,9 @@
-"""Acceptance battery: ten numbered end-to-end checks, one test each.
+"""Acceptance battery: eleven numbered end-to-end checks, one test each.
 
 Each test prints a single `[criterion NN] PASS/FAIL` line (visible with
 pytest -s) and asserts the same condition, so the suite both documents
-and enforces the contract.  Criterion 10 also runs under a planted error,
-which it must catch.
+and enforces the contract.  Criteria 10 and 11 also run under a planted
+error, which each must catch.
 """
 
 import math
@@ -256,4 +256,84 @@ def test_criterion_10_fails_when_the_weights_take_twice_beta(monkeypatch):
         lattice, "_mode_weights", lambda spec, beta: weights(spec, 2 * beta)
     )
     ok, detail = _continuum_convergence()
+    assert not ok, detail
+
+
+# Massless chains of N_A = 50 sites at N = 1e5: every point takes the
+# short chain, whose entries stand for the infinite chain's
+THERMAL_SITES, THERMAL_NA = 100_000, 50
+LOW_T, HIGH_T = 1000.0, 1.0
+STAIRCASE_Z = (2, 4, 6, 8)  # even z; the swing a(z) reads S at z .. z + 2
+GAP_Z = (40, 1002)  # even z; the gap reads S at z and z + 1
+# measured: swing ratios 0.79, 0.73, 0.76; high/low T 0.11, 0.05, 0.03,
+# 0.03; gap ratio 0.017
+STAIRCASE_DECAY, HIGH_T_FRACTION, GAP_FRACTION = 0.85, 0.2, 0.05
+
+
+def _massless_entropy(z, beta):
+    """S at theta = 0, if it has the same bits at theta = 0.3183; else None."""
+    values = set()
+    for theta in (0.0, 0.3183):
+        spec = LatticeSpec(THERMAL_SITES, z, boundary_phase=theta)
+        assert lattice._short_chain_sites(spec, beta) is not None
+        values.add(entropy_of(spec, beta, range(THERMAL_NA)).entropy)
+    return values.pop() if len(values) == 1 else None
+
+
+def _parity_washout():
+    """(ok, detail): the even/odd-z staircase of S shrinks with z at low T
+    and is washed out at high T, and the parity gap at z = 1002 is a small
+    fraction of the one at z = 40 (PAPER.md's thermal claim)."""
+    t0 = time.time()
+    zs = range(STAIRCASE_Z[0], STAIRCASE_Z[-1] + 3)
+    s = {(z, b): _massless_entropy(z, b) for z in zs for b in (LOW_T, HIGH_T)}
+    s.update({(z, LOW_T): _massless_entropy(z, LOW_T) for g in GAP_Z for z in (g, g + 1)})
+    if None in s.values():
+        return False, "an entropy moved with theta"
+
+    def swing(z, b):  # a(z, beta) = |Delta(z) - Delta(z + 1)|
+        return abs(s[z + 2, b] - 2 * s[z + 1, b] + s[z, b])
+
+    low = [swing(z, LOW_T) for z in STAIRCASE_Z]
+    decay = [b / a for a, b in zip(low, low[1:])]
+    washout = [swing(z, HIGH_T) / a for z, a in zip(STAIRCASE_Z, low)]
+    gap = [abs(s[z + 1, LOW_T] - s[z, LOW_T]) for z in GAP_Z]
+    elapsed = time.time() - t0
+    ok = (
+        max(decay) <= STAIRCASE_DECAY
+        and max(washout) <= HIGH_T_FRACTION
+        and gap[1] <= GAP_FRACTION * gap[0]
+        and elapsed < 1.0
+    )
+    detail = (
+        f"low-T swing a(z = {STAIRCASE_Z}) = {', '.join(f'{a:.3f}' for a in low)}, "
+        f"ratios {', '.join(f'{r:.2f}' for r in decay)}; high/low-T swing "
+        f"{', '.join(f'{r:.3f}' for r in washout)}; parity gap {gap[0]:.3f} at "
+        f"z = {GAP_Z[0]}, {gap[1]:.4f} at z = {GAP_Z[1]}; theta-free bits; {elapsed:.2f}s"
+    )
+    return ok, detail
+
+
+def test_criterion_11_parity_washes_out_with_temperature_and_z():
+    _report(11, *_parity_washout())
+
+
+def test_criterion_11_fails_when_f_takes_its_sign_from_abs_k(monkeypatch):
+    # a planted error: F with the sign of |keff|^z in place of (-keff)^z,
+    # on the distinct modes and on the mirrored ones of an even chain
+    weights = lattice._mode_weights
+
+    def unsigned(spec, beta):
+        f, g = weights(spec, beta)
+        return np.abs(f), g
+
+    monkeypatch.setattr(lattice, "_mode_weights", unsigned)
+    for name in ("fourier_profile", "_partial_dft"):
+        engine = getattr(lattice, name)
+
+        def unmirrored(spec, pairs, distances, engine=engine):
+            return engine(spec, [(w, 1.0) for w, _ in pairs], distances)
+
+        monkeypatch.setattr(lattice, name, unmirrored)
+    ok, detail = _parity_washout()
     assert not ok, detail

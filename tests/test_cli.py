@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -172,6 +173,18 @@ def test_sweep_stdout_and_jobs(capsys):
     assert len(first.splitlines()) == 5
     assert main(argv + ["--jobs", "2"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_sweep_jobs_rows_equal_the_serial_rows(capsys):
+    # twisted massive and thermal points on the short chain, one group per
+    # worker process
+    argv = ["sweep", "--n", "100000", "--zs", "1,2,3", "--betas", "50,inf",
+            "--nas", "16,40", "--mass", "0.3", "--theta", "0.3183"]
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    assert len(serial.splitlines()) == 13
+    assert main(argv + ["--jobs", "2"]) == 0
+    assert capsys.readouterr().out == serial
 
 
 def test_sweep_svg(tmp_path):
@@ -398,29 +411,40 @@ def test_parser_is_built_once_at_import(tmp_path, monkeypatch, capsys):
 
 
 ORACLE_ARGV = "oracle-check --n 5 --na 2 --z 3 --mass 0.7 --beta 1.5 --theta 0.3"
-EE_ARGVS = [
+# argv: the solves hermitian_eigenvalues runs for it, as (linalg function,
+# real or complex input); the exact zeros of the blocks pick them
+EE_ARGVS = {
     # odd z, massless, theta = 0: the split's real singular-value solve of
     # the 300 x 300 block of P that joins the even sites to the odd ones,
     # threaded when BLAS may use two threads
-    "ee --n 2000 --na 600 --z 1 --beta 100",
+    "ee --n 2000 --na 600 --z 1 --beta 100": {("svd", "real")},
     # even z, massless, theta = 0: the split's 300-row real eigvalsh of the
     # even sites' block of P, which the odd sites' block equals
-    "ee --n 2000 --na 600 --z 2 --beta 100",
+    "ee --n 2000 --na 600 --z 2 --beta 100": {("eigvalsh", "real")},
     # the short chain of a massive point at a prime N: its FFTs and the
     # eigensolve
-    "ee --n 100003 --na 64 --z 1 --mass 0.3 --beta 50",
+    "ee --n 100003 --na 64 --z 1 --mass 0.3 --beta 50": {("eigvalsh", "real")},
     # the partial-DFT path, its GEMMs and the eigensolve: a correlation
     # length too long for a chain shorter than N
-    "ee --n 100003 --na 64 --z 1 --beta 100000",
-    # odd z, massive, twisted: the split's 300-row complex eigvalsh of
-    # i(P + iC)D
-    "ee --n 2000 --na 300 --z 3 --mass 0.3 --beta 50 --theta 0.25",
+    "ee --n 100003 --na 64 --z 1 --beta 100000": {("svd", "real")},
+    # odd z, massive, at a generic theta on the short chain (M = 640), which
+    # is untwisted: Re P = 0 and Im C = 0, so the split's 300-row real
+    # eigvalsh of (Im P + Re C)D
+    "ee --n 2000 --na 300 --z 3 --mass 0.3 --beta 50 --theta 0.25": {("eigvalsh", "real")},
+    # the same point with no short chain (M >= N): the twisted N-site chain
+    # has Re P != 0 and Im C != 0, so the split's 300-row complex eigvalsh
+    # of i(P + iC)D
+    "ee --n 600 --na 300 --z 3 --mass 0.3 --beta 50 --theta 0.25": {("eigvalsh", "complex")},
     # the Fermi sea at odd N has no parity zeros: the whole 300 x 300
     # complex singular-value solve
-    "ee --n 2001 --na 300 --z 3 --beta inf",
-    # one block pair, its leading blocks solved for every N_A
-    "sweep --n 2000 --zs 1,2 --betas 20,inf --nas 100,200,300 --mass 0.4",
-]
+    "ee --n 2001 --na 300 --z 3 --beta inf": {("svd", "complex")},
+    # one block pair, its leading blocks solved for every N_A: real P and C
+    # for z = 2 join into the complex P + iC
+    "sweep --n 2000 --zs 1,2 --betas 20,inf --nas 100,200,300 --mass 0.4": {
+        ("eigvalsh", "real"),
+        ("svd", "complex"),
+    },
+}
 
 # Runs each argv given through cli.main in one interpreter and prints the
 # stdout bytes of each, as {argv: text} JSON.
@@ -479,6 +503,22 @@ def test_oracle_check_bytes_do_not_depend_on_blas_threads(outputs_by_blas_thread
 def test_ee_bytes_do_not_depend_on_blas_threads(argv, outputs_by_blas_threads):
     one, two = outputs_by_blas_threads
     assert one[argv] == two[argv]
+
+
+@pytest.mark.parametrize("argv", EE_ARGVS)
+def test_ee_argv_takes_the_solve_its_comment_names(argv, monkeypatch):
+    solves = set()
+    for name in ("svd", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+
+        def recorded(a, *args, solve=solve, name=name, **kwargs):
+            solves.add((name, "complex" if np.iscomplexobj(a) else "real"))
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
+        assert main(argv.split()) == 0
+    assert solves == EE_ARGVS[argv]
 
 
 def test_cli_runs_without_scipy():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -92,6 +94,28 @@ def test_blocks_cannot_change_after_their_check():
     same[0, 1] = cross[1, 0] = 7.0
     assert np.array_equal(hermitian_eigenvalues(made), eigs)
     assert np.array_equal(eigs, hermitian_eigenvalues(built))
+
+
+def test_copies_are_checked_and_locked():
+    # a deep copy and an unpickled copy go back through the constructor,
+    # so their blocks are locked like the original's
+    spec = LatticeSpec(n_sites=16, z_exponent=3, mass=0.4, boundary_phase=0.25)
+    built = build_correlation_matrix(spec, 2.0, range(6))
+    made = CorrelationMatrix(same=0.1 * np.eye(2), cross=np.zeros((2, 2)))
+    for corr in (built, made):
+        for twin in (copy.copy(corr), copy.deepcopy(corr), pickle.loads(pickle.dumps(corr))):
+            assert type(twin) is CorrelationMatrix
+            assert np.array_equal(hermitian_eigenvalues(twin), hermitian_eigenvalues(corr))
+            for block in (twin.same, twin.cross):
+                with pytest.raises(ValueError):
+                    block[0, 1] = 1.0
+    # blocks held unchecked (lattice._held) are checked when they are copied
+    bad = lattice._held(np.array([[0.1, 0.1], [0.3, 0.1]]), np.zeros((2, 2)))
+    payload = pickle.dumps(bad)
+    with pytest.raises(NotHermitian):
+        pickle.loads(payload)
+    with pytest.raises(NotHermitian):
+        copy.deepcopy(bad)
 
 
 def test_structured_solves_give_the_ascending_dense_spectrum():

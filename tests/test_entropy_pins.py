@@ -52,18 +52,27 @@ pytestmark = pytest.mark.skipif(
 # short-chain-and-n-site -1.5e-13, and the sweep rows +7.5e-14 and
 # -8.7e-14.  fermi-sea (odd N, no parity zeros) takes the whole solve, and
 # even-z-delta is still exactly 0.
+# Re-pinned when the short chain ran untwisted at every theta: its entries
+# move by round-off and aliases below 1e-16 and gain the reflection zeros,
+# so a twisted point takes a real solve.  The moves (new - old), with the
+# N-site chain's own S at each point (new - N-site): fft-generic-theta
+# -7.8e-14 (-1.3e-14), fft-theta-half +1.4e-13 (+5.4e-14),
+# partial-dft-generic-theta +6.0e-14 (-2.2e-14), partial-dft-mirrored-odd-n
+# +4.6e-14 (+4.2e-14), short-chain-and-n-site +7.9e-13 (+1.3e-12), and the
+# sweep rows +1.3e-13 (+1.4e-13) and +3.5e-13 (+3.5e-13).  The two
+# partial-DFT points now share one short chain, and so one value.
 POINTS = {  # name: (N, z, m, beta, theta, N_A), S as float.hex
     "fft-theta0": ((2000, 3, 0.3, 50.0, 0.0, 160), "0x1.5a6856abfc4c4p+0"),
-    "fft-theta-half": ((2000, 5, 0.2, 100.0, 0.5, 40), "0x1.8cf69a31b83adp+0"),
-    "fft-generic-theta": ((2000, 1, 0.5, 10.0, 0.3183, 40), "0x1.eadf5a2542d97p+0"),
-    "partial-dft-generic-theta": ((131072, 2, 0.3, 20.0, 0.25, 40), "0x1.53bed2d6ade21p+0"),
+    "fft-theta-half": ((2000, 5, 0.2, 100.0, 0.5, 40), "0x1.8cf69a31b860cp+0"),
+    "fft-generic-theta": ((2000, 1, 0.5, 10.0, 0.3183, 40), "0x1.eadf5a2542c38p+0"),
+    "partial-dft-generic-theta": ((131072, 2, 0.3, 20.0, 0.25, 40), "0x1.53bed2d6adf30p+0"),
     "partial-dft-mirrored-even-n": ((131072, 3, 0.3, 20.0, 0.0, 40), "0x1.d371c3eb980fbp+0"),
-    "partial-dft-mirrored-odd-n": ((100003, 2, 0.3, 20.0, 0.5, 40), "0x1.53bed2d6ade5fp+0"),
+    "partial-dft-mirrored-odd-n": ((100003, 2, 0.3, 20.0, 0.5, 40), "0x1.53bed2d6adf30p+0"),
     "fermi-sea": ((100003, 3, 0.0, INF, 0.25, 40), "0x1.f4a7a2fb27245p+1"),
     "even-z-delta": ((2000, 2, 0.0, INF, 0.0, 40), "0x0.0p+0"),
     "n-site-fft": ((2000, 1, 0.0, 1000.0, 0.3183, 40), "0x1.f4dffe3d7afbbp+1"),
     "n-site-partial-dft": ((131072, 1, 0.0, 1e5, 0.0, 40), "0x1.f4a7a6822d9d5p+1"),
-    "short-chain-and-n-site": ((2000, 1, 0.5, 10.0, 0.3183, 530), "0x1.530c059b7d59bp+3"),
+    "short-chain-and-n-site": ((2000, 1, 0.5, 10.0, 0.3183, 530), "0x1.530c059b7d75ap+3"),
 }
 
 
@@ -76,5 +85,5 @@ def test_entropy_bits_unchanged(name):
 
 def test_sweep_row_bits_unchanged():
     table = sweep_entropy((1,), (50.0,), (16, 40), n_sites=2000, mass=0.3, boundary_phase=0.5)
-    pinned = ["0x1.a69e20378f46ap+0", "0x1.a6a019eb186c0p+0"]
+    pinned = ["0x1.a69e20378f6a6p+0", "0x1.a6a019eb18cfcp+0"]
     assert [row.entropy.hex() for row in table.rows] == pinned

@@ -4,9 +4,12 @@ For a massive or thermal point the entries at d < SHORT_CHAIN_DISTANCES
 come from an M-site chain (see eechain.lattice._short_chain_sites).  Here
 they are compared with the N-site entries of _chain_entries, the path every
 entry took before, on a grid with long correlation lengths (a small a,
-so M near N) at even, odd and prime N.
+so M near N) at even, odd and prime N.  The short chain runs untwisted,
+so its entries are also checked for the same bits at every theta, with
+the reflection rule's exact zeros and the real solve those give.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -130,15 +133,89 @@ def test_large_z_takes_the_short_chain_without_error():
 
 
 def test_entries_beyond_d_keep_the_n_site_chain():
-    # the short chain gives d < D only; the others are the N-site entries
+    # the untwisted short chain gives d < D only; the others are the
+    # N-site entries
     spec = LatticeSpec(100_000, 2, 0.3, 1.0, GENERIC_THETA)
     sites = _short_chain_sites(spec, 50.0)
-    short = LatticeSpec(sites, 2, 0.3, 1.0, GENERIC_THETA)
+    short = LatticeSpec(sites, 2, 0.3)
     d = np.array([0, SHORT_CHAIN_DISTANCES - 1, SHORT_CHAIN_DISTANCES, 50_000])
     mixed, full = _block_entries(spec, 50.0, d), _chain_entries(spec, 50.0, d)
     for block, reference, own in zip(mixed, full, _chain_entries(short, 50.0, d[:2])):
         assert np.array_equal(block[:2], own)
         assert np.array_equal(block[2:], reference[2:])
+
+
+TWISTS = [0.0, GENERIC_THETA, 0.5, 0.77]
+# an even 5-smooth N, a prime one and two even ones on the partial DFT
+SHORT_CHAIN_N = [100_000, 100_003, 131_072, 1_000_000]
+# (m, beta): a massive ground state, a massless thermal and a massive
+# thermal point
+SHORT_CHAIN_POINTS = [(0.3, INF), (0.0, 50.0), (0.1, 100.0)]
+
+
+def _short_entries(z, mass, beta):
+    """The block entries at d < D for every N and theta above."""
+    entries = []
+    for n_sites in SHORT_CHAIN_N:
+        for theta in TWISTS:
+            spec = LatticeSpec(n_sites, z, mass, 1.0, theta)
+            assert _short_chain_sites(spec, beta) < n_sites
+            entries.append(_block_entries(spec, beta, DISTANCES))
+    return entries
+
+
+def _same_bits(entries):
+    first = [block.tobytes() for block in entries[0]]
+    return all([block.tobytes() for block in pair] == first for pair in entries)
+
+
+def _reflection_zeros(z, same, cross):
+    """Whether Re P (odd z) or Im P (even z), and Im C, are exact zeros."""
+    return not (same.real if z % 2 else same.imag).any() and not cross.imag.any()
+
+
+def _eigvalsh_inputs(monkeypatch, spec, beta):
+    """real or complex, for each eigvalsh that entropy_of runs."""
+    inputs, eigvalsh = [], np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        inputs.append("complex" if np.iscomplexobj(a) else "real")
+        return eigvalsh(a, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", recorded)
+        entropy_of(spec, beta, range(64))
+    return inputs
+
+
+@pytest.mark.parametrize("z", range(1, 6))
+@pytest.mark.parametrize("mass, beta", SHORT_CHAIN_POINTS)
+def test_short_chain_entries_do_not_depend_on_theta(z, mass, beta):
+    # the short chain is untwisted: its entries stand for P_inf and C_inf,
+    # the same at every theta, with the reflection rule's exact zeros
+    entries = _short_entries(z, mass, beta)
+    assert _same_bits(entries)
+    assert all(_reflection_zeros(z, *pair) for pair in entries)
+
+
+def test_twisted_massive_odd_z_takes_the_real_eigvalsh(monkeypatch):
+    spec = LatticeSpec(100_000, 3, 0.3, 1.0, GENERIC_THETA)
+    assert _eigvalsh_inputs(monkeypatch, spec, 50.0) == ["real"]
+
+
+def test_planted_twist_fails_the_theta_checks(monkeypatch):
+    # a planted twist: the short chain at the point's own theta
+    def keep_theta(spec, n_sites, boundary_phase):
+        return dataclasses.replace(spec, n_sites=n_sites)
+
+    monkeypatch.setattr(eechain.lattice, "replace", keep_theta)
+    for z in range(1, 6):
+        for mass, beta in SHORT_CHAIN_POINTS:
+            entries = _short_entries(z, mass, beta)
+            assert not _same_bits(entries)
+            assert not all(_reflection_zeros(z, *pair) for pair in entries)
+    spec = LatticeSpec(100_000, 3, 0.3, 1.0, GENERIC_THETA)
+    assert _eigvalsh_inputs(monkeypatch, spec, 50.0) == ["complex"]
 
 
 def test_short_chain_does_not_depend_on_n():

@@ -1,5 +1,6 @@
-"""The suite's pytest configuration, checked on a planted failing test, the
-package's one home for its input rules and the use of what they return, its
+"""The suite's pytest configuration, checked on a planted failing test, an
+import of the package that leaves the process pool out, the package's one
+home for its input rules and the use of what they return, its
 one Hermiticity check, the one BLAS thread of its linalg calls, the use of
 its private names, no function body written twice, the names the
 benchmark uses, README's CLI table, and the code names README and the
@@ -11,6 +12,7 @@ import copy
 import dataclasses
 import importlib
 import importlib.util
+import os
 import pkgutil
 import re
 import subprocess
@@ -48,6 +50,23 @@ def test_failing_given_test_does_not_abort_the_run(tmp_path):
     assert result.returncode == 1, output
     assert "Falsifying example" in output
     assert "INTERNALERROR" not in output
+
+
+def test_import_leaves_the_process_pool_out():
+    # only sweep_entropy with jobs > 1 imports the pool, and with it
+    # multiprocessing, socket, subprocess and logging
+    script = "import sys, eechain; print('multiprocessing' in sys.modules)"
+    src = str(Path(eechain.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 # the functions of eechain.lattice that hold the integer and real-number rules
