@@ -16,7 +16,8 @@ Options may also come from a config file (``--config``) holding
 ``key = value`` lines with ``#`` comments, one key per flag name of the
 command; the file's values are parsed like flags given ahead of the
 command line, so a command-line flag wins over the same key.  Exit
-codes: 0 success, 1 computational failure (EechainError), 2 usage error
+codes: 0 success, 1 computational failure (EechainError, or a
+MemoryError from an allocation too large for the machine), 2 usage error
 or invalid model parameter.
 """
 
@@ -33,7 +34,7 @@ import numpy as np
 from . import cmera as cmera_mod
 from .entropy import entanglement_entropy, entropy_of, hermitian_eigenvalues
 from .errors import EechainError, InvalidParameter, UsageError
-from .lattice import LatticeSpec, _held, build_correlation_matrix, validate_model
+from .lattice import LatticeSpec, build_correlation_matrix, validate_model
 from .oracle import many_body_state, mode_correlators, reduced_entropy
 from .output import emit_csv, emit_json, emit_plot, emit_table
 from .thermal import (
@@ -247,10 +248,7 @@ def _run_sweep(cfg):
     zs, betas, nas = _sweep_axes(cfg)
     table = _sweep(cfg, zs, betas, nas)
     fmt = cfg.fmt or "csv"
-    if fmt == "svg":
-        _emit(cfg, _sweep_plot(table, zs, betas, nas))
-        return 0
-    _emit(cfg, emit_table(table, fmt))
+    _emit(cfg, _sweep_plot(table, zs, betas, nas) if fmt == "svg" else emit_table(table, fmt))
     return 0
 
 
@@ -355,9 +353,7 @@ def _run_oracle_check(cfg):
     corr_diff = float(np.abs(mode_correlators(state) - corr.entries).max())
 
     s_exact = reduced_entropy(state, range(cfg.na))  # checks N_A against N
-    # the subsystem's blocks lead the chain's, bit for bit
-    sub = _held(corr.same[: cfg.na, : cfg.na], corr.cross[: cfg.na, : cfg.na])
-    s_fast = entanglement_entropy(hermitian_eigenvalues(sub))
+    s_fast = entanglement_entropy(hermitian_eigenvalues(corr._leading(cfg.na)))
     s_diff = abs(s_exact - s_fast)
 
     corr_ok = corr_diff <= CORRELATOR_TOL
@@ -391,8 +387,9 @@ def main(argv=None):
         return 2
     except SystemExit as exc:
         return int(exc.code or 0)
-    except EechainError as exc:
-        print(f"eechain: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (EechainError, MemoryError) as exc:  # numpy raises a private subclass
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"eechain: {name}: {exc}", file=sys.stderr)
         return 1
 
 

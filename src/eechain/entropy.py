@@ -92,7 +92,7 @@ import numpy as np
 from .blas import one_blas_thread
 from .errors import EigenvalueOutOfRange, InvalidParameter
 from .lattice import (
-    CorrelationMatrix, LatticeSpec, _held, build_correlation_matrix, validate_integer,
+    CorrelationMatrix, LatticeSpec, build_correlation_matrix, validate_integer,
     validate_real_array,
 )
 
@@ -253,12 +253,14 @@ def entropy_of(spec: LatticeSpec, beta, subsystem) -> EntropyPoint:
 def _entropies_of_blocks(spec: LatticeSpec, beta, nas):
     """Entropies of the contiguous blocks range(na), one point per na in nas.
 
-    The blocks for range(max(nas)) are built once; each smaller block's P
-    and C are their leading na x na submatrices, held read-only (_held), so
-    hermitian_eigenvalues writes none of them: its split reads their zeros,
-    and each solve works on a fresh array or on numpy's linalg copy.  So
-    every value equals entropy_of(spec, beta, range(na)) bit for bit.
-    Repeated na values are solved once; no nas, no points.
+    The blocks for range(max(nas)) are built once; each smaller block is
+    their leading na x na sub-block (CorrelationMatrix._leading), whose
+    bits are those of build_correlation_matrix(spec, beta, range(na)).
+    The views are read-only, so hermitian_eigenvalues writes none of them:
+    its split reads their zeros, and each solve works on a fresh array or
+    on numpy's linalg copy.  So every value equals entropy_of(spec, beta,
+    range(na)) bit for bit.  Repeated na values are solved once; no nas,
+    no points.
     """
     if not nas:
         return []
@@ -266,6 +268,5 @@ def _entropies_of_blocks(spec: LatticeSpec, beta, nas):
     corr = build_correlation_matrix(spec, beta, range(max(nas)))
     values = {}
     for na in sorted(set(nas)):
-        block = _held(corr.same[:na, :na], corr.cross[:na, :na])
-        values[na] = entanglement_entropy(hermitian_eigenvalues(block))
+        values[na] = entanglement_entropy(hermitian_eigenvalues(corr._leading(na)))
     return [EntropyPoint.of(spec, beta, na, values[na]) for na in nas]

@@ -295,10 +295,11 @@ class CorrelationMatrix:
     from the blocks on first access; the eigensolve never reads it.  Blocks
     that are not numeric, square and of one shape raise InvalidParameter,
     and an asymmetry |B - B^dag| NaN or over 1e-9 NotHermitian.  Each is
-    held as a read-only copy, so this one check covers every solve; the
-    lattice's own blocks, exactly Hermitian, skip it (_held).  A copy or
-    an unpickled matrix is made by the constructor too (__reduce__), so it
-    is checked and locked like any other.
+    held as a read-only copy, so this one check covers every solve.  Only
+    this module makes a matrix that skips it (_held): the lattice's own
+    blocks, exactly Hermitian, and their leading sub-blocks (_leading).  A
+    copy or an unpickled matrix is made by the constructor too
+    (__reduce__), so it is checked and locked like any other.
     """
 
     same: np.ndarray
@@ -321,6 +322,20 @@ class CorrelationMatrix:
     def __reduce__(self):
         return CorrelationMatrix, (self.same, self.cross)
 
+    def _leading(self, na):
+        """The matrix of the first na sites: P and C's leading na x na blocks.
+
+        A principal sub-block is no less Hermitian than its block, and this
+        matrix's blocks were checked when it was made, or are the lattice's
+        exact ones; either way they are locked.  So the sub-blocks are held
+        as read-only views, unchecked (_held).  Taken from
+        build_correlation_matrix(spec, beta, range(n)), they are the blocks
+        of build_correlation_matrix(spec, beta, range(na)) bit for bit, as
+        each entry's bits depend on its own d alone (see the module
+        docstring).
+        """
+        return _held(self.same[:na, :na], self.cross[:na, :na])
+
     @property
     def dim(self):
         return 2 * self.same.shape[0]
@@ -338,7 +353,11 @@ class CorrelationMatrix:
 
 
 def _held(same, cross):
-    """A CorrelationMatrix of the lattice's own blocks, locked but not checked."""
+    """A CorrelationMatrix of blocks known to be Hermitian, locked but not checked.
+
+    Read in this module alone, where the blocks are proved Hermitian: the
+    gathers of build_correlation_matrix and CorrelationMatrix._leading.
+    """
     same.flags.writeable = cross.flags.writeable = False
     corr = object.__new__(CorrelationMatrix)
     corr.__dict__.update(same=same, cross=cross)
@@ -787,8 +806,9 @@ def build_correlation_matrix(spec: LatticeSpec, beta, subsystem) -> CorrelationM
     the site pair (subsystem[a], subsystem[b]); see CorrelationMatrix for
     the layout.  Each block is one gather from its entries at the signed d,
     and the entry at -d is the conjugate of the one at +d on every path.
-    So P and C are exactly Hermitian, as is each leading sub-block (its
-    [a, b] and [b, a] are the block's), and are held unchecked (_held).
+    So P and C are exactly Hermitian, and are held unchecked (_held); the
+    leading sub-blocks that a scan of N_A solves come from the matrix
+    (CorrelationMatrix._leading).
     """
     sites = np.asarray(validate_subsystem(subsystem, spec.n_sites), dtype=np.int64)
     d_signed = sites[None, :] - sites[:, None]  # d[a, b] = j - i

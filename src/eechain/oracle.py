@@ -263,4 +263,4 @@ def reduced_entropy(state: FockState, subsystem):
         lam = np.linalg.eigvalsh(rho_a.reshape(dim_a, dim_a))
     lam = np.clip(lam, 0.0, None)
     lam = lam[lam > 1e-14]
-    return float(-np.sum(lam * np.log(lam)))
+    return float(-np.sum(lam * np.log(lam))) + 0.0  # a pure state gives +0.0, not -0.0

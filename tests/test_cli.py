@@ -272,6 +272,34 @@ def test_oracle_check_builds_one_correlation_matrix(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_oracle_check_of_a_pure_subsystem_prints_zero(capsys):
+    # one site of a pure two-site chain: both entropies are +0, not -0
+    assert main(["oracle-check", "--n", "2", "--na", "1", "--z", "1", "--mass", "1"]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line.startswith("entropy: fast = 0  oracle = 0  diff = 0.000e+00 "), line
+
+
+class _ArrayMemoryError(MemoryError):
+    """Like numpy's: a private subclass, raised where an allocation fails."""
+
+
+@pytest.mark.parametrize("error", [MemoryError, _ArrayMemoryError])
+def test_memory_error_exits_1_without_traceback(error, monkeypatch, capsys):
+    # a valid N whose N-site partial DFT asks for 22.6 GiB; the test asks
+    # for none of it
+    message = "Unable to allocate 22.6 GiB for an array with shape (3037000499,)"
+
+    def exhausted(*args):
+        raise error(message)
+
+    monkeypatch.setattr(eechain.cli, "entropy_of", exhausted)
+    argv = ["ee", "--n", "3037000499", "--na", "600", "--z", "1", "--beta", "1e10"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"eechain: MemoryError: {message}\n"
+
+
 def test_oracle_check_rejects_large_chain(capsys):
     rc = main(["oracle-check", "--n", "12", "--na", "2", "--z", "1", "--mass", "1"])
     assert rc == 2

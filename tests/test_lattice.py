@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import eechain.lattice
 from eechain import (
+    CorrelationMatrix,
     DuplicateSite,
     InvalidParameter,
     LatticeSpec,
@@ -341,6 +342,32 @@ def test_every_profile_path_gives_exactly_hermitian_blocks(n_sites):
             corr = build_correlation_matrix(spec, beta, sites)
             assert np.array_equal(corr.same, corr.same.conj().T)
             assert np.array_equal(corr.cross, corr.cross.conj().T)
+
+
+# A scan of N_A solves the leading sub-blocks of one matrix, held
+# unchecked (CorrelationMatrix._leading): they must be the smaller
+# subsystem's own matrix, byte for byte, on every profile path.  (N, z, m,
+# beta, theta, the largest N_A)
+LEADING_CASES = [
+    (64, 3, 0.0, INF, 0.3183, 64),  # the Fermi sea
+    (64, 2, 0.0, INF, 0.5, 64),  # the even-z delta
+    (500, 3, 0.3, 50.0, 0.3183, 128),  # the N-site FFT, even N
+    (501, 2, 0.0, 2.0, 0.5, 128),  # the N-site FFT, odd N
+    (131_072, 1, 0.0, 1e5, 0.3183, 128),  # the partial DFT
+    (2000, 1, 0.3, 50.0, 0.3183, 600),  # the short chain, and the N-site chain at d >= 512
+]
+
+
+@pytest.mark.parametrize("n_sites, z, mass, beta, theta, largest", LEADING_CASES)
+def test_leading_blocks_are_the_smaller_subsystems_matrix(n_sites, z, mass, beta, theta, largest):
+    spec = LatticeSpec(n_sites, z, mass, 1.0, theta)
+    corr = build_correlation_matrix(spec, beta, range(largest))
+    for na in [na for na in (1, 17, 32, 63, largest // 2 + 1, 513, largest) if na <= largest]:
+        lead, own = corr._leading(na), build_correlation_matrix(spec, beta, range(na))
+        assert type(lead) is CorrelationMatrix and lead.dim == 2 * na
+        for block, expected in ((lead.same, own.same), (lead.cross, own.cross)):
+            assert block.tobytes() == expected.tobytes()
+            assert not block.flags.writeable
 
 
 def _sparse_blocks(z, mass, beta, theta):

@@ -84,6 +84,13 @@ def test_pure_state_entropy_symmetry():
     assert s_a == pytest.approx(s_b, abs=1e-12)
 
 
+def test_pure_subsystem_entropy_is_positive_zero():
+    # one site of a pure two-site chain keeps a single eigenvalue, exactly 1:
+    # -sum(1 * ln 1) alone would be -0.0, which prints as "-0"
+    state = many_body_state(LatticeSpec(2, 1, 1.0), INF)
+    assert math.copysign(1.0, reduced_entropy(state, [0])) == 1.0
+
+
 def _non_prefix_subsystems(n):
     """Lists of distinct sites in [0, n) other than [0, 1, ..., k-1]."""
     return st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True).filter(

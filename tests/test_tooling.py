@@ -1,10 +1,10 @@
 """The suite's pytest configuration, checked on a planted failing test, an
 import of the package that leaves the process pool out, the package's one
-home for its input rules and the use of what they return, its
-one Hermiticity check, the one BLAS thread of its linalg calls, the use of
-its private names, no function body written twice, the names the
-benchmark uses, README's CLI table, and the code names README and the
-docstrings cite."""
+home for its input rules and the use of what they return, its one
+Hermiticity check and the one module that may make a matrix without it,
+the one BLAS thread of its linalg calls, the use of its private names, no
+function body written twice, the names the benchmark uses, README's CLI
+table, and the code names README and the docstrings cite."""
 
 import ast
 import builtins
@@ -131,6 +131,23 @@ def test_hermiticity_is_checked_only_where_a_correlation_matrix_is_made():
         if count:
             raised[path.name] = count
     assert raised == {"lattice.py": 1}
+
+
+def test_only_the_lattice_makes_an_unchecked_correlation_matrix():
+    # lattice._held makes a CorrelationMatrix that skips that check: only
+    # the module that proves its blocks Hermitian may read or import it
+    readers = []
+    for path in sorted(Path(eechain.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        if "_held" in _read_names(tree) | imported:
+            readers.append(path.name)
+    assert readers == ["lattice.py"]
 
 
 def _discarded_validator_results(tree):
