@@ -93,6 +93,8 @@ import cmath
 import functools
 import math
 import numbers
+import reprlib
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -178,9 +180,11 @@ def _as_array(name, values):
     try:
         array = np.asarray(values)
     except ValueError:  # a ragged nested sequence
-        raise InvalidParameter(f"{name} must be a regular array, got {values!r}") from None
+        raise InvalidParameter(
+            f"{name} must be a regular array, got {reprlib.repr(values)}"
+        ) from None
     if _holds_bool(values):  # numpy reads [True, 0.7] as floats
-        raise InvalidParameter(f"{name} must be numbers, not bools, got {values!r}")
+        raise InvalidParameter(f"{name} must be numbers, not bools, got {reprlib.repr(values)}")
     return array
 
 
@@ -189,15 +193,17 @@ def validate_real_array(name, values):
     bools, also among numbers, and no ragged nesting."""
     array = _as_array(name, values)
     if array.dtype.kind not in "iuf":
-        raise InvalidParameter(f"{name} must be real numbers, got {values!r}")
+        raise InvalidParameter(f"{name} must be real numbers, got {reprlib.repr(values)}")
     return array.astype(float, copy=False)
 
 
 def validate_finite_array(name, values):
     """values as a float array, if they are finite real numbers."""
     array = validate_real_array(name, values)
-    if not np.isfinite(array).all():
-        raise InvalidParameter(f"{name} must be finite, got {values!r}")
+    if not (finite := np.isfinite(array)).all():
+        raise InvalidParameter(
+            f"{name} must be finite, got {array[~finite][0]} in {reprlib.repr(values)}"
+        )
     return array
 
 
@@ -252,20 +258,25 @@ def validate_subsystem(subsystem, n):
     A subsystem is a nonempty sequence of distinct integer sites (see
     _is_integer) in [0, N), in any order; contiguity is not required.
     Anything else raises InvalidParameter, or its subclasses SiteOutOfRange
-    (negative sites included) and DuplicateSite.
+    (negative sites included) and DuplicateSite.  A message names the first
+    offending site, never the whole subsystem.
     """
+    rule = "subsystem must be a nonempty sequence of integer sites"
     try:
         sites = list(subsystem)
     except TypeError:  # not iterable
         sites = None
-    if not sites or not all(map(_is_integer, sites)):
-        raise InvalidParameter(
-            f"subsystem must be a nonempty sequence of integer sites, got {subsystem!r}"
-        )
+    if not sites:
+        raise InvalidParameter(f"{rule}, got {reprlib.repr(subsystem)}")
+    if not all(map(_is_integer, sites)):
+        site = next(s for s in sites if not _is_integer(s))
+        raise InvalidParameter(f"{rule}, got site {reprlib.repr(site)}")
     if min(sites) < 0 or max(sites) >= n:
-        raise SiteOutOfRange(f"subsystem sites must lie in [0, {n}), got {sites}")
+        site = next(s for s in sites if not 0 <= s < n)
+        raise SiteOutOfRange(f"subsystem sites must lie in [0, {n}), got site {site}")
     if len(set(sites)) != len(sites):
-        raise DuplicateSite(f"subsystem contains repeated sites: {sites}")
+        site = next(s for s, count in Counter(sites).items() if count > 1)
+        raise DuplicateSite(f"subsystem repeats site {site}")
     return [int(s) for s in sites]
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -144,6 +145,61 @@ def test_config_line_without_equals_is_usage_error(tmp_path, capsys):
 
 def test_config_file_missing(capsys):
     assert main(["ee", "--config", "/nonexistent/file.cfg"]) == 2
+
+
+def test_config_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    # read as UTF-8 whatever the locale, so a file parses alike everywhere
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(b"\xff\xfen = 4\n")
+    assert main(["ee", "--config", str(cfg_file)]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+WRITING_ARGVS = {
+    "ee": ["ee", "--n", "20", "--na", "5", "--z", "1"],
+    "ee-csv": ["ee", "--n", "20", "--na", "5", "--z", "1", "--format", "csv"],
+    "sweep": ["sweep", "--n", "20", "--na", "5", "--zs", "1,2"],
+    "fit-json": ["fit", "--n", "40", "--na", "4", "--z", "1", "--format", "json"],
+    "cmera": ["cmera", "--z", "1"],
+}
+
+
+def _assert_one_line_cannot_write(err):
+    assert err.startswith("eechain: error: cannot write")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", WRITING_ARGVS.values(), ids=WRITING_ARGVS.keys())
+@pytest.mark.parametrize("out", ["directory", "missing/x"])
+def test_unwritable_out_exits_2_with_one_line(argv, out, tmp_path, capsys):
+    target = tmp_path if out == "directory" else tmp_path / out
+    assert main([*argv, "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_line_cannot_write(captured.err)
+    assert str(target) in captured.err
+
+
+@pytest.mark.parametrize("argv", WRITING_ARGVS.values(), ids=WRITING_ARGVS.keys())
+def test_unwritable_stdout_exits_2_with_one_line(argv, capsys):
+    def full(data=None):
+        raise OSError(28, "No space left on device")
+
+    stdout = SimpleNamespace(buffer=SimpleNamespace(write=full, flush=full))
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    _assert_one_line_cannot_write(err)
+    assert "stdout" in err
+
+
+def test_site_out_of_range_is_named_not_listed(capsys):
+    # the message names the first site past N, not all N_A of them
+    assert main(["ee", "--n", "100", "--na", "100000", "--z", "1"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 200
+    assert "site 100" in err
 
 
 def test_ee_plain_value(capsys):

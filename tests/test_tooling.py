@@ -4,7 +4,8 @@ home for its input rules and the use of what they return, its one
 Hermiticity check and the one module that may make a matrix without it,
 the one BLAS thread of its linalg calls, the use of its private names, no
 function body written twice, the names the benchmark uses, README's CLI
-table, and the code names README and the docstrings cite."""
+table, the one per-command table of cli.py, and the code names README and
+the docstrings cite."""
 
 import ast
 import builtins
@@ -312,15 +313,36 @@ def test_readme_cli_table_matches_the_parser():
     # added or dropped flag must show there too
     readme = (PYPROJECT.parent / "README.md").read_text()
     rows = re.findall(r"^\| `([\w-]+)` \| `([^`]+)` \| (.+) \|$", readme, re.MULTILINE)
-    assert [command for command, _, _ in rows] == list(cli._COMMAND_FLAGS)
+    assert [command for command, _, _ in rows] == list(cli._COMMANDS)
     for command, flags, formats in rows:
-        read = cli._COMMAND_FLAGS[command]
+        _, read, writes = cli._COMMANDS[command]
         sets = [[f.removeprefix("--") for f in token.split("\\|")] for token in flags.split()]
         assert sorted(name for names in sets for name in names) == sorted(read)
         groups = [[name for name in group if name in read] for group in cli._EXCLUSIVE_FLAGS]
         assert [names for names in sets if len(names) > 1] == [g for g in groups if len(g) > 1]
         written = re.match(r"`([^`]+)`", formats)
-        assert (written[1].split() if written else []) == list(cli._FORMATS.get(command, ()))
+        assert (written[1].split() if written else []) == list(writes)
+
+
+def _dict_keys(node):
+    """The string keys of a dict display or a dict(...) call, else none."""
+    if isinstance(node, ast.Dict):
+        return {key.value for key in node.keys if isinstance(key, ast.Constant)}
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "dict":
+        return {keyword.arg for keyword in node.keywords}
+    return set()
+
+
+def test_cli_keeps_one_table_keyed_by_command():
+    # a second module-level dict keyed by command (its flags, its formats,
+    # its handler) must agree with the first by hand; _COMMANDS holds all
+    commands = set(re.search(r"\{([\w,-]+)\}", cli._PARSER.format_usage())[1].split(","))
+    tables = [
+        ast.unparse(node.targets[0] if isinstance(node, ast.Assign) else node.target)
+        for node in ast.parse(Path(cli.__file__).read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _dict_keys(node.value) & commands
+    ]
+    assert len(tables) == 1, tables
 
 
 MODULES = [eechain] + [

@@ -9,6 +9,7 @@ that is silently taken for another, such as True for 1.
 import functools
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ from hypothesis import strategies as st
 import eechain
 from eechain import (
     CorrelationMatrix,
+    DuplicateSite,
     EechainError,
     EigenvalueOutOfRange,
     EntropyPoint,
     InvalidParameter,
     LatticeSpec,
     NotHermitian,
+    SiteOutOfRange,
     SweepTable,
     bogoliubov_angle,
     build_correlation_matrix,
@@ -50,7 +53,12 @@ from eechain import (
     sweep_entropy,
     validate_beta,
 )
-from eechain.lattice import MAX_CHAIN_SITES
+from eechain.lattice import (
+    MAX_CHAIN_SITES,
+    validate_finite_array,
+    validate_real_array,
+    validate_subsystem,
+)
 
 SPEC = LatticeSpec(n_sites=8, z_exponent=1, mass=0.5)
 ORACLE_SPEC = LatticeSpec(n_sites=3, z_exponent=1, mass=0.5)
@@ -415,6 +423,39 @@ def test_subsystem_that_is_not_a_sequence_raises_invalid_parameter(subsystem):
         build_correlation_matrix(SPEC, 2.0, subsystem)
     with pytest.raises(InvalidParameter):
         reduced_entropy(_oracle_state(), subsystem)
+
+
+# a long input and the value its message must name
+LONG_INPUTS = {
+    "out of range": (lambda: validate_subsystem([*range(10**5), -3], 10**6), SiteOutOfRange, "-3"),
+    "repeated": (lambda: validate_subsystem([*range(10**5), 7], 10**6), DuplicateSite, "7"),
+    "not an integer": (
+        lambda: validate_subsystem([*range(10**5), 1.5], 10**6), InvalidParameter, "1.5"
+    ),
+    "not finite": (
+        lambda: validate_finite_array("x", [0.0] * 10**5 + [math.nan]), InvalidParameter, "nan"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, value", LONG_INPUTS.values(), ids=LONG_INPUTS.keys())
+def test_message_names_the_offending_value_not_the_whole_input(call, error, value):
+    with pytest.raises(error) as info:
+        call()
+    message = str(info.value)
+    assert len(message) < 200
+    assert value in re.findall(r"[-\w.]+", message)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0.0] * 10**5 + [True], [[0.0]] * 10**5 + [[0.0, 1.0]], [0.0] * 10**5 + [1j]],
+    ids=["bool", "ragged", "complex"],
+)
+def test_message_quotes_a_long_array_in_short(values):
+    with pytest.raises(InvalidParameter) as info:
+        validate_real_array("x", values)
+    assert len(str(info.value)) < 200
 
 
 @pytest.mark.parametrize("values", ["x", None, ["1", "2"], [1j], [True, False]])
