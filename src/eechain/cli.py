@@ -185,14 +185,15 @@ def _require(cfg, *names):
 
 
 def _emit(cfg, data):
+    out = getattr(cfg, "out", None)  # oracle-check has no --out
     try:
-        if cfg.out:
-            Path(cfg.out).write_bytes(data)
+        if out:
+            Path(out).write_bytes(data)
         else:
             sys.stdout.buffer.write(data)
             sys.stdout.buffer.flush()
     except OSError as exc:
-        raise UsageError(f"cannot write {cfg.out or 'stdout'}: {exc}") from exc
+        raise UsageError(f"cannot write {out or 'stdout'}: {exc}") from exc
 
 
 def _spec_of(cfg):
@@ -341,14 +342,12 @@ def _run_oracle_check(cfg):
 
     corr_ok = corr_diff <= CORRELATOR_TOL
     s_ok = s_diff <= ENTROPY_TOL
-    print(
+    _emit(cfg, (
         f"correlators: max|fast - oracle| = {corr_diff:.3e} "
-        f"(tol {CORRELATOR_TOL:g}) {'OK' if corr_ok else 'FAIL'}"
-    )
-    print(
+        f"(tol {CORRELATOR_TOL:g}) {'OK' if corr_ok else 'FAIL'}\n"
         f"entropy: fast = {s_fast:.12g}  oracle = {s_exact:.12g}  "
-        f"diff = {s_diff:.3e} (tol {ENTROPY_TOL:g}) {'OK' if s_ok else 'FAIL'}"
-    )
+        f"diff = {s_diff:.3e} (tol {ENTROPY_TOL:g}) {'OK' if s_ok else 'FAIL'}\n"
+    ).encode())
     return 0 if (corr_ok and s_ok) else 1
 
 

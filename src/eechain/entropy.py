@@ -45,9 +45,12 @@ where every entry it drops is exactly 0 (see _sublattices).  So a
 sparse subsystem splits by site parity too, and odd N on the N-site
 chain, which has no such zeros, takes the whole solve.  _sublattices
 returns the classes themselves: strided slices where they alternate, as
-on a contiguous subsystem, else index arrays.  Whatever the solve, the
-s_j are sorted once, and the spectrum is 1/2 - s_j descending, then
-1/2 + s_j ascending.
+on a contiguous subsystem, else index arrays.  The alternating classes
+are tried first, from O(N_A) entries and four strided views of the
+entries they drop (_alternate): where that test passes, the general rule
+gives the same classes, and where it fails, the general rule decides.
+Whatever the solve, the s_j are sorted once, and the spectrum is
+1/2 - s_j descending, then 1/2 + s_j ascending.
 
 At theta in {0, 1/2} the weights obey F(-k) = (-1)^z F(k) and
 G(-k) = G(k), so P is imaginary for odd z and real for even z, and C is
@@ -151,14 +154,21 @@ def _sublattices(same, cross):
     sites two steps from it along nonzero entries, a P step changing class
     where the split is bipartite: a far entry of row 0 can round to exactly
     0, and the second step still places its site.  The split is kept only
-    where every entry it drops is exactly 0, a check of every entry:
-    O(N_A^2).  Returns (site 0's class, the other, bipartite), the classes
-    as slices where they alternate, as the parities of a contiguous
-    subsystem do, so that their blocks are views, else as index arrays; or
-    None.
+    where every entry it drops is exactly 0, a check of every entry.
+    Returns (site 0's class, the other, bipartite), the classes as slices
+    where they alternate, as the parities of a contiguous subsystem do, so
+    that their blocks are views, else as index arrays; or None.
+
+    The alternating classes are tried first (_alternate), without the
+    N_A x N_A masks of the general rule: where its reach and drop tests
+    pass, the general rule would propose exactly the even sites and read
+    the same dropped entries, so it returns them; else the general rule
+    runs.
     """
+    bipartite = not same.diagonal().any()
+    if len(same) > 1 and _alternate(same, cross, bipartite):
+        return slice(0, None, 2), slice(1, None, 2), bipartite
     p, c = same != 0, cross != 0
-    bipartite = not p.diagonal().any()
     if bipartite:
         first = p[p[0]].any(0) | c[0]
     else:
@@ -175,6 +185,32 @@ def _sublattices(same, cross):
     if first[::2].all() and not first[1::2].any():
         return slice(0, None, 2), slice(1, None, 2), bipartite
     return np.flatnonzero(first), np.flatnonzero(~first), bipartite
+
+
+def _alternate(same, cross, bipartite):
+    """Whether _sublattices' general rule gives the alternating classes,
+    the even and the odd sites, read off O(N_A) entries and four strided
+    views (N_A >= 2).
+
+    The reach test places every even site in site 0's class: row 1 of P,
+    with P[0, 1] != 0, reaches them where the split is bipartite, and row 0
+    of P | C, with P[0, 0] or C[0, 0] != 0, elsewhere.  The drop test reads
+    the entries the alternating split drops: P within a class and C across
+    them where it is bipartite, both across them elsewhere.  Where both
+    hold, no nonzero entry reaches an odd site in two steps, so the general
+    rule proposes exactly the even sites and its drop check reads these same
+    entries.  Where either fails, False, and the general rule decides.
+    """
+    if bipartite:
+        reach = same[0, 1] != 0 and same[1, 0::2].all()
+        dropped = same[0::2, 0::2], same[1::2, 1::2]
+    else:
+        reach = (same[0, 0] != 0 or cross[0, 0] != 0) and (
+            (same[0, 0::2] != 0) | (cross[0, 0::2] != 0)
+        ).all()
+        dropped = same[0::2, 1::2], same[1::2, 0::2]
+    dropped += cross[0::2, 1::2], cross[1::2, 0::2]
+    return bool(reach) and not any(block.any() for block in dropped)
 
 
 def hermitian_eigenvalues(corr: CorrelationMatrix):

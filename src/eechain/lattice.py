@@ -22,8 +22,9 @@ w = F, G over the mode grid, (1/2N) sum_kappa w[kappa] e^{2i pi kappa d/N}.
 Real weights make them conjugate symmetric, p[-d] = conj(p[d]), so the
 block reads p and q only at the distinct |d| its site pairs span.  Only
 those are computed, and the block entries from them at each |d|; the
-entry at -|d| is the conjugate of the one at +|d|, and each N_A x N_A
-block is one gather of those.  Each profile takes one of four paths:
+entry at -|d| is the conjugate of the one at +|d|.  A contiguous block is
+N_A windows of one table of those, and any other block one gather of
+them.  Each profile takes one of four paths:
 
 * massless ground state: no mode grid at all.  Even z gives the exact
   delta p[d] = delta_{d0}/2.  Odd z gives Peschel's Fermi-sea correlator
@@ -98,6 +99,7 @@ from collections import Counter
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .blas import one_blas_thread
 from .errors import DuplicateSite, InvalidParameter, NotHermitian, SiteOutOfRange
@@ -259,9 +261,20 @@ def validate_subsystem(subsystem, n):
     _is_integer) in [0, N), in any order; contiguity is not required.
     Anything else raises InvalidParameter, or its subclasses SiteOutOfRange
     (negative sites included) and DuplicateSite.  A message names the first
-    offending site, never the whole subsystem.
+    offending site, never the whole subsystem.  A nonempty range is checked
+    by its two ends, in O(1) before the list is made, with the result and
+    the error of the element-wise check.
     """
     rule = "subsystem must be a nonempty sequence of integer sites"
+    if isinstance(subsystem, range) and subsystem:
+        # distinct ints by construction, so its ends bound every site: those
+        # in [0, N) run from the first on, and the next one lies outside
+        first, step = subsystem[0], subsystem.step
+        if not 0 <= first < n:
+            raise _site_out_of_range(first, n)
+        if not 0 <= subsystem[-1] < n:
+            raise _site_out_of_range(subsystem[len(range(first, n if step > 0 else -1, step))], n)
+        return list(subsystem)
     try:
         sites = list(subsystem)
     except TypeError:  # not iterable
@@ -272,12 +285,15 @@ def validate_subsystem(subsystem, n):
         site = next(s for s in sites if not _is_integer(s))
         raise InvalidParameter(f"{rule}, got site {reprlib.repr(site)}")
     if min(sites) < 0 or max(sites) >= n:
-        site = next(s for s in sites if not 0 <= s < n)
-        raise SiteOutOfRange(f"subsystem sites must lie in [0, {n}), got site {site}")
+        raise _site_out_of_range(next(s for s in sites if not 0 <= s < n), n)
     if len(set(sites)) != len(sites):
         site = next(s for s, count in Counter(sites).items() if count > 1)
         raise DuplicateSite(f"subsystem repeats site {site}")
     return [int(s) for s in sites]
+
+
+def _site_out_of_range(site, n):
+    return SiteOutOfRange(f"subsystem sites must lie in [0, {n}), got site {site}")
 
 
 @dataclass(frozen=True)
@@ -367,7 +383,8 @@ def _held(same, cross):
     """A CorrelationMatrix of blocks known to be Hermitian, locked but not checked.
 
     Read in this module alone, where the blocks are proved Hermitian: the
-    gathers of build_correlation_matrix and CorrelationMatrix._leading.
+    windows and gathers of build_correlation_matrix and
+    CorrelationMatrix._leading.
     """
     same.flags.writeable = cross.flags.writeable = False
     corr = object.__new__(CorrelationMatrix)
@@ -815,13 +832,26 @@ def build_correlation_matrix(spec: LatticeSpec, beta, subsystem) -> CorrelationM
 
     The subsystem follows validate_subsystem.  Block entry [a, b] belongs to
     the site pair (subsystem[a], subsystem[b]); see CorrelationMatrix for
-    the layout.  Each block is one gather from its entries at the signed d,
-    and the entry at -d is the conjugate of the one at +d on every path.
-    So P and C are exactly Hermitian, and are held unchecked (_held); the
-    leading sub-blocks that a scan of N_A solves come from the matrix
+    the layout.  Entry [a, b] is the entry at the signed d = j - i, and the
+    entry at -d is the conjugate of the one at +d on every path.  For a
+    range with step 1, d = b - a, so the entries at d = 0 .. N_A - 1 and
+    their conjugates make one table over d = -(N_A - 1) .. N_A - 1, and
+    row a is the window of it from d = -a: a Toeplitz block, copied once
+    from a strided view, with no N_A^2 index arrays.  Any other subsystem
+    gathers each block from its entries at the signed d.  Either way P and
+    C are exactly Hermitian, and are held unchecked (_held); the leading
+    sub-blocks that a scan of N_A solves come from the matrix
     (CorrelationMatrix._leading).
     """
-    sites = np.asarray(validate_subsystem(subsystem, spec.n_sites), dtype=np.int64)
+    sites = validate_subsystem(subsystem, spec.n_sites)
+    if isinstance(subsystem, range) and subsystem.step == 1:
+        na = len(sites)
+        # the table of d = -(na - 1) .. na - 1; row a is its window from -a
+        tables = (np.concatenate((x[:0:-1].conj(), x))
+                  for x in _block_entries(spec, beta, np.arange(na)))
+        windows = (as_strided(t, (na, na), t.strides * 2)[::-1].copy() for t in tables)
+        return _held(*windows)
+    sites = np.asarray(sites, dtype=np.int64)
     d_signed = sites[None, :] - sites[:, None]  # d[a, b] = j - i
     d_abs = np.abs(d_signed)
     needed = np.zeros(d_abs.max() + 1, dtype=bool)

@@ -194,6 +194,25 @@ def test_unwritable_stdout_exits_2_with_one_line(argv, capsys):
     assert "stdout" in err
 
 
+def test_oracle_check_to_unwritable_stdout_exits_2_with_one_line(monkeypatch, capsys):
+    # its two lines go through the one writer the other commands use
+    def full(data=None):
+        raise OSError(28, "No space left on device")
+
+    argv = ["oracle-check", "--n", "4", "--na", "2", "--z", "1", "--mass", "0.5"]
+    stdout = SimpleNamespace(buffer=SimpleNamespace(write=full, flush=full))
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    _assert_one_line_cannot_write(err)
+    assert "stdout" in err
+    # a FAIL still exits 1, after both lines are written
+    monkeypatch.setattr(eechain.cli, "CORRELATOR_TOL", 0.0)
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].endswith("FAIL") and lines[1].endswith("OK")
+
+
 def test_site_out_of_range_is_named_not_listed(capsys):
     # the message names the first site past N, not all N_A of them
     assert main(["ee", "--n", "100", "--na", "100000", "--z", "1"]) == 2

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 
@@ -429,3 +430,70 @@ def test_every_solve_gives_an_ascending_mirrored_spectrum_and_keeps_the_blocks(
     # 1 or to the double below it
     assert set((eigs + eigs[::-1]).tolist()) <= {1.0, 1.0 - 2.0**-53}
     assert corr.same.tobytes() == same and corr.cross.tobytes() == cross
+
+
+def _hermitian_pair(rng, na, alternating, bipartite):
+    """Random Hermitian P and C, with the zeros of the alternating split or
+    without; the diagonal of P is 0 where bipartite."""
+    same, cross = (rng.normal(size=(na, na)) + 1j * rng.normal(size=(na, na)) for _ in "PC")
+    same, cross = same + same.conj().T, cross + cross.conj().T
+    if bipartite:
+        np.fill_diagonal(same, 0.0)
+    if alternating:
+        parity = np.arange(na) % 2
+        together = parity[:, None] == parity
+        same[together if bipartite else ~together] = 0.0
+        cross[~together] = 0.0
+    return same, cross
+
+
+def _split_differential_blocks():
+    """(same, cross) pairs on which the alternating shortcut of _sublattices
+    is taken, and pairs on which it must refuse."""
+    points = itertools.product((2000, 2001), (1, 2, 3, 4), (0.0, 0.3), (INF, 50.0), (0.0, 0.3183))
+    sparse = np.random.default_rng(11).choice(2000, size=24, replace=False)
+    for n, z, mass, beta, theta in points:
+        corr = build_correlation_matrix(LatticeSpec(n, z, mass, 1.0, theta), beta, range(64))
+        yield from ((c.same, c.cross) for c in map(corr._leading, (2, 3, 17, 64)))
+        for sites in (sparse, np.sort(sparse), np.arange(1, 41, 2), [0, 2, 1, 3, 5, 4]):
+            corr = build_correlation_matrix(LatticeSpec(n, z, mass, 1.0, theta), beta, sites)
+            yield corr.same, corr.cross
+    # heavy masses: the far entries are round-off, some of it exactly 0, so
+    # row 1 (or row 0) misses an even site and the reach test fails
+    for z, mass in ((1, 30.0), (1, 1e6), (2, 3.0), (2, 1e3), (3, 1e3), (4, 30.0)):
+        corr = build_correlation_matrix(LatticeSpec(4000, z, mass), INF, range(400))
+        yield corr.same, corr.cross
+    rng = np.random.default_rng(2)
+    for na, alternating, bipartite in itertools.product((2, 5, 8, 9), *[(True, False)] * 2):
+        same, cross = _hermitian_pair(rng, na, alternating, bipartite)
+        yield same, cross
+        if alternating:
+            # one entry that the split drops, on one side only: each of the
+            # four strided reads must see it
+            dropped = [(0, i, j) for i in (0, 1) for j in (0, 1) if (i == j) == bipartite]
+            for which, rows, cols in [*dropped, (1, 0, 1), (1, 1, 0)]:
+                tweaked = [same.copy(), cross.copy()]
+                view = tweaked[which][rows::2, cols::2]
+                view[rng.integers(view.shape[0]), rng.integers(view.shape[1])] = 1e-12
+                yield tuple(tweaked)
+
+
+def test_the_alternating_shortcut_is_the_general_split(monkeypatch):
+    def classes(same, cross):
+        split = entropy._sublattices(same, cross)
+        if split is None:
+            return None
+        one, two, bipartite = split
+        as_list = [np.arange(len(same))[i].tolist() for i in (one, two)]
+        return type(one), as_list, bipartite
+
+    blocks = list(_split_differential_blocks())
+    taken = [entropy._alternate(s, c, not s.diagonal().any()) for s, c in blocks if len(s) > 1]
+    shortcut = [classes(s, c) for s, c in blocks]
+    monkeypatch.setattr(entropy, "_alternate", lambda same, cross, bipartite: False)
+    general = [classes(s, c) for s, c in blocks]
+    assert shortcut == general
+    # both outcomes of the shortcut are exercised, and the general rule
+    # both splits and refuses the blocks it passes on
+    assert sum(taken) > 100 and len(taken) - sum(taken) > 100
+    assert None in general and any(g is not None and g[0] is np.ndarray for g in general)

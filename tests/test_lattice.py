@@ -445,3 +445,40 @@ def test_blocks_equal_the_entrywise_formula(z, mass, beta, theta, monkeypatch):
         assert corr.same.tobytes() == same.tobytes()
         assert corr.cross.tobytes() == cross.tobytes()
 
+
+
+# A contiguous subsystem range(s, s + n) builds each block as windows of
+# one table of its entries at d = -(n - 1) .. n - 1; any other site set
+# gathers them.  The two must agree byte for byte on every profile path.
+# (N, z, m, beta, theta, N_A, the path of the entries)
+WINDOW_CASES = [
+    (2000, 3, 0.0, INF, 0.3183, 64, "fermi-sea"),
+    (2000, 2, 0.0, INF, 0.5, 64, "delta"),
+    (2000, 1, 0.3, 50.0, 0.3183, 64, "short-chain"),
+    (2000, 1, 0.01, INF, 0.3183, 64, "fft"),
+    (501, 2, 0.0, 2.0, 0.5, 64, "fft"),  # odd N
+    (131_072, 1, 1e-5, INF, 0.3183, 64, "partial-dft"),
+    (2000, 1, 0.3, 50.0, 0.3183, 600, "short-chain"),  # and the N-site chain at d >= 512
+    (2000, 3, 0.3, INF, 0.0, 1, "short-chain"),
+]
+
+
+def _entry_path(spec, beta):
+    if spec.mass == 0.0 and beta == INF:
+        return "fermi-sea" if spec.z_exponent % 2 else "delta"
+    if eechain.lattice._short_chain_sites(spec, beta) is not None:
+        return "short-chain"
+    return "partial-dft" if _uses_partial_dft(spec.n_sites) else "fft"
+
+
+@pytest.mark.parametrize("n_sites, z, mass, beta, theta, na, path", WINDOW_CASES)
+def test_contiguous_blocks_are_the_gathered_blocks(n_sites, z, mass, beta, theta, na, path):
+    spec = LatticeSpec(n_sites, z, mass, 1.0, theta)
+    assert _entry_path(spec, beta) == path
+    for start in (0, 5):
+        windows = build_correlation_matrix(spec, beta, range(start, start + na))
+        gathered = build_correlation_matrix(spec, beta, list(range(start, start + na)))
+        for block, expected in ((windows.same, gathered.same), (windows.cross, gathered.cross)):
+            assert block.shape == (na, na)
+            assert block.tobytes() == expected.tobytes()
+            assert not block.flags.writeable

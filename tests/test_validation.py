@@ -53,6 +53,7 @@ from eechain import (
     sweep_entropy,
     validate_beta,
 )
+from eechain.cli import main
 from eechain.lattice import (
     MAX_CHAIN_SITES,
     validate_finite_array,
@@ -518,3 +519,37 @@ def test_any_library_input_raises_typed_or_succeeds(call):
         ENTRY_POINTS[name](**kwargs)
     except EechainError:
         pass
+
+
+# A range is checked by its two ends; it must return and raise what the
+# element-wise check of the same sites does.
+SUBSYSTEM_RANGES = [
+    range(64), range(5, 69), range(0, 64, 2), range(63, -1, -1), range(63, 9, -3),
+    range(-3, 10), range(90, 101), range(95, 105, 2), range(110, 90, -1), range(20, -5, -4),
+    range(100, 120), range(-10, -1), range(5, 5),
+]
+
+
+@pytest.mark.parametrize("sites", SUBSYSTEM_RANGES, ids=map(repr, SUBSYSTEM_RANGES))
+def test_a_range_is_checked_as_its_sites_are(sites):
+    def outcome(subsystem):
+        try:
+            return validate_subsystem(subsystem, 100)
+        except InvalidParameter as exc:
+            return type(exc), str(exc)
+
+    by_ends, by_element = outcome(sites), outcome(list(sites))
+    if not sites:  # the message quotes the input itself
+        by_element = (InvalidParameter, by_element[1].replace("[]", repr(sites)))
+    assert by_ends == by_element
+
+
+def test_a_huge_range_is_refused_without_listing_it():
+    with pytest.raises(SiteOutOfRange, match=r"got site 100$"):
+        validate_subsystem(range(10**12), 100)
+    with pytest.raises(SiteOutOfRange, match=r"got site -1$"):
+        validate_subsystem(range(50, -10**12, -1), 100)
+
+
+def test_cli_na_far_above_n_exits_2():
+    assert main(["ee", "--n", "100", "--na", "2000000", "--z", "1"]) == 2
