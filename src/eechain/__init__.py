@@ -29,6 +29,7 @@ from .errors import (
     EechainError,
     EigenvalueOutOfRange,
     EmptySeries,
+    GroundStateNotFound,
     IllConditioned,
     InsufficientData,
     InsufficientSampling,
@@ -89,6 +90,7 @@ __all__ = [
     "EntropyPoint",
     "FitResult",
     "FockState",
+    "GroundStateNotFound",
     "IllConditioned",
     "InsufficientData",
     "InsufficientSampling",

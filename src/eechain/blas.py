@@ -11,9 +11,12 @@ count:
   solves and eigvalsh, of the whole blocks or of the blocks of their
   sublattice split, whichever the blocks take;
 * lattice._partial_dft: the phase-table GEMMs;
-* oracle.many_body_state: the particle-number sector eigvalsh/eigh and the
-  Gibbs block products;
-* oracle.reduced_entropy: the eigvalsh of the reduced density matrix.
+* oracle._ground_vector: the Lanczos GEMVs and tridiagonal eigh of a
+  ground state;
+* oracle.many_body_state: the particle-number sector eigh and block
+  products of a Gibbs state;
+* oracle.reduced_entropy: the singular values of a ground state's vector,
+  or the eigvalsh of a Gibbs state's reduced density matrix.
 
 Only numpy's OpenBLAS is pinned, and numpy is eechain's one numeric
 dependency: a library with its own BLAS (scipy ships one) would bring a

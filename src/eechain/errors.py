@@ -33,6 +33,11 @@ class DegenerateGroundState(EechainError):
     positive mass."""
 
 
+class GroundStateNotFound(EechainError):
+    """The oracle's Lanczos solve ended on a Ritz value that is not the
+    ground energy, the sum of the negative single-particle energies."""
+
+
 class InsufficientData(EechainError):
     """Fewer than the required number of rows qualify for a fit."""
 

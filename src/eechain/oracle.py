@@ -3,20 +3,23 @@
 Works in the 4^N-dimensional Fock space of the 2N fermionic modes
 (site-major, chirality-minor Jordan-Wigner ordering), where c_mu^dag c_nu
 acts on Fock indices by bit arithmetic.  The quadratic Hamiltonian has no
-pairing terms, so it conserves particle number; each particle-number sector
-(at most C(2N, N) states) is built and diagonalized densely, only the
-ground state's own for a ground state, and the exact ground or Gibbs state
-is held as its sector blocks.  Entropies of reduced density matrices follow
-by partial trace.  All of it is independent of the correlation-matrix
-pipeline, which it exists to validate.
+pairing terms, so it conserves particle number, and each particle-number
+sector (at most C(2N, N) states) is built on its own.  A ground state
+builds only its own sector and takes its lowest vector by Lanczos; it is
+held as that vector psi, and the entropy of a subsystem comes from the
+Schmidt values of psi.  A Gibbs state diagonalizes every sector densely
+and is held as the sector blocks of rho; its reduced density matrices
+follow by partial trace.  All of it is independent of the
+correlation-matrix pipeline, which it exists to validate.
 
-Every state is held in the natural site order.  A partial trace reads each
-entry of rho in the order that puts the subsystem at the front of the
-Jordan-Wigner string; kept-mode operators then act trivially on the traced
-factor and the spin-basis partial trace is the fermionic one, signs
-included.  Reordering permutes the bits of each Fock index and multiplies
-by the sign of the permutation restricted to the occupied modes, since a
-basis state is the product of its creation operators in string order.
+Every state is held in the natural site order.  A partial trace or a
+Schmidt decomposition reads each entry of rho or psi in the order that
+puts the subsystem at the front of the Jordan-Wigner string; kept-mode
+operators then act trivially on the traced factor and the spin-basis
+partial trace is the fermionic one, signs included.  Reordering permutes
+the bits of each Fock index and multiplies by the sign of the permutation
+restricted to the occupied modes, since a basis state is the product of
+its creation operators in string order.
 """
 
 from __future__ import annotations
@@ -29,23 +32,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blas import one_blas_thread
-from .errors import DegenerateGroundState, InvalidParameter
+from .errors import DegenerateGroundState, GroundStateNotFound, InvalidParameter
 from .lattice import LatticeSpec, validate_beta, validate_subsystem
 
-# Fock dimension 4^6 = 4096, largest sector C(12, 6) = 924.  At 7 sites the
-# Gibbs sector blocks would hold C(28, 14) = 40.1M entries, 642 MB of complex
-# values, against 4.3 GB for a dense 4^7 x 4^7 rho.
+# Fock dimension 4^6 = 4096, largest sector C(12, 6) = 924: a ground state's
+# vector, or the 2.7M entries of the Gibbs sector blocks.  At 7 sites those
+# blocks would hold C(28, 14) = 40.1M entries, 642 MB of complex values,
+# against 4.3 GB for a dense 4^7 x 4^7 rho.
 MAX_SITES = 6
 DEGENERACY_TOL = 1e-12
+# relative to ||H||: where Lanczos stops, and how far its Ritz value may lie
+# from the ground energy
+LANCZOS_TOL = 1e-14
+GROUND_ENERGY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class FockState:
-    """Exact many-body density matrix plus the context needed to rebuild it.
+    """Exact many-body state plus the context needed to rebuild it.
 
-    sectors holds rho as (index, block) pairs over _particle_sectors
-    entries, block[i, j] = <index[i]|rho|index[j]>: one pair for a ground
-    state, one per occupation count for a Gibbs state; rho is 0 elsewhere.
+    sectors holds the state as (index, values) pairs over _particle_sectors
+    entries.  A ground state (beta = inf) is one pair whose values are its
+    vector, psi[i] = <index[i]|psi>, so rho = psi psi^dag.  A Gibbs state is
+    one pair per occupation count whose values are rho's block,
+    block[i, j] = <index[i]|rho|index[j]>.  The state is 0 elsewhere.
     """
 
     spec: LatticeSpec
@@ -162,26 +172,84 @@ def _fock_relabeling(site_order):
 
 
 def _ground_sector(h):
-    """The particle number of the many-body ground state of h.
+    """(particle number, energy, ||H||) of the many-body ground state of h.
 
     The ground state of a quadratic H fills exactly the single-particle
-    modes of negative energy, so its number is their count.  A zero energy
-    (to DEGENERACY_TOL) leaves the ground state degenerate and raises
-    DegenerateGroundState.
+    modes of negative energy, so its number is their count and its energy
+    their sum.  The highest level fills the positive ones, so ||H|| is the
+    larger magnitude of the two sums.  A zero energy (to DEGENERACY_TOL)
+    leaves the ground state degenerate and raises DegenerateGroundState.
     """
     single_eigs = np.linalg.eigvalsh(h)
     if np.min(np.abs(single_eigs)) < DEGENERACY_TOL:
         raise DegenerateGroundState(
             "zero single-particle eigenvalue at beta=inf; use finite beta or mass > 0"
         )
-    return int(np.count_nonzero(single_eigs < 0))
+    negative = single_eigs < 0
+    energy, highest = float(single_eigs[negative].sum()), float(single_eigs[~negative].sum())
+    return int(np.count_nonzero(negative)), energy, max(-energy, highest)
+
+
+def _start_vector(dim):
+    """Lanczos's start: the centred fractional parts of j phi and j sqrt(2),
+    j = 1 .. dim, as real and imaginary parts (phi the golden ratio).
+
+    These Weyl sequences follow no symmetry of H (translation at theta = 0,
+    for one), so the Krylov space is not held in a subspace without the
+    ground state.  Over N = 2-5, z = 1-5, four twists and three masses the
+    ground state's weight in the start was at least 0.069 / dim.  (numpy's
+    seeded generators would do too, but importing numpy.random costs 6 MB.)
+    """
+    j = np.arange(1, dim + 1)
+    return (j * (1 + 5**0.5) / 2) % 1 - 0.5 + 1j * ((j * 2**0.5) % 1 - 0.5)
+
+
+def _ground_vector(block, energy, norm):
+    """The lowest eigenvector of a Hermitian sector block, by Lanczos.
+
+    Each step takes w = H v_j off every earlier vector in two classical
+    Gram-Schmidt passes (full reorthogonalization; they also take off
+    alpha_j v_j and beta_j v_{j-1}).  It stops when the lowest Ritz pair's
+    residual beta_{j+1} |s_j| is at most LANCZOS_TOL * norm, or after dim
+    steps, where the Krylov space is the whole sector (C. Lanczos, J. Res.
+    Nat. Bur. Stand. 45, 255, 1950; B. N. Parlett, The Symmetric Eigenvalue
+    Problem, ch. 13).  A Ritz value more than GROUND_ENERGY_TOL * norm from
+    the ground energy is an excited state and raises GroundStateNotFound.
+    """
+    dim = block.shape[0]
+    basis = np.empty((dim, dim), dtype=complex)  # row j is v_j
+    tridiagonal = np.zeros((dim, dim))
+    # on one BLAS thread, so that psi's bits do not depend on the core count
+    with one_blas_thread():
+        start = _start_vector(dim)
+        basis[0] = start / np.linalg.norm(start)
+        for j in range(dim):
+            w = block @ basis[j]
+            tridiagonal[j, j] = np.vdot(basis[j], w).real
+            for _ in range(2):
+                w -= (basis[: j + 1] @ w.conj()).conj() @ basis[: j + 1]
+            b = np.linalg.norm(w)
+            ritz, vectors = np.linalg.eigh(tridiagonal[: j + 1, : j + 1])
+            if b * abs(vectors[j, 0]) <= LANCZOS_TOL * norm or j + 1 == dim:
+                break
+            tridiagonal[j, j + 1] = tridiagonal[j + 1, j] = b
+            basis[j + 1] = w / b
+        psi = vectors[:, 0] @ basis[: j + 1]
+        psi /= np.linalg.norm(psi)
+    if abs(ritz[0] - energy) > GROUND_ENERGY_TOL * norm:
+        raise GroundStateNotFound(
+            f"Lanczos ended at energy {ritz[0]!r} after {j + 1} steps, "
+            f"not at the ground energy {energy!r}"
+        )
+    return psi
 
 
 def many_body_state(spec: LatticeSpec, beta) -> FockState:
     """Exact ground state (beta = inf) or Gibbs density matrix.
 
-    A ground state builds and diagonalizes only its own particle-number
-    sector (see _ground_sector); a Gibbs state every sector.
+    A ground state builds only its own particle-number sector (see
+    _ground_sector) and takes its lowest vector by Lanczos; a Gibbs state
+    builds and diagonalizes every sector.
     """
     beta = validate_beta(beta)
     n = spec.n_sites
@@ -190,26 +258,24 @@ def many_body_state(spec: LatticeSpec, beta) -> FockState:
 
     h = single_particle_hamiltonian(spec)
     # H conserves particle number, so it is block-diagonal by occupation count
-    counts = [_ground_sector(h)] if math.isinf(beta) else range(2 * n + 1)
-    blocks = [_sector_hamiltonian(h, k) for k in counts]
+    if math.isinf(beta):
+        count, energy, norm = _ground_sector(h)
+        psi = _ground_vector(_sector_hamiltonian(h, count), energy, norm)
+        return FockState(spec=spec, beta=beta, sectors=((_particle_sectors(2 * n)[count], psi),))
+    blocks = [_sector_hamiltonian(h, k) for k in range(2 * n + 1)]
     # the sector solves and products on one BLAS thread, so that rho's bits
     # do not depend on the core count (see eechain.blas)
     with one_blas_thread():
         spectra = [np.linalg.eigh(block) for block in blocks]
-        if math.isinf(beta):
-            psi = spectra[0][1][:, 0]
-            blocks = [np.outer(psi, psi.conj())]
-        else:
-            ground = min(energies[0] for energies, _ in spectra)
-            with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit
-                weights = [np.exp(-beta * (energies - ground)) for energies, _ in spectra]
-            partition = sum(w.sum() for w in weights)
-            blocks = [
-                (states * (w / partition)) @ states.conj().T
-                for (_, states), w in zip(spectra, weights)
-            ]
-    index = [_particle_sectors(2 * n)[k] for k in counts]
-    return FockState(spec=spec, beta=beta, sectors=tuple(zip(index, blocks)))
+        ground = min(energies[0] for energies, _ in spectra)
+        with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit
+            weights = [np.exp(-beta * (energies - ground)) for energies, _ in spectra]
+        partition = sum(w.sum() for w in weights)
+        blocks = [
+            (states * (w / partition)) @ states.conj().T
+            for (_, states), w in zip(spectra, weights)
+        ]
+    return FockState(spec=spec, beta=beta, sectors=tuple(zip(_particle_sectors(2 * n), blocks)))
 
 
 def mode_correlators(state: FockState):
@@ -222,11 +288,14 @@ def mode_correlators(state: FockState):
     pair, row, col, sign = _hopping_pieces(n_modes)
     rank, count = _sector_rank(n_modes), np.bitwise_count(row)
     # Tr(c_mu^dag c_nu rho) = sum of sign * rho[col, row] over the pair's
-    # nonzeros; row and col share a sector, and rho is 0 outside its blocks
+    # nonzeros; row and col share a sector, and rho is 0 outside its blocks.
+    # A ground state's rho[col, row] is psi[col] conj(psi[row]).
     terms = np.zeros(pair.size, dtype=complex)
-    for index, block in state.sectors:
+    for index, values in state.sectors:
         inside = np.flatnonzero(count == np.bitwise_count(index[0]))
-        terms[inside] = sign[inside] * block[rank[col[inside]], rank[row[inside]]]
+        i, j = rank[col[inside]], rank[row[inside]]
+        held = values[i] * values[j].conj() if math.isinf(state.beta) else values[i, j]
+        terms[inside] = sign[inside] * held
     return (
         np.bincount(pair, terms.real, n_modes**2)
         + 1j * np.bincount(pair, terms.imag, n_modes**2)
@@ -237,7 +306,10 @@ def reduced_entropy(state: FockState, subsystem):
     """Von Neumann entropy of a site subsystem of the exact state.
 
     The subsystem follows lattice.validate_subsystem, as in
-    lattice.build_correlation_matrix.
+    lattice.build_correlation_matrix.  A ground state's entropy comes from
+    the singular values of psi as a (subsystem states x rest states)
+    matrix, its Schmidt decomposition, whose cost is set by the smaller
+    side; a Gibbs state's from the eigenvalues of its partial trace.
     """
     n = state.spec.n_sites
     sites = validate_subsystem(subsystem, n)
@@ -246,21 +318,29 @@ def reduced_entropy(state: FockState, subsystem):
     # starts with the subsystem, and its sign there
     index, sign = _fock_relabeling((*sites, *rest))
     dim_a = 4 ** len(sites)
-    a, b = np.divmod(index, state.dimension // dim_a)
-    # Tr_B keeps the entries whose B states agree.  Taken by ascending row
-    # (the rest keeps its natural order, so the rows of one A state come in
-    # ascending B state), each rho_A entry is summed in that order.
-    kept = []
-    for fock, block in state.sectors:
-        i, j = np.nonzero(b[fock][:, None] == b[fock])
-        kept.append((fock[i], fock[j], block[i, j]))
-    row, col, value = (np.concatenate(column) for column in zip(*kept))
-    order = np.argsort(row, kind="stable")
-    row, col, value = row[order], col[order], value[order]
-    rho_a = np.zeros(dim_a**2, dtype=complex)
-    np.add.at(rho_a, a[row] * dim_a + a[col], sign[row] * sign[col] * value)
-    with one_blas_thread():
-        lam = np.linalg.eigvalsh(rho_a.reshape(dim_a, dim_a))
-    lam = np.clip(lam, 0.0, None)
+    dim_b = state.dimension // dim_a
+    a, b = np.divmod(index, dim_b)
+    if math.isinf(state.beta):
+        [(fock, psi)] = state.sectors
+        schmidt = np.zeros((dim_a, dim_b), dtype=complex)
+        schmidt[a[fock], b[fock]] = sign[fock] * psi
+        with one_blas_thread():
+            lam = np.linalg.svd(schmidt, compute_uv=False) ** 2
+    else:
+        # Tr_B keeps the entries whose B states agree.  Taken by ascending
+        # row (the rest keeps its natural order, so the rows of one A state
+        # come in ascending B state), each rho_A entry is summed in that order.
+        kept = []
+        for fock, block in state.sectors:
+            i, j = np.nonzero(b[fock][:, None] == b[fock])
+            kept.append((fock[i], fock[j], block[i, j]))
+        row, col, value = (np.concatenate(column) for column in zip(*kept))
+        order = np.argsort(row, kind="stable")
+        row, col, value = row[order], col[order], value[order]
+        rho_a = np.zeros(dim_a**2, dtype=complex)
+        np.add.at(rho_a, a[row] * dim_a + a[col], sign[row] * sign[col] * value)
+        with one_blas_thread():
+            lam = np.linalg.eigvalsh(rho_a.reshape(dim_a, dim_a))
+    lam = np.clip(lam, 0.0, 1.0)
     lam = lam[lam > 1e-14]
     return float(-np.sum(lam * np.log(lam))) + 0.0  # a pure state gives +0.0, not -0.0

@@ -1,18 +1,19 @@
-"""Acceptance battery: eleven numbered end-to-end checks, one test each.
+"""Acceptance battery: twelve numbered end-to-end checks, one test each.
 
 Each test prints a single `[criterion NN] PASS/FAIL` line (visible with
 pytest -s) and asserts the same condition, so the suite both documents
-and enforces the contract.  Criteria 10 and 11 also run under a planted
-error, which each must catch.
+and enforces the contract.  Criteria 10, 11 and 12 also run under a
+planted error, which each must catch.
 """
 
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
-from eechain import lattice
+from eechain import entropy, lattice
 from eechain import (
     LatticeSpec,
     RegimeUnreachable,
@@ -336,4 +337,72 @@ def test_criterion_11_fails_when_f_takes_its_sign_from_abs_k(monkeypatch):
 
         monkeypatch.setattr(lattice, name, unmirrored)
     ok, detail = _parity_washout()
+    assert not ok, detail
+
+
+# Wide blocks of the massless odd-z ground state against Jin and Korepin
+# (J. Stat. Phys. 116, 79, 2004): S(range(L)) = 2[(1/3) ln(2 l) + U1] + R(L),
+# with l = (N/pi) sin(pi L/N) the chord and the factor 2 the two
+# chiralities.  R(L) L^2 is -1/30 to within 2.1e-5: R L^2 + 1/30 read
+# -2.05e-5 at L = 64, -1.22e-6 and -1.27e-6 at L = 256 (N = 10^6 and
+# the prime 999983) and 9.07e-7 at L = 1024, where it is 8.7e-13 of S.  A
+# PURE_SNAP of 1e-10 moves it to -2.1e-4 at L = 256 and -6.9e-3 at 1024.
+JIN_KOREPIN_BLOCKS = [(10**6, 64), (999983, 64), (10**6, 256), (999983, 256), (10**6, 1024)]
+JIN_KOREPIN_BOUND = 3e-5
+UPSILON_1 = 0.49501790813513706
+
+
+def _jin_korepin_constant():
+    """U1 = -int_0^inf [e^-t/(3t) + 1/(t sinh^2(t/2)) - cosh(t/2)/(2 sinh^3(t/2))] dt.
+
+    The two 4/t^3 terms cancel near t = 0, where quad over [0, inf) loses
+    every digit (0.589 at 60 digits, -22.2 at 80).  The integrand tends to
+    -1/3 there, so the integral from eps = 1e-14 plus eps/3 is U1 to
+    about 1e-28.
+    """
+    with mpmath.workdps(60):
+        eps = mpmath.mpf("1e-14")
+
+        def integrand(t):
+            half = t / 2
+            return (
+                mpmath.exp(-t) / (3 * t)
+                + 1 / (t * mpmath.sinh(half) ** 2)
+                - mpmath.cosh(half) / (2 * mpmath.sinh(half) ** 3)
+            )
+
+        return float(-mpmath.quad(integrand, [eps, 1, mpmath.inf]) + eps / 3)
+
+
+def _jin_korepin():
+    """(ok, detail): |R L^2 + 1/30| <= JIN_KOREPIN_BOUND on every block."""
+    t0 = time.time()
+    upsilon = _jin_korepin_constant()
+    residues = []
+    for n, length in JIN_KOREPIN_BLOCKS:
+        s = entropy_of(LatticeSpec(n, 1), INF, range(length)).entropy
+        chord = n / math.pi * math.sin(math.pi * length / n)
+        residues.append((s - 2 * (math.log(2 * chord) / 3 + upsilon)) * length**2 + 1 / 30)
+    elapsed = time.time() - t0
+    ok = (
+        abs(upsilon - UPSILON_1) < 1e-16
+        and max(map(abs, residues)) <= JIN_KOREPIN_BOUND
+        and elapsed < 2.0
+    )
+    detail = (
+        f"U1 = {upsilon!r}; R L^2 + 1/30 at (N, L) = "
+        + ", ".join(f"{b}: {r:.2e}" for b, r in zip(JIN_KOREPIN_BLOCKS, residues))
+        + f" (bound {JIN_KOREPIN_BOUND:g}); {elapsed:.2f}s"
+    )
+    return ok, detail
+
+
+def test_criterion_12_wide_blocks_follow_jin_korepin():
+    _report(12, *_jin_korepin())
+
+
+def test_criterion_12_fails_when_pure_modes_snap_at_1e_10(monkeypatch):
+    # a planted error: eigenvalues within 1e-10 of 0 or 1 dropped as pure
+    monkeypatch.setattr(entropy, "PURE_SNAP", 1e-10)
+    ok, detail = _jin_korepin()
     assert not ok, detail

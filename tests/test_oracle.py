@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from eechain import (
     DegenerateGroundState,
     DuplicateSite,
+    GroundStateNotFound,
     InvalidParameter,
     LatticeSpec,
     SiteOutOfRange,
@@ -26,9 +27,11 @@ from eechain import (
 )
 from eechain import oracle
 from eechain.blas import openblas_threads
+from eechain.cli import main
 from eechain.oracle import (
     MAX_SITES,
     _ground_sector,
+    _ground_vector,
     _hopping_pieces,
     _particle_sectors,
     _sector_hamiltonian,
@@ -38,9 +41,11 @@ INF = math.inf
 
 
 def _dense(state):
-    """The state's rho as a dense 4^N x 4^N matrix, from its sector blocks."""
+    """The state's rho as a dense 4^N x 4^N matrix: psi psi^dag from a ground
+    state's vector, else from the Gibbs state's sector blocks."""
     rho = np.zeros((state.dimension, state.dimension), dtype=complex)
-    for index, block in state.sectors:
+    for index, values in state.sectors:
+        block = np.outer(values, values.conj()) if values.ndim == 1 else values
         rho[np.ix_(index, index)] = block
     return rho
 
@@ -172,7 +177,8 @@ def test_maximal_chain_runs():
 
 def test_oracle_bits_do_not_depend_on_blas_threads():
     # the sector solves and Gibbs products of a library call, not only those
-    # of the CLI's oracle-check, run on one BLAS thread
+    # of the CLI's oracle-check, run on one BLAS thread; so do the Lanczos
+    # GEMVs, largest on the 924 states of the N = 6 ground sector
     control = openblas_threads()
     if control is None:
         return
@@ -184,6 +190,7 @@ def test_oracle_bits_do_not_depend_on_blas_threads():
         for threads in (1, 2):
             put(threads)
             states = [many_body_state(spec, beta) for beta in (1.5, INF)]
+            states.append(many_body_state(LARGE, INF))
             results[threads] = [
                 (
                     [block.tobytes() for _, block in state.sectors],
@@ -201,15 +208,16 @@ def test_oracle_bits_do_not_depend_on_blas_threads():
 # SHA-256 of mode_correlators' bytes and float.hex of reduced_entropy on a
 # prefix and a non-prefix subsystem, at N = 5, z = 3, m = 0.7, theta = 0.3.
 # A Gibbs state's partial trace adds entries of several sectors into one
-# rho_A entry, so its entropies also pin the order of that sum.
+# rho_A entry, so its entropies also pin the order of that sum.  The ground
+# state's pins are those of its Lanczos vector and its Schmidt values.
 ORACLE_PINS = {
     1.5: (
         "7a46c9634bcb31df9937bc339aa69a9f50e54f13a44dab8b6b9d55744c90dd39",
         {(0, 1): "0x1.1b56add5711f8p+1", (1, 3): "0x1.293e70c26c854p+1"},
     ),
     INF: (
-        "0cac18c00bdd49ceab68df9b6dd2f166591b1178cb44e180fc51f93bcee1797a",
-        {(0, 1): "0x1.6aa770583817ap-1", (1, 3): "0x1.0658a99ce47d2p+0"},
+        "7e079f92714079df696788fd02ee65b6645652ecd3eb992397f9d95c72331ce9",
+        {(0, 1): "0x1.6aa770583816ep-1", (1, 3): "0x1.0658a99ce47d5p+0"},
     ),
 }
 
@@ -244,7 +252,7 @@ def test_large_gibbs_state_matches_lattice(large_gibbs_state):
 def test_state_holds_only_the_sector_blocks(large_gibbs_state):
     # a Gibbs state holds every sector block, sum_k C(12, k)^2 entries at
     # N = 6, each over the ascending Fock indices of k particles; a gapped
-    # ground state holds exactly one block
+    # ground state holds exactly one sector, as its unit vector
     sectors = large_gibbs_state.sectors
     assert [index.size for index, _ in sectors] == [math.comb(12, k) for k in range(13)]
     for k, (index, block) in enumerate(sectors):
@@ -252,10 +260,11 @@ def test_state_holds_only_the_sector_blocks(large_gibbs_state):
         assert block.shape == (index.size, index.size)
     assert sum(block.size for _, block in sectors) == 2_704_156
     ground = many_body_state(LatticeSpec(n_sites=4, z_exponent=3, mass=0.4), INF)
-    [(index, block)] = ground.sectors
+    [(index, psi)] = ground.sectors
     k = np.bitwise_count(index[0])
     assert np.all(np.bitwise_count(index) == k) and index.size == math.comb(8, k)
-    assert block.shape == (index.size, index.size)
+    assert psi.shape == (index.size,)
+    assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-14)
 
 
 SUBSYSTEM_ERRORS = {  # at N = 4
@@ -366,10 +375,12 @@ def test_sectors_reproduce_dense_fock_diagonalization(n, z, mass, theta):
     rho = (states * (weights / weights.sum())) @ states.conj().T
     assert np.abs(_dense(many_body_state(spec, beta)) - rho).max() < 1e-12
     if mass > 0:  # a gapped chain has one ground state, found in one sector
-        rho = _dense(many_body_state(spec, INF))
-        assert np.trace(dense @ rho).real == pytest.approx(energies[0], abs=1e-12)
-        psi = states[:, 0]
-        assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-10
+        [(index, values)] = many_body_state(spec, INF).sectors
+        psi = np.zeros(dense.shape[0], dtype=complex)
+        psi[index] = values
+        assert np.vdot(psi, dense @ psi).real == pytest.approx(energies[0], abs=1e-12)
+        rho = np.outer(states[:, 0], states[:, 0].conj())
+        assert np.abs(np.outer(psi, psi.conj()) - rho).max() < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -380,11 +391,66 @@ def test_sectors_reproduce_dense_fock_diagonalization(n, z, mass, theta):
     theta=st.sampled_from([0.0, 0.2, 0.5]),
 )
 def test_ground_sector_holds_the_lowest_energy(n, z, mass, theta):
-    # many_body_state solves only this sector for a ground state
+    # many_body_state solves only this sector for a ground state, and checks
+    # its Lanczos energy against the energy and ||H|| found here
     h = single_particle_hamiltonian(
         LatticeSpec(n_sites=n, z_exponent=z, mass=mass, boundary_phase=theta)
     )
-    lowest = [
-        np.linalg.eigvalsh(_sector_hamiltonian(h, k))[0] for k in range(2 * n + 1)
-    ]
-    assert _ground_sector(h) == np.argmin(lowest)
+    spectra = [np.linalg.eigvalsh(_sector_hamiltonian(h, k)) for k in range(2 * n + 1)]
+    count, energy, norm = _ground_sector(h)
+    assert count == np.argmin([levels[0] for levels in spectra])
+    assert energy == pytest.approx(spectra[count][0], abs=1e-12 * norm)
+    assert norm == pytest.approx(max(np.abs(levels).max() for levels in spectra), abs=1e-12 * norm)
+
+
+# N = 2-5 over every z, theta and mass; N = 6 (924 states a sector) on three
+# of them, the small gap and translation-invariant theta = 0 among them
+REFERENCE_CASES = [
+    *itertools.product(range(2, 6), (1, 2, 3), (0.0, 0.2, 0.5), (0.05, 0.7, 1.5)),
+    (6, 1, 0.0, 0.05),
+    (6, 2, 0.5, 0.7),
+    (6, 3, 0.2, 1.5),
+]
+
+
+@pytest.mark.parametrize("n, z, theta, mass", REFERENCE_CASES)
+def test_ground_state_is_the_lowest_vector_of_its_sector(n, z, theta, mass):
+    # psi psi^dag of the Lanczos ground state against the lowest vector of a
+    # dense eigh of the same sector block; m = 0.05 leaves a gap of 0.1
+    spec = LatticeSpec(n_sites=n, z_exponent=z, mass=mass, boundary_phase=theta)
+    h = single_particle_hamiltonian(spec)
+    count = _ground_sector(h)[0]
+    _, states = np.linalg.eigh(_sector_hamiltonian(h, count))
+    [(index, psi)] = many_body_state(spec, INF).sectors
+    assert np.array_equal(index, _particle_sectors(2 * n)[count])
+    expected = np.outer(states[:, 0], states[:, 0].conj())
+    assert np.abs(np.outer(psi, psi.conj()) - expected).max() < 1e-12
+
+
+def test_lanczos_is_exact_after_dim_steps():
+    # levels 10 i^2 / dim^2 crowd at the bottom of a wide spectrum, so the
+    # residual stays above the stop until the Krylov space is the whole
+    # block; reorthogonalized, it is then exact (a three-term recurrence
+    # alone ends 1e-4 off the lowest level)
+    dim = 40
+    rng = np.random.default_rng(1)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    levels = 10.0 * np.arange(dim) ** 2 / dim**2
+    psi = _ground_vector((q * levels) @ q.conj().T, 0.0, 10.0)
+    expected = np.outer(q[:, 0], q[:, 0].conj())
+    assert np.abs(np.outer(psi, psi.conj()) - expected).max() < 1e-12
+
+
+def test_a_start_orthogonal_to_the_ground_state_raises(monkeypatch, capsys):
+    # Lanczos from an excited level of the sector stays on it, so its Ritz
+    # value is that level's energy: a typed error, never an excited state
+    spec = LatticeSpec(n_sites=4, z_exponent=1, mass=0.7)
+    h = single_particle_hamiltonian(spec)
+    _, states = np.linalg.eigh(_sector_hamiltonian(h, _ground_sector(h)[0]))
+    monkeypatch.setattr(oracle, "_start_vector", lambda dim: states[:, 1])
+    with pytest.raises(GroundStateNotFound):
+        many_body_state(spec, INF)
+    assert main(["oracle-check", "--n", "4", "--na", "2", "--z", "1", "--mass", "0.7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("eechain: GroundStateNotFound: Lanczos ended at energy ")

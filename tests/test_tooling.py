@@ -183,7 +183,8 @@ UNPINNED_LINALG = {
     ),
     ("oracle.py", "_ground_sector", "eigvalsh"): (
         "the spectrum of h, at most 12 x 12; only the count of its negative "
-        "eigenvalues and a degeneracy check against 1e-12 use it"
+        "eigenvalues, a degeneracy check against 1e-12 and the check of the "
+        "Lanczos energy against their sum to 1e-12 ||H|| use it"
     ),
     ("thermal.py", "_solve_least_squares", "cond"): "the fit's normal matrix, at most 4 x 4",
     ("thermal.py", "_solve_least_squares", "solve"): "the fit's normal matrix, at most 4 x 4",
