@@ -39,18 +39,14 @@ parities of the subsystem.  Then:
   0 for each site by which one parity outnumbers the other (one for a
   contiguous subsystem with odd N_A).
 
-The two classes come from the blocks alone, never from N or the sites:
-the nonzero entries near row 0 propose them, and the split runs only
-where every entry it drops is exactly 0 (see _sublattices).  So a
-sparse subsystem splits by site parity too, and odd N on the N-site
-chain, which has no such zeros, takes the whole solve.  _sublattices
-returns the classes themselves: strided slices where they alternate, as
-on a contiguous subsystem, else index arrays.  The alternating classes
-are tried first, from O(N_A) entries and four strided views of the
-entries they drop (_alternate): where that test passes, the general rule
-gives the same classes, and where it fails, the general rule decides.
-Whatever the solve, the s_j are sorted once, and the spectrum is
-1/2 - s_j descending, then 1/2 + s_j ascending.
+The two classes come from the blocks alone, never from N or the sites,
+and a split runs only where every entry it drops is exactly 0 (see
+_sublattices).  The even and the odd sites are taken wherever they pass
+that test, their blocks strided views; elsewhere site 0's class grows
+along the blocks' nonzero entries.  So a sparse subsystem splits by site
+parity too, and odd N on the N-site chain, which has no such zeros,
+takes the whole solve.  Whatever the solve, the s_j are sorted once, and
+the spectrum is 1/2 - s_j descending, then 1/2 + s_j ascending.
 
 At theta in {0, 1/2} the weights obey F(-k) = (-1)^z F(k) and
 G(-k) = G(k), so P is imaginary for odd z and real for even z, and C is
@@ -150,24 +146,20 @@ def _sublattices(same, cross):
 
     Where P's diagonal is 0 the split is bipartite (odd z): P may join only
     sites of two classes, and C only sites of one.  Otherwise neither block
-    may join the classes (even z).  The candidate for site 0's class is the
-    sites two steps from it along nonzero entries, a P step changing class
-    where the split is bipartite: a far entry of row 0 can round to exactly
-    0, and the second step still places its site.  The split is kept only
-    where every entry it drops is exactly 0, a check of every entry.
-    Returns (site 0's class, the other, bipartite), the classes as slices
-    where they alternate, as the parities of a contiguous subsystem do, so
-    that their blocks are views, else as index arrays; or None.
-
-    The alternating classes are tried first (_alternate), without the
-    N_A x N_A masks of the general rule: where its reach and drop tests
-    pass, the general rule would propose exactly the even sites and read
-    the same dropped entries, so it returns them; else the general rule
-    runs.
+    may join the classes (even z).  A split is exact wherever every entry
+    it drops is 0 (_keeps_apart).  The even and the odd sites are taken
+    wherever that holds, as slices, so that their blocks are views.
+    Elsewhere site 0's class is the sites two steps from it along nonzero
+    entries, a P step changing class where the split is bipartite (a far
+    entry of row 0 can round to exactly 0, and the second step still
+    places its site), and that split, as index arrays, is kept where it
+    passes the same test.  Returns (site 0's class, the other, bipartite),
+    or None.
     """
     bipartite = not same.diagonal().any()
-    if len(same) > 1 and _alternate(same, cross, bipartite):
-        return slice(0, None, 2), slice(1, None, 2), bipartite
+    alternating = slice(0, None, 2), slice(1, None, 2)
+    if len(same) > 1 and _keeps_apart(same, cross, *alternating, bipartite):
+        return *alternating, bipartite
     p, c = same != 0, cross != 0
     if bipartite:
         first = p[p[0]].any(0) | c[0]
@@ -175,42 +167,21 @@ def _sublattices(same, cross):
         joins = p | c
         first = joins[joins[0]].any(0)
     first[0] = True
-    together = first[:, None] == first
-    if bipartite:
-        dropped = (p & together).any() or (c > together).any()
-    else:
-        dropped = (joins > together).any()
-    if first.all() or dropped:
+    if first.all():
         return None
-    if first[::2].all() and not first[1::2].any():
-        return slice(0, None, 2), slice(1, None, 2), bipartite
-    return np.flatnonzero(first), np.flatnonzero(~first), bipartite
+    one, two = np.flatnonzero(first), np.flatnonzero(~first)
+    return (one, two, bipartite) if _keeps_apart(p, c, one, two, bipartite) else None
 
 
-def _alternate(same, cross, bipartite):
-    """Whether _sublattices' general rule gives the alternating classes,
-    the even and the odd sites, read off O(N_A) entries and four strided
-    views (N_A >= 2).
-
-    The reach test places every even site in site 0's class: row 1 of P,
-    with P[0, 1] != 0, reaches them where the split is bipartite, and row 0
-    of P | C, with P[0, 0] or C[0, 0] != 0, elsewhere.  The drop test reads
-    the entries the alternating split drops: P within a class and C across
-    them where it is bipartite, both across them elsewhere.  Where both
-    hold, no nonzero entry reaches an odd site in two steps, so the general
-    rule proposes exactly the even sites and its drop check reads these same
-    entries.  Where either fails, False, and the general rule decides.
+def _keeps_apart(same, cross, one, two, bipartite):
+    """Whether every entry that the split into classes one and two drops is
+    0: P within a class and C across them where the split is bipartite, both
+    across them elsewhere.  The classes are slices or index arrays, and the
+    blocks may be P and C or their nonzero masks.
     """
-    if bipartite:
-        reach = same[0, 1] != 0 and same[1, 0::2].all()
-        dropped = same[0::2, 0::2], same[1::2, 1::2]
-    else:
-        reach = (same[0, 0] != 0 or cross[0, 0] != 0) and (
-            (same[0, 0::2] != 0) | (cross[0, 0::2] != 0)
-        ).all()
-        dropped = same[0::2, 1::2], same[1::2, 0::2]
-    dropped += cross[0::2, 1::2], cross[1::2, 0::2]
-    return bool(reach) and not any(block.any() for block in dropped)
+    within = [(one, one), (two, two)] if bipartite else [(one, two), (two, one)]
+    dropped = [(same, i, j) for i, j in within] + [(cross, one, two), (cross, two, one)]
+    return not any(block[i][:, j].any() for block, i, j in dropped)
 
 
 def hermitian_eigenvalues(corr: CorrelationMatrix):

@@ -448,8 +448,8 @@ def _hermitian_pair(rng, na, alternating, bipartite):
 
 
 def _split_differential_blocks():
-    """(same, cross) pairs on which the alternating shortcut of _sublattices
-    is taken, and pairs on which it must refuse."""
+    """(same, cross) pairs whose alternating classes drop only zeros, and
+    pairs on which they drop a nonzero entry."""
     points = itertools.product((2000, 2001), (1, 2, 3, 4), (0.0, 0.3), (INF, 50.0), (0.0, 0.3183))
     sparse = np.random.default_rng(11).choice(2000, size=24, replace=False)
     for n, z, mass, beta, theta in points:
@@ -458,10 +458,14 @@ def _split_differential_blocks():
         for sites in (sparse, np.sort(sparse), np.arange(1, 41, 2), [0, 2, 1, 3, 5, 4]):
             corr = build_correlation_matrix(LatticeSpec(n, z, mass, 1.0, theta), beta, sites)
             yield corr.same, corr.cross
-    # heavy masses: the far entries are round-off, some of it exactly 0, so
-    # row 1 (or row 0) misses an even site and the reach test fails
-    for z, mass in ((1, 30.0), (1, 1e6), (2, 3.0), (2, 1e3), (3, 1e3), (4, 30.0)):
-        corr = build_correlation_matrix(LatticeSpec(4000, z, mass), INF, range(400))
+    # heavy masses and wide blocks: the far entries are round-off, some of
+    # it exactly 0, so row 1 (or row 0) misses an even site and the reach
+    # test fails
+    wide = [(4000, z, mass, INF, 400) for z, mass in
+            ((1, 30.0), (1, 1e6), (2, 3.0), (2, 1e3), (3, 1e3), (4, 30.0))]
+    wide += [(2000, 3, 0.0, 20.0, 450), (2000, 5, 0.481972, 201.402, 421)]
+    for n, z, mass, beta, na in wide:
+        corr = build_correlation_matrix(LatticeSpec(n, z, mass), beta, range(na))
         yield corr.same, corr.cross
     rng = np.random.default_rng(2)
     for na, alternating, bipartite in itertools.product((2, 5, 8, 9), *[(True, False)] * 2):
@@ -478,22 +482,91 @@ def _split_differential_blocks():
                 yield tuple(tweaked)
 
 
-def test_the_alternating_shortcut_is_the_general_split(monkeypatch):
-    def classes(same, cross):
-        split = entropy._sublattices(same, cross)
-        if split is None:
-            return None
-        one, two, bipartite = split
-        as_list = [np.arange(len(same))[i].tolist() for i in (one, two)]
-        return type(one), as_list, bipartite
+# The split as two rules that had to agree: the alternating classes where
+# site 0 reaches every even site (the reach test) and the entries they drop
+# are 0, else the classes grown from site 0.  Kept as the reference for the
+# one rule of entropy._sublattices.
+def _two_rule_sublattices(same, cross):
+    bipartite = not same.diagonal().any()
+    if len(same) > 1 and _alternate(same, cross, bipartite):
+        return slice(0, None, 2), slice(1, None, 2), bipartite
+    p, c = same != 0, cross != 0
+    if bipartite:
+        first = p[p[0]].any(0) | c[0]
+    else:
+        joins = p | c
+        first = joins[joins[0]].any(0)
+    first[0] = True
+    together = first[:, None] == first
+    if bipartite:
+        dropped = (p & together).any() or (c > together).any()
+    else:
+        dropped = (joins > together).any()
+    if first.all() or dropped:
+        return None
+    if first[::2].all() and not first[1::2].any():
+        return slice(0, None, 2), slice(1, None, 2), bipartite
+    return np.flatnonzero(first), np.flatnonzero(~first), bipartite
 
-    blocks = list(_split_differential_blocks())
-    taken = [entropy._alternate(s, c, not s.diagonal().any()) for s, c in blocks if len(s) > 1]
-    shortcut = [classes(s, c) for s, c in blocks]
-    monkeypatch.setattr(entropy, "_alternate", lambda same, cross, bipartite: False)
-    general = [classes(s, c) for s, c in blocks]
-    assert shortcut == general
-    # both outcomes of the shortcut are exercised, and the general rule
-    # both splits and refuses the blocks it passes on
-    assert sum(taken) > 100 and len(taken) - sum(taken) > 100
-    assert None in general and any(g is not None and g[0] is np.ndarray for g in general)
+
+def _alternate(same, cross, bipartite):
+    if bipartite:
+        reach = same[0, 1] != 0 and same[1, 0::2].all()
+        dropped = same[0::2, 0::2], same[1::2, 1::2]
+    else:
+        reach = (same[0, 0] != 0 or cross[0, 0] != 0) and (
+            (same[0, 0::2] != 0) | (cross[0, 0::2] != 0)
+        ).all()
+        dropped = same[0::2, 1::2], same[1::2, 0::2]
+    dropped += cross[0::2, 1::2], cross[1::2, 0::2]
+    return bool(reach) and not any(block.any() for block in dropped)
+
+
+def _alternating_drops_are_zero(same, cross):
+    parity = np.arange(len(same)) % 2
+    apart = parity[:, None] != parity
+    if not same.diagonal().any():
+        return not (same[~apart].any() or cross[apart].any())
+    return not (same[apart].any() or cross[apart].any())
+
+
+def test_the_alternating_shortcut_is_the_general_split(monkeypatch):
+    blocks = [CorrelationMatrix(s, c) for s, c in _split_differential_blocks()]
+    alternating = [_alternating_drops_are_zero(b.same, b.cross) for b in blocks]
+    splits = [entropy._sublattices(b.same, b.cross) for b in blocks]
+    eigs = [hermitian_eigenvalues(b).tobytes() for b in blocks]
+    monkeypatch.setattr(entropy, "_sublattices", _two_rule_sublattices)
+    assert eigs == [hermitian_eigenvalues(b).tobytes() for b in blocks]
+    # the alternating classes wherever they drop only zeros, index arrays
+    # or no split elsewhere
+    for block, zero, split in zip(blocks, alternating, splits):
+        if zero and len(block.same) > 1:
+            assert split[:2] == (slice(0, None, 2), slice(1, None, 2))
+        else:
+            assert split is None or isinstance(split[0], np.ndarray)
+    # both outcomes of the alternating test are exercised, the one rule
+    # both splits and refuses the blocks it fails, and the heavy and wide
+    # blocks, whose reach test failed, take the alternating classes
+    assert sum(alternating) > 100 and len(alternating) - sum(alternating) > 100
+    assert None in splits and any(s is not None and isinstance(s[0], np.ndarray) for s in splits)
+    unreached = [
+        zero and len(b.same) > 1 and not _alternate(b.same, b.cross, not b.same.diagonal().any())
+        for b, zero in zip(blocks, alternating)
+    ]
+    assert sum(unreached) >= 8
+
+
+@pytest.mark.parametrize("bipartite", [True, False])
+def test_alternating_classes_split_where_site_0_does_not_reach_them(bipartite):
+    # site 4 joins no site, so site 0 reaches only 2, 6 and 8 in two steps;
+    # every entry the even and the odd sites drop is still 0, so they split
+    same, cross = _hermitian_pair(np.random.default_rng(9), 9, True, bipartite)
+    for block in (same, cross):
+        block[4, :] = block[:, 4] = 0.0
+    corr = CorrelationMatrix(same, cross)
+    assert entropy._sublattices(corr.same, corr.cross) == (
+        slice(0, None, 2), slice(1, None, 2), bipartite
+    )
+    s = np.linalg.svd(corr.same + 1j * corr.cross, compute_uv=False)
+    reference = np.concatenate((0.5 - s, 0.5 + s[::-1]))
+    assert np.abs(hermitian_eigenvalues(corr) - reference).max() <= 1e-14

@@ -369,12 +369,24 @@ def _doc_names():
     spans = re.findall(rf"`({name})(?:\([^`]*\))?`", readme)
     names = {("README.md", cited) for cited in spans if _citable(cited)}
     for module in MODULES:
-        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
-            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
-                docstring = ast.get_docstring(node) or ""
-                seen = re.findall(rf"\b[Ss]ee\s+({name})", docstring)
-                names |= {(module.__name__, cited) for cited in seen if _citable(cited)}
+        for docstring in _docstrings(module):
+            seen = re.findall(rf"\b[Ss]ee\s+({name})", docstring)
+            names |= {(module.__name__, cited) for cited in seen if _citable(cited)}
     return names
+
+
+def _docstrings(module):
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            yield ast.get_docstring(node) or ""
+
+
+def _unresolved_private_names(module):
+    """The bare _private names a module's docstrings cite that are neither
+    names of the module nor attributes of one of its classes."""
+    cited = set().union(*(re.findall(r"(?<![\w.])_[A-Za-z]\w*", d) for d in _docstrings(module)))
+    classes = [obj for obj in vars(module).values() if isinstance(obj, type)]
+    return cited - set(vars(module)).union(*map(dir, classes))
 
 
 def _resolvable_names():
@@ -420,3 +432,6 @@ def test_docs_cite_only_names_that_exist():
         (where, name) for where, name in _doc_names() if not _resolves(name, known)
     )
     assert unresolved == []
+    # a bare _name, as in "(_held)", names a helper of its own module
+    private = {m.__name__: _unresolved_private_names(m) for m in MODULES}
+    assert {where: names for where, names in private.items() if names} == {}
