@@ -234,23 +234,28 @@ def _solve_least_squares(design, values, basis):
 
 
 def _scaling_variable(row: EntropyPoint):
-    if math.isinf(row.beta):
-        return 0.0
+    # a ground state's x is 0 by the formula: inf ** (-1/z) is exactly 0.0
     return row.na * row.epsilon * row.beta ** (-1.0 / row.z)
+
+
+def _fit(rows, last, basis, too_few):
+    """Least squares of S on [1, x, last(x, rows)] over the chosen rows.
+
+    Fewer than MIN_ROWS rows raise InsufficientData: too_few, then the count.
+    """
+    if len(rows) < MIN_ROWS:
+        raise InsufficientData(f"{too_few}, got {len(rows)}")
+    x = np.array([_scaling_variable(r) for r in rows])
+    design = np.column_stack([np.ones_like(x), x, last(x, rows)])
+    return _solve_least_squares(design, np.array([r.entropy for r in rows]), basis)
 
 
 def fit_low_temperature(table: SweepTable, z) -> FitResult:
     """Fit S = S_inf + f1*x + f2*x^2 on rows with x < 0.3 at this z."""
     z = validate_integer("z", z, 1)
     rows = [r for r in table.rows if r.z == z and _scaling_variable(r) < LOW_T_WINDOW]
-    if len(rows) < MIN_ROWS:
-        raise InsufficientData(
-            f"low-T fit needs >= {MIN_ROWS} rows with x < {LOW_T_WINDOW}, "
-            f"got {len(rows)}"
-        )
-    x = np.array([_scaling_variable(r) for r in rows])
-    s = np.array([r.entropy for r in rows])
-    return _solve_least_squares(np.column_stack([x**p for p in (0, 1, 2)]), s, ("1", "x", "x^2"))
+    too_few = f"low-T fit needs >= {MIN_ROWS} rows with x < {LOW_T_WINDOW}"
+    return _fit(rows, lambda x, rows: x**2, ("1", "x", "x^2"), too_few)
 
 
 def fit_high_temperature(table: SweepTable, z) -> FitResult:
@@ -261,23 +266,15 @@ def fit_high_temperature(table: SweepTable, z) -> FitResult:
     RegimeUnreachable; one to seven rows is InsufficientData.
     """
     z = validate_integer("z", z, 1)
-    rows = []
-    for r in table.rows:
-        if r.z != z or math.isinf(r.beta):
-            continue
-        s_max = 2.0 * r.na * math.log(2.0)
-        if _scaling_variable(r) > HIGH_T_WINDOW and r.entropy < SATURATION_FRACTION * s_max:
-            rows.append(r)
+    rows = [r for r in table.rows if r.z == z and _scaling_variable(r) > HIGH_T_WINDOW
+            and r.entropy < SATURATION_FRACTION * (2.0 * r.na * math.log(2.0))]
     if not rows:
         raise RegimeUnreachable(
             f"no rows reach the high-T window (x > {HIGH_T_WINDOW}, unsaturated) at z={z}"
         )
-    if len(rows) < MIN_ROWS:
-        raise InsufficientData(
-            f"high-T fit needs >= {MIN_ROWS} qualifying rows, got {len(rows)}"
-        )
-    x = np.array([_scaling_variable(r) for r in rows])
-    log_term = np.array([r.z * math.log(r.epsilon) - math.log(r.beta) for r in rows])
-    s = np.array([r.entropy for r in rows])
-    design = np.column_stack([np.ones_like(x), x, log_term])
-    return _solve_least_squares(design, s, ("1", "x", "ln(eps^z/beta)"))
+    return _fit(
+        rows,
+        lambda x, rows: [r.z * math.log(r.epsilon) - math.log(r.beta) for r in rows],
+        ("1", "x", "ln(eps^z/beta)"),
+        f"high-T fit needs >= {MIN_ROWS} qualifying rows",
+    )

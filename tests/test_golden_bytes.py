@@ -48,6 +48,8 @@ ARGV = {  # name: the command; a final --out gets a file path
     "sweep-svg-zs": "sweep --n 40 --zs 1,2,3,4 --beta inf --na 4 --format svg",
     "fit-text": "fit --n 400 --na 10 --z 1 --regime low",
     "fit-json": "fit --n 400 --na 10 --z 2 --regime low --format json --out",
+    # the high regime; the last row of its grid reads x = 3.0000000000000004
+    "fit-json-high": "fit --n 400 --na 40 --z 3 --regime high --format json --out",
     "cmera-csv": "cmera --z 1 --mass 1",
     "cmera-json": "cmera --z 2 --mass 0.5 --eps 0.5 --format json --out",
     "cmera-svg": "cmera --z 3 --format svg",
@@ -96,6 +98,7 @@ SHA256 = {
     # 0.13497158603253645, 2.145636967899485 -> 2.145636967899987,
     # 0.6317275925893199 -> 0.6317275925868127)
     "fit-json": "de9de3ac0fc66231214e5c568a0be19488ccda5c1c9e2f937392787e8b53dd65",
+    "fit-json-high": "0550740ceefaa849f1ec06f33658c5fea83c830edb3ab5a2a77e5468884abb35",
     "cmera-csv": "0a3d799ed2fdf6b5b6eaf6265c043975bd50857b77f81adb4e446f79aadd7e8b",
     # g = -phi + (z/4) sin 2 alpha: 173 of its 501 g values moved, by <= 2.2e-16
     "cmera-json": "db252eafe449454030db925d7fa1ca6ecf2901193d4fe511c867d7a4ca6073af",

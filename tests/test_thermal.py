@@ -348,6 +348,13 @@ def test_low_fit_counts_the_ground_state_at_x_0():
     assert fit_low_temperature(table, 1).n_rows == 10
 
 
+@pytest.mark.parametrize("beta", [INF, np.float64(INF)])
+def test_ground_state_scaling_variable_is_exactly_zero(beta):
+    # inf ** (-1/z) is 0.0, with no warning, for Python and numpy floats
+    x = thermal._scaling_variable(EntropyPoint(3, beta, 100, 7, 0.5, 0.0, 1.0))
+    assert x == 0.0 and math.copysign(1.0, x) == 1.0
+
+
 def test_high_fit_skips_other_z_and_the_ground_state():
     z, na = 2, 10
     rows = [
@@ -380,6 +387,17 @@ def test_high_fit_gates():
     ]
     with pytest.raises(RegimeUnreachable):
         fit_high_temperature(SweepTable(rows=tuple(rows)), z)
+    # unsaturated ground states never qualify, also where (N_A eps / 3)^z
+    # overflows a float (z = 240, N_A = 60)
+    for z_gs, na_gs in ((z, na), (240, 60)):
+        rows = [
+            EntropyPoint(
+                z=z_gs, beta=INF, n=1000, na=na_gs, epsilon=1.0, mass=m, entropy=1.0
+            )
+            for m in np.linspace(0.0, 0.9, 10)
+        ]
+        with pytest.raises(RegimeUnreachable):
+            fit_high_temperature(SweepTable(rows=tuple(rows)), z_gs)
     # a handful of valid rows is sparse data, not unreachability
     rows = [
         EntropyPoint(
