@@ -1,8 +1,10 @@
 """Temperature sweeps, closed-form reference curves, and regime fits.
 
 The low-temperature fit works in the scaling variable x = l * beta^(-1/z)
-with l = N_A * eps, regressing entropy on the basis {1, x, x^2}; the
-high-temperature fit uses {1, x, ln(eps^z / beta)}.  Both solve the normal
+with l = N_A * eps, regressing entropy on the basis {1, x, x^2} over rows
+with x < 0.3, ground states kept at x = 0; the high-temperature fit uses
+{1, x, ln(eps^z / beta)} over rows with beta <= (l/3)^z, that is x >= 3,
+with beta finite and S below 0.9 of 2 N_A ln 2.  Both solve the normal
 equations directly (the bases are O(1) in the windows used) with a
 conditioning guard, and report classical per-coefficient standard errors
 (sigma^2 = RSS/(n-p), cov = sigma^2 (X^T X)^(-1)).
@@ -43,7 +45,7 @@ from .lattice import (
 )
 
 LOW_T_WINDOW = 0.3  # rows with x = l * beta^(-1/z) below this qualify
-HIGH_T_WINDOW = 3.0  # rows with x above this qualify
+HIGH_T_WINDOW = 3.0  # rows with finite beta <= (l / this)^z, i.e. x >= this, qualify
 SATURATION_FRACTION = 0.9  # ... and entropy below this fraction of 2*N_A*ln2
 MIN_ROWS = 8
 CONDITION_BOUND = 1e12
@@ -205,7 +207,7 @@ def default_low_temperature_betas(z, na, eps=1.0):
 def default_high_temperature_betas(z, na, eps=1.0):
     """Frozen default beta grid for the high-T window; may be empty."""
     z, eps, length = _grid_scales(z, na, eps)
-    lo, hi = _finite(np.array([200.0 * _power(eps, z), _power(length / 3.0, z)]))
+    lo, hi = _finite(np.array([200.0 * _power(eps, z), _power(length / HIGH_T_WINDOW, z)]))
     if lo >= hi:
         return np.empty(0)
     return np.geomspace(lo, hi, 12)
@@ -239,10 +241,7 @@ def _scaling_variable(row: EntropyPoint):
 
 
 def _fit(rows, last, basis, too_few):
-    """Least squares of S on [1, x, last(x, rows)] over the chosen rows.
-
-    Fewer than MIN_ROWS rows raise InsufficientData: too_few, then the count.
-    """
+    """Least squares of S on [1, x, last(x, rows)]; too few rows raise InsufficientData."""
     if len(rows) < MIN_ROWS:
         raise InsufficientData(f"{too_few}, got {len(rows)}")
     x = np.array([_scaling_variable(r) for r in rows])
@@ -261,16 +260,19 @@ def fit_low_temperature(table: SweepTable, z) -> FitResult:
 def fit_high_temperature(table: SweepTable, z) -> FitResult:
     """Fit S = S_off + g*x + h*ln(eps^z/beta) on qualifying high-T rows.
 
-    Rows qualify when x > 3 and S < 0.9 * (2 N_A ln 2).  Zero qualifying
-    rows means the regime is physically out of reach at this (z, N_A) —
-    RegimeUnreachable; one to seven rows is InsufficientData.
+    Rows qualify when beta <= (N_A eps / 3)^z, that is x >= 3, with beta
+    finite and S < 0.9 * (2 N_A ln 2).  No x is compared: the default grid's
+    last beta is that bound, and its x may compute to one ulp below 3.  Zero
+    qualifying rows means the regime is physically out of reach at this
+    (z, N_A) — RegimeUnreachable; one to seven rows is InsufficientData.
     """
     z = validate_integer("z", z, 1)
-    rows = [r for r in table.rows if r.z == z and _scaling_variable(r) > HIGH_T_WINDOW
+    rows = [r for r in table.rows if r.z == z and r.beta < math.inf
+            and r.beta <= _power(r.na * r.epsilon / HIGH_T_WINDOW, z)
             and r.entropy < SATURATION_FRACTION * (2.0 * r.na * math.log(2.0))]
     if not rows:
         raise RegimeUnreachable(
-            f"no rows reach the high-T window (x > {HIGH_T_WINDOW}, unsaturated) at z={z}"
+            f"no unsaturated rows with finite beta <= (N_A eps/{HIGH_T_WINDOW})^z at z={z}"
         )
     return _fit(
         rows,

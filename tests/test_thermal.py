@@ -371,6 +371,28 @@ def test_high_fit_skips_other_z_and_the_ground_state():
     assert fit_high_temperature(SweepTable(rows=tuple(rows + others)), z) == fit
 
 
+def test_high_fit_takes_the_last_row_of_its_default_grid():
+    # the grid ends at beta = (N_A eps / 3)^z, whose x computes to 3.0 or to
+    # one ulp below it, so a window of x > 3 would drop it on 57 of these grids
+    fitted, ill = 0, []
+    for z in range(1, 8):
+        for na in range(4, 80, 3):
+            betas = default_high_temperature_betas(z, na)
+            if not len(betas):
+                continue
+            table = sweep_entropy((z,), tuple(betas), (na,), n_sites=400)
+            s_max = 2.0 * na * math.log(2.0)
+            unsaturated = [r for r in table.rows if r.entropy < 0.9 * s_max]
+            try:
+                fit = fit_high_temperature(table, z)
+            except IllConditioned:
+                ill.append((z, na))
+                continue
+            assert fit.n_rows == len(unsaturated) == 12, (z, na)
+            fitted += 1
+    assert (fitted, ill) == (129, [(2, 43)])
+
+
 def test_high_fit_gates():
     # every row too cold -> the regime is unreachable, not merely sparse
     cold = _low_rows(1, (1.0, 0.0, 1.0), np.linspace(0.05, 0.27, 10))
@@ -387,17 +409,6 @@ def test_high_fit_gates():
     ]
     with pytest.raises(RegimeUnreachable):
         fit_high_temperature(SweepTable(rows=tuple(rows)), z)
-    # unsaturated ground states never qualify, also where (N_A eps / 3)^z
-    # overflows a float (z = 240, N_A = 60)
-    for z_gs, na_gs in ((z, na), (240, 60)):
-        rows = [
-            EntropyPoint(
-                z=z_gs, beta=INF, n=1000, na=na_gs, epsilon=1.0, mass=m, entropy=1.0
-            )
-            for m in np.linspace(0.0, 0.9, 10)
-        ]
-        with pytest.raises(RegimeUnreachable):
-            fit_high_temperature(SweepTable(rows=tuple(rows)), z_gs)
     # a handful of valid rows is sparse data, not unreachability
     rows = [
         EntropyPoint(
@@ -407,6 +418,15 @@ def test_high_fit_gates():
     ]
     with pytest.raises(InsufficientData):
         fit_high_temperature(SweepTable(rows=tuple(rows)), z)
+    # unsaturated ground states never qualify, also at z = 240, N_A = 60,
+    # where (N_A eps / 3)^z overflows a float
+    for z, na in ((2, 5), (240, 60)):
+        rows = [
+            EntropyPoint(z=z, beta=INF, n=1000, na=na, epsilon=1.0, mass=m, entropy=1.0)
+            for m in np.linspace(0.0, 0.9, 10)
+        ]
+        with pytest.raises(RegimeUnreachable):
+            fit_high_temperature(SweepTable(rows=tuple(rows)), z)
 
 
 # -------------------------------------------- measured-lattice invariants
