@@ -90,6 +90,7 @@ are zero modes.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -512,14 +513,7 @@ def _mode_weights(spec: LatticeSpec, beta):
     return f, g
 
 
-@functools.cache
-def _largest_prime_factor(n):
-    factor, largest = 2, 1
-    while factor * factor <= n:
-        while n % factor == 0:
-            largest, n = factor, n // factor
-        factor += 1
-    return max(largest, n)
+_PRIMES_TO_300 = math.lcm(*range(2, 301))  # every prime <= 300 divides it, and no larger one
 
 
 def _uses_partial_dft(n):
@@ -530,12 +524,18 @@ def _uses_partial_dft(n):
     times that where a prime factor of N above about 300 sends numpy's FFT
     down its Bluestein path.  The partial DFT costs O(L) per block of
     PROFILE_BLOCK site differences, so it wins at large N, and at such
-    prime factors, while a subsystem spans few blocks.  The bounds were set
-    when the partial DFT summed all N modes; at even N it now sums N/2, so
-    the true crossover lies lower, but they stay where they are, as moving
-    them changes which bits those N get.
+    prime factors, while a subsystem spans few blocks.  The bounds date
+    from a partial DFT that summed all N modes; at even N it sums N/2, so
+    the true crossover lies lower.  They stay where they are, as moving
+    them changes which bits those N get.  N has a prime factor above 300
+    exactly when more than 1 is left of it once its common factors with
+    _PRIMES_TO_300 are divided out: a few gcds, and no factoring.
     """
-    return n >= 2**17 or (n >= 10**4 and _largest_prime_factor(n) > 300)
+    if not 10**4 <= n < 2**17:
+        return n >= 2**17
+    while (common := math.gcd(n, _PRIMES_TO_300)) > 1:
+        n //= common
+    return n > 1
 
 
 def _sin_pi(r, n):
@@ -673,6 +673,11 @@ def fourier_profile(spec: LatticeSpec, weights, distances):
 # Site differences below D take the short chain; the margin c sets its length.
 SHORT_CHAIN_DISTANCES = 512
 SHORT_CHAIN_MARGIN = 40.0
+# Every even 5-smooth integer 2^a 3^b 5^c (a >= 1) below 2^41, ascending.
+_EVEN_SMOOTH_LENGTHS = sorted(
+    odd << a for odd in (3**b * 5**c for b in range(26) for c in range(18))
+    for a in range(1, 42 - odd.bit_length())
+)
 
 
 def _singularity_distance(spec: LatticeSpec, beta):
@@ -695,19 +700,12 @@ def _singularity_distance(spec: LatticeSpec, beta):
     return abs(cmath.asin(spec.spacing * root * cmath.exp(0.5j * math.pi / spec.z_exponent)).imag)
 
 
-@functools.lru_cache(maxsize=4096)
 def _even_smooth_length(target):
-    """The smallest even 5-smooth integer >= target (target >= 2)."""
-    best, five = 2 * target, 1
-    while five < best:
-        odd = five
-        while odd < best:
-            # the least power of two, at least 2, with odd << shift >= target
-            shift = max(1, (-(-target // odd) - 1).bit_length())
-            best = min(best, odd << shift)
-            odd *= 3
-        five *= 5
-    return best
+    """The smallest even 5-smooth integer >= target, by one bisection of
+    _EVEN_SMOOTH_LENGTHS: for 2 <= target <= its last entry, 2.197e12, and
+    so for every target below N <= MAX_CHAIN_SITES < 2^32.
+    """
+    return _EVEN_SMOOTH_LENGTHS[bisect.bisect_left(_EVEN_SMOOTH_LENGTHS, target)]
 
 
 def _short_chain_sites(spec: LatticeSpec, beta):
@@ -715,8 +713,9 @@ def _short_chain_sites(spec: LatticeSpec, beta):
     d < D = SHORT_CHAIN_DISTANCES; None where the N-site chain keeps them.
 
     M is the smallest even 5-smooth length >= D + c/a, with
-    c = SHORT_CHAIN_MARGIN and a = _singularity_distance.  The entries are
-    the trapezoid rule (1/2M) sum_kappa w(t_kappa) e^{i t_kappa d} over
+    c = SHORT_CHAIN_MARGIN and a = _singularity_distance, found by one
+    bisection of a table (see _even_smooth_length).  The entries are the
+    trapezoid rule (1/2M) sum_kappa w(t_kappa) e^{i t_kappa d} over
     t_kappa = 2 pi (kappa + theta)/M, and by Poisson summation they differ
     from the infinite chain's P_inf[d] = (1/4 pi) int w(t) e^{itd} dt by
     the aliases e^{-2i pi theta j} P_inf[d + jM], j != 0.  Moving the

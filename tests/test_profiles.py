@@ -306,6 +306,27 @@ def test_partial_dft_crossover():
         assert _uses_partial_dft(n)
 
 
+def _largest_prime_factors(limit):
+    """The largest prime factor of each n in [2, limit), by a sieve: the
+    reference for the gcd test that replaced trial division."""
+    largest = np.arange(limit)
+    for p in range(2, limit):
+        if largest[p] == p:  # no smaller prime divides p
+            largest[p::p] = p
+    return largest.tolist()
+
+
+def test_partial_dft_choice_matches_the_prime_factor_bound():
+    # the rule the gcd test replaced: N >= 2^17, or a prime factor above 300
+    # at N >= 10^4
+    largest = _largest_prime_factors(4 * 10**5)
+    rng = np.random.default_rng(39)
+    draws = rng.integers(2, MAX_CHAIN_SITES, 20_000, endpoint=True).tolist()
+    for n in [*range(2, 4 * 10**5), *draws]:
+        expected = n >= 2**17 or (n >= 10**4 and largest[n] > 300)
+        assert _uses_partial_dft(n) == expected, n
+
+
 def test_small_chain_keeps_the_fft(monkeypatch):
     calls = []
 

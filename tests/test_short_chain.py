@@ -19,6 +19,7 @@ import pytest
 import eechain.lattice
 from eechain import LatticeSpec, entropy_of
 from eechain.lattice import (
+    MAX_CHAIN_SITES,
     SHORT_CHAIN_DISTANCES,
     SHORT_CHAIN_MARGIN,
     _block_entries,
@@ -239,3 +240,22 @@ def test_even_smooth_length_is_the_least_above_its_target():
         assert length >= target and length % 2 == 0 and smooth(length)
         if target < 3000:
             assert not any(m % 2 == 0 and smooth(m) for m in range(target, length))
+
+
+def _searched_even_smooth_length(target):
+    """The search the table lookup replaced, kept as its reference."""
+    best, five = 2 * target, 1
+    while five < best:
+        odd = five
+        while odd < best:
+            # the least power of two, at least 2, with odd << shift >= target
+            shift = max(1, (-(-target // odd) - 1).bit_length())
+            best = min(best, odd << shift)
+            odd *= 3
+        five *= 5
+    return best
+
+
+def test_even_smooth_length_matches_the_search_it_replaced():
+    for target in [*range(2, 2**17 + 1), 10**9 - 1, MAX_CHAIN_SITES, 2**40 + 1]:
+        assert _even_smooth_length(target) == _searched_even_smooth_length(target), target
