@@ -72,7 +72,10 @@ def _inverse_temperature(text):
     temp = _number(text)
     if not 0 < temp < math.inf:  # nan fails both
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return 1.0 / temp
+    beta = 1.0 / temp
+    if beta == math.inf:  # TEMP below about 5.6e-309: not the ground state
+        raise argparse.ArgumentTypeError(f"must have a finite 1/TEMP, got {text!r}")
+    return beta
 
 
 def _list_of(convert):

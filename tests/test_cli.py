@@ -56,6 +56,24 @@ def test_nonpositive_beta_is_usage_error(capsys):
         assert f"--temp must be positive and finite, got '{temp}'" in capsys.readouterr().err
 
 
+def test_temp_whose_inverse_overflows_is_usage_error(tmp_path, capsys):
+    # 1/TEMP overflowed to beta = inf and ran the ground state: S = 0 at even z
+    cfg_file = tmp_path / "run.cfg"
+    for temp in ("1e-310", "5e-324"):
+        cfg_file.write_text(f"temp = {temp}\n")
+        for argv in (
+            ["ee", "--n", "10", "--na", "3", "--z", "2", "--temp", temp],
+            ["sweep", "--n", "10", "--nas", "3", "--z", "2", "--temp", temp],
+            ["ee", "--n", "10", "--na", "3", "--z", "2", "--config", str(cfg_file)],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err == f"eechain: error: --temp must have a finite 1/TEMP, got '{temp}'\n"
+    assert main(["ee", "--n", "10", "--na", "3", "--z", "2", "--temp", "1e-308"]) == 0
+    assert capsys.readouterr().out == "1.65097079386\n"
+
+
 def test_beta_temp_mutually_exclusive(capsys):
     rc = main(["ee", "--n", "10", "--na", "2", "--z", "1", "--beta", "2", "--temp", "1"])
     assert rc == 2
