@@ -138,9 +138,12 @@ def cft_reference(kind, params):
         # sin(pi N_A / N) at N_A = N or 3N is round-off, not 0, and its log is finite
         raise InvalidParameter(f"finite_size reference needs na < n, got {params}")
     try:
-        return (c / 3.0) * curve(*values)
+        value = (c / 3.0) * curve(*values)
     except (ArithmeticError, ValueError):  # math's overflow and domain errors
-        raise InvalidParameter(f"{kind} reference is not defined at {params}") from None
+        value = math.nan
+    if not math.isfinite(value):  # float division and sinh(inf) overflow silently
+        raise InvalidParameter(f"{kind} reference is not defined at {params}")
+    return value
 
 
 def sweep_entropy(

@@ -82,6 +82,15 @@ def test_reference_that_overflows_raises():
     # sinh(pi l / beta) overflows a float
     with pytest.raises(InvalidParameter):
         cft_reference("thermal", {"l": 1e6, "beta": 1e-3})
+    # float division and sinh(inf) give inf or nan, and raise nothing
+    for kind, params in [
+        ("thermal", {"l": 1e300, "beta": 1e-300}),
+        ("high_T_expansion", {"l": 1e300, "beta": 1e-300}),
+        ("low_T_expansion", {"l": 1e300, "beta": 1e-300}),
+        ("low_T_expansion", {"l": 1.0, "beta": 1.0, "eps": 1e-300, "c": 1e308}),
+    ]:
+        with pytest.raises(InvalidParameter, match="reference is not defined at"):
+            cft_reference(kind, params)
 
 
 def test_reference_unknown_kind():
