@@ -9,7 +9,8 @@ Subcommands:
                   many-body computation on a small chain
 
 Each subcommand accepts only the flags it reads, none by abbreviation,
-and only the --format values it writes (see _COMMANDS).
+and only the --format values it writes; main checks the flags it needs
+before it runs (see _COMMANDS, whose rows declare all three).
 Flags that set the same axis exclude each other (see _EXCLUSIVE_FLAGS):
 --z or --zs, --na or --nas, and one of --beta, --temp and --betas.
 Options may also come from a config file (``--config``, read as UTF-8)
@@ -120,14 +121,15 @@ def _build_parser():
         exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (run, names, formats) in _COMMANDS.items():
-        p = sub.add_parser(command, exit_on_error=False, allow_abbrev=False)
+    for command, (run, names, formats, _) in _COMMANDS.items():
+        p = sub.add_parser(command, description="needs: " + ", ".join(_needs(command)),
+                           exit_on_error=False, allow_abbrev=False)
         p.set_defaults(run=run)
         target = {}
         for flags in _EXCLUSIVE_FLAGS:
             read = [name for name in flags if name in names]
-            # an empty group breaks argparse's usage line, and with it --help
-            if read:
+            # argparse brackets a group of one, or none, with its neighbours
+            if len(read) > 1:
                 target.update(dict.fromkeys(read, p.add_mutually_exclusive_group()))
         for name in names:
             options = _FLAGS[name]
@@ -181,10 +183,12 @@ def parse_config(argv):
     return _parse([cfg.command, *flags, *argv[1:]])
 
 
-def _require(cfg, *names):
-    for name in names:
-        if getattr(cfg, name) is None:
-            raise UsageError(f"{cfg.command} requires --{name}")
+def _needs(command):
+    """Each flag command needs, as the flags it reads that meet the need:
+    the flag itself or any of its _EXCLUSIVE_FLAGS group ("--z or --zs")."""
+    _, reads, _, needs = _COMMANDS[command]
+    groups = [next((g for g in _EXCLUSIVE_FLAGS if need in g), (need,)) for need in needs]
+    return [" or ".join(f"--{name}" for name in group if name in reads) for group in groups]
 
 
 def _emit(cfg, data):
@@ -204,24 +208,12 @@ def _spec_of(cfg):
 
 
 def _run_ee(cfg):
-    _require(cfg, "n", "na", "z")
     point = entropy_of(_spec_of(cfg), cfg.beta, range(cfg.na))
     if cfg.fmt is None:
         _emit(cfg, f"{point.entropy:.12g}\n".encode())
     else:
         _emit(cfg, emit_table(SweepTable(rows=(point,)), cfg.fmt))
     return 0
-
-
-def _sweep_axes(cfg):
-    zs = cfg.zs or ((cfg.z,) if cfg.z is not None else ())
-    betas = cfg.betas or (cfg.beta,)
-    nas = cfg.nas or ((cfg.na,) if cfg.na is not None else ())
-    if not zs:
-        raise UsageError("sweep requires --z or --zs")
-    if not nas:
-        raise UsageError("sweep requires --na or --nas")
-    return zs, betas, nas
 
 
 def _sweep(cfg, zs, betas, nas):
@@ -238,8 +230,7 @@ def _sweep(cfg, zs, betas, nas):
 
 
 def _run_sweep(cfg):
-    _require(cfg, "n")
-    zs, betas, nas = _sweep_axes(cfg)
+    zs, betas, nas = cfg.zs or (cfg.z,), cfg.betas or (cfg.beta,), cfg.nas or (cfg.na,)
     table = _sweep(cfg, zs, betas, nas)
     fmt = cfg.fmt or "csv"
     _emit(cfg, _sweep_plot(table, zs, betas, nas) if fmt == "svg" else emit_table(table, fmt))
@@ -291,7 +282,6 @@ def _sweep_plot(table, zs, betas, nas):
 
 
 def _run_fit(cfg):
-    _require(cfg, "n", "na", "z")
     low = cfg.regime == "low"
     default_betas = default_low_temperature_betas if low else default_high_temperature_betas
     betas = cfg.betas or default_betas(cfg.z, cfg.na, cfg.epsilon)
@@ -311,7 +301,6 @@ def _run_fit(cfg):
 
 
 def _run_cmera(cfg):
-    _require(cfg, "z")
     cfg.z, cfg.mass, cfg.epsilon = validate_model(cfg.z, cfg.mass, cfg.epsilon)
     cutoff = 1.0 / cfg.epsilon
     u = np.linspace(-5.0, 0.0, 501)
@@ -333,7 +322,6 @@ def _run_cmera(cfg):
 
 
 def _run_oracle_check(cfg):
-    _require(cfg, "n", "na", "z")
     spec = _spec_of(cfg)
     state = many_body_state(spec, cfg.beta)
     corr = build_correlation_matrix(spec, cfg.beta, range(cfg.n))
@@ -355,15 +343,17 @@ def _run_oracle_check(cfg):
 
 
 # command: (handler, the flags it reads and its config-file keys, the
-# --format values it writes); every command also takes --config
+# --format values it writes, the flags it needs in the order main checks
+# them); every command also takes --config
 _COMMANDS = {
-    "ee": (_run_ee, _EE_FLAGS, ("csv", "json")),
-    "sweep": (_run_sweep, (*_EE_FLAGS, "zs", "betas", "nas", "jobs"), ("csv", "json", "svg")),
+    "ee": (_run_ee, _EE_FLAGS, ("csv", "json"), ("n", "na", "z")),
+    "sweep": (_run_sweep, (*_EE_FLAGS, "zs", "betas", "nas", "jobs"), ("csv", "json", "svg"),
+              ("n", "z", "na")),
     "fit": (_run_fit, ("n", "na", "z", "mass", "eps", "theta", "betas", "regime", "format",
-                       "out", "jobs"), ("json",)),
-    "cmera": (_run_cmera, ("z", "mass", "eps", "format", "out"), ("csv", "json", "svg")),
+                       "out", "jobs"), ("json",), ("n", "na", "z")),
+    "cmera": (_run_cmera, ("z", "mass", "eps", "format", "out"), ("csv", "json", "svg"), ("z",)),
     "oracle-check": (_run_oracle_check, ("n", "na", "z", "mass", "beta", "temp", "eps",
-                                         "theta"), ()),
+                                         "theta"), (), ("n", "na", "z")),
 }
 _PARSER = _build_parser()
 
@@ -371,6 +361,9 @@ _PARSER = _build_parser()
 def main(argv=None):
     try:
         cfg = parse_config(argv)
+        for need in _needs(cfg.command):  # a flag is given unless None or ()
+            if all(getattr(cfg, flag[2:]) in (None, ()) for flag in need.split(" or ")):
+                raise UsageError(f"{cfg.command} requires {need}")
         return cfg.run(cfg)
     except (UsageError, InvalidParameter) as exc:
         print(f"eechain: error: {exc}", file=sys.stderr)

@@ -826,6 +826,13 @@ def _chain_entries(spec: LatticeSpec, beta, distances):
     return same, cross
 
 
+# A gather indexes its distinct |d| by a mask over 0 .. max |d| where max |d|
+# is below this many times the N_A^2 pairs, and by np.unique elsewhere: the
+# mask is the faster of the two there, and the gather's memory follows the
+# block, not the chain, either way.
+_MASK_SPAN = 4
+
+
 def build_correlation_matrix(spec: LatticeSpec, beta, subsystem) -> CorrelationMatrix:
     """The restricted correlation matrix for a list of sites, as its blocks.
 
@@ -837,7 +844,8 @@ def build_correlation_matrix(spec: LatticeSpec, beta, subsystem) -> CorrelationM
     their conjugates make one table over d = -(N_A - 1) .. N_A - 1, and
     row a is the window of it from d = -a: a Toeplitz block, copied once
     from a strided view, with no N_A^2 index arrays.  Any other subsystem
-    gathers each block from its entries at the signed d.  Either way P and
+    gathers each block from its entries at the signed d, with memory in
+    N_A^2 whatever the span of its sites (see _MASK_SPAN).  Either way P and
     C are exactly Hermitian, and are held unchecked (_held); the leading
     sub-blocks that a scan of N_A solves come from the matrix
     (CorrelationMatrix._leading).
@@ -853,9 +861,14 @@ def build_correlation_matrix(spec: LatticeSpec, beta, subsystem) -> CorrelationM
     sites = np.asarray(sites, dtype=np.int64)
     d_signed = sites[None, :] - sites[:, None]  # d[a, b] = j - i
     d_abs = np.abs(d_signed)
-    needed = np.zeros(d_abs.max() + 1, dtype=bool)
-    needed[d_abs] = True
-    distances = np.flatnonzero(needed)
+    top = d_abs.max()
+    if top < _MASK_SPAN * d_abs.size:
+        needed = np.zeros(top + 1, dtype=bool)
+        needed[d_abs] = True
+        distances = np.flatnonzero(needed)
+        index = (np.cumsum(needed) - 1)[d_abs]
+    else:
+        distances, index = np.unique(d_abs, return_inverse=True)  # numpy 2: d_abs's shape
     same, cross = (np.concatenate((x, x.conj())) for x in _block_entries(spec, beta, distances))
-    index = (np.cumsum(needed) - 1)[d_abs] + distances.size * (d_signed < 0)
+    index += distances.size * (d_signed < 0)
     return _held(same[index], cross[index])

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eechain
-from eechain import parse_table
+from eechain import cli, parse_table
 from eechain.cli import main, parse_config
 
 INF = math.inf
@@ -100,9 +100,93 @@ def test_help_of_each_command(capsys):
         assert capsys.readouterr().out.startswith(f"usage: eechain {command}")
 
 
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_help_brackets_no_two_unrelated_flags(columns, monkeypatch, capsys):
+    # argparse drew a one-flag exclusive group around its neighbours:
+    # "[--na NA  --z Z]" at any width
+    monkeypatch.setenv("COLUMNS", columns)
+    for command in ("ee", "fit", "oracle-check"):
+        assert main([command, "--help"]) == 0
+        usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+        assert "[--n N] [--na NA] [--z Z]" in usage
+
+
+def test_help_names_the_flags_each_command_needs(capsys):
+    helps = {}
+    for command in cli._COMMANDS:
+        assert main([command, "--help"]) == 0
+        helps[command] = capsys.readouterr().out
+    assert "\nneeds: --n, --z or --zs, --na or --nas\n" in helps["sweep"]
+    assert "\nneeds: --n, --na, --z\n" in helps["ee"]
+    for command, text in helps.items():
+        assert f"\nneeds: {', '.join(cli._needs(command))}\n" in text
+
+
 def test_missing_required_flag(capsys):
     assert main(["ee", "--na", "2", "--z", "1"]) == 2
     assert "requires --n" in capsys.readouterr().err
+
+
+# the line a command prints when one flag it needs is missing
+MISSING_NEED_LINES = {
+    **{(command, need): f"{command} requires --{need}"
+       for command in ("ee", "fit", "oracle-check") for need in ("n", "na", "z")},
+    ("sweep", "n"): "sweep requires --n",
+    ("sweep", "z"): "sweep requires --z or --zs",
+    ("sweep", "na"): "sweep requires --na or --nas",
+    ("cmera", "z"): "cmera requires --z",
+}
+NEED_VALUES = {"n": "4", "na": "2", "z": "1"}
+
+
+def test_the_table_declares_each_need_of_a_readable_flag():
+    assert set(MISSING_NEED_LINES) == {
+        (command, need) for command, row in cli._COMMANDS.items() for need in row[3]
+    }
+    for _, reads, _, needs in cli._COMMANDS.values():
+        assert len(set(needs)) == len(needs) and set(needs) <= set(reads)
+
+
+@pytest.mark.parametrize("source", ["argv", "config"])
+@pytest.mark.parametrize(
+    "command, need", MISSING_NEED_LINES, ids=[f"{c}-{n}" for c, n in MISSING_NEED_LINES]
+)
+def test_a_missing_need_exits_2_with_one_line(command, need, source, tmp_path, capsys):
+    given = {name: NEED_VALUES[name] for name in cli._COMMANDS[command][3] if name != need}
+    if source == "argv":
+        argv = [command, *(f"--{name}={value}" for name, value in given.items())]
+    else:
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("".join(f"{name} = {value}\n" for name, value in given.items()))
+        argv = [command, "--config", str(cfg_file)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"eechain: error: {MISSING_NEED_LINES[command, need]}\n"
+
+
+def test_needs_are_checked_in_the_tables_order(capsys):
+    for command, row in cli._COMMANDS.items():
+        assert main([command]) == 2
+        assert capsys.readouterr().err == (
+            f"eechain: error: {MISSING_NEED_LINES[command, row[3][0]]}\n"
+        )
+
+
+def test_sweep_axes_meet_its_needs(capsys):
+    outputs = []
+    for axes in (["--z", "1", "--na", "2"], ["--zs", "1", "--na", "2"],
+                 ["--z", "1", "--nas", "2"], ["--zs", "1", "--nas", "2"]):
+        assert main(["sweep", "--n", "4", *axes]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].count("\n") == 2 and len(set(outputs)) == 1
+
+
+def test_a_given_zero_is_checked_by_the_model(capsys):
+    # a need is met by any value but None or (): --n 0 fails in LatticeSpec
+    assert main(["ee", "--n", "0", "--na", "1", "--z", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "n_sites must be an integer >= 2" in err and "requires" not in err
 
 
 def test_unknown_flag_and_command(capsys):

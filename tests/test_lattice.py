@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from eechain import (
     validate_beta,
 )
 from eechain.lattice import (
+    MAX_CHAIN_SITES,
     _fermi_sea_profile,
     _mode_weights,
     _partial_dft,
@@ -433,15 +435,45 @@ def test_blocks_equal_the_entrywise_formula(z, mass, beta, theta, monkeypatch):
     # (tests/test_short_chain.py checks it)
     monkeypatch.setattr(eechain.lattice, "SHORT_CHAIN_DISTANCES", 0)
     for spec, sites, corr in _sparse_blocks(z, mass, beta, theta):
-        d = np.subtract.outer(sites, sites).T  # d[a, b] = j - i
-        p, q = (x.reshape(d.shape) for x in _own_profiles(spec, beta, np.abs(d).ravel()))
-        twist = np.exp(2j * np.pi * theta * np.abs(d) / spec.n_sites)
-        same, cross = twist * p, -twist * q
-        if not (mass == 0.0 and beta == INF) and theta in (0.0, 0.5):
-            (same.real if z % 2 else same.imag)[:] = 0.0
-            cross.imag[:] = 0.0
-        below = d < 0
-        same[below], cross[below] = same[below].conj(), cross[below].conj()
+        same, cross = _entrywise_blocks(spec, beta, sites)
+        assert corr.same.tobytes() == same.tobytes()
+        assert corr.cross.tobytes() == cross.tobytes()
+
+
+def _entrywise_blocks(spec, beta, sites):
+    """P and C of the sites from the N-site chain's profiles, entry by entry."""
+    z, theta = spec.z_exponent, spec.boundary_phase
+    d = np.subtract.outer(sites, sites).T  # d[a, b] = j - i
+    p, q = (x.reshape(d.shape) for x in _own_profiles(spec, beta, np.abs(d).ravel()))
+    twist = np.exp(2j * np.pi * theta * np.abs(d) / spec.n_sites)
+    same, cross = twist * p, -twist * q
+    if not (spec.mass == 0.0 and beta == INF) and theta in (0.0, 0.5):
+        (same.real if z % 2 else same.imag)[:] = 0.0
+        cross.imag[:] = 0.0
+    below = d < 0
+    same[below], cross[below] = same[below].conj(), cross[below].conj()
+    return same, cross
+
+
+@pytest.mark.parametrize("z", [1, 2])
+@pytest.mark.parametrize("n_sites", [2 * 10**7, 10**9, MAX_CHAIN_SITES])
+def test_gather_memory_follows_the_block_not_the_chain(n_sites, z):
+    # sites at both ends of a long chain span d up to N - 1; indexing their
+    # few distances by a mask over 0 .. N - 1 took 17 bytes per chain site
+    # (324 MiB at N = 2e7).  The massless ground state is in closed form,
+    # so nothing else grows with N either
+    spec = LatticeSpec(n_sites, z, 0.0, 1.0, 0.25)
+    ends = [0, n_sites - 1]
+    intervals = [*range(20), *range(n_sites // 2, n_sites // 2 + 20)]
+    for sites in (ends, intervals):
+        tracemalloc.start()
+        try:
+            corr = build_correlation_matrix(spec, INF, sites)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        same, cross = _entrywise_blocks(spec, INF, np.array(sites))
         assert corr.same.tobytes() == same.tobytes()
         assert corr.cross.tobytes() == cross.tobytes()
 
@@ -472,10 +504,15 @@ def _entry_path(spec, beta):
 
 
 @pytest.mark.parametrize("n_sites, z, mass, beta, theta, na, path", WINDOW_CASES)
-def test_contiguous_blocks_are_the_gathered_blocks(n_sites, z, mass, beta, theta, na, path):
+def test_contiguous_blocks_are_the_gathered_blocks(
+    n_sites, z, mass, beta, theta, na, path, monkeypatch
+):
     spec = LatticeSpec(n_sites, z, mass, 1.0, theta)
     assert _entry_path(spec, beta) == path
-    for start in (0, 5):
+    # a gather indexes its distances by a mask or, with a span of 0, by
+    # np.unique: both give the windows' bytes
+    for mask_span, start in itertools.product((eechain.lattice._MASK_SPAN, 0), (0, 5)):
+        monkeypatch.setattr(eechain.lattice, "_MASK_SPAN", mask_span)
         windows = build_correlation_matrix(spec, beta, range(start, start + na))
         gathered = build_correlation_matrix(spec, beta, list(range(start, start + na)))
         for block, expected in ((windows.same, gathered.same), (windows.cross, gathered.cross)):

@@ -310,13 +310,18 @@ def test_benchmark_finds_every_name_it_uses():
 
 
 def test_readme_cli_table_matches_the_parser():
-    # README's table is the user's list of flags and formats: a renamed,
-    # added or dropped flag must show there too
+    # README's table is the user's list of flags, needs and formats: a
+    # renamed, added or dropped flag or need must show there too
     readme = (PYPROJECT.parent / "README.md").read_text()
-    rows = re.findall(r"^\| `([\w-]+)` \| `([^`]+)` \| (.+) \|$", readme, re.MULTILINE)
-    assert [command for command, _, _ in rows] == list(cli._COMMANDS)
-    for command, flags, formats in rows:
-        _, read, writes = cli._COMMANDS[command]
+    rows = re.findall(
+        r"^\| `([\w-]+)` \| `([^`]+)` \| `([^`]+)` \| (.+) \|$", readme, re.MULTILINE
+    )
+    assert [command for command, *_ in rows] == list(cli._COMMANDS)
+    for command, flags, needed, formats in rows:
+        _, read, writes, needs = cli._COMMANDS[command]
+        alternatives = [need.split(" or ") for need in needed.split(", ")]
+        assert [names[0].removeprefix("--") for names in alternatives] == list(needs)
+        assert needed.split(", ") == cli._needs(command)
         sets = [[f.removeprefix("--") for f in token.split("\\|")] for token in flags.split()]
         assert sorted(name for names in sets for name in names) == sorted(read)
         groups = [[name for name in group if name in read] for group in cli._EXCLUSIVE_FLAGS]
